@@ -56,12 +56,9 @@ from .dynamics import (
 )
 from .eigenfunctions import (
     Eigenfunction,
-    apply_lowering,
-    apply_raising,
     eigenfunction,
     evaluate,
     generating_function,
-    raise_once,
 )
 from .expressions import (
     ExpressionParseError,

@@ -43,7 +43,7 @@ from .dynamics import (
 )
 from .eigenfunctions import eigenfunction, evaluate
 from .expressions import ExpressionParseError, equation_residual
-from .quadrature import gram_matrix
+from .quadrature import default_node_count, gram_matrix
 from .verify import RunConfig, SuiteReport, determine_bra_phase, report_csv_lines, report_dict, run_all
 
 
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.set_defaults(handler=cmd_dump_eigenfunction)
 
     p_gram = dump_sub.add_parser("gram")
-    p_gram.add_argument("--nodes", type=int, default=64)
+    p_gram.add_argument("--nodes", type=int, default=None, help="default max(64, nmax + 1)")
     _add_common(p_gram)
     p_gram.set_defaults(handler=cmd_dump_gram)
 
@@ -169,7 +169,8 @@ def cmd_dump_eigenfunction(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_dump_gram(args: argparse.Namespace, cfg: RunConfig) -> int:
-    gram = gram_matrix(cfg.nmax, node_count=args.nodes)
+    nodes = args.nodes if args.nodes is not None else default_node_count(cfg.nmax)
+    gram = gram_matrix(cfg.nmax, node_count=nodes)
     lines = []
     for row in gram:
         cells = []
@@ -179,9 +180,10 @@ def cmd_dump_gram(args: argparse.Namespace, cfg: RunConfig) -> int:
         lines.append(",".join(cells))
     _emit("\n".join(lines), args.out)
     defect = float(np.max(np.abs(gram - np.eye(cfg.nmax + 1))))
-    print(json.dumps({"nmax": cfg.nmax, "nodes": args.nodes, "max_defect": defect,
-                      "passed": defect <= 1e-8}))
-    return 0
+    passed = defect <= 1e-8
+    print(json.dumps({"nmax": cfg.nmax, "nodes": nodes, "max_defect": defect,
+                      "passed": passed}))
+    return 0 if passed else 1
 
 
 def cmd_dump_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -55,8 +55,12 @@ class TruncationWarning(UserWarning):
 
 
 def tail_bound(alpha: complex, dim: int) -> float:
-    """|alpha|^dim / sqrt(dim!), the magnitude scale of the first dropped coefficient."""
-    return float(abs(alpha) ** dim / math.sqrt(math.factorial(dim)))
+    """|alpha|^dim / sqrt(dim!), the magnitude scale of the first dropped coefficient,
+    computed in logarithms so that no large dim overflows."""
+    if alpha == 0:
+        return 0.0 if dim > 0 else 1.0
+    log_tail = dim * math.log(abs(alpha)) - 0.5 * math.lgamma(dim + 1)
+    return math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -1,145 +1,158 @@
 """Coordinate-space eigenfunctions of the inverted potential well.
 
-Each eigenfunction is a complex polynomial times a Gaussian phase factor:
-ket states carry exp(-i x^2 / 2), bra states exp(+i x^2 / 2).  The ground
-states ("generating functions") are killed by the respective lowering
-differential operators; excited states follow by repeated application of
-the raising operators in the realization p = -i d/dx:
+The ket eigenfunctions are rotated Hermite functions,
 
-    ket raising  sqrt(i/2) (x + i d/dx)      ket lowering  sqrt(i/2) (x - i d/dx)
-    bra raising  sqrt(i/2) (x - i d/dx)      bra lowering  sqrt(i/2) (x + i d/dx)
+    psi_n(x) = (i/pi)^(1/4) H_n(z) exp(-i x^2 / 2) / sqrt(2^n n!),   z = e^{i pi/4} x,
 
-Polynomial recurrences use exact differentiation, never finite
-differences, so the coefficient arithmetic is bit-stable.
+and on the real line the bra eigenfunctions are their complex conjugates.
+An :class:`Eigenfunction` is only its family, level and bra phase; values
+come from the normalized three-term recurrence
 
-The bra family carries one free phase per ladder step.  The default
-``BRA_STEP_PHASE = +1j`` is the choice under which the dual families come
-out mutually orthonormal under the oscillatory pairing
-integral(conj(psi_l) psi_r) (the bra function is then exactly the complex
-conjugate of the ket function on the real line).  The opposite choice
--1j satisfies the same ladder algebra but makes the pairing of level n
-carry a factor (-1)^n; it remains available for comparison.
+    h_{n+1} = sqrt(2/(n+1)) z h_n - sqrt(n/(n+1)) h_{n-1},
+
+which is stable off the real z axis and on the real Gauss-Hermite nodes
+of the rotated pairing rule (see :mod:`iwqm.quadrature`).
+
+The bra family carries one free phase per ladder step: the default
+``BRA_STEP_PHASE = +1j`` makes the dual families mutually orthonormal under
+the pairing integral(conj(psi_l) psi_r); -1j satisfies the same ladder
+algebra but multiplies the bra function of level n by (-1)^n.
+
+The independent oracle is the exact integer Hermite table.  In the family
+variable u = e^{+-i pi/4} x (ket/bra) each eigenfunction is a scale times
+H_n(u) exp(-u^2 / 2), and the ladder operators (p = -i d/dx) become
+
+    ket lowering  sqrt(i/2) (x - i d/dx) = (u + d/du) / sqrt(2)
+    ket raising   sqrt(i/2) (x + i d/dx) = (u - d/du) / sqrt(2)
+    bra lowering  sqrt(i/2) (x + i d/dx) = i (u + d/du) / sqrt(2)
+    bra raising   sqrt(i/2) (x - i d/dx) = i (u - d/du) / sqrt(2)
+
+so on P(u) exp(-u^2/2) they act on the integers exactly, P -> P' and
+P -> 2uP - P' (:func:`lowering`, :func:`raising`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
 from .algebra import BRA, KET
-from .kernels import eval_poly
 
-#: Per-step phase dividing the bra raising chain; +1j realizes the
-#: mutually orthonormal dual family, -1j the sign-alternating alternative.
+#: Per-step phase of the bra generation chain; +1j realizes the mutually
+#: orthonormal dual family, -1j the sign-alternating alternative.
 BRA_STEP_PHASE = 1j
 
-_STEP_FACTOR = np.sqrt(0.5j)  # principal branch of sqrt(i/2)
+_Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into exp(-z^2/2)
+
+_GROUND = (1j / np.pi) ** 0.25  # ket ground-state amplitude (i/pi)^(1/4)
 
 
 @dataclass(frozen=True)
 class Eigenfunction:
-    """Polynomial-times-Gaussian-phase wave function of one dual family.
-
-    ``coeffs`` holds the raw polynomial (ascending powers, leading
-    coefficient 2^n for level n); all scalar factors accumulate in
-    ``prefactor``.
-    """
+    """The level-``n`` eigenfunction of one dual family."""
 
     family: str
     n: int
-    coeffs: np.ndarray
-    prefactor: complex
+    bra_phase: complex = BRA_STEP_PHASE
 
     def __post_init__(self):
         if self.family not in (KET, BRA):
             raise ValueError(f"family must be 'ket' or 'bra', got {self.family!r}")
-        arr = np.array(self.coeffs, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        if self.n < 0:
+            raise ValueError(f"level must be nonnegative, got {self.n}")
+        if self.bra_phase not in (1j, -1j):
+            raise ValueError(f"bra_phase must be +1j or -1j, got {self.bra_phase!r}")
 
     @property
-    def gauss_sign(self) -> int:
-        """Sign in the Gaussian phase exp(gauss_sign * i x^2 / 2)."""
-        return -1 if self.family == KET else +1
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-
-def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.shape[0] == 1:
-        return np.zeros(1, dtype=complex)
-    return coeffs[1:] * np.arange(1, coeffs.shape[0])
-
-
-def _shift_times_two_x(coeffs: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.zeros(1, dtype=complex), 2.0 * coeffs])
+    def conj_sign(self) -> int:
+        """s in conj(psi) = s * psi_ket on the real line; -1 only for odd bra levels at -1j."""
+        return (-1) ** self.n if self.family == BRA and self.bra_phase == -1j else 1
 
 
 def generating_function(family: str) -> Eigenfunction:
     """Ground state: (i/pi)^(1/4) e^(-i x^2/2) for ket, (-i/pi)^(1/4) e^(+i x^2/2) for bra."""
-    if family == KET:
-        pref = (1j / np.pi) ** 0.25
-    elif family == BRA:
-        pref = (-1j / np.pi) ** 0.25
-    else:
-        raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
-    return Eigenfunction(family, 0, np.ones(1, dtype=complex), complex(pref))
-
-
-def apply_raising(f: Eigenfunction) -> Eigenfunction:
-    """Raw raising-operator action (no normalization): level n -> n+1.
-
-    Acting on P(x) e^(-+ i x^2/2), the polynomial becomes 2x P + i P' for
-    ket and 2x Q - i Q' for bra; sqrt(i/2) folds into the prefactor.
-    """
-    d = _poly_derivative(f.coeffs)
-    two_x = _shift_times_two_x(f.coeffs)
-    sign = 1j if f.family == KET else -1j
-    poly = two_x.copy()
-    poly[:d.shape[0]] += sign * d
-    return Eigenfunction(f.family, f.n + 1, poly, f.prefactor * _STEP_FACTOR)
-
-
-def apply_lowering(f: Eigenfunction) -> Eigenfunction:
-    """Raw lowering-operator action: annihilates level 0, else returns level n-1.
-
-    On the polynomial part the lowering differential operator reduces to
-    -+ i sqrt(i/2) P', which makes the annihilation of the ground state
-    exact.
-    """
-    d = _poly_derivative(f.coeffs)
-    phase = -1j if f.family == KET else 1j
-    return Eigenfunction(f.family, max(f.n - 1, 0), d, f.prefactor * phase * _STEP_FACTOR)
-
-
-def raise_once(f: Eigenfunction, bra_phase: complex = BRA_STEP_PHASE) -> Eigenfunction:
-    """Normalized generation step: level n eigenfunction -> level n+1."""
-    raw = apply_raising(f)
-    step = np.sqrt(f.n + 1.0)
-    if f.family == BRA:
-        if bra_phase not in (1j, -1j):
-            raise ValueError(f"bra_phase must be +1j or -1j, got {bra_phase!r}")
-        step = step * bra_phase
-    return Eigenfunction(raw.family, raw.n, raw.coeffs, raw.prefactor / step)
+    return Eigenfunction(family, 0)
 
 
 def eigenfunction(family: str, n: int, bra_phase: complex = BRA_STEP_PHASE) -> Eigenfunction:
     """The n-th normalized eigenfunction of a family."""
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    f = generating_function(family)
-    for _ in range(n):
-        f = raise_once(f, bra_phase)
-    return f
+    return Eigenfunction(family, n, bra_phase)
+
+
+def hermite_levels(z: np.ndarray, start):
+    """Yield start * H_n(z) / sqrt(2^n n!) for n = 0, 1, 2, ... by the normalized recurrence."""
+    prev, cur = 0.0, start
+    for n in count():
+        yield cur
+        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * z * cur - math.sqrt(n / (n + 1)) * prev
 
 
 def evaluate(f: Eigenfunction, x):
-    """Evaluate prefactor * P(x) * exp(gauss_sign i x^2 / 2) at real x."""
+    """Values of the eigenfunction at real x (scalar or array)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = f.prefactor * eval_poly(f.coeffs, xs) * np.exp(0.5j * f.gauss_sign * xs * xs)
+    ground = _GROUND * np.exp(-0.5j * xs * xs)
+    vals = next(islice(hermite_levels(_Z_PHASE * xs, ground), f.n, None))
+    if f.family == BRA:
+        vals = f.conj_sign * np.conj(vals)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(vals[0])
     return vals
+
+
+def hermite_coefficients(nmax: int) -> list[list[int]]:
+    """Exact integer coefficients (ascending) of H_0 .. H_nmax: H_{n+1} = 2u H_n - 2n H_{n-1}."""
+    rows = [[1], [0, 2]]
+    for n in range(1, nmax):
+        nxt = [0] + [2 * c for c in rows[n]]
+        for j, c in enumerate(rows[n - 1]):
+            nxt[j] -= 2 * n * c
+        rows.append(nxt)
+    return rows[:nmax + 1]
+
+
+@dataclass(frozen=True)
+class ExactForm:
+    """scale * P(u) * exp(-u^2/2) with integer coefficients P (ascending powers)
+    in the family variable u = e^{+-i pi/4} x (ket/bra)."""
+
+    family: str
+    scale: complex
+    coeffs: tuple[int, ...]
+
+    @property
+    def step(self) -> complex:
+        """Factor of each ladder operator: 1/sqrt(2) for ket, i/sqrt(2) for bra."""
+        return (1.0 if self.family == KET else 1j) / math.sqrt(2.0)
+
+    def values(self, x) -> np.ndarray:
+        """Values at real x (low levels: the coefficients are converted to floats)."""
+        xs = np.asarray(x, dtype=float)
+        ket = self.family == KET
+        u = (_Z_PHASE if ket else np.conj(_Z_PHASE)) * xs
+        poly = np.polynomial.polynomial.polyval(u, np.array(self.coeffs, dtype=float))
+        return self.scale * poly * np.exp((-0.5j if ket else 0.5j) * xs * xs)
+
+
+def exact_form(f: Eigenfunction) -> ExactForm:
+    """The eigenfunction as scale * H_n(u) * exp(-u^2/2) on the integer table."""
+    scale = _GROUND / math.sqrt(2.0 ** f.n * math.factorial(f.n))
+    if f.family == BRA:
+        scale = f.conj_sign * np.conj(scale)
+    return ExactForm(f.family, complex(scale), tuple(hermite_coefficients(f.n)[f.n]))
+
+
+def lowering(form: ExactForm) -> ExactForm:
+    """The family's lowering differential operator, exactly: P -> P'."""
+    deriv = tuple(j * c for j, c in enumerate(form.coeffs))[1:] or (0,)
+    return ExactForm(form.family, form.scale * form.step, deriv)
+
+
+def raising(form: ExactForm) -> ExactForm:
+    """The family's raising differential operator, exactly: P -> 2uP - P'."""
+    out = [0] + [2 * c for c in form.coeffs]
+    for j, c in enumerate(form.coeffs[1:], start=1):
+        out[j - 1] -= j * c
+    return ExactForm(form.family, form.scale * form.step, tuple(out))

@@ -1,35 +1,18 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The numba path is used whenever numba imports cleanly; set the environment
-variable ``IWQM_NO_NUMBA=1`` to force the numpy fallback (useful for
-debugging and for the benchmark in ``benchmarks/bench_kernels.py``).
-Both paths compute identical values; the test suite asserts agreement.
-"""
+"""Hot numeric kernels of the dynamics: the RK4 label trajectory and the
+per-step observables of the grid split-step."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-from numpy.polynomial import polynomial as _npoly
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "rk4_trajectory",
-    "eval_poly",
-    "grid_observables",
-]
+__all__ = ["NUMBA_ENABLED", "rk4_trajectory", "grid_observables"]
+
+#: Always False: there is one, pure-numpy kernel path.  Kept because the
+#: benchmark records it in its environment block.
+NUMBA_ENABLED = False
 
 
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("IWQM_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compilable)
-# ---------------------------------------------------------------------------
-
-def _rk4_trajectory_loop(v, omega, dt, steps):
+def rk4_trajectory(v, omega, dt, steps):
     # classic RK4 for a'' = omega^2 a with a(0) = 0, a'(0) = v;
     # returns (steps+1, 2): positions in column 0, velocities in column 1
     w2 = omega * omega
@@ -54,62 +37,10 @@ def _rk4_trajectory_loop(v, omega, dt, steps):
     return out
 
 
-def _eval_poly_loop(coeffs, x):
-    # Horner evaluation, ascending coefficients
-    n = coeffs.shape[0]
-    out = np.empty(x.shape[0], dtype=np.complex128)
-    for j in range(x.shape[0]):
-        acc = coeffs[n - 1]
-        for k in range(n - 2, -1, -1):
-            acc = acc * x[j] + coeffs[k]
-        out[j] = acc
-    return out
-
-
-def _grid_observables_loop(psi, x, dx):
-    # single pass: L2 norm, position expectation, max boundary amplitude
-    norm = 0.0
-    xmean = 0.0
-    for j in range(psi.shape[0]):
-        d = psi[j].real * psi[j].real + psi[j].imag * psi[j].imag
-        norm += d
-        xmean += x[j] * d
-    norm *= dx
-    xmean *= dx
-    edge = max(abs(psi[0]), abs(psi[-1]))
-    return norm, xmean / norm, edge
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def _eval_poly_numpy(coeffs, x):
-    return np.asarray(_npoly.polyval(x, coeffs), dtype=np.complex128)
-
-
-def _grid_observables_numpy(psi, x, dx):
+def grid_observables(psi, x, dx):
+    """L2 norm, position expectation and largest boundary amplitude of a grid state."""
     dens = np.abs(psi) ** 2
     norm = float(np.sum(dens) * dx)
     xmean = float(np.sum(x * dens) * dx / norm)
     edge = float(max(abs(psi[0]), abs(psi[-1])))
     return norm, xmean, edge
-
-
-NUMBA_ENABLED = False
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    rk4_trajectory = njit(cache=True)(_rk4_trajectory_loop)
-    eval_poly = njit(cache=True)(_eval_poly_loop)
-    grid_observables = njit(cache=True)(_grid_observables_loop)
-else:
-    rk4_trajectory = _rk4_trajectory_loop
-    eval_poly = _eval_poly_numpy
-    grid_observables = _grid_observables_numpy

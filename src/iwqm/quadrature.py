@@ -5,17 +5,26 @@ contour rotated by exp(-i pi/4), so Gauss-Hermite nodes and weights give
 a rule that is exact for polynomials up to degree 2*nodes - 1.  Every
 rule result can be cross-checked against the closed-form moment oracle
 integral(x^m exp(-i x^2)) = sqrt(pi/i) (m-1)!! / (2i)^(m/2) (even m).
+
+The dual-family pairings are sqrt(i/pi) h_m(z) h_n(z) exp(-i x^2) with
+z = e^{i pi/4} x (see :mod:`iwqm.eigenfunctions`).  On the rotated
+contour z is the real Gauss-Hermite node itself, so the rule path runs
+the eigenfunction recurrence on real nodes; the moment path contracts the
+exact integer Hermite coefficients with the Gaussian moments instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from numpy.polynomial import polynomial as _npoly
 
 from .algebra import BRA, KET
-from .eigenfunctions import BRA_STEP_PHASE, Eigenfunction, eigenfunction, evaluate
+from .eigenfunctions import (BRA_STEP_PHASE, Eigenfunction, eigenfunction, evaluate,
+                             hermite_coefficients, hermite_levels)
 
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
 ROTATION = np.exp(-0.25j * np.pi)
@@ -89,59 +98,94 @@ def integrate_by_moments(coeffs: np.ndarray) -> complex:
     return complex(sum(c * moment(m) for m, c in enumerate(coeffs)))
 
 
-def _pairing_polynomial(bra_f: Eigenfunction, ket_f: Eigenfunction) -> tuple[complex, np.ndarray]:
+def _check_pair(bra_f: Eigenfunction, ket_f: Eigenfunction) -> None:
     if bra_f.family != BRA or ket_f.family != KET:
         raise ValueError(
             f"pairing takes (bra, ket); got families ({bra_f.family!r}, {ket_f.family!r})")
-    # conj(Q(x) e^{+ix^2/2}) * P(x) e^{-ix^2/2} = conj-coeff(Q)(x) P(x) e^{-ix^2}
-    poly = _npoly.polymul(np.conj(bra_f.coeffs), ket_f.coeffs)
-    return np.conj(bra_f.prefactor) * ket_f.prefactor, np.asarray(poly, dtype=complex)
+
+
+def _rule_pairings(rule: ContourQuadrature, top: int) -> np.ndarray:
+    """integral(psi_m psi_n) of ket levels m, n <= top by the rule."""
+    z = rule.nodes / ROTATION  # the real Gauss-Hermite nodes, up to rounding
+    levels = np.array(list(islice(hermite_levels(z, np.ones_like(z)), top + 1)))
+    return np.sqrt(1j / np.pi) * (levels * rule.weights) @ levels.T
 
 
 def pairing_integral(bra_f: Eigenfunction, ket_f: Eigenfunction,
                      rule: ContourQuadrature | None = None) -> complex:
     """integral(conj(psi_m^l) psi_n^r) over the real line.
 
-    The Gaussian phases of the two families combine into exp(-i x^2), so
-    the integrand is polynomial times the oscillatory weight and the
-    rotated rule applies.
+    On the real line conj(psi_m^l) is a sign times the ket function psi_m,
+    so the integrand is a polynomial of degree m + n times exp(-i x^2) and
+    the rotated rule applies.
     """
-    scale, poly = _pairing_polynomial(bra_f, ket_f)
+    _check_pair(bra_f, ket_f)
+    degree = bra_f.n + ket_f.n
     if rule is None:
-        rule = ContourQuadrature.build(max(32, (poly.shape[0] - 1) // 2 + 8))
-    return complex(scale * integrate(poly, rule))
+        rule = ContourQuadrature.build(max(32, degree // 2 + 8))
+    if degree > rule.max_degree:
+        raise PrecisionError(
+            f"degree {degree} exceeds the rule's exactness bound {rule.max_degree}")
+    return complex(bra_f.conj_sign * _rule_pairings(rule, max(bra_f.n, ket_f.n))[bra_f.n, ket_f.n])
+
+
+def _moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
+    """integral(psi_m psi_n) of ket levels m in rows, n in cols, from the integer table.
+
+    integral(z^(2r) exp(-i x^2)) = sqrt(pi/i) (2r-1)!!/2^r, and sqrt(pi/i)
+    cancels sqrt(i/pi); the sums are exact integers scaled by 2^top, and
+    each entry takes one division.
+    """
+    top = max(rows + cols)
+    padded = [c + [0] * (top + 1 - len(c)) for c in hermite_coefficients(top)]
+    table = np.array(padded, dtype=object)
+    scaled = [0] * (2 * top + 1)  # 2^top (2r-1)!!/2^r at index 2r
+    for r in range(top + 1):
+        scaled[2 * r] = math.prod(range(1, 2 * r, 2)) << (top - r)
+    hankel = np.array([scaled[j:j + top + 1] for j in range(top + 1)], dtype=object)
+    numer = table[rows] @ hankel @ table[cols].T
+    out = np.empty(numer.shape)
+    for (i, k), v in np.ndenumerate(numer):
+        m, n = rows[i], cols[k]
+        denom = 4 ** top * 2 ** (m + n) * math.factorial(m) * math.factorial(n)
+        out[i, k] = math.copysign(math.sqrt(v * v / denom), v)
+    return out
 
 
 def pairing_integral_by_moments(bra_f: Eigenfunction, ket_f: Eigenfunction) -> complex:
     """Moment-oracle evaluation of the same pairing (independent of any rule)."""
-    scale, poly = _pairing_polynomial(bra_f, ket_f)
-    return complex(scale * integrate_by_moments(poly))
+    _check_pair(bra_f, ket_f)
+    return complex(bra_f.conj_sign * _moment_pairings([bra_f.n], [ket_f.n])[0, 0])
 
 
-def gram_matrix(nmax: int, node_count: int = 64, bra_phase: complex = BRA_STEP_PHASE,
+def default_node_count(nmax: int) -> int:
+    """Default rule size of the Gram matrix up to level nmax."""
+    return max(64, nmax + 1)
+
+
+def gram_matrix(nmax: int, node_count: int | None = None, bra_phase: complex = BRA_STEP_PHASE,
                 use_moments: bool = False) -> np.ndarray:
     """All pairings of dual eigenfunctions up to level nmax; expected identity.
 
-    With ``use_moments`` the rule is bypassed and every entry comes from
-    the analytic moment oracle, which gives the cross-check path.
+    The rule has ``node_count`` nodes (default max(64, nmax + 1)).  With
+    ``use_moments`` the rule is bypassed and every entry comes from the
+    exact-integer moment oracle, which gives the cross-check path.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
+    if node_count is None:
+        node_count = default_node_count(nmax)
     if not use_moments and node_count < nmax + 1:
         raise PrecisionError(
             f"{node_count} nodes cannot integrate degree {2 * nmax} exactly; "
             f"need at least {nmax + 1}")
-    kets = [eigenfunction(KET, n) for n in range(nmax + 1)]
-    bras = [eigenfunction(BRA, m, bra_phase) for m in range(nmax + 1)]
-    rule = None if use_moments else ContourQuadrature.build(node_count)
-    out = np.empty((nmax + 1, nmax + 1), dtype=complex)
-    for m, bra_f in enumerate(bras):
-        for n, ket_f in enumerate(kets):
-            if use_moments:
-                out[m, n] = pairing_integral_by_moments(bra_f, ket_f)
-            else:
-                out[m, n] = pairing_integral(bra_f, ket_f, rule)
-    return out
+    levels = list(range(nmax + 1))
+    signs = np.array([eigenfunction(BRA, m, bra_phase).conj_sign for m in levels])
+    if use_moments:
+        pairings = _moment_pairings(levels, levels)
+    else:
+        pairings = _rule_pairings(ContourQuadrature.build(node_count), nmax)
+    return (signs[:, None] * pairings).astype(complex)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> complex:

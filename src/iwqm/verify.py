@@ -140,22 +140,23 @@ def spectrum_suite(cfg: RunConfig) -> SuiteReport:
 
 
 def eigenfunction_suite(cfg: RunConfig) -> SuiteReport:
-    """Annihilation of the generating functions and the pointwise ladder chain."""
+    """Annihilation of the generating functions and the pointwise ladder chain,
+    differentiating the exact integer Hermite table against the recurrence."""
     report = SuiteReport("eigenfunctions")
     x = np.linspace(-10.0, 10.0, 1001)
     for family in (KET, BRA):
-        lowered = eigenfunctions.apply_lowering(eigenfunctions.generating_function(family))
+        lowered = eigenfunctions.lowering(
+            eigenfunctions.exact_form(eigenfunctions.generating_function(family)))
         report.add(f"annihilation_{family}", "lowering(psi_0) = 0",
-                   float(np.max(np.abs(eigenfunctions.evaluate(lowered, x)))), 1e-12)
+                   float(np.max(np.abs(lowered.values(x)))), 1e-12)
     # non-decaying eigenfunctions reach ~1e6 by |x| = 10, so the pointwise
     # ladder comparison samples the inner window where 1e-10 is meaningful
     x_inner = np.linspace(-5.0, 5.0, 1001)
     residual = 0.0
     for n in range(1, 9):
-        psi_n = eigenfunctions.eigenfunction(KET, n)
-        psi_prev = eigenfunctions.eigenfunction(KET, n - 1)
-        lhs = eigenfunctions.evaluate(eigenfunctions.apply_lowering(psi_n), x_inner)
-        rhs = np.sqrt(n) * eigenfunctions.evaluate(psi_prev, x_inner)
+        psi_n = eigenfunctions.exact_form(eigenfunctions.eigenfunction(KET, n))
+        lhs = eigenfunctions.lowering(psi_n).values(x_inner)
+        rhs = np.sqrt(n) * eigenfunctions.evaluate(eigenfunctions.eigenfunction(KET, n - 1), x_inner)
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))
     report.add("ladder_ket", "lowering(psi_n) = sqrt(n) psi_{n-1}", residual, 1e-10)
     return report
@@ -252,17 +253,8 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
     report.add("variances", "var(x) = -i/2, var(p) = +i/2", var_res, norm_tol)
     report.add("uncertainty_product", "dx dp = 1/2", product_res, norm_tol)
 
-    # convention determination at a fixed well-truncated label
-    probe = 1.0 + 0.5j
-    verdicts = {}
-    for phase, label in ((1j, "+i"), (-1j, "-i")):
-        bra = coherent.build_coherent(BRA, probe, 64, bra_phase=phase)
-        ket = coherent.build_coherent(KET, probe, 64)
-        ok = (abs(coherent.mutual_pairing(bra, ket) - 1.0) <= 1e-10
-              and coherent.eigen_residual(bra) <= 1e-10)
-        verdicts[label] = ok
     report.add("bra_phase_unique", "exactly one bra phase satisfies both conditions",
-               0.0 if (verdicts["+i"] ^ verdicts["-i"]) else 1.0, 0.0)
+               0.0 if sum(_bra_phase_verdicts(64).values()) == 1 else 1.0, 0.0)
     return report
 
 
@@ -353,24 +345,40 @@ _SUITES = (
 )
 
 
+_PHASES = ((1j, "+i"), (-1j, "-i"))
+
+
+def _bra_phase_verdicts(dim: int) -> dict[str, bool]:
+    """Per bra coherent phase: does it give <alpha|alpha> = 1 and solve the
+    eigenvalue equation, at a fixed well-truncated label?"""
+    probe = 1.0 + 0.5j
+    ket = coherent.build_coherent(KET, probe, dim)
+    verdicts = {}
+    for phase, label in _PHASES:
+        bra = coherent.build_coherent(BRA, probe, dim, bra_phase=phase)
+        verdicts[label] = (abs(coherent.mutual_pairing(bra, ket) - 1.0) <= 1e-10
+                           and coherent.eigen_residual(bra) <= 1e-10)
+    return verdicts
+
+
 def determine_bra_phase(dim: int = 64) -> str:
     """Name the bra coherent coefficient phase that passes both conditions."""
-    for phase, label in ((1j, "+i"), (-1j, "-i")):
-        bra = coherent.build_coherent(BRA, 1.0 + 0.5j, dim, bra_phase=phase)
-        ket = coherent.build_coherent(KET, 1.0 + 0.5j, dim)
-        if (abs(coherent.mutual_pairing(bra, ket) - 1.0) <= 1e-10
-                and coherent.eigen_residual(bra) <= 1e-10):
-            return label
-    return "none"
+    return next((label for label, ok in _bra_phase_verdicts(dim).items() if ok), "none")
+
+
+def _dual_eigenfunction_phase() -> str:
+    """Name the bra step phase under which the Gram matrix is the identity."""
+    return next((label for phase, label in _PHASES
+                 if _max_abs(quadrature.gram_matrix(8, bra_phase=phase) - np.eye(9)) <= 1e-8), "none")
 
 
 def conventions(cfg: RunConfig) -> dict:
-    """The sign/phase conventions in force, with the determined coherent phase."""
+    """The sign/phase conventions in force, with the determined phases."""
     return {
         "adjoint_sigma": f"{cfg.sigma:+d}",
         "bra_ladder_phase": "-i",
         "bra_coherent_phase": determine_bra_phase(),
-        "dual_eigenfunction_phase": "+i",
+        "dual_eigenfunction_phase": _dual_eigenfunction_phase(),
     }
 
 

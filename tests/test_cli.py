@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from iwqm import cli
 from iwqm.cli import main
 
 
@@ -113,6 +114,37 @@ def test_dump_gram(capsys):
     assert all(len(row.split(",")) == 18 for row in matrix_rows)
     assert summary["max_defect"] <= 1e-8
     assert summary["passed"] is True
+
+
+def test_dump_gram_defaults(capsys):
+    code, out, _ = run_cli(capsys, "dump", "gram")
+    assert code == 0
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["nmax"] == 64 and summary["nodes"] == 65
+    assert summary["passed"] is True
+
+
+def test_dump_gram_nmax_30_passes(capsys):
+    code, out, _ = run_cli(capsys, "dump", "gram", "--nmax", "30")
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["passed"] is True
+
+
+def test_dump_gram_failed_check_exits_1(capsys, monkeypatch):
+    def broken(nmax, node_count=None):
+        return 1.5 * np.eye(nmax + 1, dtype=complex)
+
+    monkeypatch.setattr(cli, "gram_matrix", broken)
+    code, out, _ = run_cli(capsys, "dump", "gram", "--nmax", "8")
+    assert code == 1
+    assert json.loads(out.strip().splitlines()[-1])["passed"] is False
+
+
+def test_verify_large_nmax_reports_without_traceback(capsys):
+    code, out, err = run_cli(capsys, "verify", "--nmax", "200")
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert json.loads(out)["config"]["nmax"] == 200
 
 
 def test_dump_coherent_json(capsys):

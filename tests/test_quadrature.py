@@ -111,6 +111,13 @@ def test_gram_identity_and_oracle_crosscheck():
     assert np.max(np.abs(gram - oracle)) <= 1e-10
 
 
+@pytest.mark.parametrize("nmax", [24, 32, 64])
+@pytest.mark.parametrize("use_moments", [False, True])
+def test_gram_identity_at_high_levels(nmax, use_moments):
+    gram = gram_matrix(nmax, use_moments=use_moments)
+    assert np.max(np.abs(gram - np.eye(nmax + 1))) <= 1e-8
+
+
 def test_gram_trivial_case():
     np.testing.assert_allclose(gram_matrix(1)[0, 0], 1.0, atol=1e-12)
 
@@ -133,6 +140,8 @@ def test_gram_rejects_rule_below_exactness():
         gram_matrix(12, node_count=12)
     with pytest.raises(ValueError):
         gram_matrix(0)
+    with pytest.raises(PrecisionError):
+        pairing_integral(eigenfunction(BRA, 5), eigenfunction(KET, 5), ContourQuadrature.build(4))
 
 
 def test_adaptive_simpson_polynomial():
