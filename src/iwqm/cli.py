@@ -34,6 +34,7 @@ from .coherent import (
     uncertainty_product,
 )
 from .dynamics import (
+    EXP_GUARD,
     classical_orbit,
     gaussian_packet,
     grid_split_step,
@@ -216,7 +217,8 @@ def cmd_dump_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
     dt = args.dt if args.dt is not None else 1e-3 / cfg.omega
     if args.grid:
         steps = int(round(args.tfinal / dt))
-        trajectory = grid_split_step(gaussian_packet(args.v, cfg.omega), dt, steps)
+        packet = gaussian_packet(args.v, cfg.omega, t_final=steps * dt)
+        trajectory = grid_split_step(packet, dt, steps)
     else:
         trajectory = integrate_alpha(args.v, cfg.omega, args.tfinal, dt)
     classical = classical_orbit(args.v, cfg.omega, 1, trajectory.times)
@@ -233,10 +235,13 @@ def cmd_dump_decay(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError(f"level must be nonnegative, got {args.n}")
     if args.tfinal <= 0 or args.dt <= 0:
         raise ValueError("tfinal and dt must be positive")
-    dim = args.n + 2
-    base_ket = np.zeros(dim, dtype=complex)
-    base_ket[args.n] = 1.0
     steps = int(round(args.tfinal / args.dt))
+    exponent = (args.n + 0.5) * cfg.omega * (steps * args.dt)
+    if exponent > EXP_GUARD:
+        raise ValueError(f"(n+1/2) omega tfinal = {exponent:.3g} exceeds the overflow guard "
+                         f"{EXP_GUARD:g}")
+    base_ket = np.zeros(args.n + 1, dtype=complex)
+    base_ket[args.n] = 1.0
     lines = ["t,factor,mixed_pairing"]
     for k in range(steps + 1):
         t = k * args.dt
@@ -264,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:
+        print(f"runtime error: {err}", file=sys.stderr)
+        return 1
     except OSError as err:
         print(str(err), file=sys.stderr)
         return 1

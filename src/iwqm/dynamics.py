@@ -14,6 +14,14 @@ numerical routes confirm it:
 * a spectral split-step solution of the time-dependent Schroedinger
   equation on a grid (``grid_split_step``), whose standard L2 position
   expectation follows the same curve exactly for quadratic potentials.
+
+The grid is sized from the packet: ``gaussian_packet`` takes the horizon
+the run must reach and picks the smallest power-of-two grid that holds
+the packet's closed-form spreads in position and momentum until then
+(512 points for the default packet at omega = 1, 1024 at most from
+omega = 0.05 to 40), refusing horizons that need more than
+``MAX_GRID_POINTS``.  The split-step fuses the half-kicks of consecutive
+steps and takes its guards' observables a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +36,16 @@ from .kernels import grid_observables, rk4_trajectory
 
 #: Largest exponent fed to exp(); beyond this double precision overflows.
 EXP_GUARD = 700.0
+
+#: Amplitude, relative to the peak, left at the edges of a packet's grid
+#: in position and in momentum at its horizon.
+EDGE_FRACTION = 1e-16
+
+#: Largest grid ``gaussian_packet`` builds.
+MAX_GRID_POINTS = 1 << 16
+
+#: Size of the block of grid states whose observables are taken at once.
+BLOCK_BYTES = 1 << 19
 
 
 class GridLeakError(RuntimeError):
@@ -189,15 +207,49 @@ def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
     return Trajectory(times, values.astype(complex))
 
 
-def gaussian_packet(v: float, omega: float = 1.0, x_min: float = -40.0,
-                    x_max: float = 40.0, points: int = 4096,
-                    width: float = 1.0) -> GridState:
-    """Normalized Gaussian packet centered at the potential top with mean momentum v."""
-    dx = (x_max - x_min) / points
-    x = x_min + dx * np.arange(points)
+def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None,
+                    width: float | None = None) -> GridState:
+    """Normalized Gaussian packet at the potential top with mean momentum v,
+    on the smallest power-of-two grid that holds it until ``t_final``.
+
+    The packet is exp(-x^2 / (2 width^2) + i v x); ``width`` defaults to the
+    natural length 1/sqrt(omega) and ``t_final`` to 1.5/omega.  Under the
+    inverted well the spreads grow in closed form,
+
+        sigma_x(t)^2 = sigma_x0^2 cosh^2 + sigma_p0^2 sinh^2 / omega^2,
+        sigma_p(t)^2 = sigma_p0^2 cosh^2 + omega^2 sigma_x0^2 sinh^2,
+
+    and the means are (v/omega) sinh and v cosh.  The half-width and the
+    largest wave number each hold the mean plus the distance at which the
+    amplitude falls to ``EDGE_FRACTION`` of its peak, at t_final.  A
+    horizon needing more than ``MAX_GRID_POINTS`` points raises ValueError.
+    """
+    if omega <= 0:
+        raise ValueError(f"omega must be positive, got {omega!r}")
+    t_final = 1.5 / omega if t_final is None else t_final
+    width = 1.0 / math.sqrt(omega) if width is None else width
+    if not (t_final > 0 and width > 0):
+        raise ValueError(f"t_final and width must be positive, got {t_final!r}, {width!r}")
+    # cosh and sinh overflow past EXP_GUARD; the cap still gives an infinite need
+    growth = min(omega * t_final, EXP_GUARD)
+    cosh, sinh = math.cosh(growth), math.sinh(growth)
+    var_x0, var_p0 = 0.5 * width * width, 0.5 / (width * width)
+    sigma_x = math.sqrt(var_x0 * cosh * cosh + var_p0 * sinh * sinh / (omega * omega))
+    sigma_p = math.sqrt(var_p0 * cosh * cosh + omega * omega * var_x0 * sinh * sinh)
+    # |psi| ~ exp(-d^2 / (4 sigma^2)) falls to EDGE_FRACTION at d = reach * sigma
+    reach = 2.0 * math.sqrt(-math.log(EDGE_FRACTION))
+    half_width = abs(v) * sinh / omega + reach * sigma_x
+    k_max = abs(v) * cosh + reach * sigma_p
+    needed = 2.0 * half_width * k_max / math.pi
+    if not needed <= MAX_GRID_POINTS:
+        raise ValueError(f"a packet held until t_final={t_final:g} needs {needed:.3g} grid points, "
+                         f"more than the cap of {MAX_GRID_POINTS}")
+    points = max(2, 1 << math.ceil(math.log2(needed)))
+    dx = 2.0 * half_width / points
+    x = -half_width + dx * np.arange(points)
     psi = np.exp(-0.5 * (x / width) ** 2) * np.exp(1j * v * x)
     psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-    return GridState(x_min, x_max, points, psi, omega)
+    return GridState(-half_width, half_width, points, psi, omega)
 
 
 def grid_split_step(initial: GridState, dt: float, steps: int,
@@ -208,34 +260,51 @@ def grid_split_step(initial: GridState, dt: float, steps: int,
     Returns the standard L2 expectation <x>(t) sampled after every step.
     Raises :class:`GridLeakError` if the boundary amplitude exceeds
     ``leak_tol`` and :class:`NormDriftError` if the L2 norm drifts by
-    more than ``drift_tol``.  When a ``diagnostics`` dict is supplied it
-    receives the observed ``norm_drift`` and ``edge_max``.
+    more than ``drift_tol``, naming the first offending step.  When a
+    ``diagnostics`` dict is supplied it receives the observed
+    ``norm_drift`` and ``edge_max``.
+
+    The half-kicks of consecutive steps are fused: the loop evolves
+    phi = conj(half-kick) psi by one full kick and one kinetic step, and
+    |phi| = |psi| pointwise, so every observable is read from phi.  The
+    observables are taken for a block of up to ``BLOCK_BYTES`` of states
+    at a time, and both guards are checked for every step of a block
+    before the next block starts.
     """
     if dt <= 0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
     x = initial.x
     dx = initial.dx
     k = 2.0 * np.pi * np.fft.fftfreq(initial.points, dx)
-    half_potential = np.exp(0.25j * dt * initial.omega ** 2 * x * x)
+    half_kick = np.exp(0.25j * dt * initial.omega ** 2 * x * x)
+    kick = half_kick * half_kick
     kinetic = np.exp(-0.5j * dt * k * k)
-    psi = initial.psi.copy()
+    phi = np.conj(half_kick) * initial.psi
     xs = np.empty(steps + 1)
-    norm0, xs[0], edge = grid_observables(psi, x, dx)
-    edge_max = edge
-    drift_max = 0.0
-    if edge > leak_tol:
-        raise GridLeakError(f"initial boundary amplitude {edge:.3e} exceeds {leak_tol:g}")
-    for s in range(steps):
-        psi = half_potential * np.fft.ifft(kinetic * np.fft.fft(half_potential * psi))
-        norm, xs[s + 1], edge = grid_observables(psi, x, dx)
-        edge_max = max(edge_max, edge)
-        drift_max = max(drift_max, abs(norm - norm0))
-        if edge > leak_tol:
-            raise GridLeakError(
-                f"boundary amplitude {edge:.3e} exceeds {leak_tol:g} at step {s + 1}")
-        if abs(norm - norm0) > drift_tol:
+    rows = max(1, min(steps + 1, BLOCK_BYTES // initial.psi.nbytes))
+    block = np.empty((rows, initial.points), dtype=complex)
+    norm0 = None
+    edge_max = drift_max = 0.0
+    for start in range(0, steps + 1, rows):
+        states = block[:min(rows, steps + 1 - start)]
+        for r in range(states.shape[0]):
+            if start + r:
+                phi = np.fft.ifft(kinetic * np.fft.fft(kick * phi))
+            states[r] = phi
+        norms, xs[start:start + states.shape[0]], edges = grid_observables(states, x, dx)
+        if norm0 is None:
+            norm0 = norms[0]
+        drifts = np.abs(norms - norm0)
+        edge_max = max(edge_max, float(edges.max()))
+        drift_max = max(drift_max, float(drifts.max()))
+        bad = np.flatnonzero((edges > leak_tol) | (drifts > drift_tol))
+        if bad.size:
+            r = bad[0]
+            if edges[r] > leak_tol:
+                raise GridLeakError(
+                    f"boundary amplitude {edges[r]:.3e} exceeds {leak_tol:g} at step {start + r}")
             raise NormDriftError(
-                f"norm drift {abs(norm - norm0):.3e} exceeds {drift_tol:g} at step {s + 1}")
+                f"norm drift {drifts[r]:.3e} exceeds {drift_tol:g} at step {start + r}")
     if diagnostics is not None:
         diagnostics["norm_drift"] = drift_max
         diagnostics["edge_max"] = edge_max

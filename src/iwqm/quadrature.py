@@ -60,7 +60,11 @@ class ContourQuadrature:
     def build(cls, node_count: int) -> "ContourQuadrature":
         if node_count < 1:
             raise ValueError(f"node_count must be positive, got {node_count}")
-        h, w = np.polynomial.hermite.hermgauss(node_count)
+        with np.errstate(all="ignore"):
+            h, w = np.polynomial.hermite.hermgauss(node_count)
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(w))):
+            raise ValueError(f"hermgauss gives non-finite nodes or weights at "
+                             f"{node_count} nodes; its recurrence overflows from a few hundred")
         return cls(ROTATION * h, ROTATION * w)
 
 

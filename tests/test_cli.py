@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from iwqm import cli
+from iwqm import cli, dynamics
 from iwqm.cli import main
 
 
@@ -187,6 +188,70 @@ def test_dump_evolve_grid_route(capsys):
     assert code == 0
     last = [float(v) for v in out.strip().splitlines()[-1].split(",")]
     assert last[4] <= 1e-4
+
+
+@pytest.mark.parametrize("omega", ["40", "0.05"])
+def test_verify_extreme_omega_grid_checks_pass(capsys, omega):
+    code, out, err = run_cli(capsys, "verify", "--nmax", "16", "--omega", omega)
+    assert code in (0, 1)
+    assert err == ""
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert checks["grid_expectation"]["passed"] and checks["grid_norm"]["passed"]
+
+
+def leaking_split_step(*args, **kwargs):
+    raise dynamics.GridLeakError("boundary amplitude 1e-3 exceeds 1e-10 at step 7")
+
+
+def test_verify_grid_failure_is_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "grid_split_step", leaking_split_step)
+    code, out, err = run_cli(capsys, "verify", "--nmax", "16")
+    assert code == 1
+    assert err == ""
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert not checks["grid_expectation"]["passed"] and not checks["grid_norm"]["passed"]
+    assert checks["label_ode"]["passed"]
+
+
+def test_runtime_error_exits_1_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "grid_split_step", leaking_split_step)
+    code, _, err = run_cli(capsys, "dump", "evolve", "--grid", "--tfinal", "0.05")
+    assert code == 1
+    assert err == "runtime error: boundary amplitude 1e-3 exceeds 1e-10 at step 7\n"
+
+
+def test_dump_evolve_grid_refuses_over_cap_horizon(capsys):
+    code, out, err = run_cli(capsys, "dump", "evolve", "--grid", "--tfinal", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "grid points" in err
+    code, out, _ = run_cli(capsys, "dump", "evolve", "--grid", "--tfinal", "3", "--dt", "0.01")
+    assert code == 0
+    last = [float(v) for v in out.strip().splitlines()[-1].split(",")]
+    assert last[0] == pytest.approx(3.0)
+
+
+def test_dump_decay_refuses_overflowing_horizon(capsys):
+    code, out, err = run_cli(capsys, "dump", "decay", "--tfinal", "2000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "overflow guard" in err
+    # level n alone is propagated, so (n+1/2) omega tfinal = 500 stays in range
+    code, out, _ = run_cli(capsys, "dump", "decay", "--tfinal", "1000", "--dt", "10")
+    assert code == 0
+    last = [float(v) for v in out.strip().splitlines()[-1].split(",")]
+    assert last[1] == pytest.approx(np.exp(500.0))
+    assert last[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dump_gram_refuses_non_finite_rule(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "dump", "gram", "--nodes", "400")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert not caught
 
 
 def test_dump_decay(capsys):

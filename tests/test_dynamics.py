@@ -4,6 +4,7 @@ import pytest
 from iwqm import kernels
 from iwqm.algebra import BRA, KET
 from iwqm.dynamics import (
+    MAX_GRID_POINTS,
     GridLeakError,
     GridState,
     NormDriftError,
@@ -170,10 +171,63 @@ def test_grid_split_step_tracks_classical_orbit():
     assert diagnostics["edge_max"] <= 1e-10
 
 
+def strang_reference(packet, dt, steps, leak_tol=1e-10):
+    """Unfused Strang steps with observables after every step: <x>(t) and
+    the first step whose boundary amplitude exceeds ``leak_tol`` (or None)."""
+    x, dx = packet.x, packet.dx
+    k = 2.0 * np.pi * np.fft.fftfreq(packet.points, dx)
+    half = np.exp(0.25j * dt * packet.omega ** 2 * x * x)
+    kinetic = np.exp(-0.5j * dt * k * k)
+    psi = packet.psi
+    xs = []
+    for s in range(steps + 1):
+        if s:
+            psi = half * np.fft.ifft(kinetic * np.fft.fft(half * psi))
+        dens = np.abs(psi) ** 2
+        xs.append(np.sum(x * dens) / np.sum(dens))
+        if max(abs(psi[0]), abs(psi[-1])) > leak_tol:
+            return np.array(xs), s
+    return np.array(xs), None
+
+
+def test_grid_split_step_matches_unfused_reference():
+    packet = gaussian_packet(0.5)
+    expected, leak_step = strang_reference(packet, 1e-3, 1500)
+    assert leak_step is None
+    trajectory = grid_split_step(packet, 1e-3, 1500)
+    assert np.max(np.abs(trajectory.values.real - expected)) <= 1e-12
+
+
 def test_grid_split_step_detects_boundary_leak():
-    narrow = gaussian_packet(0.5, x_min=-5.0, x_max=5.0, points=256)
-    with pytest.raises(GridLeakError):
-        grid_split_step(narrow, 1e-3, 10)
+    # a grid sized for t_final = 0.1 cannot hold the packet for 3 time units
+    short = gaussian_packet(0.5, t_final=0.1)
+    _, leak_step = strang_reference(short, 1e-3, 3000)
+    assert leak_step is not None and 100 < leak_step < 3000
+    with pytest.raises(GridLeakError, match=f"at step {leak_step}$"):
+        grid_split_step(short, 1e-3, 3000)
+
+
+@pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])
+def test_gaussian_packet_grid_stays_small(omega):
+    packet = gaussian_packet(0.5, omega)
+    assert packet.points <= 1024
+    assert np.sum(np.abs(packet.psi) ** 2) * packet.dx == pytest.approx(1.0, abs=1e-12)
+    trajectory = grid_split_step(packet, 1e-3 / omega, 1500)
+    classical = classical_orbit(0.5, omega, 1, trajectory.times)
+    mask = trajectory.times * omega >= 0.1
+    rel = np.abs(trajectory.values.real[mask] - classical[mask]) / np.abs(classical[mask])
+    assert np.max(rel) <= 1e-4
+
+
+def test_gaussian_packet_refuses_over_cap_horizon():
+    assert gaussian_packet(0.5, t_final=3.0).points <= MAX_GRID_POINTS
+    for t_final in (6.0, 1e6):
+        with pytest.raises(ValueError, match="grid points"):
+            gaussian_packet(0.5, t_final=t_final)
+    with pytest.raises(ValueError):
+        gaussian_packet(0.5, t_final=0.0)
+    with pytest.raises(ValueError):
+        gaussian_packet(0.5, 0.0)
 
 
 def test_grid_split_step_detects_norm_drift():

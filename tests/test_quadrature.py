@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,15 @@ def test_rule_structure():
 def test_rule_rejects_empty():
     with pytest.raises(ValueError):
         ContourQuadrature.build(0)
+
+
+def test_rule_refuses_non_finite_weights():
+    assert np.all(np.isfinite(ContourQuadrature.build(350).weights))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="non-finite"):
+            ContourQuadrature.build(400)
+    assert not caught
 
 
 def test_ground_state_pairing_is_one():
