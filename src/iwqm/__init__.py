@@ -24,6 +24,7 @@ from .algebra import (
     dual_pairing,
     fock_state,
     generator_action,
+    ladder_action,
 )
 from .coherent import (
     CoherentState,
@@ -34,6 +35,7 @@ from .coherent import (
     eigen_residual,
     expectation,
     expectation_closed_form,
+    moments,
     mutual_pairing,
     tail_bound,
     uncertainty_product,
@@ -53,6 +55,7 @@ from .dynamics import (
     propagate_coeffs,
     propagate_fock,
     schrodinger_residual,
+    step_count,
 )
 from .eigenfunctions import (
     Eigenfunction,

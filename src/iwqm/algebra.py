@@ -13,7 +13,8 @@ the biorthonormality condition Euclidean by construction.
 All builders return dense complex matrices acting on ket-family
 coefficient vectors.  Actions on bra-family vectors (where the roles of
 the two generators swap and each step carries a phase) are provided by
-:func:`generator_action`.
+:func:`generator_action` as a matrix and by :func:`ladder_action` as the
+O(dim) band applied to one coefficient vector.
 """
 
 from __future__ import annotations
@@ -127,17 +128,45 @@ def generator_action(generator: str, family: str, dim: int,
     multiplied by ``bra_phase``: a- raises with bra_phase*sqrt(n+1) and
     a+ lowers with bra_phase*sqrt(n).
     """
+    _check_action(generator, family, bra_phase)
+    if family == KET:
+        return build_lowering(dim) if generator == "a-" else build_raising(dim)
+    if generator == "a-":
+        return bra_phase * build_raising(dim)
+    return bra_phase * build_lowering(dim)
+
+
+def ladder_action(generator: str, family: str, coeffs: np.ndarray,
+                  bra_phase: complex = BRA_LADDER_PHASE) -> np.ndarray:
+    """``generator_action(generator, family, len(coeffs), bra_phase) @ coeffs``
+    without forming the matrix.
+
+    The generator acts as the shifted sqrt(n) band: a lowering step moves
+    sqrt(n) c_n to level n-1, a raising step moves sqrt(n) c_{n-1} to
+    level n and drops the image of the top level, exactly as the
+    truncated matrix does.
+    """
+    _check_action(generator, family, bra_phase)
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 1:
+        raise ValueError("coefficients must be a one-dimensional vector")
+    _check_dim(c.shape[0])
+    root = np.sqrt(np.arange(1, c.shape[0], dtype=float))
+    out = np.zeros_like(c)
+    if (generator == "a-") == (family == KET):
+        out[:-1] = root * c[1:]
+    else:
+        out[1:] = root * c[:-1]
+    return out if family == KET else bra_phase * out
+
+
+def _check_action(generator: str, family: str, bra_phase: complex) -> None:
     if generator not in _GENERATORS:
         raise ValueError(f"generator must be one of {_GENERATORS}, got {generator!r}")
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     if bra_phase not in (1j, -1j):
         raise ValueError(f"bra_phase must be +1j or -1j, got {bra_phase!r}")
-    if family == KET:
-        return build_lowering(dim) if generator == "a-" else build_raising(dim)
-    if generator == "a-":
-        return bra_phase * build_raising(dim)
-    return bra_phase * build_lowering(dim)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ import numpy as np
 from .algebra import BRA, KET, DualVector, dual_pairing
 from .coherent import (
     TruncationError,
+    Uncertainty,
     build_coherent,
     eigen_residual,
-    expectation,
+    moments,
     mutual_pairing,
-    uncertainty_product,
 )
 from .dynamics import (
     EXP_GUARD,
@@ -41,6 +41,7 @@ from .dynamics import (
     integrate_alpha,
     propagate_coeffs,
     propagate_fock,
+    step_count,
 )
 from .eigenfunctions import eigenfunction, evaluate
 from .expressions import ExpressionParseError, equation_residual
@@ -189,20 +190,17 @@ def cmd_dump_gram(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_dump_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     alpha = complex(args.alpha_re, args.alpha_im)
-    strict = cfg.strict
-    ket = build_coherent(KET, alpha, cfg.nmax, strict=strict)
-    bra = build_coherent(BRA, alpha, cfg.nmax, strict=strict)
-    unc = uncertainty_product(alpha, cfg.nmax, strict=strict)
+    ket = build_coherent(KET, alpha, cfg.nmax, strict=cfg.strict)
+    bra = build_coherent(BRA, alpha, cfg.nmax, strict=cfg.strict)
+    m = moments(bra, ket)
+    unc = Uncertainty.from_moments(m)
     payload = {
         "alpha": _complex_pair(alpha),
         "nmax": cfg.nmax,
         "bra_phase": determine_bra_phase(cfg.nmax),
         "pairing": _complex_pair(mutual_pairing(bra, ket)),
         "eigen_residual": max(eigen_residual(ket), eigen_residual(bra)),
-        "x": _complex_pair(expectation("x", alpha, cfg.nmax, strict=strict)),
-        "p": _complex_pair(expectation("p", alpha, cfg.nmax, strict=strict)),
-        "x2": _complex_pair(expectation("x2", alpha, cfg.nmax, strict=strict)),
-        "p2": _complex_pair(expectation("p2", alpha, cfg.nmax, strict=strict)),
+        **{name: _complex_pair(value) for name, value in m.items()},
         "dx2": _complex_pair(unc.dx2),
         "dp2": _complex_pair(unc.dp2),
         "product": unc.product,
@@ -212,11 +210,9 @@ def cmd_dump_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_dump_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.tfinal <= 0:
-        raise ValueError(f"tfinal must be positive, got {args.tfinal}")
     dt = args.dt if args.dt is not None else 1e-3 / cfg.omega
     if args.grid:
-        steps = int(round(args.tfinal / dt))
+        steps = step_count(args.tfinal, dt)
         packet = gaussian_packet(args.v, cfg.omega, t_final=steps * dt)
         trajectory = grid_split_step(packet, dt, steps)
     else:
@@ -233,9 +229,7 @@ def cmd_dump_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_dump_decay(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n < 0:
         raise ValueError(f"level must be nonnegative, got {args.n}")
-    if args.tfinal <= 0 or args.dt <= 0:
-        raise ValueError("tfinal and dt must be positive")
-    steps = int(round(args.tfinal / args.dt))
+    steps = step_count(args.tfinal, args.dt)
     exponent = (args.n + 0.5) * cfg.omega * (steps * args.dt)
     if exponent > EXP_GUARD:
         raise ValueError(f"(n+1/2) omega tfinal = {exponent:.3g} exceeds the overflow guard "

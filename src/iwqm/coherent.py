@@ -14,7 +14,11 @@ standard bra ladder convention); the other is kept available so the
 verification suite can demonstrate the failure.
 
 Expectation values of x, p, x^2, p^2 in the dual pairing are computed
-both by truncated matrix contraction and from closed forms, and the two
+from one built (bra, ket) pair by :func:`moments`: x = (a- + a+)/sqrt(2i)
+and p = (a- - a+)/sqrt(2i) act on the ket coefficients as O(dim) ladder
+bands, and x^2 is x applied twice to the truncated vector, which equals
+the truncated matrix product (X @ X) @ c.  No dense matrix is formed.
+The closed forms of the label algebra give the same values, and the two
 routes are cross-asserted by the tests.  The variances come out as the
 alpha-independent constants -i/2 and +i/2, whose principal square roots
 multiply to the minimum uncertainty product 1/2.
@@ -33,10 +37,8 @@ from .algebra import (
     BRA_LADDER_PHASE,
     KET,
     DualVector,
-    build_position,
-    build_momentum,
     dual_pairing,
-    generator_action,
+    ladder_action,
 )
 
 #: Default phase in the bra coefficient ratio c_n / c_{n-1} = bra_phase * alpha / sqrt(n).
@@ -88,9 +90,9 @@ def build_coherent(family: str, alpha: complex, dim: int = 64, *,
 
     Coefficients are produced by the stable ratio recurrence
     c_n = c_{n-1} * base / sqrt(n) with base = alpha (ket) or
-    bra_phase * alpha (bra).  The truncation tail must stay under
-    ``TAIL_TOLERANCE``; violations raise in strict mode and warn
-    otherwise.
+    bra_phase * alpha (bra), taken as one cumulative product.  The
+    truncation tail must stay under ``TAIL_TOLERANCE``; violations raise
+    in strict mode and warn otherwise.
     """
     if family not in (KET, BRA):
         raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
@@ -107,11 +109,10 @@ def build_coherent(family: str, alpha: complex, dim: int = 64, *,
             raise TruncationError(message)
         warnings.warn(message, TruncationWarning, stacklevel=2)
     base = alpha if family == KET else bra_phase * alpha
-    c = np.empty(dim, dtype=complex)
-    c[0] = np.exp(0.5j * abs(alpha) ** 2) if family == KET else np.exp(-0.5j * abs(alpha) ** 2)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * base / math.sqrt(n)
-    return CoherentState(family, alpha, c)
+    ratios = np.empty(dim, dtype=complex)
+    ratios[0] = np.exp(0.5j * abs(alpha) ** 2) if family == KET else np.exp(-0.5j * abs(alpha) ** 2)
+    ratios[1:] = base / np.sqrt(np.arange(1, dim, dtype=float))
+    return CoherentState(family, alpha, np.cumprod(ratios))
 
 
 def eigen_residual(state: CoherentState,
@@ -123,8 +124,8 @@ def eigen_residual(state: CoherentState,
     which lowers bra levels with step phase ``ladder_phase``).
     """
     gen = "a-" if state.family == KET else "a+"
-    action = generator_action(gen, state.family, state.dim, ladder_phase)
-    return float(np.linalg.norm(action @ state.coeffs - state.alpha * state.coeffs))
+    action = ladder_action(gen, state.family, state.coeffs, ladder_phase)
+    return float(np.linalg.norm(action - state.alpha * state.coeffs))
 
 
 def mutual_pairing(bra_state: CoherentState, ket_state: CoherentState) -> complex:
@@ -135,16 +136,38 @@ def mutual_pairing(bra_state: CoherentState, ket_state: CoherentState) -> comple
 _OBSERVABLES = ("x", "p", "x2", "p2")
 
 
+def moments(bra: CoherentState, ket: CoherentState) -> dict[str, complex]:
+    """<bra| O |ket> for O = x, p, x^2, p^2 on the truncated Fock space.
+
+    x and p act on the ket coefficients as ladder bands, and x^2 (p^2)
+    is x (p) applied twice, which equals the truncated matrix square
+    applied once.
+    """
+    if bra.family != BRA or ket.family != KET:
+        raise ValueError(
+            f"moments take (bra, ket); got families ({bra.family!r}, {ket.family!r})")
+    if bra.dim != ket.dim:
+        raise ValueError(f"dimension mismatch: {bra.dim} vs {ket.dim}")
+    root = np.sqrt(2j)
+
+    def band(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        low = ladder_action("a-", KET, c)
+        rai = ladder_action("a+", KET, c)
+        return (low + rai) / root, (low - rai) / root
+
+    x_ket, p_ket = band(ket.coeffs)
+    vectors = {"x": x_ket, "p": p_ket, "x2": band(x_ket)[0], "p2": band(p_ket)[1]}
+    return {name: complex(np.vdot(bra.coeffs, v)) for name, v in vectors.items()}
+
+
 def expectation(observable: str, alpha: complex, dim: int = 64, *,
                 strict: bool = True, bra_phase: complex = BRA_COEFF_PHASE) -> complex:
-    """Dual-pairing expectation of x, p, x^2 or p^2 by truncated contraction."""
+    """Dual-pairing expectation of x, p, x^2 or p^2 on the truncated Fock space."""
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
     ket = build_coherent(KET, alpha, dim, strict=strict)
     bra = build_coherent(BRA, alpha, dim, strict=strict, bra_phase=bra_phase)
-    base = build_position(dim) if observable.startswith("x") else build_momentum(dim)
-    matrix = base @ base if observable.endswith("2") else base
-    return complex(np.vdot(bra.coeffs, matrix @ ket.coeffs))
+    return moments(bra, ket)[observable]
 
 
 def expectation_closed_form(observable: str, alpha: complex) -> complex:
@@ -173,6 +196,15 @@ class Uncertainty:
     dp: complex
     product: float
 
+    @classmethod
+    def from_moments(cls, m: dict[str, complex]) -> "Uncertainty":
+        """Variances x2 - x^2, p2 - p^2 and their roots from :func:`moments`."""
+        dx2 = m["x2"] - m["x"] ** 2
+        dp2 = m["p2"] - m["p"] ** 2
+        dx = complex(np.sqrt(dx2))
+        dp = complex(np.sqrt(dp2))
+        return cls(complex(dx2), complex(dp2), dx, dp, float((dx * dp).real))
+
 
 def uncertainty_product(alpha: complex, dim: int = 64, *, strict: bool = True) -> Uncertainty:
     """Variances of x and p and the product of their principal square roots.
@@ -181,10 +213,6 @@ def uncertainty_product(alpha: complex, dim: int = 64, *, strict: bool = True) -
     convention of the square root); the assertable physics is the pair
     of variances -i/2, +i/2 and the real product 1/2.
     """
-    ex = expectation("x", alpha, dim, strict=strict)
-    ep = expectation("p", alpha, dim, strict=strict)
-    dx2 = expectation("x2", alpha, dim, strict=strict) - ex ** 2
-    dp2 = expectation("p2", alpha, dim, strict=strict) - ep ** 2
-    dx = complex(np.sqrt(dx2))
-    dp = complex(np.sqrt(dp2))
-    return Uncertainty(complex(dx2), complex(dp2), dx, dp, float((dx * dp).real))
+    ket = build_coherent(KET, alpha, dim, strict=strict)
+    bra = build_coherent(BRA, alpha, dim, strict=strict)
+    return Uncertainty.from_moments(moments(bra, ket))

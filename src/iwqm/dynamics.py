@@ -44,6 +44,9 @@ EDGE_FRACTION = 1e-16
 #: Largest grid ``gaussian_packet`` builds.
 MAX_GRID_POINTS = 1 << 16
 
+#: Largest number of time steps a trajectory takes.
+MAX_STEPS = 10 ** 7
+
 #: Size of the block of grid states whose observables are taken at once.
 BLOCK_BYTES = 1 << 19
 
@@ -184,6 +187,17 @@ def classical_orbit(v: float, omega: float, sign: int, t):
     return sign * (v / omega) * np.sinh(omega * np.asarray(t, dtype=float))
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """round(t_final / dt) for positive t_final and dt, refused with ValueError
+    above ``MAX_STEPS`` before anything is allocated."""
+    if not (t_final > 0 and dt > 0):
+        raise ValueError(f"t_final and dt must be positive, got {t_final!r}, {dt!r}")
+    ratio = t_final / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"t_final/dt = {ratio:.3g} steps exceeds the cap of {MAX_STEPS}")
+    return int(round(ratio))
+
+
 def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
                     check_tol: float | None = 1e-8) -> Trajectory:
     """Fourth-order integration of alpha'' = omega^2 alpha, alpha(0)=0, alpha'(0)=v.
@@ -192,9 +206,7 @@ def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
     form and a :class:`StepSizeError` is raised if the relative deviation
     exceeds it.
     """
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("dt and t_final must be positive")
-    steps = int(round(t_final / dt))
+    steps = step_count(t_final, dt)
     values = rk4_trajectory(float(v), float(omega), float(dt), steps)[:, 0]
     times = dt * np.arange(steps + 1)
     if check_tol is not None and v != 0:
@@ -273,6 +285,8 @@ def grid_split_step(initial: GridState, dt: float, steps: int,
     """
     if dt <= 0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
+    if steps > MAX_STEPS:
+        raise ValueError(f"{steps} steps exceeds the cap of {MAX_STEPS}")
     x = initial.x
     dx = initial.dx
     k = 2.0 * np.pi * np.fft.fftfreq(initial.points, dx)

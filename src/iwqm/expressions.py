@@ -111,8 +111,8 @@ def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
             out += to_matrix(t, dim)
         return out
     if isinstance(expr, OpProduct):
-        out = np.eye(dim, dtype=complex)
-        for f in expr.factors:
+        out = to_matrix(expr.factors[0], dim)
+        for f in expr.factors[1:]:
             out = out @ to_matrix(f, dim)
         return out
     raise TypeError(f"not an operator expression: {expr!r}")

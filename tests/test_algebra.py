@@ -194,3 +194,28 @@ def test_generator_action_arguments():
                                   algebra.build_lowering(4))
     np.testing.assert_array_equal(algebra.generator_action("a+", BRA, 4, -1j),
                                   -1j * algebra.build_lowering(4))
+
+
+@pytest.mark.parametrize("phase", [1j, -1j])
+@pytest.mark.parametrize("family", [KET, BRA])
+@pytest.mark.parametrize("generator", ["a-", "a+"])
+@pytest.mark.parametrize("dim", [2, 5, 64])
+def test_ladder_action_matches_matrix(dim, generator, family, phase):
+    rng = np.random.default_rng(dim)
+    coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    np.testing.assert_array_equal(
+        algebra.ladder_action(generator, family, coeffs, phase),
+        algebra.generator_action(generator, family, dim, phase) @ coeffs)
+
+
+def test_ladder_action_arguments():
+    with pytest.raises(ValueError):
+        algebra.ladder_action("a", KET, np.ones(4))
+    with pytest.raises(ValueError):
+        algebra.ladder_action("a-", "middle", np.ones(4))
+    with pytest.raises(ValueError):
+        algebra.ladder_action("a-", BRA, np.ones(4), bra_phase=1.0)
+    with pytest.raises(ValueError):
+        algebra.ladder_action("a-", KET, np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        algebra.ladder_action("a-", KET, np.ones(1))

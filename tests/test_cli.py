@@ -272,3 +272,32 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["passed"] is True
+
+
+def test_verify_strict_refuses_short_truncation(capsys):
+    code, out, err = run_cli(capsys, "verify", "--strict", "--nmax", "8")
+    assert code == 1
+    assert err == ""
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    for name in ("mutual_normalization", "eigen_residual_ket", "eigen_residual_bra",
+                 "closed_form_crosscheck", "variances", "uncertainty_product"):
+        assert checks[name]["residual"] == float("inf") and not checks[name]["passed"]
+    assert checks["bra_phase_unique"]["passed"]
+    for argv in (["--strict"], ["--nmax", "8"]):
+        code, _, err = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--tfinal", "1", "--dt", "1e-15"],
+    ["evolve", "--grid", "--tfinal", "1", "--dt", "1e-15"],
+    ["evolve", "--tfinal", "1", "--dt", "1e-320"],
+    ["evolve", "--grid", "--dt", "0"],
+    ["decay", "--tfinal", "1", "--dt", "1e-15"],
+])
+def test_dump_refuses_unbounded_step_count(capsys, argv):
+    code, out, err = run_cli(capsys, "dump", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from iwqm.algebra import BRA, KET, fock_state
+from iwqm import coherent, verify
+from iwqm.algebra import BRA, KET, build_momentum, build_position, fock_state
 from iwqm.coherent import (
     TruncationError,
     TruncationWarning,
@@ -11,6 +13,7 @@ from iwqm.coherent import (
     eigen_residual,
     expectation,
     expectation_closed_form,
+    moments,
     mutual_pairing,
     tail_bound,
     uncertainty_product,
@@ -146,3 +149,77 @@ def test_invalid_arguments():
         expectation("x3", 1.0)
     with pytest.raises(ValueError):
         expectation_closed_form("x3", 1.0)
+
+
+@pytest.mark.parametrize("phase", [1j, -1j])
+@pytest.mark.parametrize("dim", [8, 64, 160])
+def test_moments_match_dense_contraction(dim, phase):
+    pos, mom = build_position(dim), build_momentum(dim)
+    dense = {"x": pos, "p": mom, "x2": pos @ pos, "p2": mom @ mom}
+    for alpha in ALPHAS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            ket = build_coherent(KET, alpha, dim, strict=False)
+            bra = build_coherent(BRA, alpha, dim, strict=False, bra_phase=phase)
+        measured = moments(bra, ket)
+        assert list(measured) == ["x", "p", "x2", "p2"]
+        for name, matrix in dense.items():
+            expected = np.vdot(bra.coeffs, matrix @ ket.coeffs)
+            assert abs(measured[name] - expected) <= 1e-12 * (1 + abs(alpha) ** 2)
+
+
+def test_expectation_takes_the_bra_phase():
+    alpha = 0.9 + 0.2j
+    ket = build_coherent(KET, alpha, 64)
+    bad = build_coherent(BRA, alpha, 64, bra_phase=-1j)
+    assert expectation("x2", alpha, 64, bra_phase=-1j) == moments(bad, ket)["x2"]
+
+
+def test_moments_arguments():
+    ket = build_coherent(KET, 0.5, 32)
+    bra = build_coherent(BRA, 0.5, 32)
+    with pytest.raises(ValueError):
+        moments(ket, bra)
+    with pytest.raises(ValueError):
+        moments(build_coherent(BRA, 0.5, 64), ket)
+
+
+def _count_builds(monkeypatch) -> list:
+    calls = []
+    build = coherent.build_coherent
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(coherent, "build_coherent", counting)
+    return calls
+
+
+def test_uncertainty_product_builds_one_pair(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    uncertainty_product(1 + 0.5j, 64)
+    assert len(calls) == 2
+    expectation("p2", 1 + 0.5j, 64)
+    assert len(calls) == 4
+
+
+def test_coherent_suite_builds_one_pair_per_label(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    cfg = verify.RunConfig()
+    report = verify.coherent_suite(cfg)
+    assert report.passed
+    labels = len(verify._alpha_grid(cfg))
+    phase_probes = 1 + len(verify._PHASES)
+    assert len(calls) == 2 * labels + phase_probes
+
+
+def test_single_pair_strict_raises_and_permissive_warns():
+    with pytest.raises(TruncationError):
+        uncertainty_product(2.0, 8, strict=True)
+    with pytest.raises(TruncationError):
+        expectation("x", 2.0, 8, strict=True)
+    with pytest.warns(TruncationWarning) as record:
+        unc = uncertainty_product(2.0, 8, strict=False)
+    assert len(record) == 2
+    assert math.isfinite(unc.product)

@@ -5,6 +5,7 @@ from iwqm import kernels
 from iwqm.algebra import BRA, KET
 from iwqm.dynamics import (
     MAX_GRID_POINTS,
+    MAX_STEPS,
     GridLeakError,
     GridState,
     NormDriftError,
@@ -19,6 +20,7 @@ from iwqm.dynamics import (
     propagate_coeffs,
     propagate_fock,
     schrodinger_residual,
+    step_count,
 )
 
 
@@ -240,3 +242,17 @@ def test_grid_split_step_argument_validation():
         grid_split_step(gaussian_packet(0.5), 0.0, 10)
     with pytest.raises(ValueError):
         grid_split_step(gaussian_packet(0.5), 1e-3, 0)
+
+
+def test_step_count_is_capped_before_allocating():
+    assert step_count(0.5 * MAX_STEPS, 0.5) == MAX_STEPS
+    for t_final, dt in ((1.0, 1e-15), (1.0, 1e-320), (float("inf"), 1.0)):
+        with pytest.raises(ValueError, match="cap"):
+            step_count(t_final, dt)
+    for t_final, dt in ((1.0, 0.0), (-1.0, 1e-3), (float("nan"), 1e-3)):
+        with pytest.raises(ValueError, match="positive"):
+            step_count(t_final, dt)
+    with pytest.raises(ValueError, match="cap"):
+        integrate_alpha(1.0, 1.0, 1.0, 1e-15)
+    with pytest.raises(ValueError, match="cap"):
+        grid_split_step(gaussian_packet(0.5), 1e-3, MAX_STEPS + 1)

@@ -1,10 +1,12 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from iwqm.algebra import BRA, KET
-from iwqm.eigenfunctions import eigenfunction, generating_function
+from iwqm.eigenfunctions import eigenfunction, generating_function, hermite_coefficients
 from iwqm.quadrature import (
     ROTATION,
     ContourQuadrature,
@@ -175,3 +177,28 @@ def test_restricted_norm_doubles_with_interval():
     small = density_interval_integral(psi, -3.0, 3.0)
     large = density_interval_integral(psi, -6.0, 6.0)
     assert large / small == pytest.approx(2.0, abs=1e-9)
+
+
+def _exact_interval_mass(n: int, half_width: Fraction) -> float:
+    """int_{-L}^{L} |psi_n|^2 from the integer Hermite table, in exact rationals.
+
+    |H_n(e^{i pi/4} x)|^2 = sum_jk h_j h_k Re(i^((k-j)/2)) x^(j+k), and every
+    j + k is even, so each term integrates to 2 L^(j+k+1) / (j+k+1).
+    """
+    h = hermite_coefficients(n)[n]
+    total = Fraction(0)
+    for j, hj in enumerate(h):
+        for k, hk in enumerate(h):
+            real_part = (1, 0, -1, 0)[((k - j) // 2) % 4] if hj and hk else 0
+            if real_part:
+                m = j + k
+                total += real_part * hj * hk * 2 * half_width ** (m + 1) / (m + 1)
+    return float(total / (2 ** n * math.factorial(n))) / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("half_width", [Fraction(1, 2), Fraction(5, 2), Fraction(4)])
+def test_interval_mass_is_exact_through_level_32(half_width):
+    for n in range(33):
+        mass = density_interval_integral(eigenfunction(KET, n), -float(half_width),
+                                         float(half_width))
+        assert mass == pytest.approx(_exact_interval_mass(n, half_width), rel=1e-12)
