@@ -14,7 +14,8 @@ All builders return dense complex matrices acting on ket-family
 coefficient vectors.  Actions on bra-family vectors (where the roles of
 the two generators swap and each step carries a phase) are provided by
 :func:`generator_action` as a matrix and by :func:`ladder_action` as the
-O(dim) band applied to one coefficient vector.
+O(dim) band applied to one coefficient vector.  The sqrt(n) ladder band
+and the SU(1,1) generators are defined once in :mod:`iwqm.expressions`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .expressions import _check_dim, ladder_band, su11_expressions, to_matrix
 
 KET = "ket"
 BRA = "bra"
@@ -35,21 +38,16 @@ _FAMILIES = (KET, BRA)
 _GENERATORS = ("a-", "a+")
 
 
-def _check_dim(dim: int, minimum: int = 2) -> None:
-    if not isinstance(dim, (int, np.integer)) or dim < minimum:
-        raise ValueError(f"truncation dimension must be an integer >= {minimum}, got {dim!r}")
-
-
 def build_lowering(dim: int) -> np.ndarray:
     """Lowering generator: entry sqrt(n) at (n-1, n)."""
     _check_dim(dim)
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+    return np.diag(ladder_band(dim), 1).astype(complex)
 
 
 def build_raising(dim: int) -> np.ndarray:
     """Raising generator: entry sqrt(n) at (n, n-1)."""
     _check_dim(dim)
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), -1).astype(complex)
+    return np.diag(ladder_band(dim), -1).astype(complex)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,20 +99,11 @@ class SU11Generators:
 
 
 def build_su11(dim: int, omega: float = 1.0) -> SU11Generators:
-    """Sz = (a+ a- + 1/2)/2, S+- = a+-^2 / 2, and the x/y combinations.
-
-    Sy is taken as (i/2)(S+ - S-): this is the sign under which the full
-    relation set [Sx, Sy] = i Sz, [Sz, S+-] = +-S+-, [S+, S-] = -2 Sz
-    holds simultaneously (the opposite sign flips the first commutator).
-    """
+    """The generators of :func:`iwqm.expressions.su11_expressions` (which
+    defines them and the Sy sign) as dense matrices at truncation dim."""
     _check_dim(dim, minimum=4)
-    low = build_lowering(dim)
-    rai = build_raising(dim)
-    sz = 0.5 * (rai @ low + 0.5 * np.eye(dim))
-    s_plus = 0.5 * (rai @ rai)
-    s_minus = 0.5 * (low @ low)
-    sx = 0.5 * (s_plus + s_minus)
-    sy = 0.5j * (s_plus - s_minus)
+    su = su11_expressions()
+    sz, s_plus, s_minus, sx, sy = (to_matrix(su[k], dim) for k in ("Sz", "S+", "S-", "Sx", "Sy"))
     residual = build_hamiltonian(dim, omega) - 2j * omega * sz
     return SU11Generators(sz, s_plus, s_minus, sx, sy, residual)
 
@@ -151,7 +140,7 @@ def ladder_action(generator: str, family: str, coeffs: np.ndarray,
     if c.ndim != 1:
         raise ValueError("coefficients must be a one-dimensional vector")
     _check_dim(c.shape[0])
-    root = np.sqrt(np.arange(1, c.shape[0], dtype=float))
+    root = ladder_band(c.shape[0])
     out = np.zeros_like(c)
     if (generator == "a-") == (family == KET):
         out[:-1] = root * c[1:]

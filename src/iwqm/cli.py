@@ -26,12 +26,14 @@ import numpy as np
 
 from .algebra import BRA, KET, DualVector, dual_pairing
 from .coherent import (
+    TAIL_TOLERANCE,
     TruncationError,
     Uncertainty,
     build_coherent,
     eigen_residual,
     moments,
     mutual_pairing,
+    tail_bound,
 )
 from .dynamics import (
     EXP_GUARD,
@@ -194,6 +196,7 @@ def cmd_dump_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     bra = build_coherent(BRA, alpha, cfg.nmax, strict=cfg.strict)
     m = moments(bra, ket)
     unc = Uncertainty.from_moments(m)
+    tail = tail_bound(alpha, cfg.nmax)
     payload = {
         "alpha": _complex_pair(alpha),
         "nmax": cfg.nmax,
@@ -204,9 +207,11 @@ def cmd_dump_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
         "dx2": _complex_pair(unc.dx2),
         "dp2": _complex_pair(unc.dp2),
         "product": unc.product,
+        "tail_bound": tail,
+        "passed": tail <= TAIL_TOLERANCE,
     }
     _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return 0 if payload["passed"] else 1
 
 
 def cmd_dump_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -263,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
+    except (RuntimeError, MemoryError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

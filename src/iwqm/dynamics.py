@@ -189,13 +189,18 @@ def classical_orbit(v: float, omega: float, sign: int, t):
 
 def step_count(t_final: float, dt: float) -> int:
     """round(t_final / dt) for positive t_final and dt, refused with ValueError
-    above ``MAX_STEPS`` before anything is allocated."""
+    when it is 0 (dt of 2 t_final or more) or above ``MAX_STEPS``, before
+    anything is allocated."""
     if not (t_final > 0 and dt > 0):
         raise ValueError(f"t_final and dt must be positive, got {t_final!r}, {dt!r}")
     ratio = t_final / dt
     if not ratio <= MAX_STEPS:
         raise ValueError(f"t_final/dt = {ratio:.3g} steps exceeds the cap of {MAX_STEPS}")
-    return int(round(ratio))
+    steps = int(round(ratio))
+    if steps == 0:
+        raise ValueError(f"t_final = {t_final!r} with dt = {dt!r} gives 0 steps; "
+                         f"dt must be below 2 t_final")
+    return steps
 
 
 def integrate_alpha(v: float, omega: float, t_final: float, dt: float,

@@ -1,4 +1,5 @@
-"""Symbolic operator expressions, the physical adjoint, and a tiny grammar.
+"""Symbolic operator expressions, the physical adjoint, a tiny grammar, and
+their evaluation as diagonal bands.
 
 The physical adjoint of the imaginary-frequency ladder operators is not
 the matrix conjugate-transpose in the biorthogonal frame: each generator
@@ -6,8 +7,21 @@ maps to (sigma * i) times itself, with a global sign sigma in {+1, -1}
 coming from the branch of the square root in the generator prefactor.
 The adjoint is therefore implemented structurally on expression trees
 (reverse products, conjugate scalars, rephase generators) and only then
-evaluated to a matrix.  None of the verified operator identities depend
-on sigma; both settings are exercised by the test suite.
+evaluated.  None of the verified operator identities depend on sigma;
+both settings are exercised by the test suite.
+
+In the truncated Fock basis every operator of the grammar is a few
+diagonals, so a tree is evaluated as bands ``{p: d}`` with
+``d[i] = M[i, i + p]`` (length dim, zero where i + p leaves the matrix):
+a- is :func:`ladder_band` at offset +1, a+ the same values at offset -1,
+I ones at offset 0.  A scalar scales the bands, a sum adds them offset by
+offset, and the product of band a at p with band b at q is
+``a[i] * b[i + p]`` at offset p + q, with b[i + p] = 0 outside the
+matrix, which is the truncation of the dense product.
+:func:`equation_residual` subtracts the two sides band by band in O(dim)
+memory and time; :func:`to_matrix` writes the bands into one dense matrix.
+The SU(1,1) generators are defined here once, by :func:`su11_expressions`;
+:func:`iwqm.algebra.build_su11` evaluates them.
 """
 
 from __future__ import annotations
@@ -16,8 +30,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-
-from .algebra import build_lowering, build_raising
 
 #: Default adjoint sign: conj(sqrt(i/2)) / sqrt(i/2) = -i on the principal
 #: branch, i.e. a^dag = -i a.
@@ -95,27 +107,79 @@ def adjoint(expr: OperatorExpression, sigma: int = ADJOINT_SIGN) -> OperatorExpr
     raise TypeError(f"not an operator expression: {expr!r}")
 
 
-def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
-    """Evaluate an expression to a dense matrix on ket-family coefficients."""
-    if isinstance(expr, AMinus):
-        return build_lowering(dim)
-    if isinstance(expr, APlus):
-        return build_raising(dim)
+def _check_dim(dim: int, minimum: int = 2) -> None:
+    if not isinstance(dim, (int, np.integer)) or dim < minimum:
+        raise ValueError(f"truncation dimension must be an integer >= {minimum}, got {dim!r}")
+
+
+def ladder_band(dim: int) -> np.ndarray:
+    """sqrt(1..dim-1): the entries sqrt(n) of a- at (n-1, n) and of a+ at (n, n-1)."""
+    return np.sqrt(np.arange(1, dim, dtype=float))
+
+
+def _shifted(band: np.ndarray, p: int) -> np.ndarray:
+    """out[i] = band[i + p], zero where i + p leaves 0..dim-1."""
+    if p == 0:
+        return band
+    out = np.zeros_like(band)
+    if p > 0:
+        out[:-p] = band[p:]
+    else:
+        out[-p:] = band[:p]
+    return out
+
+
+def _add(bands: dict[int, np.ndarray], p: int, d: np.ndarray) -> None:
+    bands[p] = bands[p] + d if p in bands else d
+
+
+def _bands(expr: OperatorExpression, dim: int) -> dict[int, np.ndarray]:
+    """The diagonals of ``expr`` at truncation dim, keyed by offset."""
+    if isinstance(expr, (AMinus, APlus)):
+        d = np.zeros(dim, dtype=complex)
+        if isinstance(expr, AMinus):
+            d[:-1] = ladder_band(dim)
+            return {1: d}
+        d[1:] = ladder_band(dim)
+        return {-1: d}
     if isinstance(expr, Identity):
-        return np.eye(dim, dtype=complex)
+        return {0: np.ones(dim, dtype=complex)}
     if isinstance(expr, Scaled):
-        return expr.scalar * to_matrix(expr.child, dim)
+        return {p: expr.scalar * d for p, d in _bands(expr.child, dim).items()}
     if isinstance(expr, OpSum):
-        out = np.zeros((dim, dim), dtype=complex)
+        out: dict[int, np.ndarray] = {}
         for t in expr.terms:
-            out += to_matrix(t, dim)
+            for p, d in _bands(t, dim).items():
+                _add(out, p, d)
         return out
     if isinstance(expr, OpProduct):
-        out = to_matrix(expr.factors[0], dim)
+        out = _bands(expr.factors[0], dim)
         for f in expr.factors[1:]:
-            out = out @ to_matrix(f, dim)
+            right = _bands(f, dim)
+            product: dict[int, np.ndarray] = {}
+            for p, a in out.items():
+                for q, b in right.items():
+                    if abs(p + q) < dim:
+                        _add(product, p + q, a * _shifted(b, p))
+            out = product
         return out
     raise TypeError(f"not an operator expression: {expr!r}")
+
+
+def _rows(p: int, size: int) -> slice:
+    """Rows i of band p whose entry (i, i + p) lies in the leading size x size block."""
+    return slice(max(0, -p), max(0, size - max(0, p)))
+
+
+def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
+    """Evaluate an expression to a dense matrix on ket-family coefficients."""
+    _check_dim(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(dim)
+    for p, d in _bands(expr, dim).items():
+        rows = index[_rows(p, dim)]
+        out[rows, rows + p] = d[rows]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +197,13 @@ def hamiltonian_expression(omega: float = 1.0) -> OperatorExpression:
 
 
 def su11_expressions() -> dict[str, OperatorExpression]:
-    """The hyperbolic generators Sz, S+, S-, Sx, Sy as expression trees.
+    """The hyperbolic generators as expression trees: Sz = (a+ a- + 1/2)/2,
+    S+- = a+-^2 / 2, Sx = (S+ + S-)/2 and Sy = (i/2)(S+ - S-).
 
-    Sy carries the sign (i/2)(S+ - S-), matching :func:`iwqm.algebra.build_su11`.
+    This is the one definition of the generators; :func:`iwqm.algebra.build_su11`
+    evaluates it.  The Sy sign is the one under which the full relation set
+    [Sx, Sy] = i Sz, [Sz, S+-] = +-S+-, [S+, S-] = -2 Sz holds
+    simultaneously (the opposite sign flips the first commutator).
     """
     sz = scaled(0.5, op_sum(op_product(A_PLUS, A_MINUS), scaled(0.5, IDENTITY)))
     s_plus = scaled(0.5, op_product(A_PLUS, A_PLUS))
@@ -308,7 +376,13 @@ def equation_residual(text: str, nmax: int, sigma: int = ADJOINT_SIGN,
 
     Both sides are evaluated at truncation nmax + guard so that edge
     artifacts of finite generator words stay outside the compared block.
+    The sides are subtracted band by band; no dense matrix is formed.
     """
+    _check_dim(nmax, minimum=1)
     lhs, rhs = parse_equation(text, sigma, omega)
-    diff = to_matrix(lhs, nmax + guard) - to_matrix(rhs, nmax + guard)
-    return float(np.max(np.abs(diff[:nmax, :nmax])))
+    dim = nmax + guard
+    diff = _bands(lhs, dim)
+    for p, d in _bands(rhs, dim).items():
+        _add(diff, p, -d)
+    worst = [np.max(np.abs(d[_rows(p, nmax)])) for p, d in diff.items() if abs(p) < nmax]
+    return float(max(worst, default=0.0))

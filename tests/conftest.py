@@ -1,0 +1,32 @@
+"""Shared fixtures."""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import iwqm
+
+#: Address-space cap for child processes that must stay in O(nmax) memory: a
+#: dense 100008 x 100008 matrix needs 74.5 GiB, so an attempt fails at once
+#: with MemoryError instead of straining the host.
+ADDRESS_SPACE_CAP = 4 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+@pytest.fixture
+def run_capped():
+    """Run ``python ARGS...`` under ``ADDRESS_SPACE_CAP``; returns the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=str(Path(iwqm.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], env=env, preexec_fn=_cap_address_space,
+                              capture_output=True, text=True, timeout=120)
+    return run

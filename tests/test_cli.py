@@ -6,6 +6,7 @@ import pytest
 
 from iwqm import cli, dynamics
 from iwqm.cli import main
+from iwqm.coherent import TruncationWarning
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,21 @@ def test_dump_coherent_json(capsys):
     assert payload["dp2"] == pytest.approx([0.0, 0.5], abs=1e-10)
     assert payload["product"] == pytest.approx(0.5, abs=1e-10)
     assert payload["bra_phase"] == "+i"
+    assert payload["tail_bound"] <= 1e-12 and payload["passed"] is True
+
+
+def test_dump_coherent_large_label_fails(capsys):
+    with pytest.warns(TruncationWarning):
+        code, out, _ = run_cli(capsys, "dump", "coherent", "--alpha-re", "6")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["tail_bound"] == pytest.approx(1.778e5, rel=1e-3)
+    assert payload["passed"] is False
+    # |alpha| = 2 at nmax 160 keeps every key and passes
+    code, out, _ = run_cli(capsys, "dump", "coherent", "--alpha-re", "0", "--alpha-im", "2",
+                           "--nmax", "160")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_dump_coherent_strict_truncation_fails(capsys):
@@ -218,6 +234,19 @@ def test_runtime_error_exits_1_with_one_line(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "dump", "evolve", "--grid", "--tfinal", "0.05")
     assert code == 1
     assert err == "runtime error: boundary amplitude 1e-3 exceeds 1e-10 at step 7\n"
+
+
+def test_memory_error_exits_1_with_one_line(run_capped):
+    done = run_capped("-m", "iwqm.cli", "dump", "eigenfunction", "--samples", "100000000000")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("runtime error:") and done.stderr.count("\n") == 1
+
+
+def test_op_check_at_nmax_100000(run_capped):
+    done = run_capped("-m", "iwqm.cli", "op-check", "a- == a-", "--nmax", "100000")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True
 
 
 def test_dump_evolve_grid_refuses_over_cap_horizon(capsys):
@@ -301,3 +330,16 @@ def test_dump_refuses_unbounded_step_count(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--tfinal", "1", "--dt", "5"],
+    ["evolve", "--grid", "--tfinal", "1", "--dt", "5"],
+    ["decay", "--tfinal", "1", "--dt", "5"],
+])
+def test_dump_refuses_zero_steps(capsys, argv):
+    code, out, err = run_cli(capsys, "dump", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("usage error: t_final = 1.0 with dt = 5.0 gives 0 steps; "
+                   "dt must be below 2 t_final\n")

@@ -252,6 +252,10 @@ def test_step_count_is_capped_before_allocating():
     for t_final, dt in ((1.0, 0.0), (-1.0, 1e-3), (float("nan"), 1e-3)):
         with pytest.raises(ValueError, match="positive"):
             step_count(t_final, dt)
+    for t_final, dt in ((1.0, 5.0), (1.0, 2.0), (1e-300, 1.0)):
+        with pytest.raises(ValueError, match="0 steps"):
+            step_count(t_final, dt)
+    assert step_count(1.0, 1.9) == 1
     with pytest.raises(ValueError, match="cap"):
         integrate_alpha(1.0, 1.0, 1.0, 1e-15)
     with pytest.raises(ValueError, match="cap"):

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwqm import algebra, expressions
 from iwqm.expressions import (
     A_MINUS,
     A_PLUS,
     IDENTITY,
+    AMinus,
+    APlus,
     ExpressionParseError,
+    Identity,
+    OpProduct,
+    OpSum,
+    Scaled,
     adjoint,
     equation_residual,
     hamiltonian_expression,
@@ -78,6 +86,50 @@ def test_to_matrix_generators():
     np.testing.assert_array_equal(_mat(IDENTITY), np.eye(DIM))
 
 
+def _dense_reference(expr, dim):
+    """Dense evaluation from the algebra builders and ``@``, independent of the bands."""
+    if isinstance(expr, AMinus):
+        return algebra.build_lowering(dim)
+    if isinstance(expr, APlus):
+        return algebra.build_raising(dim)
+    if isinstance(expr, Identity):
+        return np.eye(dim, dtype=complex)
+    if isinstance(expr, Scaled):
+        return expr.scalar * _dense_reference(expr.child, dim)
+    if isinstance(expr, OpSum):
+        return sum((_dense_reference(t, dim) for t in expr.terms), np.zeros((dim, dim), complex))
+    if isinstance(expr, OpProduct):
+        out = np.eye(dim, dtype=complex)
+        for f in expr.factors:
+            out = out @ _dense_reference(f, dim)
+        return out
+    raise TypeError(expr)
+
+
+def _trees(sigma):
+    scalars = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+    def extend(children):
+        return st.one_of(
+            st.builds(scaled, scalars, children),
+            st.lists(children, min_size=1, max_size=3).map(lambda t: op_sum(*t)),
+            st.lists(children, min_size=1, max_size=3).map(lambda f: op_product(*f)),
+            children.map(lambda c: adjoint(c, sigma)),
+            st.tuples(children, children).map(
+                lambda ab: op_sum(op_product(*ab), scaled(-1.0, op_product(*ab[::-1])))),
+        )
+    return st.recursive(st.sampled_from([A_MINUS, A_PLUS, IDENTITY]), extend, max_leaves=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), dim=st.integers(4, 40), sigma=st.sampled_from([1, -1]))
+def test_to_matrix_matches_dense_reference(data, dim, sigma):
+    expr = data.draw(_trees(sigma))
+    reference = _dense_reference(expr, dim)
+    atol = 1e-12 * (1.0 + np.max(np.abs(reference)))
+    np.testing.assert_allclose(to_matrix(expr, dim), reference, rtol=0, atol=atol)
+
+
 def test_to_matrix_product_order():
     ab = _mat(op_product(A_MINUS, A_PLUS))
     np.testing.assert_allclose(ab, algebra.build_lowering(DIM) @ algebra.build_raising(DIM))
@@ -113,6 +165,25 @@ def test_identity_failure_is_detected():
 def test_guard_keeps_truncation_out_of_the_block():
     # without padding the S+/S- commutator defect would reach the compared block
     assert equation_residual("comm(S+, S-) == -2*Sz", 16, guard=8) <= 1e-12
+
+
+def test_equation_residual_at_nmax_100000(run_capped):
+    # a dense evaluation at this size needs a 74.5 GiB array
+    code = ("import time; from iwqm.expressions import equation_residual; "
+            "t = time.perf_counter(); r = equation_residual('comm(Sx, Sy) == i*Sz', 100000); "
+            "print(r, time.perf_counter() - t)")
+    done = run_capped("-c", code)
+    assert done.returncode == 0, done.stderr
+    residual, seconds = map(float, done.stdout.split())
+    assert seconds < 1.0
+    # the two products of the commutator reach nmax^2 / 4 and cancel to Sz
+    assert residual <= 1e-14 * 100000 ** 2
+
+
+@pytest.mark.parametrize("nmax", [0, -3, 2.5])
+def test_equation_residual_refuses_empty_block(nmax):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        equation_residual("a- == a-", nmax)
 
 
 def test_parse_expression_scalars():
