@@ -12,15 +12,9 @@ from .algebra import (
     BRA,
     KET,
     DualVector,
-    SU11Generators,
     build_hamiltonian,
     build_lowering,
-    build_momentum,
-    build_number,
-    build_position,
     build_raising,
-    build_su11,
-    commutator,
     dual_pairing,
     fock_state,
     generator_action,
@@ -69,16 +63,18 @@ from .expressions import (
     adjoint,
     equation_residual,
     hamiltonian_expression,
+    identity_residual,
+    momentum_expression,
     number_expression,
     parse_equation,
     parse_expression,
+    position_expression,
     su11_expressions,
     to_matrix,
 )
 from .quadrature import (
     ContourQuadrature,
     PrecisionError,
-    adaptive_simpson,
     density_interval_integral,
     fresnel_gaussian,
     gram_matrix,

@@ -10,12 +10,17 @@ eigenvalues.  Two mutually orthonormal eigenstate families ("ket" and
 dual pairing on coefficients is the plain sesquilinear form, which makes
 the biorthonormality condition Euclidean by construction.
 
-All builders return dense complex matrices acting on ket-family
-coefficient vectors.  Actions on bra-family vectors (where the roles of
-the two generators swap and each step carries a phase) are provided by
-:func:`generator_action` as a matrix and by :func:`ladder_action` as the
-O(dim) band applied to one coefficient vector.  The sqrt(n) ladder band
-and the SU(1,1) generators are defined once in :mod:`iwqm.expressions`.
+The builders return dense complex matrices acting on ket-family
+coefficient vectors: the two generators, which the tests use as a dense
+reference, and the Hamiltonian, which the eigensolver of the spectrum
+suite and the density equation need.  Actions on bra-family vectors
+(where the roles of the two generators swap and each step carries a
+phase) are provided by :func:`generator_action` as a matrix and by
+:func:`ladder_action` as the O(dim) band applied to one coefficient
+vector.  The sqrt(n) ladder band and every named operator (n, H, x, p
+and the SU(1,1) generators) are defined once, as expression trees, in
+:mod:`iwqm.expressions`; operator identities are checked there, on
+diagonal bands.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import _check_dim, ladder_band, su11_expressions, to_matrix
+from .expressions import _check_dim, hamiltonian_expression, ladder_band, to_matrix
 
 KET = "ket"
 BRA = "bra"
@@ -50,62 +55,11 @@ def build_raising(dim: int) -> np.ndarray:
     return np.diag(ladder_band(dim), -1).astype(complex)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA for equally sized square matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"commutator needs equally sized square matrices, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
-def build_number(dim: int) -> np.ndarray:
-    """Number operator a+ a-, diagonal 0..dim-1 in the truncated basis."""
-    return build_raising(dim) @ build_lowering(dim)
-
-
 def build_hamiltonian(dim: int, omega: float) -> np.ndarray:
     """H = i omega (n + 1/2): Hermitian, with purely imaginary spectrum."""
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega!r}")
-    return 1j * omega * (build_number(dim) + 0.5 * np.eye(dim))
-
-
-def build_position(dim: int) -> np.ndarray:
-    """x = (a- + a+) / sqrt(2i), the dimensionless position operator."""
-    return (build_lowering(dim) + build_raising(dim)) / np.sqrt(2j)
-
-
-def build_momentum(dim: int) -> np.ndarray:
-    """p = (a- - a+) / sqrt(2i), the dimensionless momentum operator."""
-    return (build_lowering(dim) - build_raising(dim)) / np.sqrt(2j)
-
-
-@dataclass(frozen=True)
-class SU11Generators:
-    """Hyperbolic-algebra realization built from the ladder generators.
-
-    sz is anti-Hermitian under the physical adjoint, and the Hamiltonian
-    equals 2i omega sz exactly; ``hamiltonian_residual`` stores the
-    matrix H - 2i omega sz (expected zero).
-    """
-
-    sz: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
-    hamiltonian_residual: np.ndarray
-
-
-def build_su11(dim: int, omega: float = 1.0) -> SU11Generators:
-    """The generators of :func:`iwqm.expressions.su11_expressions` (which
-    defines them and the Sy sign) as dense matrices at truncation dim."""
-    _check_dim(dim, minimum=4)
-    su = su11_expressions()
-    sz, s_plus, s_minus, sx, sy = (to_matrix(su[k], dim) for k in ("Sz", "S+", "S-", "Sx", "Sy"))
-    residual = build_hamiltonian(dim, omega) - 2j * omega * sz
-    return SU11Generators(sz, s_plus, s_minus, sx, sy, residual)
+    return to_matrix(hamiltonian_expression(omega), dim)
 
 
 def generator_action(generator: str, family: str, dim: int,

@@ -92,7 +92,8 @@ def build_coherent(family: str, alpha: complex, dim: int = 64, *,
     c_n = c_{n-1} * base / sqrt(n) with base = alpha (ket) or
     bra_phase * alpha (bra), taken as one cumulative product.  The
     truncation tail must stay under ``TAIL_TOLERANCE``; violations raise
-    in strict mode and warn otherwise.
+    in strict mode and warn otherwise.  A label whose tail is not even
+    finite is refused with ``ValueError`` in either mode.
     """
     if family not in (KET, BRA):
         raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
@@ -102,6 +103,9 @@ def build_coherent(family: str, alpha: complex, dim: int = 64, *,
         raise ValueError(f"bra_phase must be +1j or -1j, got {bra_phase!r}")
     alpha = complex(alpha)
     tail = tail_bound(alpha, dim)
+    if not math.isfinite(tail):
+        raise ValueError(f"label |alpha|={abs(alpha):.3g} has no finite truncation tail "
+                         f"at dim={dim}; its coefficients overflow")
     if tail > TAIL_TOLERANCE:
         message = (f"truncation tail {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} "
                    f"for |alpha|={abs(alpha):.3g}, dim={dim}")

@@ -18,10 +18,14 @@ I ones at offset 0.  A scalar scales the bands, a sum adds them offset by
 offset, and the product of band a at p with band b at q is
 ``a[i] * b[i + p]`` at offset p + q, with b[i + p] = 0 outside the
 matrix, which is the truncation of the dense product.
-:func:`equation_residual` subtracts the two sides band by band in O(dim)
-memory and time; :func:`to_matrix` writes the bands into one dense matrix.
-The SU(1,1) generators are defined here once, by :func:`su11_expressions`;
-:func:`iwqm.algebra.build_su11` evaluates them.
+:func:`identity_residual` subtracts the two sides band by band in O(dim)
+memory and time, and :func:`equation_residual` does so for parsed text;
+:func:`to_matrix` writes the bands into one dense matrix.
+
+The named operators n, H, x, p and the SU(1,1) generators are defined
+here once, as trees.  Every operator identity that :mod:`iwqm.verify`
+checks is a pair of such trees compared by :func:`identity_residual`;
+:func:`iwqm.algebra.build_hamiltonian` densifies H for the eigensolver.
 """
 
 from __future__ import annotations
@@ -88,6 +92,11 @@ def op_sum(*terms: OperatorExpression) -> OperatorExpression:
 
 def op_product(*factors: OperatorExpression) -> OperatorExpression:
     return OpProduct(tuple(factors))
+
+
+def commutator(a: OperatorExpression, b: OperatorExpression) -> OperatorExpression:
+    """[a, b] = a b - b a."""
+    return op_sum(op_product(a, b), scaled(-1.0, op_product(b, a)))
 
 
 def adjoint(expr: OperatorExpression, sigma: int = ADJOINT_SIGN) -> OperatorExpression:
@@ -196,14 +205,24 @@ def hamiltonian_expression(omega: float = 1.0) -> OperatorExpression:
     return scaled(1j * omega, op_sum(number_expression(), scaled(0.5, IDENTITY)))
 
 
+def position_expression() -> OperatorExpression:
+    """x = (a- + a+) / sqrt(2i)."""
+    return scaled(1 / np.sqrt(2j), op_sum(A_MINUS, A_PLUS))
+
+
+def momentum_expression() -> OperatorExpression:
+    """p = (a- - a+) / sqrt(2i)."""
+    return scaled(1 / np.sqrt(2j), op_sum(A_MINUS, scaled(-1.0, A_PLUS)))
+
+
 def su11_expressions() -> dict[str, OperatorExpression]:
     """The hyperbolic generators as expression trees: Sz = (a+ a- + 1/2)/2,
     S+- = a+-^2 / 2, Sx = (S+ + S-)/2 and Sy = (i/2)(S+ - S-).
 
-    This is the one definition of the generators; :func:`iwqm.algebra.build_su11`
-    evaluates it.  The Sy sign is the one under which the full relation set
-    [Sx, Sy] = i Sz, [Sz, S+-] = +-S+-, [S+, S-] = -2 Sz holds
-    simultaneously (the opposite sign flips the first commutator).
+    This is the one definition of the generators.  The Sy sign is the one
+    under which the full relation set [Sx, Sy] = i Sz, [Sz, S+-] = +-S+-,
+    [S+, S-] = -2 Sz holds simultaneously (the opposite sign flips the
+    first commutator).
     """
     sz = scaled(0.5, op_sum(op_product(A_PLUS, A_MINUS), scaled(0.5, IDENTITY)))
     s_plus = scaled(0.5, op_product(A_PLUS, A_PLUS))
@@ -320,10 +339,11 @@ class _Parser:
 
     def parse_primary(self) -> OperatorExpression:
         kind, value, pos = self.advance()
-        if kind == "NUM":
-            return Scaled(complex(float(value)), IDENTITY)
-        if kind == "IMAG":
-            return Scaled(1j * float(value), IDENTITY)
+        if kind in ("NUM", "IMAG"):
+            number = float(value)
+            if not np.isfinite(number):
+                raise ExpressionParseError(f"scalar literal {value!r} is out of range", pos)
+            return Scaled(1j * number if kind == "IMAG" else complex(number), IDENTITY)
         if kind == "(":
             node = self.parse_expr()
             self.expect(")")
@@ -342,7 +362,7 @@ class _Parser:
                 self.expect(",")
                 b = self.parse_expr()
                 self.expect(")")
-                return op_sum(op_product(a, b), Scaled(-1.0 + 0j, op_product(b, a)))
+                return commutator(a, b)
             return self.named[value]
         raise ExpressionParseError(f"unexpected token {value!r}", pos)
 
@@ -370,19 +390,26 @@ def parse_equation(text: str, sigma: int = ADJOINT_SIGN,
     return lhs, rhs
 
 
-def equation_residual(text: str, nmax: int, sigma: int = ADJOINT_SIGN,
-                      omega: float = 1.0, guard: int = 8) -> float:
-    """Max-entry residual of ``LHS == RHS`` on the leading nmax block.
+def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression,
+                      nmax: int, guard: int = 8) -> float:
+    """Max-entry residual of ``lhs == rhs`` on the leading nmax block.
 
     Both sides are evaluated at truncation nmax + guard so that edge
-    artifacts of finite generator words stay outside the compared block.
-    The sides are subtracted band by band; no dense matrix is formed.
+    artifacts of finite generator words stay outside the compared block;
+    with guard k the block is that of the dense identity at truncation
+    nmax + k with its last k rows and columns dropped.  The sides are
+    subtracted band by band; no dense matrix is formed.
     """
     _check_dim(nmax, minimum=1)
-    lhs, rhs = parse_equation(text, sigma, omega)
     dim = nmax + guard
     diff = _bands(lhs, dim)
     for p, d in _bands(rhs, dim).items():
         _add(diff, p, -d)
     worst = [np.max(np.abs(d[_rows(p, nmax)])) for p, d in diff.items() if abs(p) < nmax]
     return float(max(worst, default=0.0))
+
+
+def equation_residual(text: str, nmax: int, sigma: int = ADJOINT_SIGN,
+                      omega: float = 1.0, guard: int = 8) -> float:
+    """:func:`identity_residual` of the parsed ``LHS == RHS``."""
+    return identity_residual(*parse_equation(text, sigma, omega), nmax, guard)

@@ -192,30 +192,6 @@ def gram_matrix(nmax: int, node_count: int | None = None, bra_phase: complex = B
     return (signs[:, None] * pairings).astype(complex)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> complex:
-    """Adaptive composite Simpson integration of a callable on [a, b]."""
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        fl = f(lmid)
-        fr = f(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, fl, fmid, left, 0.5 * tol, depth + 1)
-                + recurse(mid, hi, fmid, fr, fhi, right, 0.5 * tol, depth + 1))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
 def density_interval_integral(f: Eigenfunction, lo: float, hi: float) -> float:
     """Same-family probability mass integral(|psi|^2) on a finite interval.
 

@@ -5,6 +5,20 @@ import pytest
 
 from iwqm import algebra
 from iwqm.algebra import BRA, KET, DualVector, dual_pairing, fock_state
+from iwqm.expressions import (
+    A_MINUS,
+    A_PLUS,
+    IDENTITY,
+    commutator,
+    hamiltonian_expression,
+    identity_residual,
+    momentum_expression,
+    number_expression,
+    position_expression,
+    scaled,
+    su11_expressions,
+    to_matrix,
+)
 
 
 def test_lowering_entries_dim3():
@@ -71,26 +85,20 @@ def test_bra_chain_phase(phase, expected_sign):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16, 32, 64, 128, 256])
 def test_commutator_identity_leading_block(dim):
-    defect = algebra.commutator(algebra.build_lowering(dim), algebra.build_raising(dim)) - np.eye(dim)
+    ladder = commutator(A_MINUS, A_PLUS)
+    defect = to_matrix(ladder, dim) - np.eye(dim)
     assert np.max(np.abs(defect[:dim - 1, :dim - 1])) <= 1e-12
     # the truncation artifact sits in the last diagonal entry only
     assert abs(defect[dim - 1, dim - 1] + dim) <= 1e-12 * dim
     defect[dim - 1, dim - 1] = 0.0
     assert np.max(np.abs(defect)) <= 1e-12
-
-
-def test_commutator_with_itself_is_zero():
-    a = algebra.build_lowering(6)
-    np.testing.assert_array_equal(algebra.commutator(a, a), np.zeros((6, 6)))
-
-
-def test_commutator_shape_mismatch():
-    with pytest.raises(ValueError):
-        algebra.commutator(np.eye(3), np.eye(4))
+    assert identity_residual(ladder, IDENTITY, dim - 1, guard=1) <= 1e-12
+    assert identity_residual(ladder, IDENTITY, dim, guard=0) == pytest.approx(dim)
 
 
 def test_number_is_diagonal_levels():
-    np.testing.assert_allclose(algebra.build_number(6), np.diag(np.arange(6.0)), atol=1e-14)
+    np.testing.assert_allclose(to_matrix(number_expression(), 6), np.diag(np.arange(6.0)),
+                               atol=1e-14)
 
 
 def test_hamiltonian_diagonal():
@@ -116,34 +124,34 @@ def test_hamiltonian_pairing_expectation():
 
 
 def test_su11_commutators():
-    su = algebra.build_su11(16)
-    block = slice(0, 14)
-    comm = algebra.commutator
-    assert np.max(np.abs((comm(su.sx, su.sy) - 1j * su.sz)[block, block])) <= 1e-12
-    assert np.max(np.abs((comm(su.sz, su.s_plus) - su.s_plus)[block, block])) <= 1e-12
-    assert np.max(np.abs((comm(su.sz, su.s_minus) + su.s_minus)[block, block])) <= 1e-12
-    assert np.max(np.abs((comm(su.s_plus, su.s_minus) + 2 * su.sz)[block, block])) <= 1e-12
+    su = su11_expressions()
+    sz, s_plus, s_minus, sx, sy = (su[k] for k in ("Sz", "S+", "S-", "Sx", "Sy"))
+    # the leading 14 x 14 block of the truncation at 16
+    for lhs, rhs in ((commutator(sx, sy), scaled(1j, sz)),
+                     (commutator(sz, s_plus), s_plus),
+                     (commutator(sz, s_minus), scaled(-1.0, s_minus)),
+                     (commutator(s_plus, s_minus), scaled(-2.0, sz))):
+        assert identity_residual(lhs, rhs, 14, guard=2) <= 1e-12
 
 
 def test_su11_hamiltonian_identity_exact():
+    sz = su11_expressions()["Sz"]
     for omega in (1.0, 0.7, 3.25):
-        su = algebra.build_su11(8, omega)
-        assert np.max(np.abs(su.hamiltonian_residual)) == 0.0
-
-
-def test_su11_needs_dim_four():
-    with pytest.raises(ValueError):
-        algebra.build_su11(3)
+        residual = identity_residual(hamiltonian_expression(omega), scaled(2j * omega, sz), 8,
+                                     guard=0)
+        assert residual == 0.0
+        np.testing.assert_array_equal(algebra.build_hamiltonian(8, omega),
+                                      to_matrix(scaled(2j * omega, sz), 8))
 
 
 def test_heisenberg_commutators():
     dim, omega = 32, 1.3
-    ham = algebra.build_hamiltonian(dim, omega)
-    pos = algebra.build_position(dim)
-    mom = algebra.build_momentum(dim)
-    block = slice(0, dim - 1)
-    assert np.max(np.abs((algebra.commutator(pos, ham) - 1j * omega * mom)[block, block])) <= 1e-12
-    assert np.max(np.abs((algebra.commutator(mom, ham) - 1j * omega * pos)[block, block])) <= 1e-12
+    ham = hamiltonian_expression(omega)
+    pos, mom = position_expression(), momentum_expression()
+    assert identity_residual(commutator(pos, ham), scaled(1j * omega, mom), dim - 1,
+                             guard=1) <= 1e-12
+    assert identity_residual(commutator(mom, ham), scaled(1j * omega, pos), dim - 1,
+                             guard=1) <= 1e-12
 
 
 def test_dual_pairing_orthonormal():

@@ -68,6 +68,16 @@ def test_op_check_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("expression", ["1e400*I == I", "1e400i == I"])
+def test_op_check_refuses_out_of_range_literal(capsys, expression):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "op-check", expression)
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: scalar literal '1e400' is out of range (at position 0)\n"
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--wrong-flag"])
@@ -176,6 +186,17 @@ def test_dump_coherent_large_label_fails(capsys):
                            "--nmax", "160")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_dump_coherent_refuses_infinite_tail(capsys, strict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dump", "coherent", "--alpha-re", "1e200", *strict)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "no finite truncation tail" in err
+    assert err.count("\n") == 1
 
 
 def test_dump_coherent_strict_truncation_fails(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from iwqm import coherent, verify
-from iwqm.algebra import BRA, KET, build_momentum, build_position, fock_state
+from iwqm.algebra import BRA, KET, fock_state
 from iwqm.coherent import (
     TruncationError,
     TruncationWarning,
@@ -18,6 +18,7 @@ from iwqm.coherent import (
     tail_bound,
     uncertainty_product,
 )
+from iwqm.expressions import momentum_expression, position_expression, to_matrix
 
 ALPHAS = [0.3, 1.0, 1 + 0.5j, -0.7 + 1.1j, 1.9j, -1.99]
 
@@ -66,6 +67,17 @@ def test_permissive_truncation_warns():
     with pytest.warns(TruncationWarning):
         state = build_coherent(KET, 2.0, 8, strict=False)
     assert eigen_residual(state) > 1e-3
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("alpha", [1e200, 1e10j, float("nan")])
+def test_infinite_tail_is_refused_in_both_modes(alpha, strict):
+    assert tail_bound(alpha, 64) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no finite truncation tail") as err:
+            build_coherent(BRA, alpha, 64, strict=strict)
+    assert not isinstance(err.value, TruncationError)
 
 
 def test_eigen_residual_vacuum_exact():
@@ -154,7 +166,7 @@ def test_invalid_arguments():
 @pytest.mark.parametrize("phase", [1j, -1j])
 @pytest.mark.parametrize("dim", [8, 64, 160])
 def test_moments_match_dense_contraction(dim, phase):
-    pos, mom = build_position(dim), build_momentum(dim)
+    pos, mom = to_matrix(position_expression(), dim), to_matrix(momentum_expression(), dim)
     dense = {"x": pos, "p": mom, "x2": pos @ pos, "p2": mom @ mom}
     for alpha in ALPHAS:
         with warnings.catch_warnings():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwqm import algebra, expressions
+from iwqm import algebra, expressions, verify
 from iwqm.expressions import (
     A_MINUS,
     A_PLUS,
@@ -18,11 +18,14 @@ from iwqm.expressions import (
     adjoint,
     equation_residual,
     hamiltonian_expression,
+    identity_residual,
+    momentum_expression,
     number_expression,
     op_product,
     op_sum,
     parse_equation,
     parse_expression,
+    position_expression,
     scaled,
     su11_expressions,
     to_matrix,
@@ -39,7 +42,7 @@ def _mat(expr):
 @pytest.mark.parametrize("sigma", [-1, 1])
 def test_adjoint_number_is_pseudo_hermitian(sigma):
     adj_n = _mat(adjoint(number_expression(), sigma))
-    target = -(algebra.build_number(DIM) + np.eye(DIM))
+    target = -(algebra.build_raising(DIM) @ algebra.build_lowering(DIM) + np.eye(DIM))
     assert np.max(np.abs((adj_n - target)[BLOCK, BLOCK])) <= 1e-12
 
 
@@ -130,6 +133,39 @@ def test_to_matrix_matches_dense_reference(data, dim, sigma):
     np.testing.assert_allclose(to_matrix(expr, dim), reference, rtol=0, atol=atol)
 
 
+def test_position_and_momentum_expressions():
+    low, rai = algebra.build_lowering(DIM), algebra.build_raising(DIM)
+    np.testing.assert_allclose(_mat(position_expression()), (low + rai) / np.sqrt(2j),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_mat(momentum_expression()), (low - rai) / np.sqrt(2j),
+                               rtol=0, atol=1e-15)
+
+
+# (nmax, omega) where comparing a block wider than the one the dense identity
+# is exact on would turn a verdict
+PARITY_POINTS = [(27, 40.0), (53, 10.0), (84, 1.0), (95, 0.05)]
+
+
+def _skip_grid(*args, **kwargs):
+    raise verify.dynamics.GridLeakError("the grid checks are not under test here")
+
+
+@pytest.mark.parametrize("sigma", [-1, 1])
+@pytest.mark.parametrize("nmax,omega", PARITY_POINTS)
+def test_verify_identity_verdicts_match_dense_reference(nmax, omega, sigma, monkeypatch):
+    monkeypatch.setattr(verify.dynamics, "grid_split_step", _skip_grid)
+    cfg = verify.RunConfig(nmax=nmax, omega=omega, sigma=sigma)
+    rows = verify.algebra_identities(cfg) + verify.heisenberg_identities(omega)
+    checks = {c.name: c for suite in (verify.algebra_suite(cfg), verify.correspondence_suite(cfg))
+              for c in suite.checks}
+    for name, anchor, lhs, rhs, k, tol in rows:
+        block = nmax - k
+        dense = np.max(np.abs((_dense_reference(lhs, nmax)
+                               - _dense_reference(rhs, nmax))[:block, :block]))
+        assert (checks[name].anchor, checks[name].tolerance) == (anchor, tol)
+        assert checks[name].passed == (dense <= tol), (name, checks[name].residual, dense)
+
+
 def test_to_matrix_product_order():
     ab = _mat(op_product(A_MINUS, A_PLUS))
     np.testing.assert_allclose(ab, algebra.build_lowering(DIM) @ algebra.build_raising(DIM))
@@ -217,6 +253,21 @@ def test_parse_errors_carry_position(text, position):
         parse_equation(text)
     if position is not None:
         assert err.value.position == position
+
+
+@pytest.mark.parametrize("text,position", [
+    ("1e400*I == I", 0),
+    ("I == 2*1e400i", 7),
+])
+def test_scalar_literal_out_of_range_is_a_parse_error(text, position):
+    with pytest.raises(ExpressionParseError, match="out of range") as err:
+        parse_equation(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text", ["comm(Sx, Sy) == i*Sz", "adj(n) == n", "H == 2i*Sz"])
+def test_equation_residual_is_identity_residual_of_the_parsed_sides(text):
+    assert equation_residual(text, 20, guard=3) == identity_residual(*parse_equation(text), 20, 3)
 
 
 def test_parse_error_on_missing_equality():

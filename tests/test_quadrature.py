@@ -11,7 +11,6 @@ from iwqm.quadrature import (
     ROTATION,
     ContourQuadrature,
     PrecisionError,
-    adaptive_simpson,
     density_interval_integral,
     fresnel_gaussian,
     gram_matrix,
@@ -155,15 +154,6 @@ def test_gram_rejects_rule_below_exactness():
         gram_matrix(0)
     with pytest.raises(PrecisionError):
         pairing_integral(eigenfunction(BRA, 5), eigenfunction(KET, 5), ContourQuadrature.build(4))
-
-
-def test_adaptive_simpson_polynomial():
-    assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_adaptive_simpson_oscillatory():
-    value = adaptive_simpson(np.cos, 0.0, 10.0, tol=1e-12)
-    assert value == pytest.approx(np.sin(10.0), abs=1e-10)
 
 
 @pytest.mark.parametrize("length", [1.0, 2.0, 5.0, 10.0, 20.0])

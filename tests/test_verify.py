@@ -1,9 +1,13 @@
+import math
+
 import pytest
 
 from iwqm.verify import (
     RunConfig,
+    algebra_identities,
     conventions,
     determine_bra_phase,
+    heisenberg_identities,
     report_csv_lines,
     report_dict,
     run_all,
@@ -93,3 +97,17 @@ def test_run_config_validation():
 
 def test_seed_changes_sampled_labels_but_not_the_verdict():
     assert all(s.passed for s in run_all(RunConfig(seed=12345)))
+
+
+def test_operator_identities_at_nmax_100000(run_capped):
+    # a dense 100000 x 100000 operator needs 149 GiB; the bands need O(nmax)
+    code = ("from iwqm.verify import RunConfig, algebra_suite, correspondence_suite; "
+            "cfg = RunConfig(nmax=100000); "
+            "[print(c.name, c.residual) for s in (algebra_suite(cfg), correspondence_suite(cfg)) "
+            "for c in s.checks]")
+    done = run_capped("-c", code)
+    assert done.returncode == 0, done.stderr
+    residuals = dict(line.split() for line in done.stdout.splitlines())
+    names = [row[0] for row in algebra_identities(RunConfig()) + heisenberg_identities(1.0)]
+    assert set(names) <= set(residuals)
+    assert all(math.isfinite(float(residuals[name])) for name in names)
