@@ -30,6 +30,7 @@ checks is a pair of such trees compared by :func:`identity_residual`;
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -398,15 +399,19 @@ def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression,
     artifacts of finite generator words stay outside the compared block;
     with guard k the block is that of the dense identity at truncation
     nmax + k with its last k rows and columns dropped.  The sides are
-    subtracted band by band; no dense matrix is formed.
+    subtracted band by band; no dense matrix is formed.  Finite scalars
+    whose products overflow leave no finite difference: the residual is
+    then inf, a failed check, and never NaN.
     """
     _check_dim(nmax, minimum=1)
     dim = nmax + guard
-    diff = _bands(lhs, dim)
-    for p, d in _bands(rhs, dim).items():
-        _add(diff, p, -d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = _bands(lhs, dim)
+        for p, d in _bands(rhs, dim).items():
+            _add(diff, p, -d)
     worst = [np.max(np.abs(d[_rows(p, nmax)])) for p, d in diff.items() if abs(p) < nmax]
-    return float(max(worst, default=0.0))
+    residual = float(np.max(worst, initial=0.0))
+    return residual if math.isfinite(residual) else math.inf
 
 
 def equation_residual(text: str, nmax: int, sigma: int = ADJOINT_SIGN,

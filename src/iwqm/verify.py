@@ -16,6 +16,7 @@ operator matrix is formed for them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -94,6 +95,14 @@ class SuiteReport:
 
 def _max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
+
+
+def _observed_order_residual(coarse: float, fine: float, order: int) -> float:
+    """|log2(coarse / fine) - order| for the errors of a run at dt and at
+    dt/2; inf unless both errors are finite and positive."""
+    if not (0.0 < coarse < math.inf and 0.0 < fine < math.inf):
+        return math.inf
+    return abs(math.log2(coarse / fine) - order)
 
 
 def _add_identities(report: SuiteReport, rows, nmax: int) -> None:
@@ -335,9 +344,10 @@ def decay_suite(cfg: RunConfig) -> SuiteReport:
 
     equation_res = max(dynamics.density_invariant_residual(n, omega, 1e-3) for n in range(3))
     report.add("density_equation", "i d rho/dt + [rho, H] = 0", equation_res, 1e-6)
-    # centered-difference truncation grows as ((n+1/2) omega)^3 dt^2 / 6,
-    # so the fixed 1e-6 budget applies to the lowest levels
-    schrodinger_res = max(dynamics.schrodinger_residual(family, n, omega, 1e-3)
+    # the five-point stencil's truncation is ((n+1/2) omega)^5 dt^4 / 30 and
+    # its rounding ~ eps / dt, so dt = 1e-3/omega keeps both far below the
+    # fixed 1e-6 budget for the lowest levels from omega = 0.05 to 40
+    schrodinger_res = max(dynamics.schrodinger_residual(family, n, omega, 1e-3 / omega)
                           for family in (KET, BRA) for n in range(2))
     report.add("schrodinger_factors", "i d psi/dt = E psi (centered difference)",
                schrodinger_res, 1e-6)
@@ -355,21 +365,28 @@ def correspondence_suite(cfg: RunConfig) -> SuiteReport:
     report.add("label_ode", "alpha(t) = (v/omega) sinh(omega t)",
                float(np.max(np.abs(label.values[1:].real - exact) / np.abs(exact))), 1e-8)
 
+    # the same horizon 1.5/omega at dt and dt/2: the coarse run is the
+    # expectation check, and the pair measures the scheme's order
     packet = dynamics.gaussian_packet(0.5, omega, t_final=1.5 / omega)
-    diagnostics: dict = {}
+    errors = []
+    drift = 0.0
     try:
-        grid = dynamics.grid_split_step(packet, 1e-3 / omega, 1500, diagnostics=diagnostics)
+        for dt, steps in ((3e-2, 50), (1.5e-2, 100)):
+            diagnostics: dict = {}
+            grid = dynamics.grid_split_step(packet, dt / omega, steps, diagnostics=diagnostics)
+            classical = dynamics.classical_orbit(0.5, omega, 1, grid.times)
+            window = grid.times * omega >= 0.1
+            errors.append(float(np.max(np.abs(grid.values.real[window] - classical[window])
+                                       / np.abs(classical[window]))))
+            drift = max(drift, diagnostics["norm_drift"])
     except (dynamics.GridLeakError, dynamics.NormDriftError):
-        # a run stopped by either guard leaves both checks failed
-        expectation_res = drift = float("inf")
-    else:
-        classical = dynamics.classical_orbit(0.5, omega, 1, grid.times)
-        window = grid.times * omega >= 0.1
-        expectation_res = float(np.max(np.abs(grid.values.real[window] - classical[window])
-                                       / np.abs(classical[window])))
-        drift = diagnostics["norm_drift"]
-    report.add("grid_expectation", "<x>(t) = (v/omega) sinh(omega t)", expectation_res, 1e-4)
+        # a run stopped by either guard leaves every grid check failed
+        errors = [math.inf, math.inf]
+        drift = math.inf
+    report.add("grid_expectation", "<x>(t) = (v/omega) sinh(omega t)", errors[0], 1e-4)
     report.add("grid_norm", "norm(t) = norm(0)", drift, 1e-8)
+    report.add("grid_order", "log2(e(dt) / e(dt/2)) = 4",
+               _observed_order_residual(*errors, 4), 0.05)
 
     _add_identities(report, heisenberg_identities(omega), cfg.nmax)
     return report

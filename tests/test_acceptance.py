@@ -71,7 +71,8 @@ def test_criterion_7_decay_and_invariance():
 
 
 def test_criterion_8_correspondence():
-    _gate(8, "label ODE vs sinh to 1e-8; grid <x> vs classical to 1e-4; norm drift below 1e-8",
+    _gate(8, "label ODE vs sinh to 1e-8; grid <x> vs classical to 1e-4; norm drift below 1e-8; "
+             "observed split-step order 4 within 0.05",
           correspondence_suite(CFG))
 
 

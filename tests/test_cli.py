@@ -234,6 +234,7 @@ def test_verify_extreme_omega_grid_checks_pass(capsys, omega):
     assert err == ""
     checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
     assert checks["grid_expectation"]["passed"] and checks["grid_norm"]["passed"]
+    assert checks["grid_order"]["passed"] and checks["schrodinger_factors"]["passed"]
 
 
 def leaking_split_step(*args, **kwargs):
@@ -247,6 +248,7 @@ def test_verify_grid_failure_is_a_failed_check(capsys, monkeypatch):
     assert err == ""
     checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
     assert not checks["grid_expectation"]["passed"] and not checks["grid_norm"]["passed"]
+    assert not checks["grid_order"]["passed"]
     assert checks["label_ode"]["passed"]
 
 
@@ -364,3 +366,14 @@ def test_dump_refuses_zero_steps(capsys, argv):
     assert out == ""
     assert err == ("usage error: t_final = 1.0 with dt = 5.0 gives 0 steps; "
                    "dt must be below 2 t_final\n")
+
+
+def test_op_check_overflowing_scalars_fail_without_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "op-check", "1e200*1e200*I - 1e200*1e200*I == I",
+                                 "--nmax", "8")
+    assert code == 1
+    assert err == ""
+    check = json.loads(out)["suites"][0]["checks"][0]
+    assert check["residual"] == float("inf") and not check["passed"]

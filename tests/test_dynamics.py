@@ -82,11 +82,20 @@ def test_density_equation_rejects_bad_step():
         density_invariant_residual(0, 1.0, 0.0)
 
 
-def test_schrodinger_residual_scales_quadratically():
-    coarse = schrodinger_residual(KET, 1, 1.0, 2e-3)
-    fine = schrodinger_residual(KET, 1, 1.0, 1e-3)
-    assert fine <= 1e-6
-    assert coarse / fine == pytest.approx(4.0, rel=0.05)
+def test_schrodinger_residual_scales_quartically():
+    assert schrodinger_residual(KET, 1, 1.0, 1e-3) <= 1e-6
+    # at dt ~ 1e-3 the fourth-order defect is near rounding, so the ratio is
+    # taken where the truncation error dominates
+    coarse = schrodinger_residual(KET, 1, 1.0, 4e-2)
+    fine = schrodinger_residual(KET, 1, 1.0, 2e-2)
+    assert coarse / fine == pytest.approx(16.0, rel=0.05)
+
+
+@pytest.mark.parametrize("omega", [0.05, 1.0, 10.0, 40.0])
+def test_schrodinger_residual_holds_at_scaled_step(omega):
+    for family in (KET, BRA):
+        for n in range(2):
+            assert schrodinger_residual(family, n, omega, 1e-3 / omega) <= 1e-6
 
 
 def test_classical_orbit_values():
@@ -124,6 +133,50 @@ def test_label_second_difference_restates_the_ode():
     dt = trajectory.times[1] - trajectory.times[0]
     second = (a[2:] - 2 * a[1:-1] + a[:-2]) / dt ** 2
     assert np.max(np.abs(second - a[1:-1])) <= 1e-4
+
+
+def rk4_loop(v, omega, dt, steps):
+    """Classic RK4 for a'' = omega^2 a, a(0) = 0, a'(0) = v, stepped one step
+    at a time: the reference for the closed form of ``kernels.rk4_trajectory``."""
+    w2 = omega * omega
+    a, ad = 0.0, v
+    out = np.empty((steps + 1, 2))
+    out[0] = a, ad
+    for k in range(steps):
+        k1a, k1b = ad, w2 * a
+        k2a, k2b = ad + 0.5 * dt * k1b, w2 * (a + 0.5 * dt * k1a)
+        k3a, k3b = ad + 0.5 * dt * k2b, w2 * (a + 0.5 * dt * k2a)
+        k4a, k4b = ad + dt * k3b, w2 * (a + dt * k3a)
+        a = a + dt * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
+        ad = ad + dt * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
+        out[k + 1] = a, ad
+    return out
+
+
+@pytest.mark.parametrize("v, omega, dt, steps", [
+    (1.0, 1.0, 1e-3, 2000), (1.0, 1.3, 1e-3, 1500), (0.5, 40.0, 2.5e-5, 2000),
+    (1.0, 0.05, 2e-2, 2000), (1.0, 1.0, 0.25, 8), (-2.0, 3.0, 1e-2, 300)])
+def test_rk4_closed_form_matches_stepped_loop(v, omega, dt, steps):
+    expected = rk4_loop(v, omega, dt, steps)
+    state = kernels.rk4_trajectory(v, omega, dt, steps)
+    assert state.shape == (steps + 1, 2)
+    assert np.array_equal(state[0], [0.0, v])
+    assert np.max(np.abs(state[1:] - expected[1:]) / np.abs(expected[1:])) <= 1e-14
+
+
+def test_label_integration_is_fourth_order():
+    errors = []
+    for dt in (0.05, 0.025):
+        trajectory = integrate_alpha(1.0, 1.0, 2.0, dt, check_tol=None)
+        exact = classical_orbit(1.0, 1.0, 1, trajectory.times[1:])
+        errors.append(np.max(np.abs(trajectory.values.real[1:] - exact) / exact))
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
+
+
+def test_label_integration_refuses_non_positive_omega():
+    for omega in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="omega"):
+            integrate_alpha(1.0, omega, 1.0, 1e-3, check_tol=None)
 
 
 def test_label_integration_step_size_guard():
@@ -173,18 +226,25 @@ def test_grid_split_step_tracks_classical_orbit():
     assert diagnostics["edge_max"] <= 1e-10
 
 
-def strang_reference(packet, dt, steps, leak_tol=1e-10):
-    """Unfused Strang steps with observables after every step: <x>(t) and
-    the first step whose boundary amplitude exceeds ``leak_tol`` (or None)."""
+def yoshida_reference(packet, dt, steps, leak_tol=1e-10):
+    """Unfused fourth-order steps, three Strang steps S(c1 dt) S(c0 dt) S(c1 dt)
+    each with both half-kicks applied, and observables after every step:
+    <x>(t) and the first step whose boundary amplitude exceeds ``leak_tol``
+    (or None)."""
     x, dx = packet.x, packet.dx
     k = 2.0 * np.pi * np.fft.fftfreq(packet.points, dx)
-    half = np.exp(0.25j * dt * packet.omega ** 2 * x * x)
-    kinetic = np.exp(-0.5j * dt * k * k)
+    c1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    c0 = -(2.0 ** (1.0 / 3.0)) * c1
+
+    def strang(psi, h):
+        half = np.exp(0.25j * h * packet.omega ** 2 * x * x)
+        return half * np.fft.ifft(np.exp(-0.5j * h * k * k) * np.fft.fft(half * psi))
+
     psi = packet.psi
     xs = []
     for s in range(steps + 1):
         if s:
-            psi = half * np.fft.ifft(kinetic * np.fft.fft(half * psi))
+            psi = strang(strang(strang(psi, c1 * dt), c0 * dt), c1 * dt)
         dens = np.abs(psi) ** 2
         xs.append(np.sum(x * dens) / np.sum(dens))
         if max(abs(psi[0]), abs(psi[-1])) > leak_tol:
@@ -194,7 +254,7 @@ def strang_reference(packet, dt, steps, leak_tol=1e-10):
 
 def test_grid_split_step_matches_unfused_reference():
     packet = gaussian_packet(0.5)
-    expected, leak_step = strang_reference(packet, 1e-3, 1500)
+    expected, leak_step = yoshida_reference(packet, 1e-3, 1500)
     assert leak_step is None
     trajectory = grid_split_step(packet, 1e-3, 1500)
     assert np.max(np.abs(trajectory.values.real - expected)) <= 1e-12
@@ -203,10 +263,23 @@ def test_grid_split_step_matches_unfused_reference():
 def test_grid_split_step_detects_boundary_leak():
     # a grid sized for t_final = 0.1 cannot hold the packet for 3 time units
     short = gaussian_packet(0.5, t_final=0.1)
-    _, leak_step = strang_reference(short, 1e-3, 3000)
+    _, leak_step = yoshida_reference(short, 1e-3, 3000)
     assert leak_step is not None and 100 < leak_step < 3000
     with pytest.raises(GridLeakError, match=f"at step {leak_step}$"):
         grid_split_step(short, 1e-3, 3000)
+
+
+@pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])
+def test_grid_split_step_is_fourth_order(omega):
+    packet = gaussian_packet(0.5, omega)
+    errors = []
+    for dt, steps in ((3e-2, 50), (1.5e-2, 100)):
+        trajectory = grid_split_step(packet, dt / omega, steps)
+        classical = classical_orbit(0.5, omega, 1, trajectory.times)
+        mask = trajectory.times * omega >= 0.1
+        errors.append(np.max(np.abs(trajectory.values.real[mask] - classical[mask])
+                             / np.abs(classical[mask])))
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
 @pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])

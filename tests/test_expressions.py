@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,18 @@ def test_identities_hold(text, sigma):
 
 def test_identity_failure_is_detected():
     assert equation_residual("adj(n) == n", 24) > 1.0
+
+
+@pytest.mark.parametrize("text", [
+    "1e200*1e200*I - 1e200*1e200*I == I",
+    "1e200*1e200*I == 1e200*1e200*I",
+    "a- + 1e200*1e200*a+ - 1e200*1e200*a+ == a-",
+])
+def test_overflowing_scalars_give_infinite_residual(text):
+    # the NaN of one band must not hide behind the finite entries of another
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert equation_residual(text, 8) == float("inf")
 
 
 def test_guard_keeps_truncation_out_of_the_block():
