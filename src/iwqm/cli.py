@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -160,6 +161,9 @@ def cmd_op_check(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_dump_eigenfunction(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.n < 0:
         raise ValueError(f"level must be nonnegative, got {args.n}")
+    if not math.isfinite(args.xmax - args.xmin):
+        raise ValueError(f"need finite xmin, xmax and xmax - xmin, "
+                         f"got {args.xmin!r}, {args.xmax!r}")
     if args.samples < 2 or args.xmax <= args.xmin:
         raise ValueError("need samples >= 2 and xmax > xmin")
     f = eigenfunction(args.family, args.n)

@@ -82,21 +82,50 @@ def eigenfunction(family: str, n: int, bra_phase: complex = BRA_STEP_PHASE) -> E
     return Eigenfunction(family, n, bra_phase)
 
 
-def hermite_levels(z: np.ndarray, start):
-    """Yield start * H_n(z) / sqrt(2^n n!) for n = 0, 1, 2, ... by the normalized recurrence."""
-    prev, cur = 0.0, start
+def hermite_levels(z: np.ndarray, start: np.ndarray):
+    """Yield start * H_n(z) / sqrt(2^n n!) for n = 0, 1, 2, ... by the normalized recurrence.
+
+    The recurrence runs in place on three complex buffers: ``start`` is
+    consumed as the first, and two more of its shape are allocated once.
+    Each step evaluates a z h_n - b h_{n-1} in the order of the plain
+    expression, so every level is bit-for-bit the allocating form's.  A
+    yielded level is overwritten two levels later; copy it to keep it.
+    """
+    cur, prev, tmp = start, np.zeros_like(start), np.empty_like(start)
     for n in count():
         yield cur
-        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * z * cur - math.sqrt(n / (n + 1)) * prev
+        np.multiply(z, math.sqrt(2.0 / (n + 1)), out=tmp)
+        tmp *= cur
+        prev *= math.sqrt(n / (n + 1))
+        np.subtract(tmp, prev, out=prev)
+        prev, cur = cur, prev
 
 
 def evaluate(f: Eigenfunction, x):
-    """Values of the eigenfunction at real x (scalar or array)."""
+    """Values of the eigenfunction at real x (scalar or array).
+
+    Raises ValueError where x^2/2 is not finite, since the phase
+    exp(-i x^2/2) has no value there, and where the level's values overflow.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ground = _GROUND * np.exp(-0.5j * xs * xs)
-    vals = next(islice(hermite_levels(_Z_PHASE * xs, ground), f.n, None))
+    vals = np.empty(xs.shape, dtype=complex)
+    phase = vals.imag  # -x^2/2, until the sine overwrites it
+    np.multiply(xs, -0.5, out=phase)
+    with np.errstate(over="ignore"):
+        phase *= xs
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("eigenfunctions need x with a finite x^2/2")
+    np.cos(phase, out=vals.real)
+    np.sin(phase, out=phase)
+    vals *= _GROUND  # the ground state (i/pi)^(1/4) e^{-i x^2/2}
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = next(islice(hermite_levels(_Z_PHASE * xs, vals), f.n, None))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"level {f.n} overflows at |x| up to {np.max(np.abs(xs)):.3g}")
     if f.family == BRA:
-        vals = f.conj_sign * np.conj(vals)
+        np.conjugate(vals, out=vals)
+        if f.conj_sign == -1:
+            np.negative(vals, out=vals)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(vals[0])
     return vals

@@ -15,9 +15,9 @@ exact integer Hermite coefficients with the Gaussian moments instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from numpy.polynomial import polynomial as _npoly
@@ -58,14 +58,37 @@ class ContourQuadrature:
 
     @classmethod
     def build(cls, node_count: int) -> "ContourQuadrature":
-        if node_count < 1:
-            raise ValueError(f"node_count must be positive, got {node_count}")
-        with np.errstate(all="ignore"):
-            h, w = np.polynomial.hermite.hermgauss(node_count)
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(w))):
-            raise ValueError(f"hermgauss gives non-finite nodes or weights at "
-                             f"{node_count} nodes; its recurrence overflows from a few hundred")
+        h, w = _gauss_hermite(node_count)
         return cls(ROTATION * h, ROTATION * w)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+# Both rule caches are bounded: their node counts come from user input.
+@functools.lru_cache(maxsize=64)
+def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, computed once per node count.
+
+    A refused count raises, so the cache never holds it.
+    """
+    if node_count < 1:
+        raise ValueError(f"node_count must be positive, got {node_count}")
+    with np.errstate(all="ignore"):
+        h, w = np.polynomial.hermite.hermgauss(node_count)
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(w))):
+        raise ValueError(f"hermgauss gives non-finite nodes or weights at "
+                         f"{node_count} nodes; its recurrence overflows from a few hundred")
+    return _read_only(h, w)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count."""
+    return _read_only(*np.polynomial.legendre.leggauss(node_count))
 
 
 def fresnel_gaussian() -> complex:
@@ -111,7 +134,9 @@ def _check_pair(bra_f: Eigenfunction, ket_f: Eigenfunction) -> None:
 def _rule_pairings(rule: ContourQuadrature, top: int) -> np.ndarray:
     """integral(psi_m psi_n) of ket levels m, n <= top by the rule."""
     z = rule.nodes / ROTATION  # the real Gauss-Hermite nodes, up to rounding
-    levels = np.array(list(islice(hermite_levels(z, np.ones_like(z)), top + 1)))
+    levels = np.empty((top + 1, z.shape[0]), dtype=complex)
+    for row, level in zip(levels, hermite_levels(z, np.ones_like(z))):
+        row[:] = level  # copied: the recurrence overwrites its buffers
     return np.sqrt(1j / np.pi) * (levels * rule.weights) @ levels.T
 
 
@@ -201,7 +226,7 @@ def density_interval_integral(f: Eigenfunction, lo: float, hi: float) -> float:
     of degree 2n and the (n+1)-node Gauss-Legendre rule integrates it
     exactly, from one vectorized evaluation.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(f.n + 1)
+    nodes, weights = _gauss_legendre(f.n + 1)
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo) + half * nodes
     return float(half * np.sum(weights * np.abs(evaluate(f, x)) ** 2))

@@ -1,11 +1,14 @@
 """Shared fixtures."""
 
+import math
 import os
 import resource
 import subprocess
 import sys
+from itertools import count, islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iwqm
@@ -30,3 +33,23 @@ def run_capped():
         return subprocess.run([sys.executable, *args], env=env, preexec_fn=_cap_address_space,
                               capture_output=True, text=True, timeout=120)
     return run
+
+
+def _allocating_hermite_levels(z, start):
+    """The plain normalized recurrence, one fresh array per level."""
+    prev, cur = 0.0, start
+    for n in count():
+        yield cur
+        prev, cur = cur, math.sqrt(2.0 / (n + 1)) * z * cur - math.sqrt(n / (n + 1)) * prev
+
+
+@pytest.fixture
+def reference_levels():
+    """levels(z, start, number): the first ``number`` recurrence levels, stacked.
+
+    The reference for the in-place ``eigenfunctions.hermite_levels``, which
+    must agree with it bit for bit.
+    """
+    def levels(z: np.ndarray, start: np.ndarray, number: int) -> np.ndarray:
+        return np.array(list(islice(_allocating_hermite_levels(z, start), number)))
+    return levels

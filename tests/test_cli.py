@@ -116,6 +116,30 @@ def test_dump_eigenfunction_invalid_range(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("bounds", [("--xmin=-inf",), ("--xmax=inf",), ("--xmax=nan",),
+                                    ("--xmin=nan",), ("--xmin=-1e308", "--xmax=1e308"),
+                                    ("--xmin=-1e200", "--xmax=1e200")],
+                         ids=["xmin-inf", "xmax-inf", "xmax-nan", "xmin-nan", "span-overflows",
+                              "phase-overflows"])
+def test_dump_eigenfunction_refuses_non_finite_range(capsys, bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dump", "eigenfunction", *bounds)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_dump_eigenfunction_refuses_overflowing_level(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dump", "eigenfunction", "--n", "5",
+                                 "--xmin=-1e100", "--xmax=1e100")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: level 5 overflows at |x| up to 1e+100\n"
+
+
 def test_dump_gram(capsys):
     code, out, _ = run_cli(capsys, "dump", "gram", "--nmax", "8")
     assert code == 0
@@ -299,10 +323,11 @@ def test_dump_decay_refuses_overflowing_horizon(capsys):
 def test_dump_gram_refuses_non_finite_rule(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, "dump", "gram", "--nodes", "400")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error:")
+        for _ in range(2):  # the rule cache keeps no refusal
+            code, out, err = run_cli(capsys, "dump", "gram", "--nodes", "400")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("usage error:")
     assert not caught
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -15,6 +17,7 @@ from iwqm.eigenfunctions import (
     exact_form,
     generating_function,
     hermite_coefficients,
+    hermite_levels,
     lowering,
     raising,
 )
@@ -132,8 +135,11 @@ def test_eigenfunction_level_zero_is_generating_function():
 
 
 def test_evaluate_scalar_matches_array():
-    f = eigenfunction(KET, 3)
-    assert evaluate(f, 1.25) == pytest.approx(evaluate(f, np.array([1.25]))[0])
+    for family in (KET, BRA):
+        f = eigenfunction(family, 3)
+        value = evaluate(f, 1.25)
+        assert type(value) is complex
+        assert value == evaluate(f, np.array([1.25]))[0]
 
 
 def test_values_stay_finite_and_polynomially_bounded():
@@ -179,3 +185,58 @@ def test_evaluate_matches_high_precision_hermite():
                 values = evaluate(eigenfunction(family, n), x)
                 np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0,
                                            err_msg=f"{family} level {n}")
+
+
+def _in_place_levels(z, start, number):
+    # each level is copied as it is yielded: the recurrence reuses its buffers
+    return np.array([level.copy() for level in islice(hermite_levels(z, start), number)])
+
+
+def test_in_place_recurrence_is_bitwise_the_allocating_one(reference_levels):
+    nodes = nherm.hermgauss(64)[0].astype(complex)
+    x = np.linspace(-6.0, 6.0, 2001)
+    rotated = np.exp(0.25j * np.pi) * x
+    ground = (1j / np.pi) ** 0.25 * np.exp(-0.5j * x * x)
+    for z, start in ((nodes, np.ones_like(nodes)), (rotated, ground)):
+        expected = reference_levels(z, start.copy(), 65)
+        assert np.array_equal(_in_place_levels(z, start.copy(), 65), expected)
+
+
+def test_in_place_recurrence_overwrites_a_level_two_levels_later():
+    z = np.linspace(-2.0, 2.0, 7).astype(complex)
+    start = np.ones_like(z)
+    gen = hermite_levels(z, start)
+    level0 = next(gen)
+    assert level0 is start
+    next(gen)
+    assert np.array_equal(level0, np.ones_like(z))
+    next(gen)
+    assert not np.array_equal(level0, np.ones_like(z))
+
+
+def test_evaluate_result_owns_its_memory():
+    x = np.linspace(-3.0, 3.0, 201)
+    before = x.copy()
+    first = evaluate(eigenfunction(KET, 7), x)
+    second = evaluate(eigenfunction(BRA, 7), x)
+    assert not np.shares_memory(first, x)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(x, before)
+    np.testing.assert_allclose(second, np.conj(first), atol=1e-15)
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, 1e200, [0.0, 2e154]])
+def test_evaluate_refuses_x_with_non_finite_phase(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite x\\^2/2"):
+            evaluate(eigenfunction(KET, 2), x)
+
+
+def test_evaluate_refuses_overflowing_levels():
+    # the phase of x = 1e100 is finite, but psi_5 ~ x^5 is not
+    assert abs(evaluate(eigenfunction(KET, 0), 1e100)) == pytest.approx(np.pi ** -0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="level 5 overflows"):
+            evaluate(eigenfunction(KET, 5), np.array([0.0, 1e100]))

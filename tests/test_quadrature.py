@@ -11,6 +11,7 @@ from iwqm.quadrature import (
     ROTATION,
     ContourQuadrature,
     PrecisionError,
+    default_node_count,
     density_interval_integral,
     fresnel_gaussian,
     gram_matrix,
@@ -86,17 +87,38 @@ def test_rule_structure():
 
 
 def test_rule_rejects_empty():
-    with pytest.raises(ValueError):
-        ContourQuadrature.build(0)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError):
+            ContourQuadrature.build(0)
 
 
 def test_rule_refuses_non_finite_weights():
     assert np.all(np.isfinite(ContourQuadrature.build(350).weights))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="non-finite"):
-            ContourQuadrature.build(400)
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError, match="non-finite"):
+                ContourQuadrature.build(400)
     assert not caught
+
+
+def test_rule_builds_are_equal_and_read_only():
+    first, second = ContourQuadrature.build(64), ContourQuadrature.build(64)
+    for name in ("nodes", "weights"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert np.array_equal(a, b)
+        for arr in (a, b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+@pytest.mark.parametrize("nmax", [8, 20, 64])
+def test_gram_is_bitwise_the_allocating_recurrence(nmax, reference_levels):
+    rule = ContourQuadrature.build(default_node_count(nmax))
+    z = rule.nodes / ROTATION
+    levels = reference_levels(z, np.ones_like(z), nmax + 1)
+    expected = np.sqrt(1j / np.pi) * (levels * rule.weights) @ levels.T
+    assert np.array_equal(gram_matrix(nmax), expected)
 
 
 def test_ground_state_pairing_is_one():
