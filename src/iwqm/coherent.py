@@ -18,6 +18,11 @@ from one built (bra, ket) pair by :func:`moments`: x = (a- + a+)/sqrt(2i)
 and p = (a- - a+)/sqrt(2i) act on the ket coefficients as O(dim) ladder
 bands, and x^2 is x applied twice to the truncated vector, which equals
 the truncated matrix product (X @ X) @ c.  No dense matrix is formed.
+:func:`expectation` applies only the observable it is asked for (two
+ladder actions for x or p, four for x^2 or p^2) with the same operations,
+so it equals the :func:`moments` entry bit for bit.  The sqrt(n) band
+that the ladder actions and the coefficient recurrence use is computed
+once per truncation (:func:`iwqm.expressions.ladder_band`).
 The closed forms of the label algebra give the same values, and the two
 routes are cross-asserted by the tests.  The variances come out as the
 alpha-independent constants -i/2 and +i/2, whose principal square roots
@@ -40,6 +45,7 @@ from .algebra import (
     dual_pairing,
     ladder_action,
 )
+from .expressions import ladder_band
 
 #: Default phase in the bra coefficient ratio c_n / c_{n-1} = bra_phase * alpha / sqrt(n).
 BRA_COEFF_PHASE = 1j
@@ -115,7 +121,7 @@ def build_coherent(family: str, alpha: complex, dim: int = 64, *,
     base = alpha if family == KET else bra_phase * alpha
     ratios = np.empty(dim, dtype=complex)
     ratios[0] = np.exp(0.5j * abs(alpha) ** 2) if family == KET else np.exp(-0.5j * abs(alpha) ** 2)
-    ratios[1:] = base / np.sqrt(np.arange(1, dim, dtype=float))
+    ratios[1:] = base / ladder_band(dim)
     return CoherentState(family, alpha, np.cumprod(ratios))
 
 
@@ -139,6 +145,19 @@ def mutual_pairing(bra_state: CoherentState, ket_state: CoherentState) -> comple
 
 _OBSERVABLES = ("x", "p", "x2", "p2")
 
+_ROOT_2I = np.sqrt(2j)
+
+
+def _quadratures(c: np.ndarray, names: str) -> list[np.ndarray]:
+    """x and/or p (``names`` is "x", "p" or "xp") applied to ket coefficients c.
+
+    One lowering and one raising action serve both: x c = (a- c + a+ c) / sqrt(2i)
+    and p c = (a- c - a+ c) / sqrt(2i).
+    """
+    low = ladder_action("a-", KET, c)
+    rai = ladder_action("a+", KET, c)
+    return [(low + rai) / _ROOT_2I if name == "x" else (low - rai) / _ROOT_2I for name in names]
+
 
 def moments(bra: CoherentState, ket: CoherentState) -> dict[str, complex]:
     """<bra| O |ket> for O = x, p, x^2, p^2 on the truncated Fock space.
@@ -152,37 +171,39 @@ def moments(bra: CoherentState, ket: CoherentState) -> dict[str, complex]:
             f"moments take (bra, ket); got families ({bra.family!r}, {ket.family!r})")
     if bra.dim != ket.dim:
         raise ValueError(f"dimension mismatch: {bra.dim} vs {ket.dim}")
-    root = np.sqrt(2j)
-
-    def band(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        low = ladder_action("a-", KET, c)
-        rai = ladder_action("a+", KET, c)
-        return (low + rai) / root, (low - rai) / root
-
-    x_ket, p_ket = band(ket.coeffs)
-    vectors = {"x": x_ket, "p": p_ket, "x2": band(x_ket)[0], "p2": band(p_ket)[1]}
+    x_ket, p_ket = _quadratures(ket.coeffs, "xp")
+    vectors = {"x": x_ket, "p": p_ket,
+               "x2": _quadratures(x_ket, "x")[0], "p2": _quadratures(p_ket, "p")[0]}
     return {name: complex(np.vdot(bra.coeffs, v)) for name, v in vectors.items()}
 
 
 def expectation(observable: str, alpha: complex, dim: int = 64, *,
                 strict: bool = True, bra_phase: complex = BRA_COEFF_PHASE) -> complex:
-    """Dual-pairing expectation of x, p, x^2 or p^2 on the truncated Fock space."""
+    """Dual-pairing expectation of x, p, x^2 or p^2 on the truncated Fock space.
+
+    Only the requested observable is applied, with the operations
+    :func:`moments` uses for it, so the value equals
+    ``moments(bra, ket)[observable]`` bit for bit.
+    """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
     ket = build_coherent(KET, alpha, dim, strict=strict)
     bra = build_coherent(BRA, alpha, dim, strict=strict, bra_phase=bra_phase)
-    return moments(bra, ket)[observable]
+    name = observable[0]
+    (v,) = _quadratures(ket.coeffs, name)
+    if observable.endswith("2"):
+        (v,) = _quadratures(v, name)
+    return complex(np.vdot(bra.coeffs, v))
 
 
 def expectation_closed_form(observable: str, alpha: complex) -> complex:
     """The same expectations from the closed-form algebra of the label alpha."""
     alpha = complex(alpha)
     ac = np.conj(alpha)
-    root = np.sqrt(2j)
     if observable == "x":
-        return complex((alpha - 1j * ac) / root)
+        return complex((alpha - 1j * ac) / _ROOT_2I)
     if observable == "p":
-        return complex((alpha + 1j * ac) / root)
+        return complex((alpha + 1j * ac) / _ROOT_2I)
     if observable == "x2":
         return complex((alpha ** 2 - 2j * abs(alpha) ** 2 + 1 - ac ** 2) / 2j)
     if observable == "p2":

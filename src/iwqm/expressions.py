@@ -30,6 +30,7 @@ checks is a pair of such trees compared by :func:`identity_residual`;
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -122,9 +123,17 @@ def _check_dim(dim: int, minimum: int = 2) -> None:
         raise ValueError(f"truncation dimension must be an integer >= {minimum}, got {dim!r}")
 
 
+# Bounded: truncations come from user input.
+@functools.lru_cache(maxsize=64)
 def ladder_band(dim: int) -> np.ndarray:
-    """sqrt(1..dim-1): the entries sqrt(n) of a- at (n-1, n) and of a+ at (n, n-1)."""
-    return np.sqrt(np.arange(1, dim, dtype=float))
+    """sqrt(1..dim-1): the entries sqrt(n) of a- at (n-1, n) and of a+ at (n, n-1).
+
+    Computed once per truncation and shared by every caller, so the array
+    is read-only.
+    """
+    band = np.sqrt(np.arange(1, dim, dtype=float))
+    band.setflags(write=False)
+    return band
 
 
 def _shifted(band: np.ndarray, p: int) -> np.ndarray:

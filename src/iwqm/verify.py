@@ -406,15 +406,17 @@ _SUITES = (
 
 _PHASES = ((1j, "+i"), (-1j, "-i"))
 
+#: Well-truncated label at which the bra phases are determined.
+_PROBE_LABEL = 1.0 + 0.5j
+
 
 def _bra_phase_verdicts(dim: int) -> dict[str, bool]:
     """Per bra coherent phase: does it give <alpha|alpha> = 1 and solve the
     eigenvalue equation, at a fixed well-truncated label?"""
-    probe = 1.0 + 0.5j
-    ket = coherent.build_coherent(KET, probe, dim)
+    ket = coherent.build_coherent(KET, _PROBE_LABEL, dim)
     verdicts = {}
     for phase, label in _PHASES:
-        bra = coherent.build_coherent(BRA, probe, dim, bra_phase=phase)
+        bra = coherent.build_coherent(BRA, _PROBE_LABEL, dim, bra_phase=phase)
         verdicts[label] = (abs(coherent.mutual_pairing(bra, ket) - 1.0) <= 1e-10
                            and coherent.eigen_residual(bra) <= 1e-10)
     return verdicts
@@ -423,6 +425,18 @@ def _bra_phase_verdicts(dim: int) -> dict[str, bool]:
 def determine_bra_phase(dim: int = 64) -> str:
     """Name the bra coherent coefficient phase that passes both conditions."""
     return next((label for label, ok in _bra_phase_verdicts(dim).items() if ok), "none")
+
+
+def _bra_ladder_phase_verdicts(dim: int) -> dict[str, bool]:
+    """Per bra ladder step phase: does the bra coherent state at the probe
+    label solve its eigenvalue equation a+ |alpha>_l = alpha |alpha>_l?"""
+    bra = coherent.build_coherent(BRA, _PROBE_LABEL, dim)
+    return {label: coherent.eigen_residual(bra, phase) <= 1e-10 for phase, label in _PHASES}
+
+
+def _bra_ladder_phase() -> str:
+    """Name the bra ladder step phase under which the bra eigenvalue equation holds."""
+    return next((label for label, ok in _bra_ladder_phase_verdicts(64).items() if ok), "none")
 
 
 def _dual_eigenfunction_phase() -> str:
@@ -435,7 +449,7 @@ def conventions(cfg: RunConfig) -> dict:
     """The sign/phase conventions in force, with the determined phases."""
     return {
         "adjoint_sigma": f"{cfg.sigma:+d}",
-        "bra_ladder_phase": "-i",
+        "bra_ladder_phase": _bra_ladder_phase(),
         "bra_coherent_phase": determine_bra_phase(),
         "dual_eigenfunction_phase": _dual_eigenfunction_phase(),
     }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from iwqm import cli, dynamics
+from iwqm.algebra import BRA, KET, DualVector, dual_pairing
 from iwqm.cli import main
 from iwqm.coherent import TruncationWarning
 
@@ -138,6 +139,32 @@ def test_dump_eigenfunction_refuses_overflowing_level(capsys):
     assert code == 2
     assert out == ""
     assert err == "usage error: level 5 overflows at |x| up to 1e+100\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "100001", "--xmin", "0", "--xmax", "1e-9", "--samples", "2"],
+     "usage error: level 100001 exceeds the cap of 100000\n"),
+    (["--n", "99999", "--samples", "1001"],
+     "usage error: n * samples = 100098999 exceeds the cap of 100000000\n"),
+    (["--n", "2000", "--samples", "50001"],
+     "usage error: n * samples = 100002000 exceeds the cap of 100000000\n"),
+], ids=["level", "level-times-default-samples", "level-times-samples"])
+def test_dump_eigenfunction_refuses_levels_above_the_cap(capsys, argv, message):
+    code, out, err = run_cli(capsys, "dump", "eigenfunction", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_dump_eigenfunction_runs_at_the_caps(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DUMP_LEVEL", 10)
+    monkeypatch.setattr(cli, "MAX_DUMP_LEVEL_SAMPLES", 100)
+    code, out, _ = run_cli(capsys, "dump", "eigenfunction", "--n", "10", "--samples", "10")
+    assert code == 0
+    assert len(out.splitlines()) == 11
+    for argv in (["--n", "11", "--samples", "2"], ["--n", "10", "--samples", "11"]):
+        code, out, _ = run_cli(capsys, "dump", "eigenfunction", *argv)
+        assert (code, out) == (2, "")
 
 
 def test_dump_gram(capsys):
@@ -341,6 +368,38 @@ def test_dump_decay(capsys):
     assert rows[-1][1] == pytest.approx(np.exp(1.5 * 0.5))
     for row in rows:
         assert row[2] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", [KET, BRA])
+def test_dump_decay_rows_are_the_full_vector_route(capsys, family):
+    n, omega, dt, steps = 5, 1.3, 0.01, 100
+    code, out, _ = run_cli(capsys, "dump", "decay", "--n", str(n), "--set", family,
+                           "--omega", str(omega), "--tfinal", str(steps * dt), "--dt", str(dt))
+    assert code == 0
+    # the (n+1)-vector route: level n propagated among n zero levels
+    base = np.zeros(n + 1, dtype=complex)
+    base[n] = 1.0
+    expected = ["t,factor,mixed_pairing"]
+    for k in range(steps + 1):
+        t = k * dt
+        ket = DualVector(KET, dynamics.propagate_coeffs(KET, base, omega, t))
+        bra = DualVector(BRA, dynamics.propagate_coeffs(BRA, base, omega, t))
+        factor = dynamics.propagate_fock(family, n, omega, t)
+        expected.append(f"{t!r},{factor!r},{float(dual_pairing(bra, ket).real)!r}")
+    assert out.splitlines() == expected
+    assert any(not line.endswith(",1.0") for line in expected[1:])
+
+
+def test_dump_decay_at_level_1e9(run_capped):
+    # an (n+1)-vector at this level needs 16 GB, above the child's address cap
+    done = run_capped("-m", "iwqm.cli", "dump", "decay", "--n", "1000000000",
+                      "--tfinal", "1e-7", "--dt", "1e-8")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 12
+    last = [float(v) for v in lines[-1].split(",")]
+    assert last[1] == pytest.approx(np.exp((1e9 + 0.5) * 1e-7))
+    assert last[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -181,10 +181,19 @@ def test_moments_match_dense_contraction(dim, phase):
 
 
 def test_expectation_takes_the_bra_phase():
-    alpha = 0.9 + 0.2j
-    ket = build_coherent(KET, alpha, 64)
-    bad = build_coherent(BRA, alpha, 64, bra_phase=-1j)
-    assert expectation("x2", alpha, 64, bra_phase=-1j) == moments(bad, ket)["x2"]
+    # expectation applies only its own observable, with the operations moments
+    # uses for it, so the two agree bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for dim in (8, 64, 160):
+            for phase in (1j, -1j):
+                for alpha in (0.0, 0.9 + 0.2j, -0.7 + 1.1j, -1.99):
+                    ket = build_coherent(KET, alpha, dim, strict=False)
+                    bra = build_coherent(BRA, alpha, dim, strict=False, bra_phase=phase)
+                    measured = moments(bra, ket)
+                    for name in ("x", "p", "x2", "p2"):
+                        value = expectation(name, alpha, dim, strict=False, bra_phase=phase)
+                        assert value == measured[name], (dim, phase, alpha, name)
 
 
 def test_moments_arguments():
@@ -206,6 +215,31 @@ def _count_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(coherent, "build_coherent", counting)
     return calls
+
+
+@pytest.mark.parametrize("name, actions", [("x", 2), ("p", 2), ("x2", 4), ("p2", 4)])
+def test_expectation_applies_only_its_observable(monkeypatch, name, actions):
+    calls = []
+    action = coherent.ladder_action
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return action(*args, **kwargs)
+
+    monkeypatch.setattr(coherent, "ladder_action", counting)
+    expectation(name, 1 + 0.5j, 64)
+    assert calls == ["a-", "a+"] * (actions // 2)
+    calls.clear()
+    moments(build_coherent(BRA, 0.5, 64), build_coherent(KET, 0.5, 64))
+    assert len(calls) == 6
+
+
+def test_permissive_expectation_warns_on_every_call():
+    for _ in range(2):
+        with pytest.warns(TruncationWarning) as record:
+            value = expectation("x2", 2.0, 8, strict=False)
+        assert len(record) == 2  # one per built family
+        assert math.isfinite(abs(value))
 
 
 def test_uncertainty_product_builds_one_pair(monkeypatch):

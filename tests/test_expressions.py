@@ -168,6 +168,16 @@ def test_verify_identity_verdicts_match_dense_reference(nmax, omega, sigma, monk
         assert checks[name].passed == (dense <= tol), (name, checks[name].residual, dense)
 
 
+@pytest.mark.parametrize("dim", [2, 8, 160])
+def test_ladder_band_is_one_read_only_array_per_truncation(dim):
+    band = expressions.ladder_band(dim)
+    assert expressions.ladder_band(dim) is band
+    np.testing.assert_array_equal(band, np.sqrt(np.arange(1, dim)))
+    with pytest.raises(ValueError):
+        band[0] = 2.0
+    np.testing.assert_array_equal(algebra.build_lowering(dim).diagonal(1), band)
+
+
 def test_to_matrix_product_order():
     ab = _mat(op_product(A_MINUS, A_PLUS))
     np.testing.assert_allclose(ab, algebra.build_lowering(DIM) @ algebra.build_raising(DIM))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from iwqm import coherent, verify
 from iwqm.verify import (
     RunConfig,
     algebra_identities,
@@ -63,6 +64,18 @@ def test_conventions_report_names_the_passing_phase():
     assert payload["bra_coherent_phase"] == "+i"
     assert payload["adjoint_sigma"] == "-1"
     assert determine_bra_phase() == "+i"
+
+
+def test_bra_ladder_phase_is_determined(monkeypatch):
+    assert verify._bra_ladder_phase_verdicts(64) == {"+i": False, "-i": True}
+    assert conventions(RunConfig())["bra_ladder_phase"] == "-i"
+    # bra coefficients built with the opposite phase solve a+ |alpha>_l = alpha |alpha>_l
+    # only under the opposite ladder phase
+    build = coherent.build_coherent
+    monkeypatch.setattr(coherent, "build_coherent",
+                        lambda *args, **kwargs: build(*args, **{**kwargs, "bra_phase": -1j}))
+    assert verify._bra_ladder_phase_verdicts(64) == {"+i": True, "-i": False}
+    assert conventions(RunConfig())["bra_ladder_phase"] == "+i"
 
 
 def test_small_truncation_widens_coherent_tolerances():
