@@ -371,7 +371,7 @@ def correspondence_suite(cfg: RunConfig) -> SuiteReport:
     errors = []
     drift = 0.0
     try:
-        for dt, steps in ((3e-2, 50), (1.5e-2, 100)):
+        for dt, steps in ((5e-2, 30), (2.5e-2, 60)):
             diagnostics: dict = {}
             grid = dynamics.grid_split_step(packet, dt / omega, steps, diagnostics=diagnostics)
             classical = dynamics.classical_orbit(0.5, omega, 1, grid.times)

@@ -310,6 +310,16 @@ def test_runtime_error_exits_1_with_one_line(capsys, monkeypatch):
     assert err == "runtime error: boundary amplitude 1e-3 exceeds 1e-10 at step 7\n"
 
 
+@pytest.mark.parametrize("omega", ["1e80", "1e100"])
+def test_dump_evolve_grid_at_huge_omega_exits_1_with_one_line(capsys, omega):
+    # the kicks' phases stay finite; the run stops at a guard, not a traceback
+    code, out, err = run_cli(capsys, "dump", "evolve", "--grid", "--omega", omega,
+                             "--tfinal", str(1.5 / float(omega)))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("runtime error:") and err.count("\n") == 1
+
+
 def test_memory_error_exits_1_with_one_line(run_capped):
     done = run_capped("-m", "iwqm.cli", "dump", "eigenfunction", "--samples", "100000000000")
     assert done.returncode == 1

@@ -226,25 +226,33 @@ def test_grid_split_step_tracks_classical_orbit():
     assert diagnostics["edge_max"] <= 1e-10
 
 
-def yoshida_reference(packet, dt, steps, leak_tol=1e-10):
-    """Unfused fourth-order steps, three Strang steps S(c1 dt) S(c0 dt) S(c1 dt)
-    each with both half-kicks applied, and observables after every step:
+def chin_reference(packet, dt, steps, leak_tol=1e-10):
+    """Unfused fourth-order steps V(dt/6) T(dt/2) Vt(2 dt/3) T(dt/2) V(dt/6),
+    both outer kicks applied every step and the gradient term of
+    Vt = V - (dt^2/48) V'^2 written out, with observables after every step:
     <x>(t) and the first step whose boundary amplitude exceeds ``leak_tol``
     (or None)."""
     x, dx = packet.x, packet.dx
     k = 2.0 * np.pi * np.fft.fftfreq(packet.points, dx)
-    c1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    c0 = -(2.0 ** (1.0 / 3.0)) * c1
+    potential = -0.5 * packet.omega ** 2 * x * x
+    gradient = -packet.omega ** 2 * x
+    corrected = potential - dt ** 2 / 48.0 * gradient ** 2
 
-    def strang(psi, h):
-        half = np.exp(0.25j * h * packet.omega ** 2 * x * x)
-        return half * np.fft.ifft(np.exp(-0.5j * h * k * k) * np.fft.fft(half * psi))
+    def kick(psi, v, h):
+        return np.exp(-1j * h * v) * psi
+
+    def drift(psi, h):
+        return np.fft.ifft(np.exp(-0.5j * h * k * k) * np.fft.fft(psi))
 
     psi = packet.psi
     xs = []
     for s in range(steps + 1):
         if s:
-            psi = strang(strang(strang(psi, c1 * dt), c0 * dt), c1 * dt)
+            psi = kick(psi, potential, dt / 6.0)
+            psi = drift(psi, dt / 2.0)
+            psi = kick(psi, corrected, 2.0 * dt / 3.0)
+            psi = drift(psi, dt / 2.0)
+            psi = kick(psi, potential, dt / 6.0)
         dens = np.abs(psi) ** 2
         xs.append(np.sum(x * dens) / np.sum(dens))
         if max(abs(psi[0]), abs(psi[-1])) > leak_tol:
@@ -254,16 +262,19 @@ def yoshida_reference(packet, dt, steps, leak_tol=1e-10):
 
 def test_grid_split_step_matches_unfused_reference():
     packet = gaussian_packet(0.5)
-    expected, leak_step = yoshida_reference(packet, 1e-3, 1500)
-    assert leak_step is None
-    trajectory = grid_split_step(packet, 1e-3, 1500)
-    assert np.max(np.abs(trajectory.values.real - expected)) <= 1e-12
+    # a fine step, and the coarse step of the correspondence suite, where a
+    # step without the gradient term is 2e-5 away
+    for dt, steps in ((1e-3, 1500), (5e-2, 30)):
+        expected, leak_step = chin_reference(packet, dt, steps)
+        assert leak_step is None
+        trajectory = grid_split_step(packet, dt, steps)
+        assert np.max(np.abs(trajectory.values.real - expected)) <= 1e-12
 
 
 def test_grid_split_step_detects_boundary_leak():
     # a grid sized for t_final = 0.1 cannot hold the packet for 3 time units
     short = gaussian_packet(0.5, t_final=0.1)
-    _, leak_step = yoshida_reference(short, 1e-3, 3000)
+    _, leak_step = chin_reference(short, 1e-3, 3000)
     assert leak_step is not None and 100 < leak_step < 3000
     with pytest.raises(GridLeakError, match=f"at step {leak_step}$"):
         grid_split_step(short, 1e-3, 3000)
@@ -272,14 +283,16 @@ def test_grid_split_step_detects_boundary_leak():
 @pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])
 def test_grid_split_step_is_fourth_order(omega):
     packet = gaussian_packet(0.5, omega)
-    errors = []
-    for dt, steps in ((3e-2, 50), (1.5e-2, 100)):
-        trajectory = grid_split_step(packet, dt / omega, steps)
-        classical = classical_orbit(0.5, omega, 1, trajectory.times)
-        mask = trajectory.times * omega >= 0.1
-        errors.append(np.max(np.abs(trajectory.values.real[mask] - classical[mask])
-                             / np.abs(classical[mask])))
-    assert 14.0 <= errors[0] / errors[1] <= 18.0
+    # the second pair is the one the correspondence suite runs
+    for pair in (((3e-2, 50), (1.5e-2, 100)), ((5e-2, 30), (2.5e-2, 60))):
+        errors = []
+        for dt, steps in pair:
+            trajectory = grid_split_step(packet, dt / omega, steps)
+            classical = classical_orbit(0.5, omega, 1, trajectory.times)
+            mask = trajectory.times * omega >= 0.1
+            errors.append(np.max(np.abs(trajectory.values.real[mask] - classical[mask])
+                                 / np.abs(classical[mask])))
+        assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
 @pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])

@@ -124,3 +124,13 @@ def test_operator_identities_at_nmax_100000(run_capped):
     names = [row[0] for row in algebra_identities(RunConfig()) + heisenberg_identities(1.0)]
     assert set(names) <= set(residuals)
     assert all(math.isfinite(float(residuals[name])) for name in names)
+
+
+@pytest.mark.parametrize("omega", [0.05, 1.0, 10.0, 40.0])
+def test_grid_checks_pass_across_omega(omega):
+    report = verify.correspondence_suite(RunConfig(omega=omega))
+    grid = {c.name: c for c in report.checks if c.name.startswith("grid_")}
+    assert sorted(grid) == ["grid_expectation", "grid_norm", "grid_order"]
+    assert all(c.passed for c in grid.values())
+    # the fourth-order step at dt = 5e-2/omega leaves about 1e-8
+    assert grid["grid_expectation"].residual <= 2e-8
