@@ -52,11 +52,13 @@ from .verify import RunConfig, SuiteReport, determine_bra_phase, report_csv_line
 
 
 #: Largest level ``dump eigenfunction`` evaluates: each recurrence step costs
-#: about 5 us even at two samples, so the cap is about half a second.
+#: about 4 us even at two samples, so the cap is about 0.4 s.
 MAX_DUMP_LEVEL = 100_000
 
-#: Largest level * samples ``dump eigenfunction`` evaluates: each recurrence
-#: step costs about 6 ns per sample, so the cap is well under a second.
+#: Largest level * samples ``dump eigenfunction`` evaluates, with level 0
+#: counted as one level: each recurrence step costs about 4.5 ns per sample,
+#: so the cap is well under a second, and the samples of any level need
+#: a few GiB at most.
 MAX_DUMP_LEVEL_SAMPLES = 10 ** 8
 
 
@@ -176,9 +178,9 @@ def cmd_dump_eigenfunction(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError("need samples >= 2 and xmax > xmin")
     if args.n > MAX_DUMP_LEVEL:
         raise ValueError(f"level {args.n} exceeds the cap of {MAX_DUMP_LEVEL}")
-    if args.n * args.samples > MAX_DUMP_LEVEL_SAMPLES:
-        raise ValueError(f"n * samples = {args.n * args.samples} exceeds "
-                         f"the cap of {MAX_DUMP_LEVEL_SAMPLES}")
+    if max(args.n, 1) * args.samples > MAX_DUMP_LEVEL_SAMPLES:
+        size = f"n * samples = {args.n * args.samples}" if args.n else f"samples = {args.samples}"
+        raise ValueError(f"{size} exceeds the cap of {MAX_DUMP_LEVEL_SAMPLES}")
     f = eigenfunction(args.family, args.n)
     x = np.linspace(args.xmin, args.xmax, args.samples)
     values = evaluate(f, x)

@@ -11,7 +11,10 @@ come from the normalized three-term recurrence
     h_{n+1} = sqrt(2/(n+1)) z h_n - sqrt(n/(n+1)) h_{n-1},
 
 which is stable off the real z axis and on the real Gauss-Hermite nodes
-of the rotated pairing rule (see :mod:`iwqm.quadrature`).
+of the rotated pairing rule (see :mod:`iwqm.quadrature`).  It is run as
+h_n = s_n q_n with the monic q_{n+1} = z q_n - (n/2) q_{n-1} on the arrays
+and the normalization s_{n+1} = sqrt(2/(n+1)) s_n carried as one scalar
+(:func:`hermite_levels`).
 
 The bra family carries one free phase per ladder step: the default
 ``BRA_STEP_PHASE = +1j`` makes the dual families mutually orthonormal under
@@ -49,6 +52,8 @@ _Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into ex
 
 _GROUND = (1j / np.pi) ** 0.25  # ket ground-state amplitude (i/pi)^(1/4)
 
+_FOLD = 2.0 ** -64  # moved from the scale into the arrays of hermite_levels
+
 
 @dataclass(frozen=True)
 class Eigenfunction:
@@ -83,20 +88,34 @@ def eigenfunction(family: str, n: int, bra_phase: complex = BRA_STEP_PHASE) -> E
 
 
 def hermite_levels(z: np.ndarray, start: np.ndarray):
-    """Yield start * H_n(z) / sqrt(2^n n!) for n = 0, 1, 2, ... by the normalized recurrence.
+    """Yield (scale, q) with scale * q = start * H_n(z) / sqrt(2^n n!) for n = 0, 1, 2, ...
+
+    The arrays run the monic recurrence q_{n+1} = z q_n - (n/2) q_{n-1},
+    three array passes per level, and the normalization sqrt(2^n / n!) is
+    carried as the scalar ``scale``, times sqrt(2/(n+1)) per level.
+    Whenever the next scale would drop below 1, 2^-64 is folded into both
+    arrays and 2^64 into the scale.  Both are exact, so the scale stays at
+    or above 1 and an array never exceeds its normalized level: whatever
+    level is finite stays finite.  The price is at the other end: an array
+    sits up to 2^64 below its level, so a level below about 1e-289 (an odd
+    level at |x| below about 1e-289) loses relative precision to
+    subnormal underflow.
 
     The recurrence runs in place on three complex buffers: ``start`` is
     consumed as the first, and two more of its shape are allocated once.
-    Each step evaluates a z h_n - b h_{n-1} in the order of the plain
-    expression, so every level is bit-for-bit the allocating form's.  A
-    yielded level is overwritten two levels later; copy it to keep it.
+    A yielded array is overwritten two levels later; copy it to keep it.
     """
     cur, prev, tmp = start, np.zeros_like(start), np.empty_like(start)
+    scale = 1.0
     for n in count():
-        yield cur
-        np.multiply(z, math.sqrt(2.0 / (n + 1)), out=tmp)
-        tmp *= cur
-        prev *= math.sqrt(n / (n + 1))
+        yield scale, cur
+        scale *= math.sqrt(2.0 / (n + 1))
+        if scale < 1.0:
+            cur *= _FOLD
+            prev *= _FOLD
+            scale /= _FOLD
+        np.multiply(z, cur, out=tmp)
+        prev *= 0.5 * n
         np.subtract(tmp, prev, out=prev)
         prev, cur = cur, prev
 
@@ -119,7 +138,8 @@ def evaluate(f: Eigenfunction, x):
     np.sin(phase, out=phase)
     vals *= _GROUND  # the ground state (i/pi)^(1/4) e^{-i x^2/2}
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = next(islice(hermite_levels(_Z_PHASE * xs, vals), f.n, None))
+        scale, vals = next(islice(hermite_levels(_Z_PHASE * xs, vals), f.n, None))
+        vals *= scale
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"level {f.n} overflows at |x| up to {np.max(np.abs(xs)):.3g}")
     if f.family == BRA:

@@ -9,8 +9,11 @@ integral(x^m exp(-i x^2)) = sqrt(pi/i) (m-1)!! / (2i)^(m/2) (even m).
 The dual-family pairings are sqrt(i/pi) h_m(z) h_n(z) exp(-i x^2) with
 z = e^{i pi/4} x (see :mod:`iwqm.eigenfunctions`).  On the rotated
 contour z is the real Gauss-Hermite node itself, so the rule path runs
-the eigenfunction recurrence on real nodes; the moment path contracts the
-exact integer Hermite coefficients with the Gaussian moments instead.
+the eigenfunction recurrence on real nodes and contracts the levels with
+``einsum`` (a product this small is slower on threaded BLAS); the moment
+path contracts the exact integer Hermite coefficients with the Gaussian
+moments instead, one parity at a time, since H_m has only powers of m's
+parity and odd moments vanish.
 """
 
 from __future__ import annotations
@@ -135,9 +138,11 @@ def _rule_pairings(rule: ContourQuadrature, top: int) -> np.ndarray:
     """integral(psi_m psi_n) of ket levels m, n <= top by the rule."""
     z = rule.nodes / ROTATION  # the real Gauss-Hermite nodes, up to rounding
     levels = np.empty((top + 1, z.shape[0]), dtype=complex)
-    for row, level in zip(levels, hermite_levels(z, np.ones_like(z))):
-        row[:] = level  # copied: the recurrence overwrites its buffers
-    return np.sqrt(1j / np.pi) * (levels * rule.weights) @ levels.T
+    for row, (scale, level) in zip(levels, hermite_levels(z, np.ones_like(z))):
+        np.multiply(level, scale, out=row)  # a copy: the recurrence overwrites its buffers
+    # einsum sums in its own loop; a matmul this small on threaded BLAS wakes a
+    # worker that costs far more than the product
+    return np.sqrt(1j / np.pi) * np.einsum("in,jn->ij", levels * rule.weights, levels)
 
 
 def pairing_integral(bra_f: Eigenfunction, ket_f: Eigenfunction,
@@ -162,22 +167,34 @@ def _moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
     """integral(psi_m psi_n) of ket levels m in rows, n in cols, from the integer table.
 
     integral(z^(2r) exp(-i x^2)) = sqrt(pi/i) (2r-1)!!/2^r, and sqrt(pi/i)
-    cancels sqrt(i/pi); the sums are exact integers scaled by 2^top, and
-    each entry takes one division.
+    cancels sqrt(i/pi); the sums are exact integers scaled by 2^top.  H_m
+    has only powers of m's parity and odd moments vanish, so each parity
+    is contracted on its own powers and unlike parities pair to an exact
+    0.  Each nonzero sum takes one division.
     """
     top = max(rows + cols)
     padded = [c + [0] * (top + 1 - len(c)) for c in hermite_coefficients(top)]
     table = np.array(padded, dtype=object)
-    scaled = [0] * (2 * top + 1)  # 2^top (2r-1)!!/2^r at index 2r
-    for r in range(top + 1):
-        scaled[2 * r] = math.prod(range(1, 2 * r, 2)) << (top - r)
-    hankel = np.array([scaled[j:j + top + 1] for j in range(top + 1)], dtype=object)
-    numer = table[rows] @ hankel @ table[cols].T
-    out = np.empty(numer.shape)
-    for (i, k), v in np.ndenumerate(numer):
-        m, n = rows[i], cols[k]
-        denom = 4 ** top * 2 ** (m + n) * math.factorial(m) * math.factorial(n)
-        out[i, k] = math.copysign(math.sqrt(v * v / denom), v)
+    # 2^top (2r-1)!!/2^r: the scaled moment of z^(2r)
+    scaled = [math.prod(range(1, 2 * r, 2)) << (top - r) for r in range(top + 1)]
+    out = np.zeros((len(rows), len(cols)))
+    for parity in (0, 1):
+        row_at = [i for i, m in enumerate(rows) if m % 2 == parity]
+        col_at = [k for k, n in enumerate(cols) if n % 2 == parity]
+        if not (row_at and col_at):
+            continue
+        # the powers z^(parity + 2a); z^(parity + 2a) z^(parity + 2b) = z^(2r),
+        # r = parity + a + b
+        width = (top - parity) // 2 + 1
+        hankel = np.array([scaled[parity + a:parity + a + width] for a in range(width)],
+                          dtype=object)
+        left = table[[rows[i] for i in row_at], parity::2]
+        right = table[[cols[k] for k in col_at], parity::2]
+        for (a, b), v in np.ndenumerate(left @ hankel @ right.T):
+            if v:
+                m, n = rows[row_at[a]], cols[col_at[b]]
+                denom = 4 ** top * 2 ** (m + n) * math.factorial(m) * math.factorial(n)
+                out[row_at[a], col_at[b]] = math.copysign(math.sqrt(v * v / denom), v)
     return out
 
 

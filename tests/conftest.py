@@ -35,7 +35,7 @@ def run_capped():
     return run
 
 
-def _allocating_hermite_levels(z, start):
+def _normalized_levels(z, start):
     """The plain normalized recurrence, one fresh array per level."""
     prev, cur = 0.0, start
     for n in count():
@@ -43,13 +43,33 @@ def _allocating_hermite_levels(z, start):
         prev, cur = cur, math.sqrt(2.0 / (n + 1)) * z * cur - math.sqrt(n / (n + 1)) * prev
 
 
+def _scaled_levels(z, start):
+    """The monic recurrence with the normalization as a scalar, one fresh array
+    per level: the operations and folds of ``hermite_levels``, allocating."""
+    prev, cur, scale = np.zeros_like(start), start, 1.0
+    for n in count():
+        yield scale, cur
+        scale *= math.sqrt(2.0 / (n + 1))
+        if scale < 1.0:
+            cur, prev, scale = cur * 2.0 ** -64, prev * 2.0 ** -64, scale * 2.0 ** 64
+        prev, cur = cur, z * cur - (0.5 * n) * prev
+
+
 @pytest.fixture
 def reference_levels():
-    """levels(z, start, number): the first ``number`` recurrence levels, stacked.
+    """levels(z, start, number): the first ``number`` levels scale * q, stacked.
 
-    The reference for the in-place ``eigenfunctions.hermite_levels``, which
-    must agree with it bit for bit.
+    The allocating form of the scaled recurrence: the reference for the
+    in-place ``eigenfunctions.hermite_levels``, which must agree with it bit
+    for bit.
     """
     def levels(z: np.ndarray, start: np.ndarray, number: int) -> np.ndarray:
-        return np.array(list(islice(_allocating_hermite_levels(z, start), number)))
+        return np.array([scale * q for scale, q in islice(_scaled_levels(z, start), number)])
     return levels
+
+
+@pytest.fixture
+def normalized_levels():
+    """The generator of the plain normalized recurrence, levels(z, start):
+    an independent accuracy reference for the scaled one."""
+    return _normalized_levels

@@ -280,6 +280,19 @@ def test_grid_split_step_detects_boundary_leak():
         grid_split_step(short, 1e-3, 3000)
 
 
+def test_leak_guard_is_relative_to_the_initial_peak():
+    # the peak grows like omega^(1/4): at omega 1e20 it is 7.5e4, and the
+    # FFT's rounding leaves edges above 1e-10 on a grid that holds the packet
+    omega = 1e20
+    packet = gaussian_packet(0.5, omega)
+    diagnostics = {}
+    grid_split_step(packet, 1e-3 / omega, 1500, diagnostics=diagnostics)
+    assert 1e-10 < diagnostics["edge_max"] <= 1e-13 * np.max(np.abs(packet.psi))
+    # a grid too small for the horizon still stops the run
+    with pytest.raises(GridLeakError, match="exceeds 7.5"):
+        grid_split_step(gaussian_packet(0.5, omega, t_final=0.1 / omega), 1e-3 / omega, 3000)
+
+
 @pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])
 def test_grid_split_step_is_fourth_order(omega):
     packet = gaussian_packet(0.5, omega)

@@ -189,14 +189,20 @@ def test_evaluate_matches_high_precision_hermite():
 
 def _in_place_levels(z, start, number):
     # each level is copied as it is yielded: the recurrence reuses its buffers
-    return np.array([level.copy() for level in islice(hermite_levels(z, start), number)])
+    return np.array([scale * q for scale, q in islice(hermite_levels(z, start), number)])
+
+
+def _gauss_hermite_nodes():
+    return nherm.hermgauss(64)[0].astype(complex)
+
+
+def _rotated_ground(x):
+    return np.exp(0.25j * np.pi) * x, (1j / np.pi) ** 0.25 * np.exp(-0.5j * x * x)
 
 
 def test_in_place_recurrence_is_bitwise_the_allocating_one(reference_levels):
-    nodes = nherm.hermgauss(64)[0].astype(complex)
-    x = np.linspace(-6.0, 6.0, 2001)
-    rotated = np.exp(0.25j * np.pi) * x
-    ground = (1j / np.pi) ** 0.25 * np.exp(-0.5j * x * x)
+    nodes = _gauss_hermite_nodes()
+    rotated, ground = _rotated_ground(np.linspace(-6.0, 6.0, 2001))
     for z, start in ((nodes, np.ones_like(nodes)), (rotated, ground)):
         expected = reference_levels(z, start.copy(), 65)
         assert np.array_equal(_in_place_levels(z, start.copy(), 65), expected)
@@ -206,12 +212,45 @@ def test_in_place_recurrence_overwrites_a_level_two_levels_later():
     z = np.linspace(-2.0, 2.0, 7).astype(complex)
     start = np.ones_like(z)
     gen = hermite_levels(z, start)
-    level0 = next(gen)
-    assert level0 is start
+    scale0, level0 = next(gen)
+    assert level0 is start and scale0 == 1.0
     next(gen)
     assert np.array_equal(level0, np.ones_like(z))
     next(gen)
     assert not np.array_equal(level0, np.ones_like(z))
+
+
+def test_scaled_recurrence_matches_the_normalized_one(normalized_levels):
+    # levels 0-200 on [-5, 5] (no point at x = 0) and 0-64 on the real
+    # Gauss-Hermite nodes; both ranges fold the scale into the arrays
+    rotated, ground = _rotated_ground(np.linspace(-5.0, 5.0, 1000))
+    expected = np.array(list(islice(normalized_levels(rotated, ground), 201)))
+    np.testing.assert_allclose(_in_place_levels(rotated, ground.copy(), 201), expected,
+                               rtol=1e-13, atol=0)
+    nodes = _gauss_hermite_nodes()
+    expected = np.array(list(islice(normalized_levels(nodes, np.ones_like(nodes)), 65)))
+    # the nodes sit near zeros of the levels (all of level 64), so each
+    # point is measured against the largest of its levels
+    defect = np.abs(_in_place_levels(nodes, np.ones_like(nodes), 65) - expected)
+    assert np.max(defect / np.abs(expected).max(axis=0)) <= 1e-13
+    for z, start, number in ((rotated, ground, 201), (nodes, np.ones_like(nodes), 65)):
+        scales = [scale for scale, _ in islice(hermite_levels(z, start.copy()), number)]
+        assert min(scales) >= 1.0
+        assert any(later > earlier for earlier, later in zip(scales[2:], scales[3:]))  # a fold
+
+
+@pytest.mark.parametrize("n, x", [(100000, np.linspace(-0.5, 0.5, 21)),
+                                  # at the overflow edge: about 1e288, 1e297 and 1e302
+                                  (30, np.array([1e10, -1e10])), (31, np.array([1e10, -1e10])),
+                                  (30, np.array([3e10, -3e10]))])
+def test_evaluate_matches_the_normalized_recurrence(n, x, normalized_levels):
+    rotated, ground = _rotated_ground(x)
+    expected = next(islice(normalized_levels(rotated, ground), n, None))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = evaluate(eigenfunction(KET, n), x)
+    assert np.all(np.isfinite(values))
+    np.testing.assert_allclose(values, expected, rtol=1e-13 if n == 100000 else 1e-12, atol=0)
 
 
 def test_evaluate_result_owns_its_memory():

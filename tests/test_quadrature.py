@@ -9,6 +9,7 @@ from iwqm.algebra import BRA, KET
 from iwqm.eigenfunctions import eigenfunction, generating_function, hermite_coefficients
 from iwqm.quadrature import (
     ROTATION,
+    _moment_pairings,
     ContourQuadrature,
     PrecisionError,
     default_node_count,
@@ -117,8 +118,41 @@ def test_gram_is_bitwise_the_allocating_recurrence(nmax, reference_levels):
     rule = ContourQuadrature.build(default_node_count(nmax))
     z = rule.nodes / ROTATION
     levels = reference_levels(z, np.ones_like(z), nmax + 1)
-    expected = np.sqrt(1j / np.pi) * (levels * rule.weights) @ levels.T
+    expected = np.sqrt(1j / np.pi) * np.einsum("in,jn->ij", levels * rule.weights, levels)
     assert np.array_equal(gram_matrix(nmax), expected)
+
+
+def _dense_moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
+    """The moment pairings as one dense contraction over every power.
+
+    integral(z^(2r) exp(-i x^2)) = sqrt(pi/i) (2r-1)!!/2^r, and sqrt(pi/i)
+    cancels sqrt(i/pi); the sums are exact integers scaled by 2^top, and
+    each entry takes one division.
+    """
+    top = max(rows + cols)
+    padded = [c + [0] * (top + 1 - len(c)) for c in hermite_coefficients(top)]
+    table = np.array(padded, dtype=object)
+    scaled = [0] * (2 * top + 1)  # 2^top (2r-1)!!/2^r at index 2r
+    for r in range(top + 1):
+        scaled[2 * r] = math.prod(range(1, 2 * r, 2)) << (top - r)
+    hankel = np.array([scaled[j:j + top + 1] for j in range(top + 1)], dtype=object)
+    numer = table[rows] @ hankel @ table[cols].T
+    out = np.empty(numer.shape)
+    for (i, k), v in np.ndenumerate(numer):
+        m, n = rows[i], cols[k]
+        denom = 4 ** top * 2 ** (m + n) * math.factorial(m) * math.factorial(n)
+        out[i, k] = math.copysign(math.sqrt(v * v / denom), v)
+    return out
+
+
+@pytest.mark.parametrize("rows, cols", [(list(range(65)), list(range(65))), ([3], [5]),
+                                        ([4], [4]), ([0, 1, 7], [2, 7, 64]),
+                                        ([9, 2, 2], [0]), ([1], [0, 2, 4])])
+def test_parity_blocked_moments_are_bitwise_the_dense_contraction(rows, cols):
+    expected = _dense_moment_pairings(rows, cols)
+    actual = _moment_pairings(rows, cols)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 def test_ground_state_pairing_is_one():
