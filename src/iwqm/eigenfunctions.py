@@ -37,6 +37,7 @@ P -> 2uP - P' (:func:`lowering`, :func:`raising`).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -53,6 +54,19 @@ _Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into ex
 _GROUND = (1j / np.pi) ** 0.25  # ket ground-state amplitude (i/pi)^(1/4)
 
 _FOLD = 2.0 ** -64  # moved from the scale into the arrays of hermite_levels
+
+#: Points per block of :func:`evaluate`; its per-thread workspace holds 3 * _BLOCK complex.
+_BLOCK = 2 ** 15
+
+_local = threading.local()
+
+
+def _workspace() -> np.ndarray:
+    """This thread's (3, _BLOCK) complex workspace of :func:`evaluate`, made on first use."""
+    work = getattr(_local, "work", None)
+    if work is None:
+        work = _local.work = np.empty((3, _BLOCK), dtype=complex)
+    return work
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,7 @@ def eigenfunction(family: str, n: int, bra_phase: complex = BRA_STEP_PHASE) -> E
     return Eigenfunction(family, n, bra_phase)
 
 
-def hermite_levels(z: np.ndarray, start: np.ndarray):
+def hermite_levels(z: np.ndarray, start: np.ndarray, scratch=None):
     """Yield (scale, q) with scale * q = start * H_n(z) / sqrt(2^n n!) for n = 0, 1, 2, ...
 
     The arrays run the monic recurrence q_{n+1} = z q_n - (n/2) q_{n-1},
@@ -102,11 +116,17 @@ def hermite_levels(z: np.ndarray, start: np.ndarray):
     subnormal underflow.
 
     The recurrence runs in place on three complex buffers: ``start`` is
-    consumed as the first, and two more of its shape are allocated once.
-    A yielded array is overwritten two levels later; copy it to keep it.
+    consumed as the first, and ``scratch`` gives the other two, each of
+    start's shape; the first of them is zero-filled.  Without ``scratch``
+    both are allocated.  A yielded array is overwritten two levels later;
+    copy it to keep it.
     """
-    cur, prev, tmp = start, np.zeros_like(start), np.empty_like(start)
-    scale = 1.0
+    if scratch is None:
+        prev, tmp = np.zeros_like(start), np.empty_like(start)
+    else:
+        prev, tmp = scratch
+        prev.fill(0.0)
+    cur, scale = start, 1.0
     for n in count():
         yield scale, cur
         scale *= math.sqrt(2.0 / (n + 1))
@@ -125,6 +145,17 @@ def evaluate(f: Eigenfunction, x):
 
     Raises ValueError where x^2/2 is not finite, since the phase
     exp(-i x^2/2) has no value there, and where the level's values overflow.
+
+    The ground state is written into the result, and the recurrence then
+    runs over the flattened points in blocks of at most ``_BLOCK``, with z
+    and its two buffers in this thread's workspace; each block's level is
+    written back as scale * q.  The workspace is allocated once per thread,
+    so a call allocates only its result: fresh scratch of this size would be
+    handed back to the OS at the end of every call and faulted in again by
+    the next.  The folds depend on the level alone, so the values are those
+    of one unblocked recurrence, bit for bit.  (The ground state is not
+    blocked: numpy's in-place complex product of a one-element array rounds
+    differently from the same product inside a longer one.)
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     vals = np.empty(xs.shape, dtype=complex)
@@ -137,11 +168,16 @@ def evaluate(f: Eigenfunction, x):
     np.cos(phase, out=vals.real)
     np.sin(phase, out=phase)
     vals *= _GROUND  # the ground state (i/pi)^(1/4) e^{-i x^2/2}
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale, vals = next(islice(hermite_levels(_Z_PHASE * xs, vals), f.n, None))
-        vals *= scale
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"level {f.n} overflows at |x| up to {np.max(np.abs(xs)):.3g}")
+    flat_x, flat_vals, work = xs.reshape(-1), vals.reshape(-1), _workspace()
+    for lo in range(0, flat_x.size, _BLOCK):
+        xb, out = flat_x[lo:lo + _BLOCK], flat_vals[lo:lo + _BLOCK]
+        z, prev, tmp = work[:, :xb.size]
+        np.multiply(_Z_PHASE, xb, out=z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale, level = next(islice(hermite_levels(z, out, (prev, tmp)), f.n, None))
+            np.multiply(level, scale, out=out)
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"level {f.n} overflows at |x| up to {np.max(np.abs(xs)):.3g}")
     if f.family == BRA:
         np.conjugate(vals, out=vals)
         if f.conj_sign == -1:

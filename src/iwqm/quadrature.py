@@ -234,6 +234,14 @@ def gram_matrix(nmax: int, node_count: int | None = None, bra_phase: complex = B
     return (signs[:, None] * pairings).astype(complex)
 
 
+#: Highest level :func:`density_interval_integral` takes.  Its (n+1)-node
+#: Gauss-Legendre rule comes from an O(n^3) eigenvalue problem: 1001 nodes
+#: take 0.14 s and 7.7 MiB to build, 2001 take 0.6 s and 31 MiB, 4001 take
+#: 4.1 s and 122 MiB.  At level 1000 the masses on [-L, L] (L = 1/2, 5/2, 4)
+#: are within 2e-11 (relative) of the exact rational ones; at 2000, 7e-11.
+MAX_MASS_LEVEL = 1000
+
+
 def density_interval_integral(f: Eigenfunction, lo: float, hi: float) -> float:
     """Same-family probability mass integral(|psi|^2) on a finite interval.
 
@@ -242,8 +250,23 @@ def density_interval_integral(f: Eigenfunction, lo: float, hi: float) -> float:
     On the real line |e^{-+i x^2/2}| = 1, so |psi_n|^2 is a real polynomial
     of degree 2n and the (n+1)-node Gauss-Legendre rule integrates it
     exactly, from one vectorized evaluation.
+
+    Raises ValueError, before any rule is built, for bounds that are not
+    finite, for hi < lo, for a width hi - lo that overflows and for levels
+    above ``MAX_MASS_LEVEL``; and where the mass overflows.
     """
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)) or hi < lo:
+        raise ValueError(f"the interval needs finite bounds lo <= hi and a finite width, "
+                         f"got [{lo!r}, {hi!r}]")
+    if f.n > MAX_MASS_LEVEL:
+        raise ValueError(f"interval masses are computed up to level {MAX_MASS_LEVEL}, "
+                         f"got {f.n}: the rule costs O(n^3)")
     nodes, weights = _gauss_legendre(f.n + 1)
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo) + half * nodes
-    return float(half * np.sum(weights * np.abs(evaluate(f, x)) ** 2))
+    with np.errstate(over="ignore"):
+        mass = float(half * np.sum(weights * np.abs(evaluate(f, x)) ** 2))
+    if not math.isfinite(mass):
+        raise ValueError(f"the mass of level {f.n} on [{lo!r}, {hi!r}] overflows")
+    return mass

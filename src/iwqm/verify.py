@@ -17,6 +17,7 @@ operator matrix is formed for them.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -464,11 +465,26 @@ def run_all(cfg: RunConfig) -> list[SuiteReport]:
 # report serialization
 # ---------------------------------------------------------------------------
 
+#: BLAS thread-count variables a report records, each as set or None.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment(cfg: RunConfig) -> dict:
+    """What the run ran on: versions, BLAS thread variables, seed and usable CPUs."""
+    from . import __version__
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"iwqm": __version__, "numpy": np.__version__,
+            "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+            "seed": cfg.seed, "cpu_count": cpus}
+
+
 def report_dict(cfg: RunConfig, suites: list[SuiteReport]) -> dict:
     return {
         "config": {"nmax": cfg.nmax, "omega": cfg.omega, "tol": cfg.tol,
                    "sigma": cfg.sigma, "strict": cfg.strict, "seed": cfg.seed},
         "conventions": conventions(cfg),
+        "environment": environment(cfg),
         "suites": [
             {
                 "suite": s.suite,

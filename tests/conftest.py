@@ -69,6 +69,13 @@ def reference_levels():
 
 
 @pytest.fixture
+def scaled_levels():
+    """The generator behind ``reference_levels``, levels(z, start), yielding
+    (scale, q): for references on grids too large to stack 65 levels."""
+    return _scaled_levels
+
+
+@pytest.fixture
 def normalized_levels():
     """The generator of the plain normalized recurrence, levels(z, start):
     an independent accuracy reference for the scaled one."""

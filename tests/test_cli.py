@@ -24,6 +24,14 @@ def test_verify_json_passes(capsys):
     assert payload["conventions"]["bra_coherent_phase"] == "+i"
 
 
+def test_verify_json_records_the_seed_in_its_environment(capsys, monkeypatch):
+    monkeypatch.setenv("IWQM_SEED", "5")
+    code, out, _ = run_cli(capsys, "verify", "--nmax", "16")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["environment"]["seed"] == payload["config"]["seed"] == 5
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "--nmax", "16", "--format", "csv")
     assert code == 0

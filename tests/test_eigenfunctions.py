@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import mpmath
@@ -9,6 +12,7 @@ import pytest
 from numpy.polynomial import hermite as nherm
 from numpy.polynomial import polynomial as npoly
 
+from iwqm import eigenfunctions
 from iwqm.algebra import BRA, KET
 from iwqm.eigenfunctions import (
     Eigenfunction,
@@ -279,3 +283,105 @@ def test_evaluate_refuses_overflowing_levels():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="level 5 overflows"):
             evaluate(eigenfunction(KET, 5), np.array([0.0, 1e100]))
+
+
+BLOCK = 2 ** 15
+
+
+def _allocating_ground(x):
+    # the ground state as one unblocked pass over the whole grid
+    phase = x * -0.5 * x
+    ground = np.empty(x.shape, dtype=complex)
+    ground.real, ground.imag = np.cos(phase), np.sin(phase)
+    ground *= (1j / np.pi) ** 0.25
+    return ground
+
+
+#: Levels checked on the multi-block grids: both buffer parities, the folds
+#: into the arrays at levels 4 and 43, and the top (a sweep of all 65 levels
+#: costs about 0.6 s per 2^15 points).
+SAMPLED_LEVELS = {0, 1, 2, 3, 4, 5, 32, 42, 43, 44, 63, 64}
+
+
+@pytest.mark.parametrize("size, checked", [(1, range(65)), (BLOCK, SAMPLED_LEVELS),
+                                           (BLOCK + 1, SAMPLED_LEVELS),
+                                           (3 * BLOCK + 7, SAMPLED_LEVELS)])
+def test_blocked_evaluate_is_bitwise_the_allocating_recurrence(size, checked, scaled_levels):
+    # the last point, x = 5, is one where numpy's in-place complex product
+    # of a one-element array rounds differently from the same product in a
+    # longer one, so a one-point last block must not change its ground state
+    x = np.linspace(-5.0, 5.0, size)
+    levels = scaled_levels(np.exp(0.25j * np.pi) * x, _allocating_ground(x))
+    for n, (scale, q) in zip(range(65), levels):
+        if n in checked:
+            expected = scale * q
+            assert np.array_equal(evaluate(eigenfunction(KET, n), x), expected), n
+            assert np.array_equal(evaluate(eigenfunction(BRA, n), x), np.conj(expected)), n
+
+
+def test_scratch_buffers_are_reset_before_use(reference_levels):
+    z, start = _rotated_ground(np.linspace(-4.0, 4.0, 301))
+    scratch = np.full((2, 301), np.nan + 1j * np.inf)
+    levels = [scale * q for scale, q in islice(hermite_levels(z, start.copy(), scratch), 40)]
+    assert np.array_equal(levels, reference_levels(z, start.copy(), 40))
+
+
+def _later_block(value):
+    x = np.zeros(BLOCK + 5)
+    x[-1] = value
+    return x
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 2e154])
+def test_non_finite_phase_in_a_later_block_is_refused(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite x\\^2/2"):
+            evaluate(eigenfunction(KET, 3), _later_block(value))
+
+
+def test_overflow_in_a_later_block_is_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="level 5 overflows at \\|x\\| up to 1e\\+100"):
+            evaluate(eigenfunction(KET, 5), _later_block(1e100))
+
+
+def test_evaluate_result_does_not_share_the_workspace():
+    x = np.linspace(-3.0, 3.0, BLOCK + 3)
+    work = eigenfunctions._workspace()
+    assert work.shape == (3, BLOCK)
+    for n in (0, 1, 2, 9):  # the level ends in either recurrence buffer
+        first = evaluate(eigenfunction(KET, n), x)
+        kept = first.copy()
+        assert not np.shares_memory(first, work)
+        evaluate(eigenfunction(BRA, n + 1), x[::-1])
+        assert eigenfunctions._workspace() is work
+        assert np.array_equal(first, kept)
+
+
+def test_threads_evaluate_concurrently_as_they_do_serially():
+    # four threads, switching often: a workspace shared between
+    # threads would mix their grids
+    grids = [np.linspace(-4.0, 4.0, BLOCK + 11), np.linspace(-2.0, 5.0, 20001),
+             np.linspace(-1.0, 3.0, 2 * BLOCK + 1), np.linspace(-5.0, 5.0, 4001)]
+    f = eigenfunction(KET, 40)
+    serial = [evaluate(f, x) for x in grids]
+    barrier = threading.Barrier(len(grids))
+
+    def run(x):
+        barrier.wait(timeout=60)
+        return eigenfunctions._workspace(), [evaluate(f, x) for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(grids)) as pool:
+            futures = [pool.submit(run, x) for x in grids]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(work) for work, _ in results}) == len(grids)  # one workspace per thread
+    for expected, (_, values) in zip(serial, results):
+        for got in values:
+            assert np.array_equal(got, expected)

@@ -7,7 +7,9 @@ import pytest
 
 from iwqm.algebra import BRA, KET
 from iwqm.eigenfunctions import eigenfunction, generating_function, hermite_coefficients
+from iwqm import quadrature
 from iwqm.quadrature import (
+    MAX_MASS_LEVEL,
     ROTATION,
     _moment_pairings,
     ContourQuadrature,
@@ -248,3 +250,36 @@ def test_interval_mass_is_exact_through_level_32(half_width):
         mass = density_interval_integral(eigenfunction(KET, n), -float(half_width),
                                          float(half_width))
         assert mass == pytest.approx(_exact_interval_mass(n, half_width), rel=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0),
+                                    (np.float64(-1e308), np.float64(1e308))])
+def test_interval_mass_refuses_bad_bounds_before_any_rule(lo, hi, monkeypatch):
+    monkeypatch.setattr(quadrature, "_gauss_legendre", None)  # a rule build would raise TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite bounds lo <= hi"):
+            density_interval_integral(eigenfunction(KET, 2), lo, hi)
+
+
+def test_interval_mass_refuses_levels_above_the_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "_gauss_legendre", None)
+    for n in (MAX_MASS_LEVEL + 1, 100000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"up to level {MAX_MASS_LEVEL}, got {n}"):
+                density_interval_integral(eigenfunction(KET, n), -1.0, 1.0)
+
+
+def test_interval_mass_refuses_an_overflowing_mass():
+    # |psi_512|^2 passes 1e308 inside [-20, 20]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mass of level 512 on \\[-20.0, 20.0\\] overflows"):
+            density_interval_integral(eigenfunction(KET, 512), -20.0, 20.0)
+
+
+def test_interval_mass_takes_an_empty_interval():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert density_interval_integral(eigenfunction(KET, 3), 1.5, 1.5) == 0.0

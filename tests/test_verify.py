@@ -1,7 +1,10 @@
 import math
+import os
 
+import numpy as np
 import pytest
 
+import iwqm
 from iwqm import coherent, verify
 from iwqm.verify import (
     RunConfig,
@@ -42,13 +45,33 @@ def test_report_dict_schema(default_suites):
     cfg = RunConfig()
     payload = report_dict(cfg, default_suites)
     assert payload["passed"] is True
-    assert set(payload) == {"config", "conventions", "suites", "passed"}
+    assert set(payload) == {"config", "conventions", "environment", "suites", "passed"}
     assert payload["config"]["nmax"] == 64
+    env = payload["environment"]
+    assert set(env) == {"iwqm", "numpy", "blas_threads", "seed", "cpu_count"}
+    assert env["iwqm"] == iwqm.__version__ and env["numpy"] == np.__version__
+    assert env["blas_threads"] == {name: os.environ.get(name)
+                                   for name in verify.BLAS_THREAD_VARIABLES}
+    assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS"}
+    assert env["seed"] == cfg.seed
+    assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
     for suite in payload["suites"]:
         assert set(suite) == {"suite", "passed", "checks"}
         for check in suite["checks"]:
             assert set(check) == {"name", "anchor", "residual", "tolerance", "passed"}
             assert check["residual"] <= check["tolerance"]
+
+
+def test_report_environment_records_the_blas_variables_as_set(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    env = verify.environment(RunConfig(seed=17))
+    assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                   "MKL_NUM_THREADS": "2"}
+    assert env["seed"] == 17
+    assert verify.environment(RunConfig(seed=17)) == env  # deterministic on a host
 
 
 def test_report_csv_shape(default_suites):
