@@ -78,9 +78,6 @@ from .quadrature import (
     density_interval_integral,
     fresnel_gaussian,
     gram_matrix,
-    integrate,
-    integrate_by_moments,
-    moment,
     pairing_integral,
     pairing_integral_by_moments,
 )

@@ -1,18 +1,23 @@
 """Command-line surface: verification suites, operator checks, data dumps.
 
-Subcommands
------------
-verify             run every suite and emit a machine-readable report
-op-check EXPR      evaluate ``LHS == RHS`` over the operator grammar
-dump eigenfunction sampled wave function as CSV
-dump gram          dual-family Gram matrix as CSV plus a JSON defect line
-dump coherent      coherent-state observables as JSON
-dump evolve        label trajectory (or grid expectation) vs classical orbit
-dump decay         growth factor and mixed pairing over time
+Subcommands, with the shared options each reads
+-----------------------------------------------
+verify [--nmax] [--omega] [--tol] [--format] [--sigma] [--strict]
+                                  run every suite and emit a machine-readable report
+op-check EXPR [--nmax] [--omega] [--tol] [--format] [--sigma]
+                                  evaluate ``LHS == RHS`` over the operator grammar
+dump eigenfunction                sampled wave function as CSV
+dump gram [--nmax]                dual-family Gram matrix as CSV plus a JSON defect line
+dump coherent [--nmax] [--strict] coherent-state observables as JSON
+dump evolve [--omega]             label trajectory (or grid expectation) vs classical orbit
+dump decay [--omega]              growth factor and mixed pairing over time
 
+Each also takes ``--out FILE`` and its own options (see ``--help``); a
+shared option a command does not read is a usage error.
 Exit codes: 0 success, 1 failed checks or runtime failure, 2 usage error.
 Output is deterministic for a fixed configuration; the environment
-variable ``IWQM_SEED`` (default 0) seeds the sampled label grid.
+variable ``IWQM_SEED`` (default 0), read by ``verify`` and ``op-check``
+only, seeds the sampled label grid.
 """
 
 from __future__ import annotations
@@ -74,16 +79,23 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nmax", type=int, default=64, help="Fock truncation (default 64)")
-    parser.add_argument("--omega", type=float, default=1.0, help="well curvature (default 1.0)")
-    parser.add_argument("--tol", type=float, default=1e-10, help="pass tolerance (default 1e-10)")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    parser.add_argument("--sigma", type=int, choices=(1, -1), default=-1,
-                        help="adjoint sign: generators map to sigma*i times themselves")
-    parser.add_argument("--strict", action="store_true",
-                        help="escalate truncation warnings to errors")
-    parser.add_argument("--out", type=str, default=None, help="write the payload to a file")
+#: The options several commands share, by name: each command takes the ones
+#: its handler reads, and ``--out``.
+_COMMON = {
+    "nmax": dict(type=int, default=64, help="Fock truncation (default 64)"),
+    "omega": dict(type=float, default=1.0, help="well curvature (default 1.0)"),
+    "tol": dict(type=float, default=1e-10, help="pass tolerance (default 1e-10)"),
+    "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "sigma": dict(type=int, choices=(1, -1), default=-1,
+                  help="adjoint sign: generators map to sigma*i times themselves"),
+    "strict": dict(action="store_true", help="escalate truncation warnings to errors"),
+    "out": dict(type=str, default=None, help="write the payload to a file"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in (*names, "out"):
+        parser.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,13 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run all verification suites")
-    _add_common(p_verify)
+    _add_common(p_verify, "nmax", "omega", "tol", "format", "sigma", "strict")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_op = sub.add_parser("op-check", help="check an operator identity LHS == RHS")
     p_op.add_argument("expression", type=str)
-    _add_common(p_op)
-    p_op.set_defaults(handler=cmd_op_check)
+    _add_common(p_op, "nmax", "omega", "tol", "format", "sigma")
+    # the report's config records strict, which no operator check reads
+    p_op.set_defaults(handler=cmd_op_check, strict=False)
 
     p_dump = sub.add_parser("dump", help="emit plot-ready data")
     dump_sub = p_dump.add_subparsers(dest="what", required=True)
@@ -114,13 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gram = dump_sub.add_parser("gram")
     p_gram.add_argument("--nodes", type=int, default=None, help="default max(64, nmax + 1)")
-    _add_common(p_gram)
+    _add_common(p_gram, "nmax")
     p_gram.set_defaults(handler=cmd_dump_gram)
 
     p_coh = dump_sub.add_parser("coherent")
     p_coh.add_argument("--alpha-re", type=float, default=1.0)
     p_coh.add_argument("--alpha-im", type=float, default=0.0)
-    _add_common(p_coh)
+    _add_common(p_coh, "nmax", "strict")
     p_coh.set_defaults(handler=cmd_dump_coherent)
 
     p_evolve = dump_sub.add_parser("evolve")
@@ -129,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--dt", type=float, default=None)
     p_evolve.add_argument("--grid", action="store_true",
                           help="use the spectral grid oracle instead of the label equation")
-    _add_common(p_evolve)
+    _add_common(p_evolve, "omega")
     p_evolve.set_defaults(handler=cmd_dump_evolve)
 
     p_decay = dump_sub.add_parser("decay")
@@ -137,38 +150,47 @@ def build_parser() -> argparse.ArgumentParser:
     p_decay.add_argument("--set", dest="family", choices=(KET, BRA), default=KET)
     p_decay.add_argument("--tfinal", type=float, default=1.0)
     p_decay.add_argument("--dt", type=float, default=0.01)
-    _add_common(p_decay)
+    _add_common(p_decay, "omega")
     p_decay.set_defaults(handler=cmd_dump_decay)
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = int(os.environ.get("IWQM_SEED", "0"))
-    return RunConfig(nmax=args.nmax, omega=args.omega, tol=args.tol, fmt=args.fmt,
-                     sigma=args.sigma, strict=args.strict, seed=seed)
+    """The suites' configuration: the report options and ``IWQM_SEED``."""
+    text = os.environ.get("IWQM_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"IWQM_SEED must be a non-negative integer, got {text!r}")
+    return RunConfig(nmax=args.nmax, omega=args.omega, tol=args.tol, sigma=args.sigma,
+                     strict=args.strict, seed=seed)
 
 
-def _render_report(cfg: RunConfig, suites: list[SuiteReport], out_path: str | None) -> int:
-    if cfg.fmt == "json":
-        _emit(json.dumps(report_dict(cfg, suites), indent=2), out_path)
+def _render_report(args: argparse.Namespace, cfg: RunConfig, suites: list[SuiteReport]) -> int:
+    if args.fmt == "json":
+        _emit(json.dumps(report_dict(cfg, suites), indent=2), args.out)
     else:
-        _emit("\n".join(report_csv_lines(suites)), out_path)
+        _emit("\n".join(report_csv_lines(suites)), args.out)
     return 0 if all(s.passed for s in suites) else 1
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    return _render_report(cfg, run_all(cfg), args.out)
+def cmd_verify(args: argparse.Namespace) -> int:
+    cfg = config_from_args(args)
+    return _render_report(args, cfg, run_all(cfg))
 
 
-def cmd_op_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_op_check(args: argparse.Namespace) -> int:
+    cfg = config_from_args(args)
     residual = equation_residual(args.expression, cfg.nmax, cfg.sigma, cfg.omega)
     report = SuiteReport("op-check")
     report.add("expression", args.expression, residual, cfg.tol)
-    return _render_report(cfg, [report], args.out)
+    return _render_report(args, cfg, [report])
 
 
-def cmd_dump_eigenfunction(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_dump_eigenfunction(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"level must be nonnegative, got {args.n}")
     if not math.isfinite(args.xmax - args.xmin):
@@ -191,9 +213,9 @@ def cmd_dump_eigenfunction(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_dump_gram(args: argparse.Namespace, cfg: RunConfig) -> int:
-    nodes = args.nodes if args.nodes is not None else default_node_count(cfg.nmax)
-    gram = gram_matrix(cfg.nmax, node_count=nodes)
+def cmd_dump_gram(args: argparse.Namespace) -> int:
+    nodes = args.nodes if args.nodes is not None else default_node_count(args.nmax)
+    gram = gram_matrix(args.nmax, node_count=nodes)
     lines = []
     for row in gram:
         cells = []
@@ -202,24 +224,24 @@ def cmd_dump_gram(args: argparse.Namespace, cfg: RunConfig) -> int:
             cells.append(repr(float(z.imag)))
         lines.append(",".join(cells))
     _emit("\n".join(lines), args.out)
-    defect = float(np.max(np.abs(gram - np.eye(cfg.nmax + 1))))
+    defect = float(np.max(np.abs(gram - np.eye(args.nmax + 1))))
     passed = defect <= 1e-8
-    print(json.dumps({"nmax": cfg.nmax, "nodes": nodes, "max_defect": defect,
+    print(json.dumps({"nmax": args.nmax, "nodes": nodes, "max_defect": defect,
                       "passed": passed}))
     return 0 if passed else 1
 
 
-def cmd_dump_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_dump_coherent(args: argparse.Namespace) -> int:
     alpha = complex(args.alpha_re, args.alpha_im)
-    ket = build_coherent(KET, alpha, cfg.nmax, strict=cfg.strict)
-    bra = build_coherent(BRA, alpha, cfg.nmax, strict=cfg.strict)
+    ket = build_coherent(KET, alpha, args.nmax, strict=args.strict)
+    bra = build_coherent(BRA, alpha, args.nmax, strict=args.strict)
     m = moments(bra, ket)
     unc = Uncertainty.from_moments(m)
-    tail = tail_bound(alpha, cfg.nmax)
+    tail = tail_bound(alpha, args.nmax)
     payload = {
         "alpha": _complex_pair(alpha),
-        "nmax": cfg.nmax,
-        "bra_phase": determine_bra_phase(cfg.nmax),
+        "nmax": args.nmax,
+        "bra_phase": determine_bra_phase(args.nmax),
         "pairing": _complex_pair(mutual_pairing(bra, ket)),
         "eigen_residual": max(eigen_residual(ket), eigen_residual(bra)),
         **{name: _complex_pair(value) for name, value in m.items()},
@@ -233,15 +255,19 @@ def cmd_dump_coherent(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0 if payload["passed"] else 1
 
 
-def cmd_dump_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
-    dt = args.dt if args.dt is not None else 1e-3 / cfg.omega
+def cmd_dump_evolve(args: argparse.Namespace) -> int:
+    if not 0 < args.omega < math.inf:  # before the default dt divides by it
+        raise ValueError(f"omega must be finite and positive, got {args.omega!r}")
+    if not math.isfinite(args.v):
+        raise ValueError(f"v must be finite, got {args.v!r}")
+    dt = args.dt if args.dt is not None else 1e-3 / args.omega
     if args.grid:
         steps = step_count(args.tfinal, dt)
-        packet = gaussian_packet(args.v, cfg.omega, t_final=steps * dt)
+        packet = gaussian_packet(args.v, args.omega, t_final=steps * dt)
         trajectory = grid_split_step(packet, dt, steps)
     else:
-        trajectory = integrate_alpha(args.v, cfg.omega, args.tfinal, dt)
-    classical = classical_orbit(args.v, cfg.omega, 1, trajectory.times)
+        trajectory = integrate_alpha(args.v, args.omega, args.tfinal, dt)
+    classical = classical_orbit(args.v, args.omega, 1, trajectory.times)
     lines = ["t,re_x,im_x,classical_x,abs_error"]
     for t, z, c in zip(trajectory.times, trajectory.values, classical):
         lines.append(f"{float(t)!r},{float(z.real)!r},{float(z.imag)!r},"
@@ -250,11 +276,11 @@ def cmd_dump_evolve(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_dump_decay(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_dump_decay(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"level must be nonnegative, got {args.n}")
     steps = step_count(args.tfinal, args.dt)
-    exponent = (args.n + 0.5) * cfg.omega * (steps * args.dt)
+    exponent = (args.n + 0.5) * args.omega * (steps * args.dt)
     if exponent > EXP_GUARD:
         raise ValueError(f"(n+1/2) omega tfinal = {exponent:.3g} exceeds the overflow guard "
                          f"{EXP_GUARD:g}")
@@ -263,8 +289,8 @@ def cmd_dump_decay(args: argparse.Namespace, cfg: RunConfig) -> int:
     lines = ["t,factor,mixed_pairing"]
     for k in range(steps + 1):
         t = k * args.dt
-        grown = propagate_fock(KET, args.n, cfg.omega, t)
-        decayed = propagate_fock(BRA, args.n, cfg.omega, t)
+        grown = propagate_fock(KET, args.n, args.omega, t)
+        decayed = propagate_fock(BRA, args.n, args.omega, t)
         factor = grown if args.family == KET else decayed
         pairing = dual_pairing(DualVector(BRA, [decayed]), DualVector(KET, [grown]))
         lines.append(f"{float(t)!r},{factor!r},{float(pairing.real)!r}")
@@ -276,8 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return args.handler(args, cfg)
+        return args.handler(args)
     except ExpressionParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -105,7 +105,7 @@ class GridState:
             raise ValueError(f"points must be a power of two, got {self.points}")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         arr = np.array(self.psi, dtype=complex)
         if arr.shape != (self.points,):
@@ -126,7 +126,7 @@ def propagate_fock(family: str, n: int, omega: float, t: float) -> float:
     """Growth factor of level n: e^{+(n+1/2) omega t} for ket, inverse for bra."""
     if family not in (KET, BRA):
         raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega!r}")
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
@@ -192,7 +192,7 @@ def schrodinger_residual(family: str, n: int, omega: float, dt: float,
 
 def classical_orbit(v: float, omega: float, sign: int, t):
     """x(t) = sign (v/omega) sinh(omega t), the runaway classical solution."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -255,8 +255,9 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None,
     amplitude falls to ``EDGE_FRACTION`` of its peak, at t_final.  A
     horizon needing more than ``MAX_GRID_POINTS`` points raises ValueError.
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    # the spreads divide by omega^2, which underflows to 0 below omega ~ 1e-162
+    if not (omega > 0 and omega * omega > 0):
+        raise ValueError(f"omega must be positive with a nonzero square, got {omega!r}")
     t_final = 1.5 / omega if t_final is None else t_final
     width = 1.0 / math.sqrt(omega) if width is None else width
     if not (t_final > 0 and width > 0):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as _npoly
 
 from .algebra import BRA, KET
 from .eigenfunctions import (BRA_STEP_PHASE, Eigenfunction, eigenfunction, evaluate,
@@ -97,35 +96,6 @@ def _gauss_legendre(node_count: int) -> tuple[np.ndarray, np.ndarray]:
 def fresnel_gaussian() -> complex:
     """integral(exp(-i x^2)) = sqrt(pi/i) = sqrt(pi) exp(-i pi/4), principal branch."""
     return complex(np.sqrt(np.pi) * ROTATION)
-
-
-def moment(m: int) -> complex:
-    """integral(x^m exp(-i x^2)): zero for odd m, sqrt(pi/i)(2k-1)!!/(2i)^k for m = 2k."""
-    if m < 0:
-        raise ValueError(f"moment order must be nonnegative, got {m}")
-    if m % 2 == 1:
-        return 0j
-    k = m // 2
-    double_fact = 1.0
-    for j in range(1, 2 * k, 2):
-        double_fact *= j
-    return complex(fresnel_gaussian() * double_fact / (2j) ** k)
-
-
-def integrate(coeffs: np.ndarray, rule: ContourQuadrature) -> complex:
-    """integral(p(x) exp(-i x^2)) by the rotated rule; exact up to the degree bound."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    degree = coeffs.shape[0] - 1
-    if degree > rule.max_degree:
-        raise PrecisionError(
-            f"degree {degree} exceeds the rule's exactness bound {rule.max_degree}")
-    return complex(np.sum(rule.weights * _npoly.polyval(rule.nodes, coeffs)))
-
-
-def integrate_by_moments(coeffs: np.ndarray) -> complex:
-    """Independent evaluation path: contract coefficients with the moment oracle."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return complex(sum(c * moment(m) for m, c in enumerate(coeffs)))
 
 
 def _check_pair(bra_f: Eigenfunction, ket_f: Eigenfunction) -> None:

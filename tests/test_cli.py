@@ -491,3 +491,208 @@ def test_op_check_overflowing_scalars_fail_without_warning(capsys):
     assert err == ""
     check = json.loads(out)["suites"][0]["checks"][0]
     assert check["residual"] == float("inf") and not check["passed"]
+
+
+@pytest.mark.parametrize("seed, argv", [
+    (None, ["verify", "--omega", "nan"]),
+    (None, ["verify", "--omega", "inf"]),
+    (None, ["verify", "--tol", "nan"]),
+    (None, ["verify", "--tol", "inf"]),
+    (None, ["op-check", "a- == a-", "--omega", "nan"]),
+    (None, ["dump", "decay", "--omega", "nan"]),
+    (None, ["dump", "evolve", "--omega", "0"]),
+    (None, ["dump", "evolve", "--omega", "nan"]),
+    (None, ["dump", "evolve", "--omega", "inf", "--dt", "0.01"]),
+    (None, ["dump", "evolve", "--v", "nan"]),
+    (None, ["dump", "evolve", "--grid", "--v", "inf"]),
+    ("-5", ["verify"]),
+    ("abc", ["verify"]),
+    ("abc", ["op-check", "a- == a-"]),
+])
+def test_invalid_settings_are_refused_up_front(capsys, monkeypatch, seed, argv):
+    if seed is not None:
+        monkeypatch.setenv("IWQM_SEED", seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    if seed is not None:
+        assert "IWQM_SEED" in err
+
+
+def test_verify_at_extreme_omega_exits_without_traceback(capsys):
+    # the density equation's fixed step overflows from omega ~ 3e5: a failed check
+    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e100")
+    assert code == 1
+    assert err == ""
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert checks["density_equation"]["residual"] == float("inf")
+    # below omega ~ 1e-162 the packet's spreads, which divide by omega^2, cannot be formed
+    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e-170")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: omega must be positive with a nonzero square, got 1e-170\n"
+
+
+#: The shared options besides --out, each with a valid value (None for a flag).
+SHARED_OPTIONS = {"--nmax": "8", "--omega": "1.0", "--tol": "1e-10", "--format": "json",
+                  "--sigma": "1", "--strict": None}
+#: The shared options each command takes besides --out: those its handler reads.
+COMMAND_OPTIONS = {
+    ("verify",): {"--nmax", "--omega", "--tol", "--format", "--sigma", "--strict"},
+    ("op-check", "a- == a-"): {"--nmax", "--omega", "--tol", "--format", "--sigma"},
+    ("dump", "eigenfunction"): set(),
+    ("dump", "gram"): {"--nmax"},
+    ("dump", "coherent"): {"--nmax", "--strict"},
+    ("dump", "evolve"): {"--omega"},
+    ("dump", "decay"): {"--omega"},
+}
+DROPPED_OPTIONS = [(command, option) for command, kept in COMMAND_OPTIONS.items()
+                   for option in SHARED_OPTIONS if option not in kept]
+
+
+def _option_argv(option: str) -> list[str]:
+    value = SHARED_OPTIONS[option]
+    return [option] if value is None else [option, value]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS), ids=" ".join)
+def test_each_command_takes_the_shared_options_it_reads(command):
+    argv = [*command, "--out", "x.txt"]
+    for option in sorted(COMMAND_OPTIONS[command]):
+        argv += _option_argv(option)
+    args = cli.build_parser().parse_args(argv)
+    assert args.out == "x.txt"
+
+
+@pytest.mark.parametrize("command, option", DROPPED_OPTIONS,
+                         ids=[f"{' '.join(c)} {o}" for c, o in DROPPED_OPTIONS])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *_option_argv(option)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigenfunction", "--n", "3", "--samples", "11"],
+    ["gram", "--nmax", "4"],
+    ["coherent", "--nmax", "32"],
+    ["evolve", "--tfinal", "0.01"],
+    ["decay", "--tfinal", "0.1", "--dt", "0.05"],
+], ids=lambda argv: argv[0])
+def test_dumps_ignore_the_seed(capsys, monkeypatch, argv):
+    monkeypatch.delenv("IWQM_SEED", raising=False)
+    expected = run_cli(capsys, "dump", *argv)
+    assert expected[0] == 0
+    monkeypatch.setenv("IWQM_SEED", "abc")
+    assert run_cli(capsys, "dump", *argv) == expected
+
+
+def test_dump_gram_takes_nmax_below_the_suites_floor(capsys):
+    for nmax in (1, 2, 3):
+        code, out, _ = run_cli(capsys, "dump", "gram", "--nmax", str(nmax))
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["nmax"] == nmax and summary["max_defect"] <= 1e-15
+
+
+#: The child of ``test_random_argument_vectors_exit_cleanly``: draws argument
+#: vectors over every command from each command's options, the shared options
+#: it does not take and bogus flags, runs each through ``main`` in-process,
+#: and fails on any exception but ``SystemExit``.  Values are bounded so that
+#: no example does much work: nmax <= 300, samples <= 10^4, n <= 1000,
+#: nodes <= 400, and no run of more than 10^4 steps.
+CLI_PROPERTY_CHILD = r'''
+import contextlib, io, math, os, sys
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from iwqm.cli import main
+from iwqm.dynamics import MAX_STEPS
+
+FLOATS = ["nan", "inf", "-inf", "0", "-1", "-1e300", "1e-300", "1e300", "1e-3", "0.05",
+          "0.5", "1", "5", "40"]
+INTS = ["-5", "0", "1", "3", "4", "8", "64", "abc"]
+VALUES = {"--nmax": INTS + ["300"], "--omega": FLOATS, "--tol": FLOATS,
+          "--format": ["json", "csv", "yaml"], "--sigma": ["1", "-1", "0"], "--strict": [None],
+          "--out": [os.path.join(sys.argv[1], "out.txt")], "--set": ["ket", "bra", "up"],
+          "--n": INTS + ["1000"], "--xmin": FLOATS, "--xmax": FLOATS,
+          "--samples": INTS + ["2", "101", "10000"], "--nodes": INTS + ["13", "350", "400"],
+          "--alpha-re": FLOATS, "--alpha-im": FLOATS, "--v": FLOATS, "--tfinal": FLOATS,
+          "--dt": FLOATS, "--grid": [None], "--bogus": ["1"], "-q": [None], "--": [None]}
+SHARED = ["--nmax", "--omega", "--tol", "--format", "--sigma", "--strict"]
+BOGUS = ["--bogus", "-q", "--"]
+COMMANDS = {
+    "verify": (["verify"], ["--nmax", "--omega", "--tol", "--format", "--sigma", "--strict"]),
+    "op-check": (["op-check"], ["--nmax", "--omega", "--tol", "--format", "--sigma"]),
+    "eigenfunction": (["dump", "eigenfunction"], ["--set", "--n", "--xmin", "--xmax",
+                                                  "--samples"]),
+    "gram": (["dump", "gram"], ["--nmax", "--nodes"]),
+    "coherent": (["dump", "coherent"], ["--nmax", "--strict", "--alpha-re", "--alpha-im"]),
+    "evolve": (["dump", "evolve"], ["--omega", "--v", "--tfinal", "--dt", "--grid"]),
+    "decay": (["dump", "decay"], ["--omega", "--n", "--set", "--tfinal", "--dt"]),
+}
+EXPRESSIONS = ["a- == a-", "comm(a-, a+) == I", "adj(H) == H", "x == p", "1e400*I == I",
+               "comm(a-,", ""]
+
+
+def pairs(flags):
+    return st.sampled_from([(flag, value) for flag in flags for value in VALUES[flag]])
+
+
+#: Per command: (argv prefix, its own options with values, shared options it
+#: does not take and bogus flags with values).
+DRAWS = {name: (prefix, pairs(kept + ["--out"]),
+                pairs([o for o in SHARED if o not in kept] + BOGUS))
+         for name, (prefix, kept) in COMMANDS.items()}
+
+
+def steps(name, opts):
+    # tfinal/dt of a dump evolve or decay, from the given values or the defaults
+    omega = float(opts.get("--omega", "1"))
+    tfinal = float(opts.get("--tfinal", "1.5" if name == "evolve" else "1"))
+    if "--dt" in opts:
+        dt = float(opts["--dt"])
+    else:
+        dt = 1e-3 / omega if name == "evolve" else 0.01
+    return tfinal / dt
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True,
+          suppress_health_check=list(HealthCheck))
+@given(st.data())
+def check(data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    prefix, own, other = DRAWS[name]
+    drawn = data.draw(st.lists(own, max_size=5, unique_by=lambda pair: pair[0]))
+    drawn += data.draw(st.lists(other, max_size=1))
+    argv = list(prefix)
+    if name == "op-check":
+        argv.append(data.draw(st.sampled_from(EXPRESSIONS)))
+    argv += [flag if value is None else f"{flag}={value}" for flag, value in drawn]
+    if name in ("evolve", "decay"):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            assume(not 1e4 < steps(name, dict(drawn)) <= MAX_STEPS)
+    seed = data.draw(st.sampled_from([None, "0", "7", "-5", "abc"]))
+    os.environ.pop("IWQM_SEED", None)
+    if seed is not None:
+        os.environ["IWQM_SEED"] = seed
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+check()
+'''
+
+
+def test_random_argument_vectors_exit_cleanly(run_capped, tmp_path):
+    done = run_capped("-c", CLI_PROPERTY_CHILD, str(tmp_path))
+    assert done.returncode == 0, done.stderr[-4000:]

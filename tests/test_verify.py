@@ -6,6 +6,7 @@ import pytest
 
 import iwqm
 from iwqm import coherent, verify
+from iwqm.algebra import BRA
 from iwqm.verify import (
     RunConfig,
     algebra_identities,
@@ -89,15 +90,22 @@ def test_conventions_report_names_the_passing_phase():
     assert determine_bra_phase() == "+i"
 
 
+def _bra_ladder_test(phase: complex) -> bool:
+    """Does the bra coherent state at the probe label solve
+    a+ |alpha>_l = alpha |alpha>_l under this bra ladder step phase?"""
+    bra = coherent.build_coherent(BRA, verify._PROBE_LABEL, 64)
+    return coherent.eigen_residual(bra, phase) <= 1e-10
+
+
 def test_bra_ladder_phase_is_determined(monkeypatch):
-    assert verify._bra_ladder_phase_verdicts(64) == {"+i": False, "-i": True}
+    assert list(verify._passing_phases(_bra_ladder_test)) == ["-i"]
     assert conventions(RunConfig())["bra_ladder_phase"] == "-i"
     # bra coefficients built with the opposite phase solve a+ |alpha>_l = alpha |alpha>_l
     # only under the opposite ladder phase
     build = coherent.build_coherent
     monkeypatch.setattr(coherent, "build_coherent",
                         lambda *args, **kwargs: build(*args, **{**kwargs, "bra_phase": -1j}))
-    assert verify._bra_ladder_phase_verdicts(64) == {"+i": True, "-i": False}
+    assert list(verify._passing_phases(_bra_ladder_test)) == ["+i"]
     assert conventions(RunConfig())["bra_ladder_phase"] == "+i"
 
 
@@ -126,9 +134,13 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(tol=0.0)
     with pytest.raises(ValueError):
-        RunConfig(fmt="yaml")
-    with pytest.raises(ValueError):
         RunConfig(sigma=0)
+    for field in ("omega", "tol"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+                RunConfig(**{field: value})
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        RunConfig(seed=-1)
 
 
 def test_seed_changes_sampled_labels_but_not_the_verdict():
