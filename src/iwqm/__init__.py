@@ -11,13 +11,7 @@ verification suite with independent numerical oracles.
 from .algebra import (
     BRA,
     KET,
-    DualVector,
     build_hamiltonian,
-    build_lowering,
-    build_raising,
-    dual_pairing,
-    fock_state,
-    generator_action,
     ladder_action,
 )
 from .coherent import (
@@ -46,7 +40,6 @@ from .dynamics import (
     grid_split_step,
     integrate_alpha,
     mixed_density,
-    propagate_coeffs,
     propagate_fock,
     schrodinger_residual,
     step_count,

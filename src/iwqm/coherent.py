@@ -13,16 +13,22 @@ satisfies the eigenvalue equation and the mutual normalization
 standard bra ladder convention); the other is kept available so the
 verification suite can demonstrate the failure.
 
-Expectation values of x, p, x^2, p^2 in the dual pairing are computed
-from one built (bra, ket) pair by :func:`moments`: x = (a- + a+)/sqrt(2i)
-and p = (a- - a+)/sqrt(2i) act on the ket coefficients as O(dim) ladder
+A state is one coefficient vector with its family and label
+(:class:`CoherentState`).  The dual pairing of a bra with a ket is the
+plain sum_n conj(bra_n) ket_n, so :func:`mutual_pairing` is one
+``np.vdot`` behind the family and dimension check.  Expectation values
+of x, p, x^2, p^2 in the dual pairing are computed from one built
+(bra, ket) pair by :func:`moments`: x = (a- + a+)/sqrt(2i) and
+p = (a- - a+)/sqrt(2i) act on the ket coefficients as O(dim) ladder
 bands, and x^2 is x applied twice to the truncated vector, which equals
 the truncated matrix product (X @ X) @ c.  No dense matrix is formed.
+:func:`expectation` and :func:`uncertainty_product` build the pair
+themselves, in strict mode and with the default bra phase;
 :func:`expectation` applies only the observable it is asked for (two
-ladder actions for x or p, four for x^2 or p^2) with the same operations,
-so it equals the :func:`moments` entry bit for bit.  The sqrt(n) band
-that the ladder actions and the coefficient recurrence use is computed
-once per truncation (:func:`iwqm.expressions.ladder_band`).
+ladder actions for x or p, four for x^2 or p^2) with the same
+operations, so it equals the :func:`moments` entry bit for bit.  The
+sqrt(n) band that the ladder actions and the coefficient recurrence use
+is computed once per truncation (:func:`iwqm.expressions.ladder_band`).
 The closed forms of the label algebra give the same values, and the two
 routes are cross-asserted by the tests.  The variances come out as the
 alpha-independent constants -i/2 and +i/2, whose principal square roots
@@ -37,14 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    BRA,
-    BRA_LADDER_PHASE,
-    KET,
-    DualVector,
-    dual_pairing,
-    ladder_action,
-)
+from .algebra import BRA, BRA_LADDER_PHASE, KET, ladder_action
 from .expressions import ladder_band
 
 #: Default phase in the bra coefficient ratio c_n / c_{n-1} = bra_phase * alpha / sqrt(n).
@@ -85,9 +84,6 @@ class CoherentState:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
-
-    def as_dual_vector(self) -> DualVector:
-        return DualVector(self.family, self.coeffs)
 
 
 def build_coherent(family: str, alpha: complex, dim: int = 64, *,
@@ -138,9 +134,19 @@ def eigen_residual(state: CoherentState,
     return float(np.linalg.norm(action - state.alpha * state.coeffs))
 
 
-def mutual_pairing(bra_state: CoherentState, ket_state: CoherentState) -> complex:
-    """<alpha|alpha> between the dual coherent states; 1 for the consistent phase."""
-    return dual_pairing(bra_state.as_dual_vector(), ket_state.as_dual_vector())
+def _check_pair(bra: CoherentState, ket: CoherentState) -> None:
+    if bra.family != BRA or ket.family != KET:
+        raise ValueError(
+            f"the dual pairing takes (bra, ket); got families ({bra.family!r}, {ket.family!r})")
+    if bra.dim != ket.dim:
+        raise ValueError(f"dimension mismatch: {bra.dim} vs {ket.dim}")
+
+
+def mutual_pairing(bra: CoherentState, ket: CoherentState) -> complex:
+    """<alpha|alpha> = sum_n conj(bra_n) ket_n between the dual coherent states;
+    1 for the consistent phase."""
+    _check_pair(bra, ket)
+    return complex(np.vdot(bra.coeffs, ket.coeffs))
 
 
 _OBSERVABLES = ("x", "p", "x2", "p2")
@@ -166,19 +172,14 @@ def moments(bra: CoherentState, ket: CoherentState) -> dict[str, complex]:
     is x (p) applied twice, which equals the truncated matrix square
     applied once.
     """
-    if bra.family != BRA or ket.family != KET:
-        raise ValueError(
-            f"moments take (bra, ket); got families ({bra.family!r}, {ket.family!r})")
-    if bra.dim != ket.dim:
-        raise ValueError(f"dimension mismatch: {bra.dim} vs {ket.dim}")
+    _check_pair(bra, ket)
     x_ket, p_ket = _quadratures(ket.coeffs, "xp")
     vectors = {"x": x_ket, "p": p_ket,
                "x2": _quadratures(x_ket, "x")[0], "p2": _quadratures(p_ket, "p")[0]}
     return {name: complex(np.vdot(bra.coeffs, v)) for name, v in vectors.items()}
 
 
-def expectation(observable: str, alpha: complex, dim: int = 64, *,
-                strict: bool = True, bra_phase: complex = BRA_COEFF_PHASE) -> complex:
+def expectation(observable: str, alpha: complex, dim: int = 64) -> complex:
     """Dual-pairing expectation of x, p, x^2 or p^2 on the truncated Fock space.
 
     Only the requested observable is applied, with the operations
@@ -187,8 +188,8 @@ def expectation(observable: str, alpha: complex, dim: int = 64, *,
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
-    ket = build_coherent(KET, alpha, dim, strict=strict)
-    bra = build_coherent(BRA, alpha, dim, strict=strict, bra_phase=bra_phase)
+    ket = build_coherent(KET, alpha, dim)
+    bra = build_coherent(BRA, alpha, dim)
     name = observable[0]
     (v,) = _quadratures(ket.coeffs, name)
     if observable.endswith("2"):
@@ -231,13 +232,13 @@ class Uncertainty:
         return cls(complex(dx2), complex(dp2), dx, dp, float((dx * dp).real))
 
 
-def uncertainty_product(alpha: complex, dim: int = 64, *, strict: bool = True) -> Uncertainty:
+def uncertainty_product(alpha: complex, dim: int = 64) -> Uncertainty:
     """Variances of x and p and the product of their principal square roots.
 
     The individual deviations are complex (and carry the branch
     convention of the square root); the assertable physics is the pair
     of variances -i/2, +i/2 and the real product 1/2.
     """
-    ket = build_coherent(KET, alpha, dim, strict=strict)
-    bra = build_coherent(BRA, alpha, dim, strict=strict)
+    ket = build_coherent(KET, alpha, dim)
+    bra = build_coherent(BRA, alpha, dim)
     return Uncertainty.from_moments(moments(bra, ket))

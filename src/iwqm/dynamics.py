@@ -57,6 +57,13 @@ MAX_STEPS = 10 ** 7
 #: Size of the block of grid states whose observables are taken at once.
 BLOCK_BYTES = 1 << 19
 
+#: Largest boundary amplitude of a grid state, relative to the initial peak
+#: amplitude when that is above 1.
+LEAK_TOL = 1e-10
+
+#: Largest drift of a grid state's L2 norm from the initial one.
+DRIFT_TOL = 1e-8
+
 
 class GridLeakError(RuntimeError):
     """Wave-function amplitude reached the grid boundary."""
@@ -136,13 +143,6 @@ def propagate_fock(family: str, n: int, omega: float, t: float) -> float:
     return float(math.exp(exponent if family == KET else -exponent))
 
 
-def propagate_coeffs(family: str, coeffs: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """Apply the diagonal propagator entrywise to a coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    factors = np.array([propagate_fock(family, n, omega, t) for n in range(coeffs.shape[0])])
-    return coeffs * factors
-
-
 def mixed_density(n: int, omega: float, t: float, dim: int) -> np.ndarray:
     """Outer product of the propagated ket level n with the propagated bra level n.
 
@@ -155,39 +155,35 @@ def mixed_density(n: int, omega: float, t: float, dim: int) -> np.ndarray:
     return np.outer(ket, np.conj(bra))
 
 
-def density_invariant_residual(n: int, omega: float, dt: float, dim: int | None = None,
-                               t0: float = 0.0) -> float:
-    """Max-entry residual of i d/dt rho + [rho, H] by centered differencing."""
+def density_invariant_residual(n: int, omega: float, dt: float) -> float:
+    """Max-entry residual of i d/dt rho + [rho, H] at t = 0 by centered
+    differencing, on the levels 0..n+1."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if dim is None:
-        dim = n + 2
     from .algebra import build_hamiltonian
 
+    dim = n + 2
     h = build_hamiltonian(dim, omega)
-    rho = mixed_density(n, omega, t0, dim)
-    drho = (mixed_density(n, omega, t0 + dt, dim)
-            - mixed_density(n, omega, t0 - dt, dim)) / (2.0 * dt)
+    rho = mixed_density(n, omega, 0.0, dim)
+    drho = (mixed_density(n, omega, dt, dim) - mixed_density(n, omega, -dt, dim)) / (2.0 * dt)
     return float(np.max(np.abs(1j * drho + rho @ h - h @ rho)))
 
 
-def schrodinger_residual(family: str, n: int, omega: float, dt: float,
-                         t0: float = 0.0) -> float:
-    """Centered-difference defect of i d/dt psi = E psi for one propagated level.
+def schrodinger_residual(family: str, n: int, omega: float, dt: float) -> float:
+    """Centered-difference defect of i d/dt psi = E psi at t = 0 for one propagated level.
 
     The eigenvalue is i omega (n + 1/2) for ket levels and its conjugate
     for bra levels.  The derivative is the fourth-order five-point stencil
-    (f(t-2dt) - 8 f(t-dt) + 8 f(t+dt) - f(t+2dt)) / (12 dt), so the defect
-    is the truncation error ((n+1/2) omega)^5 dt^4 / 30 plus rounding.
+    (f(-2dt) - 8 f(-dt) + 8 f(dt) - f(2dt)) / (12 dt), so the defect is
+    the truncation error ((n+1/2) omega)^5 dt^4 / 30 plus rounding.
     """
     energy = 1j * omega * (n + 0.5) * (1 if family == KET else -1)
 
     def f(t):
         return propagate_fock(family, n, omega, t)
 
-    derivative = (f(t0 - 2.0 * dt) - 8.0 * f(t0 - dt)
-                  + 8.0 * f(t0 + dt) - f(t0 + 2.0 * dt)) / (12.0 * dt)
-    return float(abs(1j * derivative - energy * f(t0)))
+    derivative = (f(-2.0 * dt) - 8.0 * f(-dt) + 8.0 * f(dt) - f(2.0 * dt)) / (12.0 * dt)
+    return float(abs(1j * derivative - energy * f(0.0)))
 
 
 def classical_orbit(v: float, omega: float, sign: int, t):
@@ -219,18 +215,28 @@ def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
                     check_tol: float | None = 1e-8) -> Trajectory:
     """Fourth-order integration of alpha'' = omega^2 alpha, alpha(0)=0, alpha'(0)=v.
 
-    When ``check_tol`` is set the result is compared against the closed
-    form and a :class:`StepSizeError` is raised if the relative deviation
-    exceeds it.
+    A setting whose trajectory is not finite raises ValueError.  When
+    ``check_tol`` is set the result is compared against the closed form:
+    a relative deviation above it raises :class:`StepSizeError`, and a
+    closed-form orbit that overflows or underflows to 0, so that no
+    deviation can be measured, raises ValueError.
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega!r}")
     steps = step_count(t_final, dt)
-    values = rk4_trajectory(float(v), float(omega), float(dt), steps)[:, 0]
+    with np.errstate(all="ignore"):  # overflow leaves inf or nan, refused below
+        values = rk4_trajectory(float(v), float(omega), float(dt), steps)[:, 0]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"the label trajectory of v={v!r} at omega={omega!r} is not finite "
+                         f"up to t_final={t_final!r}")
     times = dt * np.arange(steps + 1)
     if check_tol is not None and v != 0:
-        exact = classical_orbit(v, omega, 1, times[1:])
-        rel = float(np.max(np.abs(values[1:] - exact) / np.abs(exact)))
+        with np.errstate(all="ignore"):
+            exact = classical_orbit(v, omega, 1, times[1:])
+            rel = float(np.max(np.abs(values[1:] - exact) / np.abs(exact)))
+        if math.isnan(rel):  # inf / inf or 0 / 0
+            raise ValueError(f"the closed-form orbit of v={v!r} at omega={omega!r} leaves the "
+                             f"float range up to t_final={t_final!r}")
         if rel > check_tol:
             raise StepSizeError(
                 f"step dt={dt:g} leaves relative error {rel:.3e} > {check_tol:g} "
@@ -238,13 +244,12 @@ def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
     return Trajectory(times, values.astype(complex))
 
 
-def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None,
-                    width: float | None = None) -> GridState:
+def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) -> GridState:
     """Normalized Gaussian packet at the potential top with mean momentum v,
     on the smallest power-of-two grid that holds it until ``t_final``.
 
-    The packet is exp(-x^2 / (2 width^2) + i v x); ``width`` defaults to the
-    natural length 1/sqrt(omega) and ``t_final`` to 1.5/omega.  Under the
+    The packet is exp(-x^2 / (2 width^2) + i v x) with the natural length
+    width = 1/sqrt(omega); ``t_final`` defaults to 1.5/omega.  Under the
     inverted well the spreads grow in closed form,
 
         sigma_x(t)^2 = sigma_x0^2 cosh^2 + sigma_p0^2 sinh^2 / omega^2,
@@ -259,9 +264,10 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None,
     if not (omega > 0 and omega * omega > 0):
         raise ValueError(f"omega must be positive with a nonzero square, got {omega!r}")
     t_final = 1.5 / omega if t_final is None else t_final
-    width = 1.0 / math.sqrt(omega) if width is None else width
-    if not (t_final > 0 and width > 0):
-        raise ValueError(f"t_final and width must be positive, got {t_final!r}, {width!r}")
+    # an infinite omega leaves the width 0
+    if not (t_final > 0 and omega < math.inf):
+        raise ValueError(f"t_final must be positive and omega finite, got {t_final!r}, {omega!r}")
+    width = 1.0 / math.sqrt(omega)
     # cosh and sinh overflow past EXP_GUARD; the cap still gives an infinite need
     growth = min(omega * t_final, EXP_GUARD)
     cosh, sinh = math.cosh(growth), math.sinh(growth)
@@ -285,15 +291,14 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None,
 
 
 def grid_split_step(initial: GridState, dt: float, steps: int,
-                    leak_tol: float = 1e-10, drift_tol: float = 1e-8,
                     diagnostics: dict | None = None) -> Trajectory:
     """Fourth-order split-step spectral evolution under H = p^2/2 - omega^2 x^2/2.
 
     Returns the standard L2 expectation <x>(t) sampled after every step.
     Raises :class:`GridLeakError` if the boundary amplitude exceeds
-    ``leak_tol`` times the initial peak amplitude, or ``leak_tol`` itself
+    ``LEAK_TOL`` times the initial peak amplitude, or ``LEAK_TOL`` itself
     for a peak below 1, and :class:`NormDriftError` if the L2 norm drifts
-    by more than ``drift_tol``, naming the first offending step.  The peak
+    by more than ``DRIFT_TOL``, naming the first offending step.  The peak
     grows like omega^(1/4) and the FFT's rounding at the edges with it
     (about 1e-14 of the peak), so an absolute bound would stop correct
     runs at large omega.  When a ``diagnostics`` dict is supplied it
@@ -325,7 +330,7 @@ def grid_split_step(initial: GridState, dt: float, steps: int,
         raise ValueError("dt must be positive and steps >= 1")
     if steps > MAX_STEPS:
         raise ValueError(f"{steps} steps exceeds the cap of {MAX_STEPS}")
-    leak_limit = leak_tol * max(1.0, float(np.max(np.abs(initial.psi))))
+    leak_limit = LEAK_TOL * max(1.0, float(np.max(np.abs(initial.psi))))
     x = initial.x
     dx = initial.dx
     k = 2.0 * np.pi * np.fft.fftfreq(initial.points, dx)
@@ -354,14 +359,14 @@ def grid_split_step(initial: GridState, dt: float, steps: int,
         drifts = np.abs(norms - norm0)
         edge_max = max(edge_max, float(edges.max()))
         drift_max = max(drift_max, float(drifts.max()))
-        bad = np.flatnonzero((edges > leak_limit) | (drifts > drift_tol))
+        bad = np.flatnonzero((edges > leak_limit) | (drifts > DRIFT_TOL))
         if bad.size:
             r = bad[0]
             if edges[r] > leak_limit:
                 raise GridLeakError(
                     f"boundary amplitude {edges[r]:.3e} exceeds {leak_limit:g} at step {start + r}")
             raise NormDriftError(
-                f"norm drift {drifts[r]:.3e} exceeds {drift_tol:g} at step {start + r}")
+                f"norm drift {drifts[r]:.3e} exceeds {DRIFT_TOL:g} at step {start + r}")
     if diagnostics is not None:
         diagnostics["norm_drift"] = drift_max
         diagnostics["edge_max"] = edge_max

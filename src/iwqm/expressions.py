@@ -424,6 +424,6 @@ def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression,
 
 
 def equation_residual(text: str, nmax: int, sigma: int = ADJOINT_SIGN,
-                      omega: float = 1.0, guard: int = 8) -> float:
-    """:func:`identity_residual` of the parsed ``LHS == RHS``."""
-    return identity_residual(*parse_equation(text, sigma, omega), nmax, guard)
+                      omega: float = 1.0) -> float:
+    """:func:`identity_residual` of the parsed ``LHS == RHS``, at the default guard."""
+    return identity_residual(*parse_equation(text, sigma, omega), nmax)

@@ -80,3 +80,14 @@ def normalized_levels():
     """The generator of the plain normalized recurrence, levels(z, start):
     an independent accuracy reference for the scaled one."""
     return _normalized_levels
+
+
+@pytest.fixture(scope="session")
+def dense_ladder():
+    """ladder(dim) -> (lowering, raising): the truncated dense generators,
+    entry sqrt(n) at (n-1, n) and at (n, n-1), built here from
+    np.sqrt(np.arange(1, dim)) as a reference independent of the package."""
+    def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
+        root = np.sqrt(np.arange(1, dim))
+        return np.diag(root, 1).astype(complex), np.diag(root, -1).astype(complex)
+    return ladder

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from iwqm import cli, dynamics
-from iwqm.algebra import BRA, KET, DualVector, dual_pairing
+from iwqm.algebra import BRA, KET
 from iwqm.cli import main
 from iwqm.coherent import TruncationWarning
 
@@ -412,10 +413,10 @@ def test_dump_decay_rows_are_the_full_vector_route(capsys, family):
     expected = ["t,factor,mixed_pairing"]
     for k in range(steps + 1):
         t = k * dt
-        ket = DualVector(KET, dynamics.propagate_coeffs(KET, base, omega, t))
-        bra = DualVector(BRA, dynamics.propagate_coeffs(BRA, base, omega, t))
+        ket = base * [dynamics.propagate_fock(KET, m, omega, t) for m in range(n + 1)]
+        bra = base * [dynamics.propagate_fock(BRA, m, omega, t) for m in range(n + 1)]
         factor = dynamics.propagate_fock(family, n, omega, t)
-        expected.append(f"{t!r},{factor!r},{float(dual_pairing(bra, ket).real)!r}")
+        expected.append(f"{t!r},{factor!r},{float(np.vdot(bra, ket).real)!r}")
     assert out.splitlines() == expected
     assert any(not line.endswith(",1.0") for line in expected[1:])
 
@@ -523,17 +524,55 @@ def test_invalid_settings_are_refused_up_front(capsys, monkeypatch, seed, argv):
 
 
 def test_verify_at_extreme_omega_exits_without_traceback(capsys):
-    # the density equation's fixed step overflows from omega ~ 3e5: a failed check
+    # the absolute tolerances of the operator and grid checks fail here, but
+    # the density equation steps 1e-3/omega and holds at any omega
     code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e100")
     assert code == 1
     assert err == ""
     checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
-    assert checks["density_equation"]["residual"] == float("inf")
+    assert checks["density_equation"]["passed"]
     # below omega ~ 1e-162 the packet's spreads, which divide by omega^2, cannot be formed
     code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e-170")
     assert code == 2
     assert out == ""
     assert err == "usage error: omega must be positive with a nonzero square, got 1e-170\n"
+
+
+def _assert_clean_evolve(capsys, argv):
+    """Run ``dump evolve`` with warnings recorded: exit 0 with finite rows, or a
+    one-line usage error; never a traceback or a warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "dump", "evolve", *argv)
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        assert err == ""
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    return code, err
+
+
+def test_dump_evolve_refuses_an_overflowing_label_orbit(capsys):
+    # v/omega = -inf overflows the label trajectory
+    code, err = _assert_clean_evolve(capsys, ["--omega", "1e-300", "--v=-1e300",
+                                              "--tfinal", "0.01", "--dt", "1e-3"])
+    assert code == 2 and "not finite" in err
+    # at v = 0 the trajectory is 0, but sinh(omega t) overflows in the orbit
+    code, err = _assert_clean_evolve(capsys, ["--v=0", "--tfinal", "1e5", "--dt", "1e5"])
+    assert code == 2 and "classical orbit" in err
+
+
+EXTREMES = ["1e-300", "1", "1e300"]
+
+
+@pytest.mark.parametrize("route", [[], ["--grid"]], ids=["label", "grid"])
+@pytest.mark.parametrize("omega, v, tfinal, dt", itertools.product(EXTREMES, repeat=4))
+def test_dump_evolve_at_extreme_settings_prints_finite_rows_or_refuses(capsys, route, omega, v,
+                                                                       tfinal, dt):
+    _assert_clean_evolve(capsys, ["--omega", omega, f"--v={v}", "--tfinal", tfinal,
+                                  "--dt", dt, *route])
 
 
 #: The shared options besides --out, each with a valid value (None for a flag).

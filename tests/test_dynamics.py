@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from iwqm import kernels
+from iwqm import dynamics, kernels
 from iwqm.algebra import BRA, KET
 from iwqm.dynamics import (
     MAX_GRID_POINTS,
@@ -17,7 +19,6 @@ from iwqm.dynamics import (
     grid_split_step,
     integrate_alpha,
     mixed_density,
-    propagate_coeffs,
     propagate_fock,
     schrodinger_residual,
     step_count,
@@ -50,13 +51,6 @@ def test_propagate_arguments():
         propagate_fock(KET, 0, 0.0, 1.0)
 
 
-def test_propagate_coeffs_entrywise():
-    coeffs = np.array([1.0, 2.0, 3.0], dtype=complex)
-    out = propagate_coeffs(KET, coeffs, 2.0, 0.3)
-    expected = coeffs * np.exp((np.arange(3) + 0.5) * 2.0 * 0.3)
-    np.testing.assert_allclose(out, expected, rtol=1e-14)
-
-
 def test_mixed_density_time_invariant():
     rho0 = mixed_density(2, 1.0, 0.0, 4)
     for t in (0.1, 0.5, 1.0):
@@ -68,7 +62,7 @@ def test_same_family_density_grows():
     base = np.zeros(4, dtype=complex)
     base[n] = 1.0
     for t in (0.2, 0.7):
-        grown = propagate_coeffs(KET, base, omega, t)
+        grown = base * [propagate_fock(KET, k, omega, t) for k in range(4)]
         ratio = np.vdot(grown, grown).real
         assert ratio == pytest.approx(np.exp(2 * (n + 0.5) * omega * t), rel=1e-12)
 
@@ -177,6 +171,20 @@ def test_label_integration_refuses_non_positive_omega():
     for omega in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="omega"):
             integrate_alpha(1.0, omega, 1.0, 1e-3, check_tol=None)
+
+
+@pytest.mark.parametrize("v, omega, t_final, dt, message", [
+    (-1e300, 1e-300, 0.01, 1e-3, "trajectory .* is not finite"),
+    (1.0, 1.0, 1e300, 1e300, "trajectory .* is not finite"),
+    (1e-300, 1e-300, 1e-300, 1e-300, "closed-form orbit .* leaves the float range"),
+])
+def test_label_integration_refuses_orbits_outside_the_float_range(v, omega, t_final, dt,
+                                                                 message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as err:
+            integrate_alpha(v, omega, t_final, dt)
+    assert not isinstance(err.value, StepSizeError)
 
 
 def test_label_integration_step_size_guard():
@@ -331,9 +339,10 @@ def test_gaussian_packet_refuses_over_cap_horizon():
         gaussian_packet(0.5, 0.0)
 
 
-def test_grid_split_step_detects_norm_drift():
+def test_grid_split_step_detects_norm_drift(monkeypatch):
+    monkeypatch.setattr(dynamics, "DRIFT_TOL", -1.0)
     with pytest.raises(NormDriftError):
-        grid_split_step(gaussian_packet(0.5), 1e-3, 5, drift_tol=-1.0)
+        grid_split_step(gaussian_packet(0.5), 1e-3, 5)
 
 
 def test_grid_split_step_argument_validation():

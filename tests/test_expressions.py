@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwqm import algebra, expressions, verify
+from iwqm import expressions, verify
 from iwqm.expressions import (
     A_MINUS,
     A_PLUS,
@@ -42,9 +42,10 @@ def _mat(expr):
 
 
 @pytest.mark.parametrize("sigma", [-1, 1])
-def test_adjoint_number_is_pseudo_hermitian(sigma):
+def test_adjoint_number_is_pseudo_hermitian(sigma, dense_ladder):
     adj_n = _mat(adjoint(number_expression(), sigma))
-    target = -(algebra.build_raising(DIM) @ algebra.build_lowering(DIM) + np.eye(DIM))
+    low, rai = dense_ladder(DIM)
+    target = -(rai @ low + np.eye(DIM))
     assert np.max(np.abs((adj_n - target)[BLOCK, BLOCK])) <= 1e-12
 
 
@@ -85,28 +86,33 @@ def test_su11_adjoint_signs(sigma):
         assert np.max(np.abs(residual[BLOCK, BLOCK])) <= 1e-12, name
 
 
-def test_to_matrix_generators():
-    np.testing.assert_array_equal(_mat(A_MINUS), algebra.build_lowering(DIM))
-    np.testing.assert_array_equal(_mat(A_PLUS), algebra.build_raising(DIM))
+def test_to_matrix_generators(dense_ladder):
+    low, rai = dense_ladder(DIM)
+    np.testing.assert_array_equal(_mat(A_MINUS), low)
+    np.testing.assert_array_equal(_mat(A_PLUS), rai)
     np.testing.assert_array_equal(_mat(IDENTITY), np.eye(DIM))
 
 
-def _dense_reference(expr, dim):
-    """Dense evaluation from the algebra builders and ``@``, independent of the bands."""
+def _dense_reference(expr, ladder):
+    """Dense evaluation from the generators ``ladder = (lowering, raising)``
+    and ``@``, independent of the bands."""
+    low, rai = ladder
+    dim = low.shape[0]
     if isinstance(expr, AMinus):
-        return algebra.build_lowering(dim)
+        return low
     if isinstance(expr, APlus):
-        return algebra.build_raising(dim)
+        return rai
     if isinstance(expr, Identity):
         return np.eye(dim, dtype=complex)
     if isinstance(expr, Scaled):
-        return expr.scalar * _dense_reference(expr.child, dim)
+        return expr.scalar * _dense_reference(expr.child, ladder)
     if isinstance(expr, OpSum):
-        return sum((_dense_reference(t, dim) for t in expr.terms), np.zeros((dim, dim), complex))
+        return sum((_dense_reference(t, ladder) for t in expr.terms),
+                   np.zeros((dim, dim), complex))
     if isinstance(expr, OpProduct):
         out = np.eye(dim, dtype=complex)
         for f in expr.factors:
-            out = out @ _dense_reference(f, dim)
+            out = out @ _dense_reference(f, ladder)
         return out
     raise TypeError(expr)
 
@@ -128,15 +134,15 @@ def _trees(sigma):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), dim=st.integers(4, 40), sigma=st.sampled_from([1, -1]))
-def test_to_matrix_matches_dense_reference(data, dim, sigma):
+def test_to_matrix_matches_dense_reference(data, dim, sigma, dense_ladder):
     expr = data.draw(_trees(sigma))
-    reference = _dense_reference(expr, dim)
+    reference = _dense_reference(expr, dense_ladder(dim))
     atol = 1e-12 * (1.0 + np.max(np.abs(reference)))
     np.testing.assert_allclose(to_matrix(expr, dim), reference, rtol=0, atol=atol)
 
 
-def test_position_and_momentum_expressions():
-    low, rai = algebra.build_lowering(DIM), algebra.build_raising(DIM)
+def test_position_and_momentum_expressions(dense_ladder):
+    low, rai = dense_ladder(DIM)
     np.testing.assert_allclose(_mat(position_expression()), (low + rai) / np.sqrt(2j),
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(_mat(momentum_expression()), (low - rai) / np.sqrt(2j),
@@ -154,33 +160,36 @@ def _skip_grid(*args, **kwargs):
 
 @pytest.mark.parametrize("sigma", [-1, 1])
 @pytest.mark.parametrize("nmax,omega", PARITY_POINTS)
-def test_verify_identity_verdicts_match_dense_reference(nmax, omega, sigma, monkeypatch):
+def test_verify_identity_verdicts_match_dense_reference(nmax, omega, sigma, monkeypatch,
+                                                        dense_ladder):
     monkeypatch.setattr(verify.dynamics, "grid_split_step", _skip_grid)
     cfg = verify.RunConfig(nmax=nmax, omega=omega, sigma=sigma)
     rows = verify.algebra_identities(cfg) + verify.heisenberg_identities(omega)
     checks = {c.name: c for suite in (verify.algebra_suite(cfg), verify.correspondence_suite(cfg))
               for c in suite.checks}
+    ladder = dense_ladder(nmax)
     for name, anchor, lhs, rhs, k, tol in rows:
         block = nmax - k
-        dense = np.max(np.abs((_dense_reference(lhs, nmax)
-                               - _dense_reference(rhs, nmax))[:block, :block]))
+        dense = np.max(np.abs((_dense_reference(lhs, ladder)
+                               - _dense_reference(rhs, ladder))[:block, :block]))
         assert (checks[name].anchor, checks[name].tolerance) == (anchor, tol)
         assert checks[name].passed == (dense <= tol), (name, checks[name].residual, dense)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 160])
-def test_ladder_band_is_one_read_only_array_per_truncation(dim):
+def test_ladder_band_is_one_read_only_array_per_truncation(dim, dense_ladder):
     band = expressions.ladder_band(dim)
     assert expressions.ladder_band(dim) is band
     np.testing.assert_array_equal(band, np.sqrt(np.arange(1, dim)))
     with pytest.raises(ValueError):
         band[0] = 2.0
-    np.testing.assert_array_equal(algebra.build_lowering(dim).diagonal(1), band)
+    np.testing.assert_array_equal(dense_ladder(dim)[0].diagonal(1), band)
 
 
-def test_to_matrix_product_order():
+def test_to_matrix_product_order(dense_ladder):
     ab = _mat(op_product(A_MINUS, A_PLUS))
-    np.testing.assert_allclose(ab, algebra.build_lowering(DIM) @ algebra.build_raising(DIM))
+    low, rai = dense_ladder(DIM)
+    np.testing.assert_allclose(ab, low @ rai)
 
 
 def test_adjoint_rejects_bad_sigma():
@@ -224,7 +233,7 @@ def test_overflowing_scalars_give_infinite_residual(text):
 
 def test_guard_keeps_truncation_out_of_the_block():
     # without padding the S+/S- commutator defect would reach the compared block
-    assert equation_residual("comm(S+, S-) == -2*Sz", 16, guard=8) <= 1e-12
+    assert equation_residual("comm(S+, S-) == -2*Sz", 16) <= 1e-12
 
 
 def test_equation_residual_at_nmax_100000(run_capped):
@@ -291,7 +300,7 @@ def test_scalar_literal_out_of_range_is_a_parse_error(text, position):
 
 @pytest.mark.parametrize("text", ["comm(Sx, Sy) == i*Sz", "adj(n) == n", "H == 2i*Sz"])
 def test_equation_residual_is_identity_residual_of_the_parsed_sides(text):
-    assert equation_residual(text, 20, guard=3) == identity_residual(*parse_equation(text), 20, 3)
+    assert equation_residual(text, 20) == identity_residual(*parse_equation(text), 20, 8)
 
 
 def test_parse_error_on_missing_equality():
