@@ -71,8 +71,6 @@ from .quadrature import (
     density_interval_integral,
     fresnel_gaussian,
     gram_matrix,
-    pairing_integral,
-    pairing_integral_by_moments,
 )
 from .verify import CheckResult, RunConfig, SuiteReport, conventions, run_all
 

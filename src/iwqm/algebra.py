@@ -31,10 +31,14 @@ from .expressions import _check_dim, hamiltonian_expression, ladder_band, to_mat
 KET = "ket"
 BRA = "bra"
 
-#: Phase attached to each bra-family ladder step.  With the default -1j the
-#: bra generation chain a-^n |0>_l / ((-i)^n sqrt(n!)) reproduces |n>_l with
-#: unit phase; the opposite choice +1j flips the chain phase to (-1)^n.
-BRA_LADDER_PHASE = -1j
+#: The bra-family phase under which the dual families are mutually
+#: orthonormal, carried by each bra coherent coefficient ratio and each step
+#: of the bra eigenfunction chain; -1j multiplies bra level n by (-1)^n.
+BRA_PHASE = 1j
+
+#: Phase of each bra ladder step on coefficient vectors: the dual pairing
+#: conjugates bra vectors, so it is the conjugate of ``BRA_PHASE``.
+BRA_LADDER_PHASE = BRA_PHASE.conjugate()
 
 _FAMILIES = (KET, BRA)
 _GENERATORS = ("a-", "a+")

@@ -51,7 +51,7 @@ from .dynamics import (
     step_count,
 )
 from .eigenfunctions import eigenfunction, evaluate
-from .expressions import ExpressionParseError, equation_residual
+from .expressions import ADJOINT_SIGN, ExpressionParseError, equation_residual
 from .quadrature import default_node_count, gram_matrix
 from .verify import RunConfig, SuiteReport, determine_bra_phase, report_csv_lines, report_dict, run_all
 
@@ -86,7 +86,7 @@ _COMMON = {
     "omega": dict(type=float, default=1.0, help="well curvature (default 1.0)"),
     "tol": dict(type=float, default=1e-10, help="pass tolerance (default 1e-10)"),
     "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
-    "sigma": dict(type=int, choices=(1, -1), default=-1,
+    "sigma": dict(type=int, choices=(1, -1), default=ADJOINT_SIGN,
                   help="adjoint sign: generators map to sigma*i times themselves"),
     "strict": dict(action="store_true", help="escalate truncation warnings to errors"),
     "out": dict(type=str, default=None, help="write the payload to a file"),
@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (RuntimeError, MemoryError) as err:
+    except (RuntimeError, OverflowError, MemoryError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

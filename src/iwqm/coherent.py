@@ -43,11 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, BRA_LADDER_PHASE, KET, ladder_action
+from .algebra import BRA, BRA_LADDER_PHASE, BRA_PHASE, KET, ladder_action
 from .expressions import ladder_band
-
-#: Default phase in the bra coefficient ratio c_n / c_{n-1} = bra_phase * alpha / sqrt(n).
-BRA_COEFF_PHASE = 1j
 
 #: Largest admissible truncation-tail magnitude |alpha|^dim / sqrt(dim!).
 TAIL_TOLERANCE = 1e-12
@@ -87,7 +84,7 @@ class CoherentState:
 
 
 def build_coherent(family: str, alpha: complex, dim: int = 64, *,
-                   strict: bool = True, bra_phase: complex = BRA_COEFF_PHASE) -> CoherentState:
+                   strict: bool = True, bra_phase: complex = BRA_PHASE) -> CoherentState:
     """Coherent coefficient vector of one family at label alpha.
 
     Coefficients are produced by the stable ratio recurrence

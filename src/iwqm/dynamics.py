@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, KET
+from .algebra import BRA, KET, build_hamiltonian
 from .kernels import grid_observables, rk4_trajectory
 
 #: Largest exponent fed to exp(); beyond this double precision overflows.
@@ -160,8 +160,6 @@ def density_invariant_residual(n: int, omega: float, dt: float) -> float:
     differencing, on the levels 0..n+1."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    from .algebra import build_hamiltonian
-
     dim = n + 2
     h = build_hamiltonian(dim, omega)
     rho = mixed_density(n, omega, 0.0, dim)

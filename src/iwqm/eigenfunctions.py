@@ -17,9 +17,9 @@ and the normalization s_{n+1} = sqrt(2/(n+1)) s_n carried as one scalar
 (:func:`hermite_levels`).
 
 The bra family carries one free phase per ladder step: the default
-``BRA_STEP_PHASE = +1j`` makes the dual families mutually orthonormal under
-the pairing integral(conj(psi_l) psi_r); -1j satisfies the same ladder
-algebra but multiplies the bra function of level n by (-1)^n.
+:data:`iwqm.algebra.BRA_PHASE` = +1j makes the dual families mutually
+orthonormal under the pairing integral(conj(psi_l) psi_r); -1j satisfies
+the same ladder algebra but multiplies the bra function of level n by (-1)^n.
 
 The independent oracle is the exact integer Hermite table.  In the family
 variable u = e^{+-i pi/4} x (ket/bra) each eigenfunction is a scale times
@@ -43,11 +43,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .algebra import BRA, KET
-
-#: Per-step phase of the bra generation chain; +1j realizes the mutually
-#: orthonormal dual family, -1j the sign-alternating alternative.
-BRA_STEP_PHASE = 1j
+from .algebra import BRA, BRA_PHASE, KET
 
 _Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into exp(-z^2/2)
 
@@ -75,7 +71,7 @@ class Eigenfunction:
 
     family: str
     n: int
-    bra_phase: complex = BRA_STEP_PHASE
+    bra_phase: complex = BRA_PHASE
 
     def __post_init__(self):
         if self.family not in (KET, BRA):
@@ -96,7 +92,7 @@ def generating_function(family: str) -> Eigenfunction:
     return Eigenfunction(family, 0)
 
 
-def eigenfunction(family: str, n: int, bra_phase: complex = BRA_STEP_PHASE) -> Eigenfunction:
+def eigenfunction(family: str, n: int, bra_phase: complex = BRA_PHASE) -> Eigenfunction:
     """The n-th normalized eigenfunction of a family."""
     return Eigenfunction(family, n, bra_phase)
 

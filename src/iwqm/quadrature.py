@@ -8,12 +8,15 @@ integral(x^m exp(-i x^2)) = sqrt(pi/i) (m-1)!! / (2i)^(m/2) (even m).
 
 The dual-family pairings are sqrt(i/pi) h_m(z) h_n(z) exp(-i x^2) with
 z = e^{i pi/4} x (see :mod:`iwqm.eigenfunctions`).  On the rotated
-contour z is the real Gauss-Hermite node itself, so the rule path runs
-the eigenfunction recurrence on real nodes and contracts the levels with
-``einsum`` (a product this small is slower on threaded BLAS); the moment
-path contracts the exact integer Hermite coefficients with the Gaussian
-moments instead, one parity at a time, since H_m has only powers of m's
-parity and odd moments vanish.
+contour x = e^{-i pi/4} s the variable z is s itself and dx carries
+e^{-i pi/4}, which cancels the phase of sqrt(i/pi): the pairing is the
+real Gauss-Hermite orthonormality sum_k w_k h_m(s_k) h_n(s_k) / sqrt(pi).
+So the rule path runs the eigenfunction recurrence on the real nodes and
+contracts the levels with ``einsum`` (a product this small is slower on
+threaded BLAS); the moment path contracts the exact integer Hermite
+coefficients with the Gaussian moments instead, one parity at a time,
+since H_m has only powers of m's parity and odd moments vanish.  The
+rotated rule (:class:`ContourQuadrature`) serves the Fresnel check.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, KET
-from .eigenfunctions import (BRA_STEP_PHASE, Eigenfunction, eigenfunction, evaluate,
-                             hermite_coefficients, hermite_levels)
+from .algebra import BRA, BRA_PHASE
+from .eigenfunctions import Eigenfunction, eigenfunction, evaluate, hermite_coefficients, hermite_levels
 
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
 ROTATION = np.exp(-0.25j * np.pi)
@@ -93,34 +95,15 @@ def fresnel_gaussian() -> complex:
     return complex(np.sqrt(np.pi) * ROTATION)
 
 
-def _check_pair(bra_f: Eigenfunction, ket_f: Eigenfunction) -> None:
-    if bra_f.family != BRA or ket_f.family != KET:
-        raise ValueError(
-            f"pairing takes (bra, ket); got families ({bra_f.family!r}, {ket_f.family!r})")
-
-
-def _rule_pairings(rule: ContourQuadrature, top: int) -> np.ndarray:
-    """integral(psi_m psi_n) of ket levels m, n <= top by the rule."""
-    z = rule.nodes / ROTATION  # the real Gauss-Hermite nodes, up to rounding
-    levels = np.empty((top + 1, z.shape[0]), dtype=complex)
-    for row, (scale, level) in zip(levels, hermite_levels(z, np.ones_like(z))):
+def _rule_pairings(node_count: int, top: int) -> np.ndarray:
+    """integral(psi_m psi_n) of ket levels m, n <= top by the real Gauss-Hermite rule."""
+    s, w = _gauss_hermite(node_count)
+    levels = np.empty((top + 1, node_count))
+    for row, (scale, level) in zip(levels, hermite_levels(s, np.ones(node_count))):
         np.multiply(level, scale, out=row)  # a copy: the recurrence overwrites its buffers
     # einsum sums in its own loop; a matmul this small on threaded BLAS wakes a
     # worker that costs far more than the product
-    return np.sqrt(1j / np.pi) * np.einsum("in,jn->ij", levels * rule.weights, levels)
-
-
-def pairing_integral(bra_f: Eigenfunction, ket_f: Eigenfunction) -> complex:
-    """integral(conj(psi_m^l) psi_n^r) over the real line.
-
-    On the real line conj(psi_m^l) is a sign times the ket function psi_m,
-    so the integrand is a polynomial of degree m + n times exp(-i x^2) and
-    the rotated rule applies; its max(32, (m + n) // 2 + 8) nodes are exact
-    through degree 2 * nodes - 1 > m + n.
-    """
-    _check_pair(bra_f, ket_f)
-    rule = ContourQuadrature.build(max(32, (bra_f.n + ket_f.n) // 2 + 8))
-    return complex(bra_f.conj_sign * _rule_pairings(rule, max(bra_f.n, ket_f.n))[bra_f.n, ket_f.n])
+    return np.einsum("in,jn->ij", levels * w, levels) / math.sqrt(math.pi)
 
 
 def _moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
@@ -158,20 +141,14 @@ def _moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
     return out
 
 
-def pairing_integral_by_moments(bra_f: Eigenfunction, ket_f: Eigenfunction) -> complex:
-    """Moment-oracle evaluation of the same pairing (independent of any rule)."""
-    _check_pair(bra_f, ket_f)
-    return complex(bra_f.conj_sign * _moment_pairings([bra_f.n], [ket_f.n])[0, 0])
-
-
 def default_node_count(nmax: int) -> int:
     """Default rule size of the Gram matrix up to level nmax."""
     return max(64, nmax + 1)
 
 
-def gram_matrix(nmax: int, node_count: int | None = None, bra_phase: complex = BRA_STEP_PHASE,
+def gram_matrix(nmax: int, node_count: int | None = None, bra_phase: complex = BRA_PHASE,
                 use_moments: bool = False) -> np.ndarray:
-    """All pairings of dual eigenfunctions up to level nmax; expected identity.
+    """G[m, n] = integral(conj(psi_m^l) psi_n^r) for levels up to nmax; expected identity.
 
     The rule has ``node_count`` nodes (default max(64, nmax + 1)).  With
     ``use_moments`` the rule is bypassed and every entry comes from the
@@ -190,7 +167,7 @@ def gram_matrix(nmax: int, node_count: int | None = None, bra_phase: complex = B
     if use_moments:
         pairings = _moment_pairings(levels, levels)
     else:
-        pairings = _rule_pairings(ContourQuadrature.build(node_count), nmax)
+        pairings = _rule_pairings(node_count, nmax)
     return (signs[:, None] * pairings).astype(complex)
 
 

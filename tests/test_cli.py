@@ -312,11 +312,19 @@ def test_verify_grid_failure_is_a_failed_check(capsys, monkeypatch):
     assert checks["label_ode"]["passed"]
 
 
-def test_runtime_error_exits_1_with_one_line(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "grid_split_step", leaking_split_step)
+def overflowing_split_step(*args, **kwargs):
+    raise OverflowError("exponent inf exceeds the overflow guard 700.0")
+
+
+@pytest.mark.parametrize("step, message", [
+    (leaking_split_step, "boundary amplitude 1e-3 exceeds 1e-10 at step 7"),
+    (overflowing_split_step, "exponent inf exceeds the overflow guard 700.0")],
+    ids=["leak", "overflow"])
+def test_runtime_error_exits_1_with_one_line(capsys, monkeypatch, step, message):
+    monkeypatch.setattr(cli, "grid_split_step", step)
     code, _, err = run_cli(capsys, "dump", "evolve", "--grid", "--tfinal", "0.05")
     assert code == 1
-    assert err == "runtime error: boundary amplitude 1e-3 exceeds 1e-10 at step 7\n"
+    assert err == f"runtime error: {message}\n"
 
 
 @pytest.mark.parametrize("omega", ["1e20", "1e24", "1e80", "1e100"])
@@ -531,11 +539,37 @@ def test_verify_at_extreme_omega_exits_without_traceback(capsys):
     assert err == ""
     checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
     assert checks["density_equation"]["passed"]
-    # below omega ~ 1e-162 the packet's spreads, which divide by omega^2, cannot be formed
+    # below omega ~ 1e-162 the packet's spreads, which divide by omega^2, cannot be
+    # formed: the grid checks fail, and every other check is still reported
     code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e-170")
-    assert code == 2
-    assert out == ""
-    assert err == "usage error: omega must be positive with a nonzero square, got 1e-170\n"
+    assert code == 1
+    assert err == ""
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert len(checks) == 43
+    for name in ("grid_expectation", "grid_norm", "grid_order"):
+        assert checks[name]["residual"] == float("inf") and not checks[name]["passed"]
+    assert all(c["passed"] for name, c in checks.items() if not name.startswith("grid_"))
+
+
+@pytest.mark.parametrize("omega", ["1e-300", "1e-6", "1e155", "1e300", "5e306", "1.7e308"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_at_an_omega_it_accepts_reports_failed_checks(capsys, omega, fmt):
+    # each of these stopped the run at a refused grid packet, an eigensolver
+    # on non-finite entries or an overflowing decay exponent
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", omega,
+                                 "--format", fmt)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1
+    assert err == ""
+    assert "nan" not in out.lower()
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert sum(len(s["checks"]) for s in payload["suites"]) == 43
+    else:
+        assert len(out.strip().splitlines()) == 43 + 2
 
 
 def _assert_clean_evolve(capsys, argv):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from iwqm.algebra import BRA, KET
+from iwqm.algebra import KET
 from iwqm.eigenfunctions import eigenfunction, generating_function, hermite_coefficients
 from iwqm import quadrature
 from iwqm.quadrature import (
@@ -18,8 +18,6 @@ from iwqm.quadrature import (
     density_interval_integral,
     fresnel_gaussian,
     gram_matrix,
-    pairing_integral,
-    pairing_integral_by_moments,
 )
 
 
@@ -75,11 +73,12 @@ def test_rule_builds_are_equal_and_read_only():
 
 @pytest.mark.parametrize("nmax", [8, 20, 64])
 def test_gram_is_bitwise_the_allocating_recurrence(nmax, reference_levels):
-    rule = ContourQuadrature.build(default_node_count(nmax))
-    z = rule.nodes / ROTATION
-    levels = reference_levels(z, np.ones_like(z), nmax + 1)
-    expected = np.sqrt(1j / np.pi) * np.einsum("in,jn->ij", levels * rule.weights, levels)
-    assert np.array_equal(gram_matrix(nmax), expected)
+    s, w = np.polynomial.hermite.hermgauss(default_node_count(nmax))
+    levels = reference_levels(s, np.ones_like(s), nmax + 1)
+    expected = np.einsum("in,jn->ij", levels * w, levels) / np.sqrt(np.pi)
+    gram = gram_matrix(nmax)
+    assert gram.dtype == complex and not np.any(gram.imag)
+    assert np.array_equal(gram.real, expected)
 
 
 def _dense_moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
@@ -116,20 +115,14 @@ def test_parity_blocked_moments_are_bitwise_the_dense_contraction(rows, cols):
 
 
 def test_ground_state_pairing_is_one():
-    value = pairing_integral(generating_function(BRA), generating_function(KET))
-    assert value == pytest.approx(1.0, abs=1e-13)
+    for use_moments in (False, True):
+        assert gram_matrix(1, use_moments=use_moments)[0, 0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_cross_level_pairing_vanishes():
-    value = pairing_integral(eigenfunction(BRA, 0), eigenfunction(KET, 1))
-    assert abs(value) <= 1e-13
-
-
-def test_pairing_family_contract():
-    with pytest.raises(ValueError):
-        pairing_integral(eigenfunction(KET, 0), eigenfunction(KET, 1))
-    with pytest.raises(ValueError):
-        pairing_integral_by_moments(eigenfunction(BRA, 0), eigenfunction(BRA, 1))
+    for use_moments in (False, True):
+        gram = gram_matrix(1, use_moments=use_moments)
+        assert abs(gram[0, 1]) <= 1e-13 and abs(gram[1, 0]) <= 1e-13
 
 
 def test_gram_identity_and_oracle_crosscheck():

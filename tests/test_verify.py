@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -169,3 +170,27 @@ def test_grid_checks_pass_across_omega(omega):
     assert all(c.passed for c in grid.values())
     # the fourth-order step at dt = 5e-2/omega leaves about 1e-8
     assert grid["grid_expectation"].residual <= 2e-8
+
+
+#: Omegas that RunConfig accepts where a computation is refused or overflows:
+#: the grid packet below about 1e-5 and above about 1e154, the density
+#: equation's step 1e-3/omega below the normal range from about 1e305, and
+#: omega (n + 1/2) itself near the top of the float range.
+EXTREME_OMEGAS = [1e-300, 1e-6, 1e155, 1e300, 5e306, 1.7e308]
+
+
+@pytest.mark.parametrize("omega", EXTREME_OMEGAS)
+def test_extreme_omega_fails_checks_with_finite_or_inf_residuals(omega, default_suites):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        suites = run_all(RunConfig(nmax=8, omega=omega))
+    checks = [c for s in suites for c in s.checks]
+    assert [c.name for c in checks] == [c.name for s in default_suites for c in s.checks]
+    assert len(checks) == 43
+    assert not any(math.isnan(c.residual) for c in checks)
+    refused = {c.name for c in checks if c.residual == math.inf}
+    assert {"grid_expectation", "grid_norm", "grid_order"} <= refused
+    assert all(not c.passed for c in checks if c.name in refused)
+    if omega >= 1.7e308:  # omega (n + 1/2) and every decay exponent overflow
+        assert {"eigenvalues", "real_parts", "growth_factors", "mixed_density_invariant",
+                "density_equation", "schrodinger_factors"} <= refused
