@@ -174,9 +174,10 @@ def test_grid_checks_pass_across_omega(omega):
 
 #: Omegas that RunConfig accepts where a computation is refused or overflows:
 #: the grid packet below about 1e-5 and above about 1e154, the density
-#: equation's step 1e-3/omega below the normal range from about 1e305, and
-#: omega (n + 1/2) itself near the top of the float range.
-EXTREME_OMEGAS = [1e-300, 1e-6, 1e155, 1e300, 5e306, 1.7e308]
+#: equation's step 1e-3/omega below the normal range from about 1e305,
+#: omega (n + 1/2) itself near the top of the float range, and 2/omega at a
+#: subnormal omega, where the label equation's step count is refused.
+EXTREME_OMEGAS = [5e-324, 1e-300, 1e-6, 1e155, 1e300, 5e306, 1.7e308]
 
 
 @pytest.mark.parametrize("omega", EXTREME_OMEGAS)
@@ -191,6 +192,8 @@ def test_extreme_omega_fails_checks_with_finite_or_inf_residuals(omega, default_
     refused = {c.name for c in checks if c.residual == math.inf}
     assert {"grid_expectation", "grid_norm", "grid_order"} <= refused
     assert all(not c.passed for c in checks if c.name in refused)
+    if omega < 1e-308:
+        assert "label_ode" in refused
     if omega >= 1.7e308:  # omega (n + 1/2) and every decay exponent overflow
         assert {"eigenvalues", "real_parts", "growth_factors", "mixed_density_invariant",
                 "density_equation", "schrodinger_factors"} <= refused
