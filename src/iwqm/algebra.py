@@ -18,8 +18,8 @@ ladder generator applied to one family's coefficient vector (on bra
 vectors the roles of the two generators swap and each step carries a
 phase).  The sqrt(n) ladder band and every named operator (n, H, x, p
 and the SU(1,1) generators) are defined once, as expression trees, in
-:mod:`iwqm.expressions`; operator identities are checked there, on
-diagonal bands.
+:mod:`iwqm.expressions`; operator identities are checked there, in
+normal order.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from .dynamics import (
     step_count,
 )
 from .eigenfunctions import eigenfunction, evaluate
-from .expressions import ADJOINT_SIGN, ExpressionParseError, equation_residual
+from .expressions import ADJOINT_SIGN, MAX_DEGREE, ExpressionParseError, equation_residual
 from .quadrature import default_node_count, gram_matrix
 from .verify import RunConfig, SuiteReport, determine_bra_phase, report_csv_lines, report_dict, run_all
 
@@ -107,7 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify, "nmax", "omega", "tol", "format", "sigma", "strict")
     p_verify.set_defaults(handler=cmd_verify)
 
-    p_op = sub.add_parser("op-check", help="check an operator identity LHS == RHS")
+    p_op = sub.add_parser("op-check", help="check an operator identity LHS == RHS",
+                          description=f"Check LHS == RHS in normal order on the leading nmax "
+                                      f"block.  A product may reach degree {MAX_DEGREE} in a- "
+                                      f"and a+; a larger one is a usage error.")
     p_op.add_argument("expression", type=str)
     _add_common(p_op, "nmax", "omega", "tol", "format", "sigma")
     # the report's config records strict, which no operator check reads

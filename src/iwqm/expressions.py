@@ -1,5 +1,5 @@
 """Symbolic operator expressions, the physical adjoint, a tiny grammar, and
-their evaluation as diagonal bands.
+their evaluation in normal order.
 
 The physical adjoint of the imaginary-frequency ladder operators is not
 the matrix conjugate-transpose in the biorthogonal frame: each generator
@@ -10,17 +10,15 @@ The adjoint is therefore implemented structurally on expression trees
 evaluated.  None of the verified operator identities depend on sigma;
 both settings are exercised by the test suite.
 
-In the truncated Fock basis every operator of the grammar is a few
-diagonals, so a tree is evaluated as bands ``{p: d}`` with
-``d[i] = M[i, i + p]`` (length dim, zero where i + p leaves the matrix):
-a- is :func:`ladder_band` at offset +1, a+ the same values at offset -1,
-I ones at offset 0.  A scalar scales the bands, a sum adds them offset by
-offset, and the product of band a at p with band b at q is
-``a[i] * b[i + p]`` at offset p + q, with b[i + p] = 0 outside the
-matrix, which is the truncation of the dense product.
-:func:`identity_residual` subtracts the two sides band by band in O(dim)
-memory and time, and :func:`equation_residual` does so for parsed text;
-:func:`to_matrix` writes the bands into one dense matrix.
+Every operator of the grammar is a polynomial in a+ and a-, and
+[a-, a+] = 1 brings it to normal order: a sum ``{(j, k): c}`` of words
+c a+^j a-^k with the raising operators on the left (Blasiak, Horzela,
+Penson, Solomon, Duchamp, Am. J. Phys. 75, 639 (2007)).  A product may
+reach degree ``MAX_DEGREE`` in the generators and is refused beyond it.
+The normal form is the untruncated operator, without a truncation edge:
+:func:`to_matrix` writes its leading block, and :func:`identity_residual`
+compares two sides on the leading nmax x nmax block, one diagonal at a
+time in O(nmax) memory, after they cancel word by word.
 
 The named operators n, H, x, p and the SU(1,1) generators are defined
 here once, as trees.  Every operator identity that :mod:`iwqm.verify`
@@ -136,68 +134,72 @@ def ladder_band(dim: int) -> np.ndarray:
     return band
 
 
-def _shifted(band: np.ndarray, p: int) -> np.ndarray:
-    """out[i] = band[i + p], zero where i + p leaves 0..dim-1."""
-    if p == 0:
-        return band
-    out = np.zeros_like(band)
-    if p > 0:
-        out[:-p] = band[p:]
-    else:
-        out[-p:] = band[:p]
-    return out
+#: Largest degree j + k of a word a+^j a-^k that a product may produce: the
+#: product of two forms of degree d costs about d^5 operations, about 50 ms
+#: at this cap.  The verified identities reach degree 4.
+MAX_DEGREE = 32
 
 
-def _add(bands: dict[int, np.ndarray], p: int, d: np.ndarray) -> None:
-    bands[p] = bands[p] + d if p in bands else d
+def _collect(terms) -> dict[tuple[int, int], complex]:
+    """Sum (word, coefficient) pairs by word, dropping the words that cancel exactly."""
+    out: dict[tuple[int, int], complex] = {}
+    for word, c in terms:
+        out[word] = out.get(word, 0) + c
+    return {word: c for word, c in out.items() if c != 0}
 
 
-def _bands(expr: OperatorExpression, dim: int) -> dict[int, np.ndarray]:
-    """The diagonals of ``expr`` at truncation dim, keyed by offset."""
-    if isinstance(expr, (AMinus, APlus)):
-        d = np.zeros(dim, dtype=complex)
-        if isinstance(expr, AMinus):
-            d[:-1] = ladder_band(dim)
-            return {1: d}
-        d[1:] = ladder_band(dim)
-        return {-1: d}
-    if isinstance(expr, Identity):
-        return {0: np.ones(dim, dtype=complex)}
+def _product(left: dict, right: dict) -> dict[tuple[int, int], complex]:
+    """Normal form of a product, from a-^k a+^l = sum_r C(k,r) C(l,r) r! a+^(l-r) a-^(k-r)."""
+    degree = max(map(sum, left), default=0) + max(map(sum, right), default=0)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"a product of degree {degree} exceeds the normal-order cap "
+                         f"of {MAX_DEGREE}")
+    out: dict[tuple[int, int], complex] = {}
+    for (j, k), c in left.items():
+        for (l, m), d in right.items():
+            cd, weight = c * d, 1
+            for r in range(min(k, l) + 1):
+                word = (j + l - r, k + m - r)
+                out[word] = out.get(word, 0) + cd * weight
+                weight = weight * (k - r) * (l - r) // (r + 1)
+    return _collect(out.items())
+
+
+def _normal_form(expr: OperatorExpression) -> dict[tuple[int, int], complex]:
+    """``expr`` as {(j, k): c}, the operator sum c a+^j a-^k of the untruncated algebra."""
+    if isinstance(expr, (AMinus, APlus, Identity)):
+        return {(int(isinstance(expr, APlus)), int(isinstance(expr, AMinus))): 1 + 0j}
     if isinstance(expr, Scaled):
-        return {p: expr.scalar * d for p, d in _bands(expr.child, dim).items()}
+        return {word: expr.scalar * c for word, c in _normal_form(expr.child).items()}
     if isinstance(expr, OpSum):
-        out: dict[int, np.ndarray] = {}
-        for t in expr.terms:
-            for p, d in _bands(t, dim).items():
-                _add(out, p, d)
-        return out
+        return _collect(item for t in expr.terms for item in _normal_form(t).items())
     if isinstance(expr, OpProduct):
-        out = _bands(expr.factors[0], dim)
-        for f in expr.factors[1:]:
-            right = _bands(f, dim)
-            product: dict[int, np.ndarray] = {}
-            for p, a in out.items():
-                for q, b in right.items():
-                    if abs(p + q) < dim:
-                        _add(product, p + q, a * _shifted(b, p))
-            out = product
-        return out
+        return functools.reduce(_product, map(_normal_form, expr.factors))
     raise TypeError(f"not an operator expression: {expr!r}")
 
 
-def _rows(p: int, size: int) -> slice:
-    """Rows i of band p whose entry (i, i + p) lies in the leading size x size block."""
-    return slice(max(0, -p), max(0, size - max(0, p)))
+def _diagonals(form: dict[tuple[int, int], complex], size: int):
+    """Yield (p, d) for the diagonals of a normal form's leading size x size
+    block: d[s] is the entry at (s, s + p) for p >= 0, at (s - p, s) for p < 0.
+
+    Word (j, k) takes level m + k to m + j with weight sqrt((m+j)! (m+k)!) / m!,
+    which is s!/(s - t)! sqrt((s+1)...(s+|p|)) with s = m + t, t = min(j, k)
+    and p = k - j: the paired factors are exact integers, so n and H are exact.
+    """
+    for p in {k - j for j, k in form if abs(k - j) < size}:
+        s = np.arange(size - abs(p), dtype=float)
+        poly = sum(c * np.prod(s - np.arange(min(j, k))[:, None], axis=0)
+                   for (j, k), c in form.items() if k - j == p)
+        yield p, poly * np.sqrt(np.prod(s + np.arange(1, abs(p) + 1)[:, None], axis=0))
 
 
 def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
-    """Evaluate an expression to a dense matrix on ket-family coefficients."""
+    """The leading dim x dim block of an expression's untruncated operator, on
+    ket-family coefficients."""
     _check_dim(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    index = np.arange(dim)
-    for p, d in _bands(expr, dim).items():
-        rows = index[_rows(p, dim)]
-        out[rows, rows + p] = d[rows]
+    for p, d in _diagonals(_normal_form(expr), dim):
+        out += np.diag(d, p)
     return out
 
 
@@ -400,30 +402,23 @@ def parse_equation(text: str, sigma: int = ADJOINT_SIGN,
     return lhs, rhs
 
 
-def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression,
-                      nmax: int, guard: int = 8) -> float:
-    """Max-entry residual of ``lhs == rhs`` on the leading nmax block.
+def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression, nmax: int) -> float:
+    """Max-entry residual of ``lhs == rhs`` on the leading nmax x nmax block.
 
-    Both sides are evaluated at truncation nmax + guard so that edge
-    artifacts of finite generator words stay outside the compared block;
-    with guard k the block is that of the dense identity at truncation
-    nmax + k with its last k rows and columns dropped.  The sides are
-    subtracted band by band; no dense matrix is formed.  Finite scalars
-    whose products overflow leave no finite difference: the residual is
-    then inf, a failed check, and never NaN.
+    The sides are subtracted word by word in normal order, so a true
+    identity cancels before any matrix entry is formed; only the rounding of
+    scalar coefficients can remain.  Finite scalars whose products overflow
+    leave no finite difference: the residual is then inf, never NaN.
     """
     _check_dim(nmax, minimum=1)
-    dim = nmax + guard
+    diff = _normal_form(op_sum(lhs, scaled(-1.0, rhs)))
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = _bands(lhs, dim)
-        for p, d in _bands(rhs, dim).items():
-            _add(diff, p, -d)
-    worst = [np.max(np.abs(d[_rows(p, nmax)])) for p, d in diff.items() if abs(p) < nmax]
+        worst = [np.max(np.abs(d)) for _, d in _diagonals(diff, nmax)]
     residual = float(np.max(worst, initial=0.0))
     return residual if math.isfinite(residual) else math.inf
 
 
 def equation_residual(text: str, nmax: int, sigma: int = ADJOINT_SIGN,
                       omega: float = 1.0) -> float:
-    """:func:`identity_residual` of the parsed ``LHS == RHS``, at the default guard."""
+    """:func:`identity_residual` of the parsed ``LHS == RHS``."""
     return identity_residual(*parse_equation(text, sigma, omega), nmax)

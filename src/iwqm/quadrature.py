@@ -33,6 +33,9 @@ from .eigenfunctions import Eigenfunction, eigenfunction, evaluate, hermite_coef
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
 ROTATION = np.exp(-0.25j * np.pi)
 
+#: Largest Gauss-Hermite rule: numpy 2.4's hermgauss gives non-finite weights from 372 nodes.
+MAX_HERMITE_NODES = 371
+
 
 class PrecisionError(ValueError):
     """Raised when a rule cannot represent the requested integrand exactly."""
@@ -74,8 +77,9 @@ def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
 
     A refused count raises, so the cache never holds it.
     """
-    if node_count < 1:
-        raise ValueError(f"node_count must be positive, got {node_count}")
+    if not 1 <= node_count <= MAX_HERMITE_NODES:
+        raise ValueError(f"node_count must be 1 to {MAX_HERMITE_NODES}, got {node_count}: "
+                         f"hermgauss gives non-finite weights from {MAX_HERMITE_NODES + 1}")
     with np.errstate(all="ignore"):
         h, w = np.polynomial.hermite.hermgauss(node_count)
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(w))):

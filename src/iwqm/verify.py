@@ -9,9 +9,8 @@ small for the sampled labels (the widened tolerance is reported).
 
 The operator identities (the algebra suite and the Heisenberg equations
 of the correspondence suite) are tables of expression-tree pairs from
-:mod:`iwqm.expressions`, each compared by
-:func:`iwqm.expressions.identity_residual` on diagonal bands; no dense
-operator matrix is formed for them.
+:mod:`iwqm.expressions`, each compared in normal order by
+:func:`iwqm.expressions.identity_residual` on the leading nmax block.
 """
 
 from __future__ import annotations
@@ -118,10 +117,9 @@ def _observed_order_residual(coarse: float, fine: float, order: int) -> float:
 
 
 def _add_identities(report: SuiteReport, rows, nmax: int) -> None:
-    """Check each row (name, anchor, lhs, rhs, k, tolerance) on the leading
-    nmax - k block of truncation nmax, on diagonal bands."""
-    for name, anchor, lhs, rhs, k, tol in rows:
-        report.add(name, anchor, identity_residual(lhs, rhs, nmax - k, guard=k), tol)
+    """Check each row (name, anchor, lhs, rhs, tolerance) on the leading nmax block."""
+    for name, anchor, lhs, rhs, tol in rows:
+        report.add(name, anchor, identity_residual(lhs, rhs, nmax), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +127,7 @@ def _add_identities(report: SuiteReport, rows, nmax: int) -> None:
 # ---------------------------------------------------------------------------
 
 def algebra_identities(cfg: RunConfig) -> tuple:
-    """The rows (name, anchor, lhs, rhs, k, tolerance) of :func:`algebra_suite`.
-
-    Truncation drops the top level, so an identity whose words reach k
-    levels past it (k = 1 for products of two generators, 2 for the
-    four-generator SU(1,1) commutators) is compared on the leading
-    nmax - k block; k = 0 compares the whole truncated matrix.
-    """
+    """The rows (name, anchor, lhs, rhs, tolerance) of :func:`algebra_suite`."""
     def adj(e):
         return adjoint(e, cfg.sigma)
 
@@ -147,22 +139,22 @@ def algebra_identities(cfg: RunConfig) -> tuple:
     su = su11_expressions()
     sz, s_plus, s_minus, sx, sy = (su[k] for k in ("Sz", "S+", "S-", "Sx", "Sy"))
     return (
-        ("commutator_ladder", "[a-, a+] = I", commutator(A_MINUS, A_PLUS), IDENTITY, 1, 1e-12),
+        ("commutator_ladder", "[a-, a+] = I", commutator(A_MINUS, A_PLUS), IDENTITY, 1e-12),
         ("adjoint_number", "adj(n) = -(n + 1)",
-         adj(number), neg(op_sum(number, IDENTITY)), 1, 1e-12),
-        ("adjoint_hamiltonian", "adj(H) = H", adj(ham), ham, 1, 1e-12),
-        ("adjoint_sz", "adj(Sz) = -Sz", adj(sz), neg(sz), 1, 1e-12),
-        ("adjoint_s_plus", "adj(S+) = -S+", adj(s_plus), neg(s_plus), 0, 1e-12),
-        ("adjoint_s_minus", "adj(S-) = -S-", adj(s_minus), neg(s_minus), 0, 1e-12),
-        ("adjoint_sx", "adj(Sx) = -Sx", adj(sx), neg(sx), 0, 1e-12),
-        ("adjoint_sy", "adj(Sy) = Sy", adj(sy), sy, 0, 1e-12),
-        ("commutator_sx_sy", "[Sx, Sy] = i Sz", commutator(sx, sy), scaled(1j, sz), 2, 1e-12),
-        ("commutator_sz_s_plus", "[Sz, S+] = S+", commutator(sz, s_plus), s_plus, 2, 1e-12),
+         adj(number), neg(op_sum(number, IDENTITY)), 1e-12),
+        ("adjoint_hamiltonian", "adj(H) = H", adj(ham), ham, 1e-12),
+        ("adjoint_sz", "adj(Sz) = -Sz", adj(sz), neg(sz), 1e-12),
+        ("adjoint_s_plus", "adj(S+) = -S+", adj(s_plus), neg(s_plus), 1e-12),
+        ("adjoint_s_minus", "adj(S-) = -S-", adj(s_minus), neg(s_minus), 1e-12),
+        ("adjoint_sx", "adj(Sx) = -Sx", adj(sx), neg(sx), 1e-12),
+        ("adjoint_sy", "adj(Sy) = Sy", adj(sy), sy, 1e-12),
+        ("commutator_sx_sy", "[Sx, Sy] = i Sz", commutator(sx, sy), scaled(1j, sz), 1e-12),
+        ("commutator_sz_s_plus", "[Sz, S+] = S+", commutator(sz, s_plus), s_plus, 1e-12),
         ("commutator_sz_s_minus", "[Sz, S-] = -S-",
-         commutator(sz, s_minus), neg(s_minus), 2, 1e-12),
+         commutator(sz, s_minus), neg(s_minus), 1e-12),
         ("commutator_s_plus_s_minus", "[S+, S-] = -2 Sz",
-         commutator(s_plus, s_minus), scaled(-2.0, sz), 2, 1e-12),
-        ("hamiltonian_su11", "H = 2 i omega Sz", ham, scaled(2j * cfg.omega, sz), 0, 0.0),
+         commutator(s_plus, s_minus), scaled(-2.0, sz), 1e-12),
+        ("hamiltonian_su11", "H = 2 i omega Sz", ham, scaled(2j * cfg.omega, sz), 0.0),
     )
 
 
@@ -172,8 +164,8 @@ def heisenberg_identities(omega: float) -> tuple:
     ham = hamiltonian_expression(omega)
     x, p = position_expression(), momentum_expression()
     return (
-        ("heisenberg_x", "[x, H] = i omega p", commutator(x, ham), scaled(1j * omega, p), 1, 1e-12),
-        ("heisenberg_p", "[p, H] = i omega x", commutator(p, ham), scaled(1j * omega, x), 1, 1e-12),
+        ("heisenberg_x", "[x, H] = i omega p", commutator(x, ham), scaled(1j * omega, p), 1e-12),
+        ("heisenberg_p", "[p, H] = i omega x", commutator(p, ham), scaled(1j * omega, x), 1e-12),
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 import iwqm
 
 #: Address-space cap for child processes that must stay in O(nmax) memory: a
-#: dense 100008 x 100008 matrix needs 74.5 GiB, so an attempt fails at once
+#: dense 100000 x 100000 matrix needs 74.5 GiB, so an attempt fails at once
 #: with MemoryError instead of straining the host.
 ADDRESS_SPACE_CAP = 4 << 30
 
@@ -84,10 +84,12 @@ def normalized_levels():
 
 @pytest.fixture(scope="session")
 def dense_ladder():
-    """ladder(dim) -> (lowering, raising): the truncated dense generators,
-    entry sqrt(n) at (n-1, n) and at (n, n-1), built here from
-    np.sqrt(np.arange(1, dim)) as a reference independent of the package."""
-    def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-        root = np.sqrt(np.arange(1, dim))
-        return np.diag(root, 1).astype(complex), np.diag(root, -1).astype(complex)
+    """ladder(dim, dtype=complex) -> (lowering, raising): the truncated dense
+    generators, entry sqrt(n) at (n-1, n) and at (n, n-1), built here from
+    np.sqrt(np.arange(1, dim)) as a reference independent of the package.
+    ``dtype=np.clongdouble`` gives a reference whose rounding sits far below
+    the float64 tolerances."""
+    def ladder(dim: int, dtype=complex) -> tuple[np.ndarray, np.ndarray]:
+        root = np.sqrt(np.arange(1, dim).astype(dtype))
+        return np.diag(root, 1), np.diag(root, -1)
     return ladder

@@ -86,13 +86,8 @@ def test_bra_chain_phase(phase, expected_sign):
 def test_commutator_identity_leading_block(dim):
     ladder = commutator(A_MINUS, A_PLUS)
     defect = to_matrix(ladder, dim) - np.eye(dim)
-    assert np.max(np.abs(defect[:dim - 1, :dim - 1])) <= 1e-12
-    # the truncation artifact sits in the last diagonal entry only
-    assert abs(defect[dim - 1, dim - 1] + dim) <= 1e-12 * dim
-    defect[dim - 1, dim - 1] = 0.0
     assert np.max(np.abs(defect)) <= 1e-12
-    assert identity_residual(ladder, IDENTITY, dim - 1, guard=1) <= 1e-12
-    assert identity_residual(ladder, IDENTITY, dim, guard=0) == pytest.approx(dim)
+    assert identity_residual(ladder, IDENTITY, dim) <= 1e-12
 
 
 def test_number_is_diagonal_levels():
@@ -123,19 +118,17 @@ def test_hamiltonian_pairing_expectation():
 def test_su11_commutators():
     su = su11_expressions()
     sz, s_plus, s_minus, sx, sy = (su[k] for k in ("Sz", "S+", "S-", "Sx", "Sy"))
-    # the leading 14 x 14 block of the truncation at 16
     for lhs, rhs in ((commutator(sx, sy), scaled(1j, sz)),
                      (commutator(sz, s_plus), s_plus),
                      (commutator(sz, s_minus), scaled(-1.0, s_minus)),
                      (commutator(s_plus, s_minus), scaled(-2.0, sz))):
-        assert identity_residual(lhs, rhs, 14, guard=2) <= 1e-12
+        assert identity_residual(lhs, rhs, 16) <= 1e-12
 
 
 def test_su11_hamiltonian_identity_exact():
     sz = su11_expressions()["Sz"]
     for omega in (1.0, 0.7, 3.25):
-        residual = identity_residual(hamiltonian_expression(omega), scaled(2j * omega, sz), 8,
-                                     guard=0)
+        residual = identity_residual(hamiltonian_expression(omega), scaled(2j * omega, sz), 8)
         assert residual == 0.0
         np.testing.assert_array_equal(algebra.build_hamiltonian(8, omega),
                                       to_matrix(scaled(2j * omega, sz), 8))
@@ -145,10 +138,8 @@ def test_heisenberg_commutators():
     dim, omega = 32, 1.3
     ham = hamiltonian_expression(omega)
     pos, mom = position_expression(), momentum_expression()
-    assert identity_residual(commutator(pos, ham), scaled(1j * omega, mom), dim - 1,
-                             guard=1) <= 1e-12
-    assert identity_residual(commutator(mom, ham), scaled(1j * omega, pos), dim - 1,
-                             guard=1) <= 1e-12
+    assert identity_residual(commutator(pos, ham), scaled(1j * omega, mom), dim) <= 1e-12
+    assert identity_residual(commutator(mom, ham), scaled(1j * omega, pos), dim) <= 1e-12
 
 
 # the dual pairing sum conj(bra_n) ket_n of two coefficient vectors is

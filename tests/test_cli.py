@@ -9,6 +9,7 @@ from iwqm import cli, dynamics
 from iwqm.algebra import BRA, KET
 from iwqm.cli import main
 from iwqm.coherent import TruncationWarning
+from iwqm.expressions import MAX_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -489,6 +490,26 @@ def test_dump_refuses_zero_steps(capsys, argv):
     assert out == ""
     assert err == ("usage error: t_final = 1.0 with dt = 5.0 gives 0 steps; "
                    "dt must be below 2 t_final\n")
+
+
+@pytest.mark.parametrize("degree", [MAX_DEGREE, MAX_DEGREE + 1])
+def test_op_check_refuses_a_product_over_the_degree_cap(capsys, degree):
+    power = "*".join(["(a- + a+)"] * degree)
+    code, out, err = run_cli(capsys, "op-check", f"{power} == {power}")
+    if degree <= MAX_DEGREE:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["suites"][0]["checks"][0]["residual"] == 0.0
+    else:
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: a product of degree {degree} exceeds the normal-order "
+                       f"cap of {MAX_DEGREE}\n")
+
+
+def test_op_check_help_states_the_degree_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["op-check", "--help"])
+    assert exc.value.code == 0
+    assert f"degree {MAX_DEGREE}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_op_check_overflowing_scalars_fail_without_warning(capsys):

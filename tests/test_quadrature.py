@@ -61,6 +61,16 @@ def test_rule_refuses_non_finite_weights():
     assert not caught
 
 
+def test_rule_refuses_non_finite_weights_below_the_cap(monkeypatch):
+    # a numpy build whose hermgauss overflows below MAX_HERMITE_NODES
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                        lambda n: (np.zeros(n), np.full(n, np.inf)))
+    quadrature._gauss_hermite.cache_clear()
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match="non-finite nodes or weights at 16 nodes"):
+            ContourQuadrature.build(16)
+
+
 def test_rule_builds_are_equal_and_read_only():
     first, second = ContourQuadrature.build(64), ContourQuadrature.build(64)
     for name in ("nodes", "weights"):

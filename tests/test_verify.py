@@ -148,8 +148,16 @@ def test_seed_changes_sampled_labels_but_not_the_verdict():
     assert all(s.passed for s in run_all(RunConfig(seed=12345)))
 
 
+@pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])
+@pytest.mark.parametrize("nmax", [4, 96, 300])
+def test_every_check_passes_on_the_corner_grid(nmax, omega):
+    failing = [(c.name, c.residual) for s in run_all(RunConfig(nmax=nmax, omega=omega))
+               for c in s.checks if not c.passed]
+    assert not failing
+
+
 def test_operator_identities_at_nmax_100000(run_capped):
-    # a dense 100000 x 100000 operator needs 149 GiB; the bands need O(nmax)
+    # a dense 100000 x 100000 operator needs 149 GiB; the diagonals need O(nmax)
     code = ("from iwqm.verify import RunConfig, algebra_suite, correspondence_suite; "
             "cfg = RunConfig(nmax=100000); "
             "[print(c.name, c.residual) for s in (algebra_suite(cfg), correspondence_suite(cfg)) "
