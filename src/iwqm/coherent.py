@@ -5,13 +5,12 @@ generator, the bra coherent state the eigenstate of the raising
 generator acting on the bra family.  In the truncated Fock frame
 
     ket:  c_n = e^{+i|alpha|^2/2} alpha^n / sqrt(n!)
-    bra:  c_n = e^{-i|alpha|^2/2} (bra_phase * alpha)^n / sqrt(n!)
+    bra:  c_n = e^{-i|alpha|^2/2} (i alpha)^n / sqrt(n!)
 
-where ``bra_phase`` is +1j or -1j.  Exactly one of the two signs
-satisfies the eigenvalue equation and the mutual normalization
-<alpha|alpha> = 1 simultaneously (the default +1j does, under the
-standard bra ladder convention); the other is kept available so the
-verification suite can demonstrate the failure.
+with the bra phase i = :data:`iwqm.algebra.BRA_PHASE`, which satisfies the
+eigenvalue equation and the mutual normalization <alpha|alpha> = 1
+together; the opposite phase would build the parity image (-1)^n c_n,
+which fails both.
 
 A state is one coefficient vector with its family and label
 (:class:`CoherentState`).  The dual pairing of a bra with a ket is the
@@ -23,7 +22,7 @@ p = (a- - a+)/sqrt(2i) act on the ket coefficients as O(dim) ladder
 bands, and x^2 is x applied twice to the truncated vector, which equals
 the truncated matrix product (X @ X) @ c.  No dense matrix is formed.
 :func:`expectation` and :func:`uncertainty_product` build the pair
-themselves, in strict mode and with the default bra phase;
+themselves, in strict mode;
 :func:`expectation` applies only the observable it is asked for (two
 ladder actions for x or p, four for x^2 or p^2) with the same
 operations, so it equals the :func:`moments` entry bit for bit.  The
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, BRA_LADDER_PHASE, BRA_PHASE, KET, ladder_action
+from .algebra import BRA, BRA_PHASE, KET, ladder_action
 from .expressions import ladder_band
 
 #: Largest admissible truncation-tail magnitude |alpha|^dim / sqrt(dim!).
@@ -84,12 +83,12 @@ class CoherentState:
 
 
 def build_coherent(family: str, alpha: complex, dim: int = 64, *,
-                   strict: bool = True, bra_phase: complex = BRA_PHASE) -> CoherentState:
+                   strict: bool = True) -> CoherentState:
     """Coherent coefficient vector of one family at label alpha.
 
     Coefficients are produced by the stable ratio recurrence
     c_n = c_{n-1} * base / sqrt(n) with base = alpha (ket) or
-    bra_phase * alpha (bra), taken as one cumulative product.  The
+    ``BRA_PHASE`` * alpha (bra), taken as one cumulative product.  The
     truncation tail must stay under ``TAIL_TOLERANCE``; violations raise
     in strict mode and warn otherwise.  A label whose tail is not even
     finite is refused with ``ValueError`` in either mode.
@@ -98,8 +97,6 @@ def build_coherent(family: str, alpha: complex, dim: int = 64, *,
         raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
     if dim < 8:
         raise ValueError(f"dim must be at least 8, got {dim}")
-    if bra_phase not in (1j, -1j):
-        raise ValueError(f"bra_phase must be +1j or -1j, got {bra_phase!r}")
     alpha = complex(alpha)
     tail = tail_bound(alpha, dim)
     if not math.isfinite(tail):
@@ -111,23 +108,22 @@ def build_coherent(family: str, alpha: complex, dim: int = 64, *,
         if strict:
             raise TruncationError(message)
         warnings.warn(message, TruncationWarning, stacklevel=2)
-    base = alpha if family == KET else bra_phase * alpha
+    base = alpha if family == KET else BRA_PHASE * alpha
     ratios = np.empty(dim, dtype=complex)
     ratios[0] = np.exp(0.5j * abs(alpha) ** 2) if family == KET else np.exp(-0.5j * abs(alpha) ** 2)
     ratios[1:] = base / ladder_band(dim)
     return CoherentState(family, alpha, np.cumprod(ratios))
 
 
-def eigen_residual(state: CoherentState,
-                   ladder_phase: complex = BRA_LADDER_PHASE) -> float:
+def eigen_residual(state: CoherentState) -> float:
     """Norm of (generator - alpha I) applied to the coefficient vector.
 
     Ket states are tested against the lowering generator, bra states
     against the raising generator acting on the bra family (``a+``,
-    which lowers bra levels with step phase ``ladder_phase``).
+    which lowers bra levels with step phase ``BRA_LADDER_PHASE``).
     """
     gen = "a-" if state.family == KET else "a+"
-    action = ladder_action(gen, state.family, state.coeffs, ladder_phase)
+    action = ladder_action(gen, state.family, state.coeffs)
     return float(np.linalg.norm(action - state.alpha * state.coeffs))
 
 

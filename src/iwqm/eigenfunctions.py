@@ -5,7 +5,7 @@ The ket eigenfunctions are rotated Hermite functions,
     psi_n(x) = (i/pi)^(1/4) H_n(z) exp(-i x^2 / 2) / sqrt(2^n n!),   z = e^{i pi/4} x,
 
 and on the real line the bra eigenfunctions are their complex conjugates.
-An :class:`Eigenfunction` is only its family, level and bra phase; values
+An :class:`Eigenfunction` is only its family and level; values
 come from the normalized three-term recurrence
 
     h_{n+1} = sqrt(2/(n+1)) z h_n - sqrt(n/(n+1)) h_{n-1},
@@ -16,10 +16,10 @@ h_n = s_n q_n with the monic q_{n+1} = z q_n - (n/2) q_{n-1} on the arrays
 and the normalization s_{n+1} = sqrt(2/(n+1)) s_n carried as one scalar
 (:func:`hermite_levels`).
 
-The bra family carries one free phase per ladder step: the default
-:data:`iwqm.algebra.BRA_PHASE` = +1j makes the dual families mutually
-orthonormal under the pairing integral(conj(psi_l) psi_r); -1j satisfies
-the same ladder algebra but multiplies the bra function of level n by (-1)^n.
+The bra chain steps with the phase :data:`iwqm.algebra.BRA_PHASE` = +1j,
+under which the dual families are mutually orthonormal under the pairing
+integral(conj(psi_l) psi_r); the opposite phase would give the parity
+image (-1)^n conj(psi_n) of each bra function.
 
 The independent oracle is the exact integer Hermite table.  In the family
 variable u = e^{+-i pi/4} x (ket/bra) each eigenfunction is a scale times
@@ -43,7 +43,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .algebra import BRA, BRA_PHASE, KET
+from .algebra import BRA, KET
 
 _Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into exp(-z^2/2)
 
@@ -71,20 +71,12 @@ class Eigenfunction:
 
     family: str
     n: int
-    bra_phase: complex = BRA_PHASE
 
     def __post_init__(self):
         if self.family not in (KET, BRA):
             raise ValueError(f"family must be 'ket' or 'bra', got {self.family!r}")
         if self.n < 0:
             raise ValueError(f"level must be nonnegative, got {self.n}")
-        if self.bra_phase not in (1j, -1j):
-            raise ValueError(f"bra_phase must be +1j or -1j, got {self.bra_phase!r}")
-
-    @property
-    def conj_sign(self) -> int:
-        """s in conj(psi) = s * psi_ket on the real line; -1 only for odd bra levels at -1j."""
-        return (-1) ** self.n if self.family == BRA and self.bra_phase == -1j else 1
 
 
 def generating_function(family: str) -> Eigenfunction:
@@ -92,9 +84,9 @@ def generating_function(family: str) -> Eigenfunction:
     return Eigenfunction(family, 0)
 
 
-def eigenfunction(family: str, n: int, bra_phase: complex = BRA_PHASE) -> Eigenfunction:
+def eigenfunction(family: str, n: int) -> Eigenfunction:
     """The n-th normalized eigenfunction of a family."""
-    return Eigenfunction(family, n, bra_phase)
+    return Eigenfunction(family, n)
 
 
 def hermite_levels(z: np.ndarray, start: np.ndarray, scratch=None):
@@ -176,8 +168,6 @@ def evaluate(f: Eigenfunction, x):
             raise ValueError(f"level {f.n} overflows at |x| up to {np.max(np.abs(xs)):.3g}")
     if f.family == BRA:
         np.conjugate(vals, out=vals)
-        if f.conj_sign == -1:
-            np.negative(vals, out=vals)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(vals[0])
     return vals
@@ -221,7 +211,7 @@ def exact_form(f: Eigenfunction) -> ExactForm:
     """The eigenfunction as scale * H_n(u) * exp(-u^2/2) on the integer table."""
     scale = _GROUND / math.sqrt(2.0 ** f.n * math.factorial(f.n))
     if f.family == BRA:
-        scale = f.conj_sign * np.conj(scale)
+        scale = np.conj(scale)
     return ExactForm(f.family, complex(scale), tuple(hermite_coefficients(f.n)[f.n]))
 
 

@@ -15,7 +15,8 @@ Every operator of the grammar is a polynomial in a+ and a-, and
 c a+^j a-^k with the raising operators on the left (Blasiak, Horzela,
 Penson, Solomon, Duchamp, Am. J. Phys. 75, 639 (2007)).  A product may
 reach degree ``MAX_DEGREE`` in the generators and is refused beyond it.
-The normal form is the untruncated operator, without a truncation edge:
+Both walks visit each distinct node of the parse DAG once.  The normal
+form is the untruncated operator, without a truncation edge:
 :func:`to_matrix` writes its leading block, and :func:`identity_residual`
 compares two sides on the leading nmax x nmax block, one diagonal at a
 time in O(nmax) memory, after they cancel word by word.
@@ -99,21 +100,42 @@ def commutator(a: OperatorExpression, b: OperatorExpression) -> OperatorExpressi
     return op_sum(op_product(a, b), scaled(-1.0, op_product(b, a)))
 
 
+def _walk_dag(expr: OperatorExpression, visit):
+    """``visit(node, walk)`` at ``expr``, ``walk`` visiting each distinct node
+    once: ``comm(a, b)`` refers to a and b twice, so a tree walk costs 2^depth.
+    The memo is keyed by ``id``, as hashing a frozen node walks its subtree,
+    and holds each node, so that no id is reused during the walk."""
+    memo: dict[int, tuple] = {}
+
+    def walk(node):
+        hit = memo.get(id(node))
+        if hit is None:
+            hit = memo[id(node)] = (node, visit(node, walk))
+        return hit[1]
+    try:
+        return walk(expr)
+    finally:
+        del walk  # walk refers to itself: free it and the memo now, not at a collection
+
+
 def adjoint(expr: OperatorExpression, sigma: int = ADJOINT_SIGN) -> OperatorExpression:
     """Physical adjoint: antihomomorphism with generators mapping to sigma*i times themselves."""
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-    if isinstance(expr, (AMinus, APlus)):
-        return Scaled(sigma * 1j, expr)
-    if isinstance(expr, Identity):
-        return expr
-    if isinstance(expr, Scaled):
-        return Scaled(np.conj(expr.scalar), adjoint(expr.child, sigma))
-    if isinstance(expr, OpSum):
-        return OpSum(tuple(adjoint(t, sigma) for t in expr.terms))
-    if isinstance(expr, OpProduct):
-        return OpProduct(tuple(adjoint(f, sigma) for f in reversed(expr.factors)))
-    raise TypeError(f"not an operator expression: {expr!r}")
+
+    def visit(node, walk):
+        if isinstance(node, (AMinus, APlus)):
+            return Scaled(sigma * 1j, node)
+        if isinstance(node, Identity):
+            return node
+        if isinstance(node, Scaled):
+            return Scaled(np.conj(node.scalar), walk(node.child))
+        if isinstance(node, OpSum):
+            return OpSum(tuple(walk(t) for t in node.terms))
+        if isinstance(node, OpProduct):
+            return OpProduct(tuple(walk(f) for f in reversed(node.factors)))
+        raise TypeError(f"not an operator expression: {node!r}")
+    return _walk_dag(expr, visit)
 
 
 def _check_dim(dim: int, minimum: int = 2) -> None:
@@ -166,16 +188,19 @@ def _product(left: dict, right: dict) -> dict[tuple[int, int], complex]:
 
 
 def _normal_form(expr: OperatorExpression) -> dict[tuple[int, int], complex]:
-    """``expr`` as {(j, k): c}, the operator sum c a+^j a-^k of the untruncated algebra."""
-    if isinstance(expr, (AMinus, APlus, Identity)):
-        return {(int(isinstance(expr, APlus)), int(isinstance(expr, AMinus))): 1 + 0j}
-    if isinstance(expr, Scaled):
-        return {word: expr.scalar * c for word, c in _normal_form(expr.child).items()}
-    if isinstance(expr, OpSum):
-        return _collect(item for t in expr.terms for item in _normal_form(t).items())
-    if isinstance(expr, OpProduct):
-        return functools.reduce(_product, map(_normal_form, expr.factors))
-    raise TypeError(f"not an operator expression: {expr!r}")
+    """``expr`` as {(j, k): c}, the operator sum c a+^j a-^k of the untruncated
+    algebra; a form is shared between the nodes that reach it, and never mutated."""
+    def visit(node, walk):
+        if isinstance(node, (AMinus, APlus, Identity)):
+            return {(int(isinstance(node, APlus)), int(isinstance(node, AMinus))): 1 + 0j}
+        if isinstance(node, Scaled):
+            return {word: node.scalar * c for word, c in walk(node.child).items()}
+        if isinstance(node, OpSum):
+            return _collect(item for t in node.terms for item in walk(t).items())
+        if isinstance(node, OpProduct):
+            return functools.reduce(_product, map(walk, node.factors))
+        raise TypeError(f"not an operator expression: {node!r}")
+    return _walk_dag(expr, visit)
 
 
 def _diagonals(form: dict[tuple[int, int], complex], size: int):

@@ -7,7 +7,9 @@ rule result can be cross-checked against the closed-form moment oracle
 integral(x^m exp(-i x^2)) = sqrt(pi/i) (m-1)!! / (2i)^(m/2) (even m).
 
 The dual-family pairings are sqrt(i/pi) h_m(z) h_n(z) exp(-i x^2) with
-z = e^{i pi/4} x (see :mod:`iwqm.eigenfunctions`).  On the rotated
+z = e^{i pi/4} x (see :mod:`iwqm.eigenfunctions`), as the bra function is
+conj(psi_n) under the one bra phase; the opposite phase would give the
+parity image diag((-1)^m) G of the Gram matrix.  On the rotated
 contour x = e^{-i pi/4} s the variable z is s itself and dx carries
 e^{-i pi/4}, which cancels the phase of sqrt(i/pi): the pairing is the
 real Gauss-Hermite orthonormality sum_k w_k h_m(s_k) h_n(s_k) / sqrt(pi).
@@ -27,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, BRA_PHASE
-from .eigenfunctions import Eigenfunction, eigenfunction, evaluate, hermite_coefficients, hermite_levels
+from .eigenfunctions import Eigenfunction, evaluate, hermite_coefficients, hermite_levels
 
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
 ROTATION = np.exp(-0.25j * np.pi)
@@ -53,10 +54,6 @@ class ContourQuadrature:
             arr = np.array(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
 
     @classmethod
     def build(cls, node_count: int) -> "ContourQuadrature":
@@ -150,7 +147,7 @@ def default_node_count(nmax: int) -> int:
     return max(64, nmax + 1)
 
 
-def gram_matrix(nmax: int, node_count: int | None = None, bra_phase: complex = BRA_PHASE,
+def gram_matrix(nmax: int, node_count: int | None = None,
                 use_moments: bool = False) -> np.ndarray:
     """G[m, n] = integral(conj(psi_m^l) psi_n^r) for levels up to nmax; expected identity.
 
@@ -166,13 +163,10 @@ def gram_matrix(nmax: int, node_count: int | None = None, bra_phase: complex = B
         raise PrecisionError(
             f"{node_count} nodes cannot integrate degree {2 * nmax} exactly; "
             f"need at least {nmax + 1}")
-    levels = list(range(nmax + 1))
-    signs = np.array([eigenfunction(BRA, m, bra_phase).conj_sign for m in levels])
     if use_moments:
-        pairings = _moment_pairings(levels, levels)
-    else:
-        pairings = _rule_pairings(node_count, nmax)
-    return (signs[:, None] * pairings).astype(complex)
+        levels = list(range(nmax + 1))
+        return _moment_pairings(levels, levels).astype(complex)
+    return _rule_pairings(node_count, nmax).astype(complex)
 
 
 #: Highest level :func:`density_interval_integral` takes.  Its (n+1)-node

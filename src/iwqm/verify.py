@@ -266,7 +266,8 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
 
     Also determines which bra coefficient phase (+i or -i) is consistent:
     exactly one must satisfy the eigenvalue equation and the mutual
-    normalization at once, and the suite records it as a check.
+    normalization at once (the opposite of ``BRA_PHASE`` is tested on the
+    parity image of the bra state), and the suite records it as a check.
     """
     report = SuiteReport("coherent")
     dim = max(cfg.nmax, 8)
@@ -276,14 +277,8 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
     # widened tolerance follows the shifted tail bound |alpha|^(dim-2)/sqrt((dim-2)!)
     max_tail = max(coherent.tail_bound(a, dim - 2) for a in alphas)
     res_tol = max(cfg.tol, 3.0 * dim * max_tail)
-    norm_tol = res_tol
 
-    pairing_res = 0.0
-    eig_res_ket = 0.0
-    eig_res_bra = 0.0
-    var_res = 0.0
-    cross_res = 0.0
-    product_res = 0.0
+    pairing_res = eig_res_ket = eig_res_bra = var_res = cross_res = product_res = 0.0
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", coherent.TruncationWarning)
@@ -305,15 +300,15 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
         # label check fails rather than the run
         pairing_res = eig_res_ket = eig_res_bra = var_res = cross_res = product_res = float("inf")
 
-    report.add("mutual_normalization", "<alpha|alpha> = 1", pairing_res, norm_tol)
+    report.add("mutual_normalization", "<alpha|alpha> = 1", pairing_res, res_tol)
     report.add("eigen_residual_ket", "a- |alpha>_r = alpha |alpha>_r", eig_res_ket, res_tol)
     report.add("eigen_residual_bra", "a+ |alpha>_l = alpha |alpha>_l", eig_res_bra, res_tol)
     report.add("closed_form_crosscheck", "Fock contraction = closed form", cross_res, res_tol)
-    report.add("variances", "var(x) = -i/2, var(p) = +i/2", var_res, norm_tol)
-    report.add("uncertainty_product", "dx dp = 1/2", product_res, norm_tol)
+    report.add("variances", "var(x) = -i/2, var(p) = +i/2", var_res, res_tol)
+    report.add("uncertainty_product", "dx dp = 1/2", product_res, res_tol)
 
     report.add("bra_phase_unique", "exactly one bra phase satisfies both conditions",
-               0.0 if len(list(_passing_phases(_bra_coherent_test(64)))) == 1 else 1.0, 0.0)
+               0.0 if len(_bra_coherent_phases(64)) == 1 else 1.0, 0.0)
     return report
 
 
@@ -325,9 +320,7 @@ def decay_suite(cfg: RunConfig) -> SuiteReport:
 
     # where (n + 1/2) omega overflows, propagate_fock raises OverflowError past
     # its exp guard, and every check on the factors fails
-    factor_res = 0.0
-    product_res = 0.0
-    growth_res = 0.0
+    factor_res = product_res = growth_res = 0.0
     try:
         for n in range(9):
             for t in times:
@@ -421,52 +414,52 @@ _SUITES = (
 )
 
 
-_PHASES = ((1j, "+i"), (-1j, "-i"))
-
 #: Well-truncated label at which the bra phases are determined.
 _PROBE_LABEL = 1.0 + 0.5j
 
 
-def _passing_phases(test):
-    """The labels of the phases in ``_PHASES``, in order, for which ``test(phase)``
-    holds; lazily, so that naming the first runs no test past it."""
-    return (label for phase, label in _PHASES if test(phase))
+def _passing_phases(phase: complex, test, value) -> list[str]:
+    """The names of ``phase`` and of ``-phase``, in that order, for which ``test``
+    holds of ``value`` and of its parity image (-1)^n value[n], which the opposite
+    bra phase builds in its place (and a ladder step of opposite phase sees)."""
+    image = np.array(value)
+    image[1::2] *= -1
+    return ["+i" if p == 1j else "-i" for p, v in ((phase, value), (-phase, image)) if test(v)]
 
 
-def _determined(test) -> str:
-    """Name the first phase for which ``test(phase)`` holds, or "none"."""
-    return next(_passing_phases(test), "none")
-
-
-def _bra_coherent_test(dim: int):
-    """The test of a bra coherent phase: does it give <alpha|alpha> = 1 and
-    solve the eigenvalue equation, at a fixed well-truncated label?"""
+def _bra_coherent_phases(dim: int) -> list[str]:
+    """The bra coherent phases, ``BRA_PHASE`` and then its opposite, that give
+    <alpha|alpha> = 1 and solve the eigenvalue equation at the probe label."""
     ket = coherent.build_coherent(KET, _PROBE_LABEL, dim)
+    bra = coherent.build_coherent(BRA, _PROBE_LABEL, dim)
 
-    def test(phase: complex) -> bool:
-        bra = coherent.build_coherent(BRA, _PROBE_LABEL, dim, bra_phase=phase)
-        return (abs(coherent.mutual_pairing(bra, ket) - 1.0) <= 1e-10
-                and coherent.eigen_residual(bra) <= 1e-10)
-    return test
+    def test(coeffs: np.ndarray) -> bool:
+        state = coherent.CoherentState(BRA, _PROBE_LABEL, coeffs)
+        return (abs(coherent.mutual_pairing(state, ket) - 1.0) <= 1e-10
+                and coherent.eigen_residual(state) <= 1e-10)
+    return _passing_phases(algebra.BRA_PHASE, test, bra.coeffs)
 
 
 def determine_bra_phase(dim: int = 64) -> str:
     """Name the bra coherent coefficient phase that passes both conditions."""
-    return _determined(_bra_coherent_test(dim))
+    return (_bra_coherent_phases(dim) or ["none"])[0]
 
 
 def conventions(cfg: RunConfig) -> dict:
     """The sign/phase conventions in force, with the determined phases: the
     bra ladder step phase under which the bra coherent state at the probe
     label solves a+ |alpha>_l = alpha |alpha>_l, the bra coherent phase, and
-    the bra step phase under which the Gram matrix is the identity."""
+    the bra phase under which the Gram matrix is the identity."""
     bra = coherent.build_coherent(BRA, _PROBE_LABEL, 64)
+    ladder = _passing_phases(algebra.BRA_LADDER_PHASE, lambda c: coherent.eigen_residual(
+        coherent.CoherentState(BRA, _PROBE_LABEL, c)) <= 1e-10, bra.coeffs)
+    dual = _passing_phases(algebra.BRA_PHASE, lambda gram: _max_abs(gram - np.eye(9)) <= 1e-8,
+                           quadrature.gram_matrix(8))
     return {
         "adjoint_sigma": f"{cfg.sigma:+d}",
-        "bra_ladder_phase": _determined(lambda phase: coherent.eigen_residual(bra, phase) <= 1e-10),
+        "bra_ladder_phase": (ladder or ["none"])[0],
         "bra_coherent_phase": determine_bra_phase(),
-        "dual_eigenfunction_phase": _determined(
-            lambda phase: _max_abs(quadrature.gram_matrix(8, bra_phase=phase) - np.eye(9)) <= 1e-8),
+        "dual_eigenfunction_phase": (dual or ["none"])[0],
     }
 
 

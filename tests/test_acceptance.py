@@ -7,6 +7,8 @@ pinned to the contract; criterion 9 reruns everything under both adjoint
 signs and pins down the unique consistent coherent-state phase.
 """
 
+import numpy as np
+
 from iwqm import coherent
 from iwqm.algebra import BRA, KET
 from iwqm.verify import (
@@ -83,11 +85,13 @@ def test_criterion_9_convention_robustness():
         assert not failing, (sigma, failing)
 
     # exactly one bra coherent phase satisfies the eigenvalue equation and
-    # the mutual normalization together; the report must name it
+    # the mutual normalization together; the report must name it.  The
+    # rejected phase builds the parity image (-1)^n c_n of the bra state
     winner = determine_bra_phase()
     assert winner == "+i"
     ket = coherent.build_coherent(KET, 1.0 + 0.5j, 64)
-    rejected = coherent.build_coherent(BRA, 1.0 + 0.5j, 64, bra_phase=-1j)
+    bra = coherent.build_coherent(BRA, 1.0 + 0.5j, 64)
+    rejected = coherent.CoherentState(BRA, bra.alpha, (-1.0) ** np.arange(64) * bra.coeffs)
     assert abs(coherent.mutual_pairing(rejected, ket) - 1.0) > 0.1
     assert coherent.eigen_residual(rejected) > 0.1
     print(f"[PASS] criterion 9: suites 1-8 hold for both adjoint signs; "

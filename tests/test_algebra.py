@@ -27,6 +27,16 @@ def unit(n: int, dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)[n]
 
 
+def ladder_in(phase: complex, generator: str, family: str, coeffs: np.ndarray) -> np.ndarray:
+    """``ladder_action`` under the bra ladder phase ``phase``.  The opposite of
+    ``BRA_LADDER_PHASE`` acts on bra vectors as the parity conjugate P L P,
+    P c = (-1)^n c; kets carry no phase."""
+    if family == KET or phase == algebra.BRA_LADDER_PHASE:
+        return algebra.ladder_action(generator, family, coeffs)
+    signs = (-1.0) ** np.arange(len(coeffs))
+    return signs * algebra.ladder_action(generator, family, signs * coeffs)
+
+
 def test_lowering_entries_dim3():
     low = to_matrix(A_MINUS, 3)
     expected = np.zeros((3, 3), dtype=complex)
@@ -77,7 +87,7 @@ def test_bra_chain_phase(phase, expected_sign):
     for n in range(1, 6):
         state = unit(0, dim)
         for _ in range(n):
-            state = algebra.ladder_action("a-", BRA, state, phase)
+            state = ladder_in(phase, "a-", BRA, state)
         state = state / ((-1j) ** n * math.sqrt(math.factorial(n)))
         np.testing.assert_allclose(state, expected_sign(n) * unit(n, dim), atol=1e-15)
 
@@ -190,7 +200,7 @@ def test_ladder_action_matches_matrix(dim, generator, family, phase, dense_ladde
         matrix = low if generator == "a-" else rai
     else:
         matrix = phase * (rai if generator == "a-" else low)
-    np.testing.assert_array_equal(algebra.ladder_action(generator, family, coeffs, phase),
+    np.testing.assert_array_equal(ladder_in(phase, generator, family, coeffs),
                                   matrix @ coeffs)
 
 
@@ -199,8 +209,6 @@ def test_ladder_action_arguments():
         algebra.ladder_action("a", KET, np.ones(4))
     with pytest.raises(ValueError):
         algebra.ladder_action("a-", "middle", np.ones(4))
-    with pytest.raises(ValueError):
-        algebra.ladder_action("a-", BRA, np.ones(4), bra_phase=1.0)
     with pytest.raises(ValueError):
         algebra.ladder_action("a-", KET, np.ones((2, 4)))
     with pytest.raises(ValueError):

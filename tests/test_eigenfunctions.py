@@ -13,7 +13,7 @@ from numpy.polynomial import hermite as nherm
 from numpy.polynomial import polynomial as npoly
 
 from iwqm import eigenfunctions
-from iwqm.algebra import BRA, KET
+from iwqm.algebra import BRA, BRA_PHASE, KET
 from iwqm.eigenfunctions import (
     Eigenfunction,
     eigenfunction,
@@ -101,12 +101,22 @@ def test_ladder_identity_pointwise(n):
     assert np.max(np.abs(lowered.values(X_INNER) - target)) <= 1e-10
 
 
+def bra_form(n: int, phase: complex) -> eigenfunctions.ExactForm:
+    """The exact form of bra level n under the bra phase ``phase``: the
+    opposite of ``BRA_PHASE`` gives the parity image, the default form times
+    (-1)^n."""
+    form = exact_form(eigenfunction(BRA, n))
+    if phase == BRA_PHASE:
+        return form
+    return dataclasses.replace(form, scale=(-1) ** n * form.scale)
+
+
 @pytest.mark.parametrize("bra_phase", [1j, -1j])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bra_ladder_identity_pointwise(n, bra_phase):
     # the bra lowering step returns bra_phase * sqrt(n) times the previous level
-    lowered = lowering(exact_form(eigenfunction(BRA, n, bra_phase)))
-    target = bra_phase * np.sqrt(n) * evaluate(eigenfunction(BRA, n - 1, bra_phase), X_INNER)
+    lowered = lowering(bra_form(n, bra_phase))
+    target = bra_phase * np.sqrt(n) * bra_form(n - 1, bra_phase).values(X_INNER)
     assert np.max(np.abs(lowered.values(X_INNER) - target)) <= 1e-10
 
 
@@ -125,11 +135,12 @@ def test_number_operator_pointwise(family, n):
 @pytest.mark.parametrize("n", range(7))
 def test_dual_function_conjugation(n):
     # with the orthonormal phase the bra function equals conj(ket) exactly;
-    # the alternative phase deviates by the unimodular factor (-1)^n
+    # the alternative phase gives its parity image, which deviates by the
+    # unimodular factor (-1)^n
     ket_vals = evaluate(eigenfunction(KET, n), X_INNER)
-    bra_vals = evaluate(eigenfunction(BRA, n, 1j), X_INNER)
+    bra_vals = evaluate(eigenfunction(BRA, n), X_INNER)
     np.testing.assert_allclose(bra_vals, np.conj(ket_vals), atol=1e-12)
-    alt_vals = evaluate(eigenfunction(BRA, n, -1j), X_INNER)
+    alt_vals = bra_form(n, -BRA_PHASE).values(X_INNER)
     np.testing.assert_allclose(alt_vals, (-1.0) ** n * np.conj(ket_vals), atol=1e-12)
 
 
@@ -160,8 +171,6 @@ def test_invalid_arguments():
         generating_function("middle")
     with pytest.raises(ValueError):
         eigenfunction(KET, -1)
-    with pytest.raises(ValueError):
-        eigenfunction(BRA, 1, bra_phase=1.0)
     with pytest.raises(ValueError):
         Eigenfunction("middle", 0)
 

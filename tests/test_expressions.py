@@ -1,3 +1,5 @@
+import gc
+import time
 import warnings
 
 import numpy as np
@@ -250,6 +252,40 @@ def test_equation_residual_at_nmax_100000(run_capped):
     assert seconds < 1.0
     # the two products of the commutator reach nmax^2 / 4 and cancel in normal order
     assert residual == 0.0
+
+
+def _nested(depth: int, inner: str, outer: str) -> str:
+    """``outer`` wrapped ``depth`` times around ``inner``, at its ``{}``."""
+    for _ in range(depth):
+        inner = outer.format(inner)
+    return inner
+
+
+@pytest.mark.parametrize("text", [
+    _nested(30, "a-", "comm({}, I)") + " == 0*I",
+    _nested(30, "a+", "comm(n, {})") + " == a+",
+    "adj(" + _nested(30, "a+", "comm(n, {})") + ") == -i*a+",
+], ids=["comm_I", "comm_n", "adj_comm_n"])
+def test_nested_commutators_cost_linear_in_the_parse_dag(text):
+    # comm(a, b) refers to each operand twice, so a walk that followed the
+    # parse DAG as a tree would visit 2^30 nodes here
+    start = time.perf_counter()
+    residual = equation_residual(text, 64)
+    assert time.perf_counter() - start < 1.0
+    assert residual == 0.0
+
+
+def test_walks_leave_no_reference_cycle():
+    # the memoized walk refers to itself; it must free its memo of every node
+    # and form on return, not leave it to the cycle collector (the youngest
+    # generation holds everything the call allocates while collection is off)
+    gc.collect(0)
+    gc.disable()
+    try:
+        equation_residual("adj(comm(S+, S-)) == 2*Sz", 8)
+        assert gc.collect(0) == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("nmax", [0, -3, 2.5])

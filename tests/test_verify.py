@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import iwqm
-from iwqm import coherent, verify
+from iwqm import algebra, coherent, verify
 from iwqm.algebra import BRA
 from iwqm.verify import (
     RunConfig,
@@ -91,22 +91,24 @@ def test_conventions_report_names_the_passing_phase():
     assert determine_bra_phase() == "+i"
 
 
-def _bra_ladder_test(phase: complex) -> bool:
-    """Does the bra coherent state at the probe label solve
-    a+ |alpha>_l = alpha |alpha>_l under this bra ladder step phase?"""
+def _bra_ladder_phases() -> list[str]:
+    """The bra ladder step phases, the one in force and its opposite, under
+    which the bra coherent state built at the probe label solves
+    a+ |alpha>_l = alpha |alpha>_l; the opposite one acts on its parity image."""
     bra = coherent.build_coherent(BRA, verify._PROBE_LABEL, 64)
-    return coherent.eigen_residual(bra, phase) <= 1e-10
+    return list(verify._passing_phases(
+        algebra.BRA_LADDER_PHASE,
+        lambda c: coherent.eigen_residual(coherent.CoherentState(BRA, bra.alpha, c)) <= 1e-10,
+        bra.coeffs))
 
 
 def test_bra_ladder_phase_is_determined(monkeypatch):
-    assert list(verify._passing_phases(_bra_ladder_test)) == ["-i"]
+    assert _bra_ladder_phases() == ["-i"]
     assert conventions(RunConfig())["bra_ladder_phase"] == "-i"
     # bra coefficients built with the opposite phase solve a+ |alpha>_l = alpha |alpha>_l
-    # only under the opposite ladder phase
-    build = coherent.build_coherent
-    monkeypatch.setattr(coherent, "build_coherent",
-                        lambda *args, **kwargs: build(*args, **{**kwargs, "bra_phase": -1j}))
-    assert list(verify._passing_phases(_bra_ladder_test)) == ["+i"]
+    # only under the opposite ladder phase, and the report names that one
+    monkeypatch.setattr(coherent, "BRA_PHASE", -algebra.BRA_PHASE)
+    assert _bra_ladder_phases() == ["+i"]
     assert conventions(RunConfig())["bra_ladder_phase"] == "+i"
 
 
