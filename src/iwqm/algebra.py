@@ -21,8 +21,8 @@ bra phase: the opposite one obeys the same ladder algebra, but what it
 builds is the parity image P c = (-1)^n c of what ``BRA_PHASE`` builds,
 and :mod:`iwqm.verify` tests that image.  The sqrt(n) ladder band and
 every named operator (n, H, x, p and the SU(1,1) generators) are defined
-once, as expression trees, in :mod:`iwqm.expressions`; operator
-identities are checked there, in normal order.
+once, as normal-ordered forms, in :mod:`iwqm.expressions`; operator
+identities are checked there, word by word.
 """
 
 from __future__ import annotations

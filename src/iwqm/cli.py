@@ -51,7 +51,13 @@ from .dynamics import (
     step_count,
 )
 from .eigenfunctions import eigenfunction, evaluate
-from .expressions import ADJOINT_SIGN, MAX_DEGREE, ExpressionParseError, equation_residual
+from .expressions import (
+    ADJOINT_SIGN,
+    MAX_DEGREE,
+    MAX_NESTING,
+    ExpressionParseError,
+    equation_residual,
+)
 from .quadrature import default_node_count, gram_matrix
 from .verify import RunConfig, SuiteReport, determine_bra_phase, report_csv_lines, report_dict, run_all
 
@@ -110,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_op = sub.add_parser("op-check", help="check an operator identity LHS == RHS",
                           description=f"Check LHS == RHS in normal order on the leading nmax "
                                       f"block.  A product may reach degree {MAX_DEGREE} in a- "
-                                      f"and a+; a larger one is a usage error.")
+                                      f"and a+; a larger one is a usage error.  Parentheses, "
+                                      f"adj and comm arguments and unary signs may nest "
+                                      f"{MAX_NESTING} deep; deeper is a parse error.")
     p_op.add_argument("expression", type=str)
     _add_common(p_op, "nmax", "omega", "tol", "format", "sigma")
     # the report's config records strict, which no operator check reads
@@ -244,7 +252,7 @@ def cmd_dump_coherent(args: argparse.Namespace) -> int:
     payload = {
         "alpha": _complex_pair(alpha),
         "nmax": args.nmax,
-        "bra_phase": determine_bra_phase(args.nmax),
+        "bra_phase": determine_bra_phase(),
         "pairing": _complex_pair(mutual_pairing(bra, ket)),
         "eigen_residual": max(eigen_residual(ket), eigen_residual(bra)),
         **{name: _complex_pair(value) for name, value in m.items()},

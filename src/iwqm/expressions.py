@@ -1,30 +1,33 @@
-"""Symbolic operator expressions, the physical adjoint, a tiny grammar, and
-their evaluation in normal order.
-
-The physical adjoint of the imaginary-frequency ladder operators is not
-the matrix conjugate-transpose in the biorthogonal frame: each generator
-maps to (sigma * i) times itself, with a global sign sigma in {+1, -1}
-coming from the branch of the square root in the generator prefactor.
-The adjoint is therefore implemented structurally on expression trees
-(reverse products, conjugate scalars, rephase generators) and only then
-evaluated.  None of the verified operator identities depend on sigma;
-both settings are exercised by the test suite.
+"""Operators in normal order, the physical adjoint, a tiny grammar, and
+their evaluation on the leading block.
 
 Every operator of the grammar is a polynomial in a+ and a-, and
-[a-, a+] = 1 brings it to normal order: a sum ``{(j, k): c}`` of words
-c a+^j a-^k with the raising operators on the left (Blasiak, Horzela,
-Penson, Solomon, Duchamp, Am. J. Phys. 75, 639 (2007)).  A product may
-reach degree ``MAX_DEGREE`` in the generators and is refused beyond it.
-Both walks visit each distinct node of the parse DAG once.  The normal
+[a-, a+] = 1 brings it to normal order: a sum of words c a+^j a-^k with
+the raising operators on the left (Blasiak, Horzela, Penson, Solomon,
+Duchamp, Am. J. Phys. 75, 639 (2007)).  An :data:`OperatorExpression` is
+that sum itself, the read-only map ``{(j, k): c}``: the generators are
+one-word forms, a scalar scales the coefficients, a sum adds them word by
+word, and a product moves each a-^k past a+^l.  A product may reach degree
+``MAX_DEGREE`` in the generators and is refused beyond it.  The normal
 form is the untruncated operator, without a truncation edge:
 :func:`to_matrix` writes its leading block, and :func:`identity_residual`
 compares two sides on the leading nmax x nmax block, one diagonal at a
 time in O(nmax) memory, after they cancel word by word.
 
+The physical adjoint of the imaginary-frequency ladder operators is not
+the matrix conjugate-transpose in the biorthogonal frame: each generator
+maps to (sigma * i) times itself, with a global sign sigma in {+1, -1}
+coming from the branch of the square root in the generator prefactor.
+Products reverse and scalars conjugate, so :func:`adjoint` maps the word
+c a+^j a-^k to conj(c) (sigma i)^(j+k) a-^k a+^j and brings that back to
+normal order.  None of the verified operator identities depend on sigma;
+both settings are exercised by the test suite.
+
 The named operators n, H, x, p and the SU(1,1) generators are defined
-here once, as trees.  Every operator identity that :mod:`iwqm.verify`
-checks is a pair of such trees compared by :func:`identity_residual`;
-:func:`iwqm.algebra.build_hamiltonian` densifies H for the eigensolver.
+here once, as forms built at import (H per omega).  Every operator
+identity that :mod:`iwqm.verify` checks is a pair of forms compared by
+:func:`identity_residual`; :func:`iwqm.algebra.build_hamiltonian`
+densifies H for the eigensolver.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,59 +43,57 @@ import numpy as np
 #: branch, i.e. a^dag = -i a.
 ADJOINT_SIGN = -1
 
+#: An operator as its normal-ordered words: the read-only map {(j, k): c} of
+#: the sum c a+^j a-^k, so a form shared between operators is never mutated.
+OperatorExpression = MappingProxyType
 
-class OperatorExpression:
-    """Base class for expression-tree nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class AMinus(OperatorExpression):
-    pass
+#: Largest degree j + k of a word a+^j a-^k that a product may produce: the
+#: product of two forms of degree d costs about d^5 operations, about 50 ms
+#: at this cap.  The verified identities reach degree 4.
+MAX_DEGREE = 32
 
 
-@dataclass(frozen=True)
-class APlus(OperatorExpression):
-    pass
+def _collect(terms) -> OperatorExpression:
+    """Sum (word, coefficient) pairs by word, dropping the words that cancel exactly."""
+    out: dict[tuple[int, int], complex] = {}
+    for word, c in terms:
+        out[word] = out.get(word, 0) + c
+    return MappingProxyType({word: c for word, c in out.items() if c != 0})
 
 
-@dataclass(frozen=True)
-class Identity(OperatorExpression):
-    pass
+def _product(left, right) -> OperatorExpression:
+    """Normal form of a product, from a-^k a+^l = sum_r C(k,r) C(l,r) r! a+^(l-r) a-^(k-r)."""
+    degree = max(map(sum, left), default=0) + max(map(sum, right), default=0)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"a product of degree {degree} exceeds the normal-order cap "
+                         f"of {MAX_DEGREE}")
+    out: dict[tuple[int, int], complex] = {}
+    for (j, k), c in left.items():
+        for (l, m), d in right.items():
+            cd, weight = c * d, 1
+            for r in range(min(k, l) + 1):
+                word = (j + l - r, k + m - r)
+                out[word] = out.get(word, 0) + cd * weight
+                weight = weight * (k - r) * (l - r) // (r + 1)
+    return _collect(out.items())
 
 
-@dataclass(frozen=True)
-class Scaled(OperatorExpression):
-    scalar: complex
-    child: OperatorExpression
-
-
-@dataclass(frozen=True)
-class OpSum(OperatorExpression):
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class OpProduct(OperatorExpression):
-    factors: tuple
-
-
-A_MINUS = AMinus()
-A_PLUS = APlus()
-IDENTITY = Identity()
+A_MINUS = MappingProxyType({(0, 1): 1 + 0j})
+A_PLUS = MappingProxyType({(1, 0): 1 + 0j})
+IDENTITY = MappingProxyType({(0, 0): 1 + 0j})
 
 
 def scaled(scalar: complex, child: OperatorExpression) -> OperatorExpression:
-    return Scaled(complex(scalar), child)
+    scalar = complex(scalar)
+    return MappingProxyType({word: scalar * c for word, c in child.items()})
 
 
 def op_sum(*terms: OperatorExpression) -> OperatorExpression:
-    return OpSum(tuple(terms))
+    return _collect(item for t in terms for item in t.items())
 
 
 def op_product(*factors: OperatorExpression) -> OperatorExpression:
-    return OpProduct(tuple(factors))
+    return functools.reduce(_product, factors)
 
 
 def commutator(a: OperatorExpression, b: OperatorExpression) -> OperatorExpression:
@@ -100,42 +101,13 @@ def commutator(a: OperatorExpression, b: OperatorExpression) -> OperatorExpressi
     return op_sum(op_product(a, b), scaled(-1.0, op_product(b, a)))
 
 
-def _walk_dag(expr: OperatorExpression, visit):
-    """``visit(node, walk)`` at ``expr``, ``walk`` visiting each distinct node
-    once: ``comm(a, b)`` refers to a and b twice, so a tree walk costs 2^depth.
-    The memo is keyed by ``id``, as hashing a frozen node walks its subtree,
-    and holds each node, so that no id is reused during the walk."""
-    memo: dict[int, tuple] = {}
-
-    def walk(node):
-        hit = memo.get(id(node))
-        if hit is None:
-            hit = memo[id(node)] = (node, visit(node, walk))
-        return hit[1]
-    try:
-        return walk(expr)
-    finally:
-        del walk  # walk refers to itself: free it and the memo now, not at a collection
-
-
 def adjoint(expr: OperatorExpression, sigma: int = ADJOINT_SIGN) -> OperatorExpression:
-    """Physical adjoint: antihomomorphism with generators mapping to sigma*i times themselves."""
+    """Physical adjoint: the word c a+^j a-^k maps to conj(c) (sigma i)^(j+k) a-^k a+^j."""
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-
-    def visit(node, walk):
-        if isinstance(node, (AMinus, APlus)):
-            return Scaled(sigma * 1j, node)
-        if isinstance(node, Identity):
-            return node
-        if isinstance(node, Scaled):
-            return Scaled(np.conj(node.scalar), walk(node.child))
-        if isinstance(node, OpSum):
-            return OpSum(tuple(walk(t) for t in node.terms))
-        if isinstance(node, OpProduct):
-            return OpProduct(tuple(walk(f) for f in reversed(node.factors)))
-        raise TypeError(f"not an operator expression: {node!r}")
-    return _walk_dag(expr, visit)
+    return _collect((word, c.conjugate() * (sigma * 1j) ** (j + k) * d)
+                    for (j, k), c in expr.items()
+                    for word, d in _product({(0, k): 1}, {(j, 0): 1}).items())
 
 
 def _check_dim(dim: int, minimum: int = 2) -> None:
@@ -156,54 +128,7 @@ def ladder_band(dim: int) -> np.ndarray:
     return band
 
 
-#: Largest degree j + k of a word a+^j a-^k that a product may produce: the
-#: product of two forms of degree d costs about d^5 operations, about 50 ms
-#: at this cap.  The verified identities reach degree 4.
-MAX_DEGREE = 32
-
-
-def _collect(terms) -> dict[tuple[int, int], complex]:
-    """Sum (word, coefficient) pairs by word, dropping the words that cancel exactly."""
-    out: dict[tuple[int, int], complex] = {}
-    for word, c in terms:
-        out[word] = out.get(word, 0) + c
-    return {word: c for word, c in out.items() if c != 0}
-
-
-def _product(left: dict, right: dict) -> dict[tuple[int, int], complex]:
-    """Normal form of a product, from a-^k a+^l = sum_r C(k,r) C(l,r) r! a+^(l-r) a-^(k-r)."""
-    degree = max(map(sum, left), default=0) + max(map(sum, right), default=0)
-    if degree > MAX_DEGREE:
-        raise ValueError(f"a product of degree {degree} exceeds the normal-order cap "
-                         f"of {MAX_DEGREE}")
-    out: dict[tuple[int, int], complex] = {}
-    for (j, k), c in left.items():
-        for (l, m), d in right.items():
-            cd, weight = c * d, 1
-            for r in range(min(k, l) + 1):
-                word = (j + l - r, k + m - r)
-                out[word] = out.get(word, 0) + cd * weight
-                weight = weight * (k - r) * (l - r) // (r + 1)
-    return _collect(out.items())
-
-
-def _normal_form(expr: OperatorExpression) -> dict[tuple[int, int], complex]:
-    """``expr`` as {(j, k): c}, the operator sum c a+^j a-^k of the untruncated
-    algebra; a form is shared between the nodes that reach it, and never mutated."""
-    def visit(node, walk):
-        if isinstance(node, (AMinus, APlus, Identity)):
-            return {(int(isinstance(node, APlus)), int(isinstance(node, AMinus))): 1 + 0j}
-        if isinstance(node, Scaled):
-            return {word: node.scalar * c for word, c in walk(node.child).items()}
-        if isinstance(node, OpSum):
-            return _collect(item for t in node.terms for item in walk(t).items())
-        if isinstance(node, OpProduct):
-            return functools.reduce(_product, map(walk, node.factors))
-        raise TypeError(f"not an operator expression: {node!r}")
-    return _walk_dag(expr, visit)
-
-
-def _diagonals(form: dict[tuple[int, int], complex], size: int):
+def _diagonals(form: OperatorExpression, size: int):
     """Yield (p, d) for the diagonals of a normal form's leading size x size
     block: d[s] is the entry at (s, s + p) for p >= 0, at (s - p, s) for p < 0.
 
@@ -223,7 +148,7 @@ def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
     ket-family coefficients."""
     _check_dim(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for p, d in _diagonals(_normal_form(expr), dim):
+    for p, d in _diagonals(expr, dim):
         out += np.diag(d, p)
     return out
 
@@ -232,41 +157,51 @@ def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
 # named operators
 # ---------------------------------------------------------------------------
 
+_NUMBER = op_product(A_PLUS, A_MINUS)
+_NUMBER_PLUS_HALF = op_sum(_NUMBER, scaled(0.5, IDENTITY))
+_POSITION = scaled(1 / np.sqrt(2j), op_sum(A_MINUS, A_PLUS))
+_MOMENTUM = scaled(1 / np.sqrt(2j), op_sum(A_MINUS, scaled(-1.0, A_PLUS)))
+_S_PLUS = scaled(0.5, op_product(A_PLUS, A_PLUS))
+_S_MINUS = scaled(0.5, op_product(A_MINUS, A_MINUS))
+_SU11 = {
+    "Sz": scaled(0.5, _NUMBER_PLUS_HALF),
+    "S+": _S_PLUS,
+    "S-": _S_MINUS,
+    "Sx": scaled(0.5, op_sum(_S_PLUS, _S_MINUS)),
+    "Sy": scaled(0.5j, op_sum(_S_PLUS, scaled(-1.0, _S_MINUS))),
+}
+
+
 def number_expression() -> OperatorExpression:
     """n = a+ a-."""
-    return op_product(A_PLUS, A_MINUS)
+    return _NUMBER
 
 
 def hamiltonian_expression(omega: float = 1.0) -> OperatorExpression:
     """H = i omega (n + 1/2)."""
-    return scaled(1j * omega, op_sum(number_expression(), scaled(0.5, IDENTITY)))
+    return scaled(1j * omega, _NUMBER_PLUS_HALF)
 
 
 def position_expression() -> OperatorExpression:
     """x = (a- + a+) / sqrt(2i)."""
-    return scaled(1 / np.sqrt(2j), op_sum(A_MINUS, A_PLUS))
+    return _POSITION
 
 
 def momentum_expression() -> OperatorExpression:
     """p = (a- - a+) / sqrt(2i)."""
-    return scaled(1 / np.sqrt(2j), op_sum(A_MINUS, scaled(-1.0, A_PLUS)))
+    return _MOMENTUM
 
 
 def su11_expressions() -> dict[str, OperatorExpression]:
-    """The hyperbolic generators as expression trees: Sz = (a+ a- + 1/2)/2,
-    S+- = a+-^2 / 2, Sx = (S+ + S-)/2 and Sy = (i/2)(S+ - S-).
+    """The hyperbolic generators: Sz = (a+ a- + 1/2)/2, S+- = a+-^2 / 2,
+    Sx = (S+ + S-)/2 and Sy = (i/2)(S+ - S-).
 
     This is the one definition of the generators.  The Sy sign is the one
     under which the full relation set [Sx, Sy] = i Sz, [Sz, S+-] = +-S+-,
     [S+, S-] = -2 Sz holds simultaneously (the opposite sign flips the
     first commutator).
     """
-    sz = scaled(0.5, op_sum(op_product(A_PLUS, A_MINUS), scaled(0.5, IDENTITY)))
-    s_plus = scaled(0.5, op_product(A_PLUS, A_PLUS))
-    s_minus = scaled(0.5, op_product(A_MINUS, A_MINUS))
-    sx = scaled(0.5, op_sum(s_plus, s_minus))
-    sy = scaled(0.5j, op_sum(s_plus, scaled(-1.0, s_minus)))
-    return {"Sz": sz, "S+": s_plus, "S-": s_minus, "Sx": sx, "Sy": sy}
+    return dict(_SU11)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +262,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+#: Deepest nesting the parser takes, counted over parentheses, the arguments
+#: of adj and comm, and unary signs: a level costs at most five Python
+#: frames, so a parse stays well inside the default recursion limit of 1000.
+MAX_NESTING = 100
+
+_NAMED = {"n": _NUMBER, "I": IDENTITY, "a-": A_MINUS, "a+": A_PLUS, **_SU11}
+
+
 class _Parser:
     def __init__(self, text: str, sigma: int, omega: float):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
         self.sigma = sigma
-        self.named = {"n": number_expression(), "H": hamiltonian_expression(omega),
-                      "I": IDENTITY, "a-": A_MINUS, "a+": A_PLUS}
-        self.named.update(su11_expressions())
+        self.omega = omega
 
     def peek(self):
         return self.tokens[self.idx]
@@ -350,14 +292,21 @@ class _Parser:
             raise ExpressionParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def nested(self, parse, pos: int) -> OperatorExpression:
+        """``parse()`` one nesting level deeper, the level the token at ``pos`` opens."""
+        if self.depth == MAX_NESTING:
+            raise ExpressionParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def parse_expr(self) -> OperatorExpression:
         node = self.parse_term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.parse_term()
-            if op == "-":
-                rhs = Scaled(-1.0 + 0j, rhs)
-            node = op_sum(node, rhs)
+            node = op_sum(node, scaled(-1.0, rhs) if op == "-" else rhs)
         return node
 
     def parse_term(self) -> OperatorExpression:
@@ -368,10 +317,11 @@ class _Parser:
         return node
 
     def parse_factor(self) -> OperatorExpression:
-        if self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            child = self.parse_factor()
-            return Scaled(-1.0 + 0j, child) if op == "-" else child
+        kind, _, pos = self.peek()
+        if kind in ("+", "-"):
+            self.advance()
+            child = self.nested(self.parse_factor, pos)
+            return scaled(-1.0, child) if kind == "-" else child
         return self.parse_primary()
 
     def parse_primary(self) -> OperatorExpression:
@@ -380,27 +330,25 @@ class _Parser:
             number = float(value)
             if not np.isfinite(number):
                 raise ExpressionParseError(f"scalar literal {value!r} is out of range", pos)
-            return Scaled(1j * number if kind == "IMAG" else complex(number), IDENTITY)
+            return scaled(1j * number if kind == "IMAG" else number, IDENTITY)
         if kind == "(":
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, pos)
             self.expect(")")
             return node
         if kind == "NAME":
             if value == "i":
-                return Scaled(1j, IDENTITY)
-            if value == "adj":
+                return scaled(1j, IDENTITY)
+            if value == "H":
+                return hamiltonian_expression(self.omega)
+            if value in ("adj", "comm"):
                 self.expect("(")
-                child = self.parse_expr()
+                args = [self.nested(self.parse_expr, pos)]
+                if value == "comm":
+                    self.expect(",")
+                    args.append(self.nested(self.parse_expr, pos))
                 self.expect(")")
-                return adjoint(child, self.sigma)
-            if value == "comm":
-                self.expect("(")
-                a = self.parse_expr()
-                self.expect(",")
-                b = self.parse_expr()
-                self.expect(")")
-                return commutator(a, b)
-            return self.named[value]
+                return adjoint(*args, self.sigma) if value == "adj" else commutator(*args)
+            return _NAMED[value]
         raise ExpressionParseError(f"unexpected token {value!r}", pos)
 
 
@@ -416,7 +364,7 @@ def parse_expression(text: str, sigma: int = ADJOINT_SIGN, omega: float = 1.0) -
 
 def parse_equation(text: str, sigma: int = ADJOINT_SIGN,
                    omega: float = 1.0) -> tuple[OperatorExpression, OperatorExpression]:
-    """Parse ``LHS == RHS`` into a pair of expression trees."""
+    """Parse ``LHS == RHS`` into a pair of forms."""
     parser = _Parser(text, sigma, omega)
     lhs = parser.parse_expr()
     parser.expect("EQ")
@@ -436,7 +384,7 @@ def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression, nmax: in
     leave no finite difference: the residual is then inf, never NaN.
     """
     _check_dim(nmax, minimum=1)
-    diff = _normal_form(op_sum(lhs, scaled(-1.0, rhs)))
+    diff = op_sum(lhs, scaled(-1.0, rhs))
     with np.errstate(over="ignore", invalid="ignore"):
         worst = [np.max(np.abs(d)) for _, d in _diagonals(diff, nmax)]
     residual = float(np.max(worst, initial=0.0))

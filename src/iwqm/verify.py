@@ -8,8 +8,8 @@ truncation-sensitive coherent-state checks when the Fock cutoff is too
 small for the sampled labels (the widened tolerance is reported).
 
 The operator identities (the algebra suite and the Heisenberg equations
-of the correspondence suite) are tables of expression-tree pairs from
-:mod:`iwqm.expressions`, each compared in normal order by
+of the correspondence suite) are tables of pairs of normal-ordered forms
+from :mod:`iwqm.expressions`, each compared word by word by
 :func:`iwqm.expressions.identity_residual` on the leading nmax block.
 """
 
@@ -308,7 +308,7 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
     report.add("uncertainty_product", "dx dp = 1/2", product_res, res_tol)
 
     report.add("bra_phase_unique", "exactly one bra phase satisfies both conditions",
-               0.0 if len(_bra_coherent_phases(64)) == 1 else 1.0, 0.0)
+               0.0 if len(_bra_coherent_phases()) == 1 else 1.0, 0.0)
     return report
 
 
@@ -414,8 +414,9 @@ _SUITES = (
 )
 
 
-#: Well-truncated label at which the bra phases are determined.
+#: Label, and a truncation that holds it well, at which the bra phases are determined.
 _PROBE_LABEL = 1.0 + 0.5j
+_PROBE_DIM = 64
 
 
 def _passing_phases(phase: complex, test, value) -> list[str]:
@@ -427,11 +428,11 @@ def _passing_phases(phase: complex, test, value) -> list[str]:
     return ["+i" if p == 1j else "-i" for p, v in ((phase, value), (-phase, image)) if test(v)]
 
 
-def _bra_coherent_phases(dim: int) -> list[str]:
+def _bra_coherent_phases() -> list[str]:
     """The bra coherent phases, ``BRA_PHASE`` and then its opposite, that give
     <alpha|alpha> = 1 and solve the eigenvalue equation at the probe label."""
-    ket = coherent.build_coherent(KET, _PROBE_LABEL, dim)
-    bra = coherent.build_coherent(BRA, _PROBE_LABEL, dim)
+    ket = coherent.build_coherent(KET, _PROBE_LABEL, _PROBE_DIM)
+    bra = coherent.build_coherent(BRA, _PROBE_LABEL, _PROBE_DIM)
 
     def test(coeffs: np.ndarray) -> bool:
         state = coherent.CoherentState(BRA, _PROBE_LABEL, coeffs)
@@ -440,9 +441,10 @@ def _bra_coherent_phases(dim: int) -> list[str]:
     return _passing_phases(algebra.BRA_PHASE, test, bra.coeffs)
 
 
-def determine_bra_phase(dim: int = 64) -> str:
-    """Name the bra coherent coefficient phase that passes both conditions."""
-    return (_bra_coherent_phases(dim) or ["none"])[0]
+def determine_bra_phase() -> str:
+    """Name the bra coherent coefficient phase that passes both conditions;
+    the convention does not depend on a caller's truncation."""
+    return (_bra_coherent_phases() or ["none"])[0]
 
 
 def conventions(cfg: RunConfig) -> dict:
@@ -450,7 +452,7 @@ def conventions(cfg: RunConfig) -> dict:
     bra ladder step phase under which the bra coherent state at the probe
     label solves a+ |alpha>_l = alpha |alpha>_l, the bra coherent phase, and
     the bra phase under which the Gram matrix is the identity."""
-    bra = coherent.build_coherent(BRA, _PROBE_LABEL, 64)
+    bra = coherent.build_coherent(BRA, _PROBE_LABEL, _PROBE_DIM)
     ladder = _passing_phases(algebra.BRA_LADDER_PHASE, lambda c: coherent.eigen_residual(
         coherent.CoherentState(BRA, _PROBE_LABEL, c)) <= 1e-10, bra.coeffs)
     dual = _passing_phases(algebra.BRA_PHASE, lambda gram: _max_abs(gram - np.eye(9)) <= 1e-8,

@@ -9,7 +9,7 @@ from iwqm import cli, dynamics
 from iwqm.algebra import BRA, KET
 from iwqm.cli import main
 from iwqm.coherent import TruncationWarning
-from iwqm.expressions import MAX_DEGREE
+from iwqm.expressions import MAX_DEGREE, MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +258,22 @@ def test_dump_coherent_refuses_infinite_tail(capsys, strict):
     assert out == ""
     assert err.startswith("usage error:") and "no finite truncation tail" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--nmax", "25"], ["--nmax", "8", "--alpha-re", "0.01"]])
+def test_dump_coherent_phase_probe_ignores_the_truncation(capsys, argv):
+    # the bra phase is probed at its own label and truncation, so a label
+    # held by a small truncation passes
+    code, out, err = run_cli(capsys, "dump", "coherent", *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["bra_phase"] == "+i" and payload["passed"] is True
+    # the default label at nmax 8 fails on its own tail, not the probe's
+    with pytest.warns(TruncationWarning):
+        code, out, _ = run_cli(capsys, "dump", "coherent", "--nmax", "8")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["bra_phase"] == "+i" and payload["passed"] is False
 
 
 def test_dump_coherent_strict_truncation_fails(capsys):
@@ -510,6 +526,42 @@ def test_op_check_help_states_the_degree_cap(capsys):
         main(["op-check", "--help"])
     assert exc.value.code == 0
     assert f"degree {MAX_DEGREE}" in " ".join(capsys.readouterr().out.split())
+
+
+#: shape: (outer, operand, levels) nests ``operand`` inside ``outer`` at its
+#: ``{}``, ``levels`` nesting levels per repetition ("-(" is a sign and a
+#: parenthesis)
+NESTING_SHAPES = {
+    "comm": ("comm(n, {})", "a+", 1),
+    "parentheses": ("({})", "a-", 1),
+    "negated_parentheses": ("-({})", "a-", 2),
+    "adj": ("adj({})", "a-", 1),
+    "signs": ("-{}", "a-", 1),
+}
+
+
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_op_check_nesting_cap(capsys, shape):
+    outer, text, levels = NESTING_SHAPES[shape]
+    at_cap = MAX_NESTING // levels
+    for _ in range(at_cap):
+        text = outer.format(text)
+    code, out, err = run_cli(capsys, "op-check", f"{text} == {text}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["suites"][0]["checks"][0]["residual"] == 0.0
+    # one repetition more: the opening token of the level past the cap is named
+    code, out, err = run_cli(capsys, "op-check", f"{outer.format(text)} == a-")
+    assert (code, out) == (2, "")
+    position = at_cap * len(outer.split("{}")[0])
+    assert err == (f"parse error: nesting deeper than {MAX_NESTING} levels "
+                   f"(at position {position})\n")
+
+
+def test_op_check_help_states_the_nesting_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["op-check", "--help"])
+    assert exc.value.code == 0
+    assert f"nest {MAX_NESTING} deep" in " ".join(capsys.readouterr().out.split())
 
 
 def test_op_check_overflowing_scalars_fail_without_warning(capsys):

@@ -12,13 +12,7 @@ from iwqm.expressions import (
     A_MINUS,
     A_PLUS,
     IDENTITY,
-    AMinus,
-    APlus,
     ExpressionParseError,
-    Identity,
-    OpProduct,
-    OpSum,
-    Scaled,
     adjoint,
     equation_residual,
     hamiltonian_expression,
@@ -71,13 +65,28 @@ def test_adjoint_is_involutive(sigma):
         np.testing.assert_allclose(_mat(twice), _mat(expr), atol=1e-13)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.integers(4, 16))
 @pytest.mark.parametrize("sigma", [-1, 1])
-def test_adjoint_reverses_products(sigma):
+def test_adjoint_reverses_products(sigma, data, dim, dense_ladder):
     prod = op_product(A_MINUS, A_PLUS, A_MINUS)
     lhs = _mat(adjoint(prod, sigma))
     rhs = (_mat(adjoint(A_MINUS, sigma)) @ _mat(adjoint(A_PLUS, sigma))
            @ _mat(adjoint(A_MINUS, sigma)))
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+    # adj(A B) = adj(B) adj(A) and adj(c A) = conj(c) adj(A) on random forms,
+    # against the dense reference of the trees' own adjoint
+    a, b = data.draw(_SMALL_TREES), data.draw(_SMALL_TREES)
+    c = data.draw(_SCALARS)
+    ladder = dense_ladder(dim + 10, np.clongdouble)
+    form_a, form_b = _build(a, sigma), _build(b, sigma)
+    for form, tree in ((adjoint(op_product(form_a, form_b), sigma), ("adj", ("prod", a, b))),
+                       (op_product(adjoint(form_b, sigma), adjoint(form_a, sigma)),
+                        ("prod", ("adj", b), ("adj", a))),
+                       (adjoint(scaled(c, form_a), sigma), ("adj", ("scaled", c, a))),
+                       (scaled(np.conj(c), adjoint(form_a, sigma)),
+                        ("scaled", np.conj(c), ("adj", a)))):
+        _assert_matches_reference(form, tree, sigma, ladder, dim)
 
 
 @pytest.mark.parametrize("sigma", [-1, 1])
@@ -88,6 +97,19 @@ def test_su11_adjoint_signs(sigma):
         assert np.max(np.abs(residual[BLOCK, BLOCK])) <= 1e-12, name
 
 
+@pytest.mark.parametrize("form", [A_MINUS, parse_expression("comm(S+, S-)")],
+                         ids=["A_MINUS", "parsed"])
+def test_forms_are_read_only(form):
+    words = dict(form)
+    with pytest.raises(TypeError):
+        form[(0, 0)] = 1.0
+    with pytest.raises(TypeError):
+        form |= {(0, 0): 1.0}
+    with pytest.raises(TypeError):
+        del form[next(iter(form))]
+    assert dict(form) == words
+
+
 def test_to_matrix_generators(dense_ladder):
     low, rai = dense_ladder(DIM)
     np.testing.assert_array_equal(_mat(A_MINUS), low)
@@ -95,58 +117,94 @@ def test_to_matrix_generators(dense_ladder):
     np.testing.assert_array_equal(_mat(IDENTITY), np.eye(DIM))
 
 
-def _dense_reference(expr, ladder):
-    """Dense evaluation from the generators ``ladder = (lowering, raising)``
-    and ``@``, independent of the normal form."""
+# Test-local operator trees, independent of the package's normal form: a leaf
+# "a-", "a+" or "I", or a tuple ("scaled", c, tree), ("sum", *trees),
+# ("prod", *trees) or ("adj", tree).
+
+def _build(tree, sigma):
+    """The package form of ``tree``, through the public constructors."""
+    if isinstance(tree, str):
+        return {"a-": A_MINUS, "a+": A_PLUS, "I": IDENTITY}[tree]
+    kind, *args = tree
+    if kind == "scaled":
+        return scaled(args[0], _build(args[1], sigma))
+    children = [_build(t, sigma) for t in args]
+    if kind == "adj":
+        return adjoint(*children, sigma)
+    return (op_sum if kind == "sum" else op_product)(*children)
+
+
+def _adjoint_tree(tree, sigma):
+    """The physical adjoint on trees: products reversed, scalars conjugated,
+    each generator times sigma*i."""
+    if tree == "I":
+        return tree
+    if isinstance(tree, str):
+        return ("scaled", sigma * 1j, tree)
+    kind, *args = tree
+    if kind == "scaled":
+        return ("scaled", np.conj(args[0]), _adjoint_tree(args[1], sigma))
+    if kind == "adj":
+        return _adjoint_tree(_adjoint_tree(args[0], sigma), sigma)
+    children = [_adjoint_tree(t, sigma) for t in args]
+    return (kind, *(children[::-1] if kind == "prod" else children))
+
+
+def _dense_reference(tree, ladder, sigma):
+    """Dense evaluation of a tree from the generators ``ladder = (lowering,
+    raising)`` and ``@``, independent of the normal form."""
     low, rai = ladder
     dim = low.shape[0]
-    if isinstance(expr, AMinus):
-        return low
-    if isinstance(expr, APlus):
-        return rai
-    if isinstance(expr, Identity):
-        return np.eye(dim, dtype=low.dtype)
-    if isinstance(expr, Scaled):
-        return expr.scalar * _dense_reference(expr.child, ladder)
-    if isinstance(expr, OpSum):
-        return sum((_dense_reference(t, ladder) for t in expr.terms),
-                   np.zeros((dim, dim), low.dtype))
-    if isinstance(expr, OpProduct):
-        out = np.eye(dim, dtype=low.dtype)
-        for f in expr.factors:
-            out = out @ _dense_reference(f, ladder)
-        return out
-    raise TypeError(expr)
+    if isinstance(tree, str):
+        return {"a-": low, "a+": rai, "I": np.eye(dim, dtype=low.dtype)}[tree]
+    kind, *args = tree
+    if kind == "scaled":
+        return args[0] * _dense_reference(args[1], ladder, sigma)
+    if kind == "adj":
+        return _dense_reference(_adjoint_tree(args[0], sigma), ladder, sigma)
+    out = np.zeros((dim, dim), low.dtype) if kind == "sum" else np.eye(dim, dtype=low.dtype)
+    for t in args:
+        m = _dense_reference(t, ladder, sigma)
+        out = out + m if kind == "sum" else out @ m
+    return out
 
 
-def _trees(sigma):
-    scalars = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+def _assert_matches_reference(form, tree, sigma, ladder, dim):
+    # a word of at most 10 generators never leaves the truncation at dim + 10
+    # from the leading dim levels, so the crop is untruncated.  Normal order
+    # cancels a vanishing word exactly, while float64 products leave eps times
+    # the intermediate entries (up to ~1e-12 when they reach ~5e3): the
+    # reference is evaluated in extended precision instead.
+    reference = _dense_reference(tree, ladder, sigma)[:dim, :dim].astype(complex)
+    atol = 1e-12 * (1.0 + np.max(np.abs(reference)))
+    np.testing.assert_allclose(to_matrix(form, dim), reference, rtol=0, atol=atol)
 
+
+_SCALARS = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+def _trees(max_leaves=10):
     def extend(children):
         return st.one_of(
-            st.builds(scaled, scalars, children),
-            st.lists(children, min_size=1, max_size=3).map(lambda t: op_sum(*t)),
-            st.lists(children, min_size=1, max_size=3).map(lambda f: op_product(*f)),
-            children.map(lambda c: adjoint(c, sigma)),
+            st.tuples(st.just("scaled"), _SCALARS, children),
+            st.lists(children, min_size=1, max_size=3).map(lambda t: ("sum", *t)),
+            st.lists(children, min_size=1, max_size=3).map(lambda f: ("prod", *f)),
+            children.map(lambda c: ("adj", c)),
             st.tuples(children, children).map(
-                lambda ab: op_sum(op_product(*ab), scaled(-1.0, op_product(*ab[::-1])))),
+                lambda ab: ("sum", ("prod", *ab), ("scaled", -1.0, ("prod", *ab[::-1])))),
         )
-    return st.recursive(st.sampled_from([A_MINUS, A_PLUS, IDENTITY]), extend, max_leaves=10)
+    return st.recursive(st.sampled_from(["a-", "a+", "I"]), extend, max_leaves=max_leaves)
+
+
+_TREES, _SMALL_TREES = _trees(), _trees(max_leaves=5)
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), dim=st.integers(4, 40), sigma=st.sampled_from([1, -1]))
 def test_to_matrix_matches_dense_reference(data, dim, sigma, dense_ladder):
-    expr = data.draw(_trees(sigma))
-    # a word of at most max_leaves = 10 generators never leaves the truncation
-    # at dim + 10 from the leading dim levels, so the crop is untruncated.
-    # Normal order cancels a vanishing word exactly, while float64 products
-    # leave eps times the intermediate entries (up to ~1e-12 when they reach
-    # ~5e3): the reference is evaluated in extended precision instead.
+    tree = data.draw(_TREES)
     ladder = dense_ladder(dim + 10, np.clongdouble)
-    reference = _dense_reference(expr, ladder)[:dim, :dim].astype(complex)
-    atol = 1e-12 * (1.0 + np.max(np.abs(reference)))
-    np.testing.assert_allclose(to_matrix(expr, dim), reference, rtol=0, atol=atol)
+    _assert_matches_reference(_build(tree, sigma), tree, sigma, ladder, dim)
 
 
 def test_position_and_momentum_expressions(dense_ladder):
@@ -165,6 +223,41 @@ def _skip_grid(*args, **kwargs):
     raise verify.dynamics.GridLeakError("the grid checks are not under test here")
 
 
+def _row_trees(omega):
+    """Every row of verify's operator tables as a pair of test-local trees."""
+    n = ("prod", "a+", "a-")
+    ham = ("scaled", 1j * omega, ("sum", n, ("scaled", 0.5, "I")))
+    x = ("scaled", 1 / np.sqrt(2j), ("sum", "a-", "a+"))
+    p = ("scaled", 1 / np.sqrt(2j), ("sum", "a-", ("scaled", -1.0, "a+")))
+    sz = ("scaled", 0.5, ("sum", n, ("scaled", 0.5, "I")))
+    s_plus, s_minus = ("scaled", 0.5, ("prod", "a+", "a+")), ("scaled", 0.5, ("prod", "a-", "a-"))
+    sx = ("scaled", 0.5, ("sum", s_plus, s_minus))
+    sy = ("scaled", 0.5j, ("sum", s_plus, ("scaled", -1.0, s_minus)))
+
+    def comm(a, b):
+        return ("sum", ("prod", a, b), ("scaled", -1.0, ("prod", b, a)))
+
+    def neg(a):
+        return ("scaled", -1.0, a)
+    return {
+        "commutator_ladder": (comm("a-", "a+"), "I"),
+        "adjoint_number": (("adj", n), neg(("sum", n, "I"))),
+        "adjoint_hamiltonian": (("adj", ham), ham),
+        "adjoint_sz": (("adj", sz), neg(sz)),
+        "adjoint_s_plus": (("adj", s_plus), neg(s_plus)),
+        "adjoint_s_minus": (("adj", s_minus), neg(s_minus)),
+        "adjoint_sx": (("adj", sx), neg(sx)),
+        "adjoint_sy": (("adj", sy), sy),
+        "commutator_sx_sy": (comm(sx, sy), ("scaled", 1j, sz)),
+        "commutator_sz_s_plus": (comm(sz, s_plus), s_plus),
+        "commutator_sz_s_minus": (comm(sz, s_minus), neg(s_minus)),
+        "commutator_s_plus_s_minus": (comm(s_plus, s_minus), ("scaled", -2.0, sz)),
+        "hamiltonian_su11": (ham, ("scaled", 2j * omega, sz)),
+        "heisenberg_x": (comm(x, ham), ("scaled", 1j * omega, p)),
+        "heisenberg_p": (comm(p, ham), ("scaled", 1j * omega, x)),
+    }
+
+
 @pytest.mark.parametrize("sigma", [-1, 1])
 @pytest.mark.parametrize("nmax,omega", PARITY_POINTS)
 def test_verify_identity_sides_match_dense_reference(nmax, omega, sigma, monkeypatch,
@@ -172,6 +265,8 @@ def test_verify_identity_sides_match_dense_reference(nmax, omega, sigma, monkeyp
     monkeypatch.setattr(verify.dynamics, "grid_split_step", _skip_grid)
     cfg = verify.RunConfig(nmax=nmax, omega=omega, sigma=sigma)
     rows = verify.algebra_identities(cfg) + verify.heisenberg_identities(omega)
+    trees = _row_trees(omega)
+    assert [row[0] for row in rows] == list(trees)
     checks = {c.name: c for suite in (verify.algebra_suite(cfg), verify.correspondence_suite(cfg))
               for c in suite.checks}
     # the rows' words have at most four generators: the crop is untruncated
@@ -179,8 +274,8 @@ def test_verify_identity_sides_match_dense_reference(nmax, omega, sigma, monkeyp
     for name, anchor, lhs, rhs, tol in rows:
         assert (checks[name].anchor, checks[name].tolerance) == (anchor, tol)
         assert checks[name].passed, (name, checks[name].residual)
-        for side in (lhs, rhs):
-            reference = _dense_reference(side, ladder)[:nmax, :nmax]
+        for side, tree in zip((lhs, rhs), trees[name]):
+            reference = _dense_reference(tree, ladder, sigma)[:nmax, :nmax]
             atol = 1e-12 * (1.0 + np.max(np.abs(reference)))
             np.testing.assert_allclose(to_matrix(side, nmax), reference, rtol=0, atol=atol,
                                        err_msg=name)
@@ -267,8 +362,9 @@ def _nested(depth: int, inner: str, outer: str) -> str:
     "adj(" + _nested(30, "a+", "comm(n, {})") + ") == -i*a+",
 ], ids=["comm_I", "comm_n", "adj_comm_n"])
 def test_nested_commutators_cost_linear_in_the_parse_dag(text):
-    # comm(a, b) refers to each operand twice, so a walk that followed the
-    # parse DAG as a tree would visit 2^30 nodes here
+    # comm(a, b) refers to each operand twice, so an evaluation that followed
+    # the parse as a tree would visit 2^30 nodes here; the parser builds each
+    # operand's form once, bottom up
     start = time.perf_counter()
     residual = equation_residual(text, 64)
     assert time.perf_counter() - start < 1.0
@@ -276,9 +372,9 @@ def test_nested_commutators_cost_linear_in_the_parse_dag(text):
 
 
 def test_walks_leave_no_reference_cycle():
-    # the memoized walk refers to itself; it must free its memo of every node
-    # and form on return, not leave it to the cycle collector (the youngest
-    # generation holds everything the call allocates while collection is off)
+    # parsing and evaluation must free every form on return, not leave it to
+    # the cycle collector (the youngest generation holds everything the call
+    # allocates while collection is off)
     gc.collect(0)
     gc.disable()
     try:

@@ -63,7 +63,7 @@ def test_unread_private_names_are_found():
 
 
 def test_the_package_has_private_names():
-    assert "_walk_dag" in private_definitions(TREES["expressions"])
+    assert "_product" in private_definitions(TREES["expressions"])
     assert "_passing_phases" in private_definitions(TREES["verify"])
 
 
