@@ -2,9 +2,9 @@
 
 Subcommands, with the shared options each reads
 -----------------------------------------------
-verify [--nmax] [--omega] [--tol] [--format] [--sigma] [--strict]
+verify [--nmax] [--omega] [--tol] [--format] [--strict]
                                   run every suite and emit a machine-readable report
-op-check EXPR [--nmax] [--omega] [--tol] [--format] [--sigma]
+op-check EXPR [--nmax] [--omega] [--tol] [--format]
                                   evaluate ``LHS == RHS`` over the operator grammar
 dump eigenfunction                sampled wave function as CSV
 dump gram [--nmax]                dual-family Gram matrix as CSV plus a JSON defect line
@@ -52,7 +52,6 @@ from .dynamics import (
 )
 from .eigenfunctions import eigenfunction, evaluate
 from .expressions import (
-    ADJOINT_SIGN,
     MAX_DEGREE,
     MAX_NESTING,
     ExpressionParseError,
@@ -90,10 +89,9 @@ def _emit(text: str, out_path: str | None) -> None:
 _COMMON = {
     "nmax": dict(type=int, default=64, help="Fock truncation (default 64)"),
     "omega": dict(type=float, default=1.0, help="well curvature (default 1.0)"),
-    "tol": dict(type=float, default=1e-10, help="pass tolerance (default 1e-10)"),
+    "tol": dict(type=float, default=1e-10, help="op-check's tolerance; verify's floor "
+                "for its six coherent-state tolerances, the others fixed (default 1e-10)"),
     "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
-    "sigma": dict(type=int, choices=(1, -1), default=ADJOINT_SIGN,
-                  help="adjoint sign: generators map to sigma*i times themselves"),
     "strict": dict(action="store_true", help="escalate truncation warnings to errors"),
     "out": dict(type=str, default=None, help="write the payload to a file"),
 }
@@ -110,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run all verification suites")
-    _add_common(p_verify, "nmax", "omega", "tol", "format", "sigma", "strict")
+    _add_common(p_verify, "nmax", "omega", "tol", "format", "strict")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_op = sub.add_parser("op-check", help="check an operator identity LHS == RHS",
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       f"adj and comm arguments and unary signs may nest "
                                       f"{MAX_NESTING} deep; deeper is a parse error.")
     p_op.add_argument("expression", type=str)
-    _add_common(p_op, "nmax", "omega", "tol", "format", "sigma")
+    _add_common(p_op, "nmax", "omega", "tol", "format")
     # the report's config records strict, which no operator check reads
     p_op.set_defaults(handler=cmd_op_check, strict=False)
 
@@ -176,8 +174,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed = -1
     if seed < 0:
         raise ValueError(f"IWQM_SEED must be a non-negative integer, got {text!r}")
-    return RunConfig(nmax=args.nmax, omega=args.omega, tol=args.tol, sigma=args.sigma,
-                     strict=args.strict, seed=seed)
+    return RunConfig(nmax=args.nmax, omega=args.omega, tol=args.tol, strict=args.strict,
+                     seed=seed)
 
 
 def _render_report(args: argparse.Namespace, cfg: RunConfig, suites: list[SuiteReport]) -> int:
@@ -195,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_op_check(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
-    residual = equation_residual(args.expression, cfg.nmax, cfg.sigma, cfg.omega)
+    residual = equation_residual(args.expression, cfg.nmax, omega=cfg.omega)
     report = SuiteReport("op-check")
     report.add("expression", args.expression, residual, cfg.tol)
     return _render_report(args, cfg, [report])

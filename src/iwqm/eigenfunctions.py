@@ -134,16 +134,16 @@ def evaluate(f: Eigenfunction, x):
     Raises ValueError where x^2/2 is not finite, since the phase
     exp(-i x^2/2) has no value there, and where the level's values overflow.
 
-    The ground state is written into the result, and the recurrence then
-    runs over the flattened points in blocks of at most ``_BLOCK``, with z
-    and its two buffers in this thread's workspace; each block's level is
-    written back as scale * q.  The workspace is allocated once per thread,
-    so a call allocates only its result: fresh scratch of this size would be
+    The phase e^{-i x^2/2} is written into the result, and the recurrence
+    then runs over the flattened points in blocks of at most ``_BLOCK``,
+    with z and its two buffers in this thread's workspace.  A block starts
+    from its ground state (i/pi)^(1/4) e^{-i x^2/2} in a workspace buffer
+    (in place, numpy rounds a one-element complex product differently), and
+    its level is written back as scale * q.  The workspace is allocated once
+    per thread, so a call allocates only its result: fresh scratch would be
     handed back to the OS at the end of every call and faulted in again by
-    the next.  The folds depend on the level alone, so the values are those
-    of one unblocked recurrence, bit for bit.  (The ground state is not
-    blocked: numpy's in-place complex product of a one-element array rounds
-    differently from the same product inside a longer one.)
+    the next.  The folds depend on the level alone, so a point's value is
+    that of one unblocked recurrence, bit for bit, alone or in an array.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     vals = np.empty(xs.shape, dtype=complex)
@@ -155,14 +155,14 @@ def evaluate(f: Eigenfunction, x):
         raise ValueError("eigenfunctions need x with a finite x^2/2")
     np.cos(phase, out=vals.real)
     np.sin(phase, out=phase)
-    vals *= _GROUND  # the ground state (i/pi)^(1/4) e^{-i x^2/2}
     flat_x, flat_vals, work = xs.reshape(-1), vals.reshape(-1), _workspace()
     for lo in range(0, flat_x.size, _BLOCK):
         xb, out = flat_x[lo:lo + _BLOCK], flat_vals[lo:lo + _BLOCK]
-        z, prev, tmp = work[:, :xb.size]
+        z, prev, ground = work[:, :xb.size]
+        np.multiply(out, _GROUND, out=ground)
         np.multiply(_Z_PHASE, xb, out=z)
         with np.errstate(over="ignore", invalid="ignore"):
-            scale, level = next(islice(hermite_levels(z, out, (prev, tmp)), f.n, None))
+            scale, level = next(islice(hermite_levels(z, ground, (prev, out)), f.n, None))
             np.multiply(level, scale, out=out)
         if not np.all(np.isfinite(out)):
             raise ValueError(f"level {f.n} overflows at |x| up to {np.max(np.abs(xs)):.3g}")

@@ -16,12 +16,11 @@ time in O(nmax) memory, after they cancel word by word.
 
 The physical adjoint of the imaginary-frequency ladder operators is not
 the matrix conjugate-transpose in the biorthogonal frame: each generator
-maps to (sigma * i) times itself, with a global sign sigma in {+1, -1}
-coming from the branch of the square root in the generator prefactor.
-Products reverse and scalars conjugate, so :func:`adjoint` maps the word
-c a+^j a-^k to conj(c) (sigma i)^(j+k) a-^k a+^j and brings that back to
-normal order.  None of the verified operator identities depend on sigma;
-both settings are exercised by the test suite.
+a maps to s i a, and x = (a- + a+) / sqrt(2i) and p are self-adjoint only
+for s i = conj(sqrt(2i)) / sqrt(2i) = -i, on either branch of the root,
+so s is the constant :data:`ADJOINT_SIGN`.  Products reverse and scalars
+conjugate, so :func:`adjoint` maps the word c a+^j a-^k to
+conj(c) (s i)^(j+k) a-^k a+^j and brings that back to normal order.
 
 The named operators n, H, x, p and the SU(1,1) generators are defined
 here once, as forms built at import (H per omega).  Every operator
@@ -39,8 +38,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-#: Default adjoint sign: conj(sqrt(i/2)) / sqrt(i/2) = -i on the principal
-#: branch, i.e. a^dag = -i a.
+#: The sign s of the physical adjoint a^dag = s i a: the one sign under which
+#: x and p are self-adjoint.
 ADJOINT_SIGN = -1
 
 #: An operator as its normal-ordered words: the read-only map {(j, k): c} of
@@ -101,11 +100,10 @@ def commutator(a: OperatorExpression, b: OperatorExpression) -> OperatorExpressi
     return op_sum(op_product(a, b), scaled(-1.0, op_product(b, a)))
 
 
-def adjoint(expr: OperatorExpression, sigma: int = ADJOINT_SIGN) -> OperatorExpression:
-    """Physical adjoint: the word c a+^j a-^k maps to conj(c) (sigma i)^(j+k) a-^k a+^j."""
-    if sigma not in (1, -1):
-        raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
-    return _collect((word, c.conjugate() * (sigma * 1j) ** (j + k) * d)
+def adjoint(expr: OperatorExpression) -> OperatorExpression:
+    """Physical adjoint: the word c a+^j a-^k maps to conj(c) (s i)^(j+k) a-^k a+^j,
+    with s = :data:`ADJOINT_SIGN`."""
+    return _collect((word, c.conjugate() * (ADJOINT_SIGN * 1j) ** (j + k) * d)
                     for (j, k), c in expr.items()
                     for word, d in _product({(0, k): 1}, {(j, 0): 1}).items())
 
@@ -271,11 +269,10 @@ _NAMED = {"n": _NUMBER, "I": IDENTITY, "a-": A_MINUS, "a+": A_PLUS, **_SU11}
 
 
 class _Parser:
-    def __init__(self, text: str, sigma: int, omega: float):
+    def __init__(self, text: str, omega: float):
         self.tokens = _tokenize(text)
         self.idx = 0
         self.depth = 0
-        self.sigma = sigma
         self.omega = omega
 
     def peek(self):
@@ -347,14 +344,14 @@ class _Parser:
                     self.expect(",")
                     args.append(self.nested(self.parse_expr, pos))
                 self.expect(")")
-                return adjoint(*args, self.sigma) if value == "adj" else commutator(*args)
+                return adjoint(*args) if value == "adj" else commutator(*args)
             return _NAMED[value]
         raise ExpressionParseError(f"unexpected token {value!r}", pos)
 
 
-def parse_expression(text: str, sigma: int = ADJOINT_SIGN, omega: float = 1.0) -> OperatorExpression:
+def parse_expression(text: str, *, omega: float = 1.0) -> OperatorExpression:
     """Parse a single operator expression."""
-    parser = _Parser(text, sigma, omega)
+    parser = _Parser(text, omega)
     node = parser.parse_expr()
     tok = parser.peek()
     if tok[0] != "END":
@@ -362,10 +359,10 @@ def parse_expression(text: str, sigma: int = ADJOINT_SIGN, omega: float = 1.0) -
     return node
 
 
-def parse_equation(text: str, sigma: int = ADJOINT_SIGN,
+def parse_equation(text: str, *,
                    omega: float = 1.0) -> tuple[OperatorExpression, OperatorExpression]:
     """Parse ``LHS == RHS`` into a pair of forms."""
-    parser = _Parser(text, sigma, omega)
+    parser = _Parser(text, omega)
     lhs = parser.parse_expr()
     parser.expect("EQ")
     rhs = parser.parse_expr()
@@ -391,7 +388,6 @@ def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression, nmax: in
     return residual if math.isfinite(residual) else math.inf
 
 
-def equation_residual(text: str, nmax: int, sigma: int = ADJOINT_SIGN,
-                      omega: float = 1.0) -> float:
+def equation_residual(text: str, nmax: int, *, omega: float = 1.0) -> float:
     """:func:`identity_residual` of the parsed ``LHS == RHS``."""
-    return identity_residual(*parse_equation(text, sigma, omega), nmax)
+    return identity_residual(*parse_equation(text, omega=omega), nmax)

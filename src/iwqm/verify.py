@@ -2,10 +2,10 @@
 
 Each suite bundles named checks; a check records the mathematical
 identity it probes (``anchor``), the measured residual, the tolerance it
-was held to, and the verdict.  Tolerances are fixed here, not tuned at
-run time; the only adjustment is the documented widening of
-truncation-sensitive coherent-state checks when the Fock cutoff is too
-small for the sampled labels (the widened tolerance is reported).
+was held to, and the verdict.  Tolerances are fixed here, but for the six
+truncation-sensitive coherent-state checks: ``RunConfig.tol`` (``--tol``)
+is their floor, widened to 3 dim tail when the Fock cutoff is too small
+for the sampled labels (the tolerance in force is reported).
 
 The operator identities (the algebra suite and the Heisenberg equations
 of the correspondence suite) are tables of pairs of normal-ordered forms
@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, coherent, dynamics, eigenfunctions, quadrature
+from . import algebra, coherent, dynamics, eigenfunctions, expressions, quadrature
 from .algebra import BRA, KET
 from .expressions import (
     A_MINUS,
     A_PLUS,
-    ADJOINT_SIGN,
     IDENTITY,
     adjoint,
     commutator,
@@ -44,12 +43,12 @@ from .expressions import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs of the suites, as ``verify`` and ``op-check`` take them."""
+    """Knobs of the suites, as ``verify`` and ``op-check`` take them; ``tol`` is
+    op-check's tolerance and the floor of the six coherent-state tolerances."""
 
     nmax: int = 64
     omega: float = 1.0
     tol: float = 1e-10
-    sigma: int = ADJOINT_SIGN
     strict: bool = False
     seed: int = 0
 
@@ -60,8 +59,6 @@ class RunConfig:
             raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.sigma not in (1, -1):
-            raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
@@ -126,35 +123,32 @@ def _add_identities(report: SuiteReport, rows, nmax: int) -> None:
 # suites
 # ---------------------------------------------------------------------------
 
-def algebra_identities(cfg: RunConfig) -> tuple:
+def algebra_identities(omega: float) -> tuple:
     """The rows (name, anchor, lhs, rhs, tolerance) of :func:`algebra_suite`."""
-    def adj(e):
-        return adjoint(e, cfg.sigma)
-
-    def neg(e):
-        return scaled(-1.0, e)
-
     number = number_expression()
-    ham = hamiltonian_expression(cfg.omega)
+    ham = hamiltonian_expression(omega)
+    x, p = position_expression(), momentum_expression()
     su = su11_expressions()
     sz, s_plus, s_minus, sx, sy = (su[k] for k in ("Sz", "S+", "S-", "Sx", "Sy"))
     return (
         ("commutator_ladder", "[a-, a+] = I", commutator(A_MINUS, A_PLUS), IDENTITY, 1e-12),
+        ("adjoint_position", "adj(x) = x", adjoint(x), x, 1e-12),
+        ("adjoint_momentum", "adj(p) = p", adjoint(p), p, 1e-12),
         ("adjoint_number", "adj(n) = -(n + 1)",
-         adj(number), neg(op_sum(number, IDENTITY)), 1e-12),
-        ("adjoint_hamiltonian", "adj(H) = H", adj(ham), ham, 1e-12),
-        ("adjoint_sz", "adj(Sz) = -Sz", adj(sz), neg(sz), 1e-12),
-        ("adjoint_s_plus", "adj(S+) = -S+", adj(s_plus), neg(s_plus), 1e-12),
-        ("adjoint_s_minus", "adj(S-) = -S-", adj(s_minus), neg(s_minus), 1e-12),
-        ("adjoint_sx", "adj(Sx) = -Sx", adj(sx), neg(sx), 1e-12),
-        ("adjoint_sy", "adj(Sy) = Sy", adj(sy), sy, 1e-12),
+         adjoint(number), scaled(-1.0, op_sum(number, IDENTITY)), 1e-12),
+        ("adjoint_hamiltonian", "adj(H) = H", adjoint(ham), ham, 1e-12),
+        ("adjoint_sz", "adj(Sz) = -Sz", adjoint(sz), scaled(-1.0, sz), 1e-12),
+        ("adjoint_s_plus", "adj(S+) = -S+", adjoint(s_plus), scaled(-1.0, s_plus), 1e-12),
+        ("adjoint_s_minus", "adj(S-) = -S-", adjoint(s_minus), scaled(-1.0, s_minus), 1e-12),
+        ("adjoint_sx", "adj(Sx) = -Sx", adjoint(sx), scaled(-1.0, sx), 1e-12),
+        ("adjoint_sy", "adj(Sy) = Sy", adjoint(sy), sy, 1e-12),
         ("commutator_sx_sy", "[Sx, Sy] = i Sz", commutator(sx, sy), scaled(1j, sz), 1e-12),
         ("commutator_sz_s_plus", "[Sz, S+] = S+", commutator(sz, s_plus), s_plus, 1e-12),
         ("commutator_sz_s_minus", "[Sz, S-] = -S-",
-         commutator(sz, s_minus), neg(s_minus), 1e-12),
+         commutator(sz, s_minus), scaled(-1.0, s_minus), 1e-12),
         ("commutator_s_plus_s_minus", "[S+, S-] = -2 Sz",
          commutator(s_plus, s_minus), scaled(-2.0, sz), 1e-12),
-        ("hamiltonian_su11", "H = 2 i omega Sz", ham, scaled(2j * cfg.omega, sz), 0.0),
+        ("hamiltonian_su11", "H = 2 i omega Sz", ham, scaled(2j * omega, sz), 0.0),
     )
 
 
@@ -172,7 +166,7 @@ def heisenberg_identities(omega: float) -> tuple:
 def algebra_suite(cfg: RunConfig) -> SuiteReport:
     """Ladder commutator, physical-adjoint identities, and the hyperbolic algebra."""
     report = SuiteReport("algebra")
-    _add_identities(report, algebra_identities(cfg), cfg.nmax)
+    _add_identities(report, algebra_identities(cfg.omega), cfg.nmax)
     return report
 
 
@@ -375,22 +369,24 @@ def correspondence_suite(cfg: RunConfig) -> SuiteReport:
     report.add("label_ode", "alpha(t) = (v/omega) sinh(omega t)", label_res, 1e-8)
 
     # the same horizon 1.5/omega at dt and dt/2: the coarse run is the
-    # expectation check, and the pair measures the scheme's order
+    # expectation check, and the pair measures the scheme's order; the
+    # momentum is 0.5 in reduced units, so every omega runs one state
     errors = []
     drift = 0.0
+    v_packet = 0.5 * math.sqrt(omega)
     try:
-        packet = dynamics.gaussian_packet(0.5, omega, t_final=1.5 / omega)
+        packet = dynamics.gaussian_packet(v_packet, omega, t_final=1.5 / omega)
         for dt, steps in ((5e-2, 30), (2.5e-2, 60)):
             diagnostics: dict = {}
             grid = dynamics.grid_split_step(packet, dt / omega, steps, diagnostics=diagnostics)
-            classical = dynamics.classical_orbit(0.5, omega, 1, grid.times)
+            classical = dynamics.classical_orbit(v_packet, omega, 1, grid.times)
             window = grid.times * omega >= 0.1
             errors.append(float(np.max(np.abs(grid.values.real[window] - classical[window])
                                        / np.abs(classical[window]))))
             drift = max(drift, diagnostics["norm_drift"])
     except (ValueError, dynamics.GridLeakError, dynamics.NormDriftError):
-        # a packet refused for its grid size (omega below about 1e-5 or above
-        # about 1e154) or a run stopped by either guard fails every grid check
+        # a packet whose spreads cannot be formed (omega below about 1e-162 or
+        # above about 1e154) or a run stopped by either guard fails every grid check
         errors = [math.inf, math.inf]
         drift = math.inf
     report.add("grid_expectation", "<x>(t) = (v/omega) sinh(omega t)", errors[0], 1e-4)
@@ -447,18 +443,26 @@ def determine_bra_phase() -> str:
     return (_bra_coherent_phases() or ["none"])[0]
 
 
-def conventions(cfg: RunConfig) -> dict:
-    """The sign/phase conventions in force, with the determined phases: the
-    bra ladder step phase under which the bra coherent state at the probe
-    label solves a+ |alpha>_l = alpha |alpha>_l, the bra coherent phase, and
-    the bra phase under which the Gram matrix is the identity."""
+def conventions() -> dict:
+    """The sign/phase conventions in force, each determined: the adjoint sign,
+    of ``ADJOINT_SIGN`` and its opposite, under which adj(x) = x and
+    adj(p) = p (the opposite sign's adjoint is the parity image P adj(A) P,
+    the word (j, k) times (-1)^(j+k)), the bra ladder step phase under which
+    the bra coherent state at the probe label solves
+    a+ |alpha>_l = alpha |alpha>_l, the bra coherent phase, and the bra
+    phase under which the Gram matrix is the identity."""
+    sign = expressions.ADJOINT_SIGN
+    pairs = [(adjoint(a), a) for a in (position_expression(), momentum_expression())]
+    signs = [f"{s:+d}" for s, parity in ((sign, 1), (-sign, -1)) if all(
+        identity_residual({(j, k): c * parity ** (j + k) for (j, k), c in adj.items()}, a,
+                          _PROBE_DIM) <= 1e-12 for adj, a in pairs)]
     bra = coherent.build_coherent(BRA, _PROBE_LABEL, _PROBE_DIM)
     ladder = _passing_phases(algebra.BRA_LADDER_PHASE, lambda c: coherent.eigen_residual(
         coherent.CoherentState(BRA, _PROBE_LABEL, c)) <= 1e-10, bra.coeffs)
     dual = _passing_phases(algebra.BRA_PHASE, lambda gram: _max_abs(gram - np.eye(9)) <= 1e-8,
                            quadrature.gram_matrix(8))
     return {
-        "adjoint_sigma": f"{cfg.sigma:+d}",
+        "adjoint_sigma": (signs or ["none"])[0],
         "bra_ladder_phase": (ladder or ["none"])[0],
         "bra_coherent_phase": determine_bra_phase(),
         "dual_eigenfunction_phase": (dual or ["none"])[0],
@@ -497,8 +501,8 @@ def environment(cfg: RunConfig) -> dict:
 def report_dict(cfg: RunConfig, suites: list[SuiteReport]) -> dict:
     return {
         "config": {"nmax": cfg.nmax, "omega": cfg.omega, "tol": cfg.tol,
-                   "sigma": cfg.sigma, "strict": cfg.strict, "seed": cfg.seed},
-        "conventions": conventions(cfg),
+                   "strict": cfg.strict, "seed": cfg.seed},
+        "conventions": conventions(),
         "environment": environment(cfg),
         "suites": [
             {

@@ -43,9 +43,15 @@ def test_verify_csv_format(capsys):
 
 
 def test_verify_both_sigma_signs(capsys):
-    for sigma in ("-1", "1"):
-        code, out, _ = run_cli(capsys, "verify", "--nmax", "16", "--sigma", sigma)
-        assert code == 0
+    # the adjoint sign is a constant that verify determines, not an option
+    for argv in (["verify"], ["op-check", "a- == a-"]):
+        for sigma in ("-1", "1"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--sigma", sigma])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "Traceback" not in err
+            assert err.splitlines()[-1] == f"iwqm: error: unrecognized arguments: --sigma {sigma}"
 
 
 def test_verify_output_is_deterministic(capsys):
@@ -618,13 +624,13 @@ def test_verify_at_extreme_omega_exits_without_traceback(capsys):
     assert code == 1
     assert err == ""
     checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
-    assert len(checks) == 43
+    assert len(checks) == 45
     for name in ("grid_expectation", "grid_norm", "grid_order"):
         assert checks[name]["residual"] == float("inf") and not checks[name]["passed"]
     assert all(c["passed"] for name, c in checks.items() if not name.startswith("grid_"))
 
 
-@pytest.mark.parametrize("omega", ["1e-300", "1e-6", "1e155", "1e300", "5e306", "1.7e308"])
+@pytest.mark.parametrize("omega", ["1e-300", "1e155", "1e300", "5e306", "1.7e308"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_at_an_omega_it_accepts_reports_failed_checks(capsys, omega, fmt):
     # each of these stopped the run at a refused grid packet, an eigensolver
@@ -640,9 +646,23 @@ def test_verify_at_an_omega_it_accepts_reports_failed_checks(capsys, omega, fmt)
     if fmt == "json":
         payload = json.loads(out)
         assert payload["passed"] is False
-        assert sum(len(s["checks"]) for s in payload["suites"]) == 43
+        assert sum(len(s["checks"]) for s in payload["suites"]) == 45
     else:
-        assert len(out.strip().splitlines()) == 43 + 2
+        assert len(out.strip().splitlines()) == 45 + 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_passes_at_a_small_omega(capsys, fmt):
+    # the grid packet runs the same reduced state at every omega: at 1e-6 it
+    # was refused for its grid size
+    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e-6", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        checks = [c for s in json.loads(out)["suites"] for c in s["checks"]]
+        assert len(checks) == 45 and all(c["passed"] for c in checks)
+    else:
+        assert len(out.strip().splitlines()) == 45 + 2
+        assert out.strip().splitlines()[-1] == "overall,,,,,True"
 
 
 def _assert_clean_evolve(capsys, argv):
@@ -682,13 +702,14 @@ def test_dump_evolve_at_extreme_settings_prints_finite_rows_or_refuses(capsys, r
                                   "--dt", dt, *route])
 
 
-#: The shared options besides --out, each with a valid value (None for a flag).
+#: The shared options besides --out, each with a valid value (None for a flag),
+#: and --sigma, which no command takes: the adjoint sign is a constant.
 SHARED_OPTIONS = {"--nmax": "8", "--omega": "1.0", "--tol": "1e-10", "--format": "json",
                   "--sigma": "1", "--strict": None}
 #: The shared options each command takes besides --out: those its handler reads.
 COMMAND_OPTIONS = {
-    ("verify",): {"--nmax", "--omega", "--tol", "--format", "--sigma", "--strict"},
-    ("op-check", "a- == a-"): {"--nmax", "--omega", "--tol", "--format", "--sigma"},
+    ("verify",): {"--nmax", "--omega", "--tol", "--format", "--strict"},
+    ("op-check", "a- == a-"): {"--nmax", "--omega", "--tol", "--format"},
     ("dump", "eigenfunction"): set(),
     ("dump", "gram"): {"--nmax"},
     ("dump", "coherent"): {"--nmax", "--strict"},
@@ -771,8 +792,8 @@ VALUES = {"--nmax": INTS + ["300"], "--omega": FLOATS, "--tol": FLOATS,
 SHARED = ["--nmax", "--omega", "--tol", "--format", "--sigma", "--strict"]
 BOGUS = ["--bogus", "-q", "--"]
 COMMANDS = {
-    "verify": (["verify"], ["--nmax", "--omega", "--tol", "--format", "--sigma", "--strict"]),
-    "op-check": (["op-check"], ["--nmax", "--omega", "--tol", "--format", "--sigma"]),
+    "verify": (["verify"], ["--nmax", "--omega", "--tol", "--format", "--strict"]),
+    "op-check": (["op-check"], ["--nmax", "--omega", "--tol", "--format"]),
     "eigenfunction": (["dump", "eigenfunction"], ["--set", "--n", "--xmin", "--xmax",
                                                   "--samples"]),
     "gram": (["dump", "gram"], ["--nmax", "--nodes"]),

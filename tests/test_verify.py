@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import iwqm
-from iwqm import algebra, coherent, verify
+from iwqm import algebra, cli, coherent, expressions, verify
 from iwqm.algebra import BRA
 from iwqm.verify import (
     RunConfig,
@@ -38,9 +39,13 @@ def test_suite_order_is_fixed(default_suites):
     assert [s.suite for s in default_suites] == SUITE_NAMES
 
 
-def test_opposite_adjoint_sign_passes_everywhere():
-    suites = run_all(RunConfig(sigma=1))
-    assert all(s.passed for s in suites)
+def test_opposite_adjoint_sign_fails_exactly_the_position_and_momentum_rows(monkeypatch):
+    # every other adjoint row has even degree and cannot tell the signs apart
+    monkeypatch.setattr(expressions, "ADJOINT_SIGN", -expressions.ADJOINT_SIGN)
+    failing = [c.name for s in run_all(RunConfig()) for c in s.checks if not c.passed]
+    assert failing == ["adjoint_position", "adjoint_momentum"]
+    # the report names the sign under which x and p are self-adjoint, not the constant
+    assert conventions()["adjoint_sigma"] == "-1"
 
 
 def test_report_dict_schema(default_suites):
@@ -49,6 +54,16 @@ def test_report_dict_schema(default_suites):
     assert payload["passed"] is True
     assert set(payload) == {"config", "conventions", "environment", "suites", "passed"}
     assert payload["config"]["nmax"] == 64
+    # the config block is RunConfig, and each knob but the seed (IWQM_SEED)
+    # is an option of verify, so no layer keeps a knob another one dropped
+    fields = dataclasses.fields(RunConfig)
+    assert list(payload["config"]) == [f.name for f in fields]
+    parser = cli.build_parser()
+    for f in fields:
+        if f.name != "seed":
+            flag = isinstance(f.default, bool)
+            args = parser.parse_args(["verify", f"--{f.name}", *([] if flag else [str(f.default)])])
+            assert getattr(args, f.name) == (True if flag else f.default), f.name
     env = payload["environment"]
     assert set(env) == {"iwqm", "numpy", "blas_threads", "seed", "cpu_count"}
     assert env["iwqm"] == iwqm.__version__ and env["numpy"] == np.__version__
@@ -85,7 +100,7 @@ def test_report_csv_shape(default_suites):
 
 
 def test_conventions_report_names_the_passing_phase():
-    payload = conventions(RunConfig())
+    payload = conventions()
     assert payload["bra_coherent_phase"] == "+i"
     assert payload["adjoint_sigma"] == "-1"
     assert determine_bra_phase() == "+i"
@@ -104,12 +119,12 @@ def _bra_ladder_phases() -> list[str]:
 
 def test_bra_ladder_phase_is_determined(monkeypatch):
     assert _bra_ladder_phases() == ["-i"]
-    assert conventions(RunConfig())["bra_ladder_phase"] == "-i"
+    assert conventions()["bra_ladder_phase"] == "-i"
     # bra coefficients built with the opposite phase solve a+ |alpha>_l = alpha |alpha>_l
     # only under the opposite ladder phase, and the report names that one
     monkeypatch.setattr(coherent, "BRA_PHASE", -algebra.BRA_PHASE)
     assert _bra_ladder_phases() == ["+i"]
-    assert conventions(RunConfig())["bra_ladder_phase"] == "+i"
+    assert conventions()["bra_ladder_phase"] == "+i"
 
 
 def test_small_truncation_widens_coherent_tolerances():
@@ -136,8 +151,6 @@ def test_run_config_validation():
         RunConfig(omega=-1.0)
     with pytest.raises(ValueError):
         RunConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(sigma=0)
     for field in ("omega", "tol"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
@@ -167,12 +180,15 @@ def test_operator_identities_at_nmax_100000(run_capped):
     done = run_capped("-c", code)
     assert done.returncode == 0, done.stderr
     residuals = dict(line.split() for line in done.stdout.splitlines())
-    names = [row[0] for row in algebra_identities(RunConfig()) + heisenberg_identities(1.0)]
+    names = [row[0] for row in algebra_identities(1.0) + heisenberg_identities(1.0)]
     assert set(names) <= set(residuals)
     assert all(math.isfinite(float(residuals[name])) for name in names)
 
 
-@pytest.mark.parametrize("omega", [0.05, 1.0, 10.0, 40.0])
+#: Log-spaced from 1e-100 to 1e100: the packet's momentum 0.5 sqrt(omega) makes
+#: every omega the same state in reduced units, on 512 points.
+@pytest.mark.parametrize("omega", [0.05, 1.0, 10.0, 40.0, 1e-6]
+                         + [10.0 ** k for k in range(-100, 101, 25) if k])
 def test_grid_checks_pass_across_omega(omega):
     report = verify.correspondence_suite(RunConfig(omega=omega))
     grid = {c.name: c for c in report.checks if c.name.startswith("grid_")}
@@ -183,11 +199,11 @@ def test_grid_checks_pass_across_omega(omega):
 
 
 #: Omegas that RunConfig accepts where a computation is refused or overflows:
-#: the grid packet below about 1e-5 and above about 1e154, the density
-#: equation's step 1e-3/omega below the normal range from about 1e305,
-#: omega (n + 1/2) itself near the top of the float range, and 2/omega at a
-#: subnormal omega, where the label equation's step count is refused.
-EXTREME_OMEGAS = [5e-324, 1e-300, 1e-6, 1e155, 1e300, 5e306, 1.7e308]
+#: the grid packet's spreads below about 1e-162 and above about 1e154, the
+#: density equation's step 1e-3/omega below the normal range from about
+#: 1e305, omega (n + 1/2) itself near the top of the float range, and 2/omega
+#: at a subnormal omega, where the label equation's step count is refused.
+EXTREME_OMEGAS = [5e-324, 1e-300, 1e155, 1e300, 5e306, 1.7e308]
 
 
 @pytest.mark.parametrize("omega", EXTREME_OMEGAS)
@@ -197,7 +213,7 @@ def test_extreme_omega_fails_checks_with_finite_or_inf_residuals(omega, default_
         suites = run_all(RunConfig(nmax=8, omega=omega))
     checks = [c for s in suites for c in s.checks]
     assert [c.name for c in checks] == [c.name for s in default_suites for c in s.checks]
-    assert len(checks) == 43
+    assert len(checks) == 45
     assert not any(math.isnan(c.residual) for c in checks)
     refused = {c.name for c in checks if c.residual == math.inf}
     assert {"grid_expectation", "grid_norm", "grid_order"} <= refused
