@@ -2,13 +2,13 @@
 
 Subcommands, with the shared options each reads
 -----------------------------------------------
-verify [--nmax] [--omega] [--tol] [--format] [--strict]
+verify [--nmax] [--omega] [--format]
                                   run every suite and emit a machine-readable report
 op-check EXPR [--nmax] [--omega] [--tol] [--format]
                                   evaluate ``LHS == RHS`` over the operator grammar
 dump eigenfunction                sampled wave function as CSV
 dump gram [--nmax]                dual-family Gram matrix as CSV plus a JSON defect line
-dump coherent [--nmax] [--strict] coherent-state observables as JSON
+dump coherent [--nmax]            coherent-state observables as JSON
 dump evolve [--omega]             label trajectory (or grid expectation) vs classical orbit
 dump decay [--omega]              growth factor and mixed pairing over time
 
@@ -33,7 +33,6 @@ import numpy as np
 from .algebra import BRA, KET
 from .coherent import (
     TAIL_TOLERANCE,
-    TruncationError,
     Uncertainty,
     build_coherent,
     eigen_residual,
@@ -89,10 +88,8 @@ def _emit(text: str, out_path: str | None) -> None:
 _COMMON = {
     "nmax": dict(type=int, default=64, help="Fock truncation (default 64)"),
     "omega": dict(type=float, default=1.0, help="well curvature (default 1.0)"),
-    "tol": dict(type=float, default=1e-10, help="op-check's tolerance; verify's floor "
-                "for its six coherent-state tolerances, the others fixed (default 1e-10)"),
+    "tol": dict(type=float, default=1e-10, help="op-check's tolerance (default 1e-10)"),
     "format": dict(dest="fmt", choices=("json", "csv"), default="json"),
-    "strict": dict(action="store_true", help="escalate truncation warnings to errors"),
     "out": dict(type=str, default=None, help="write the payload to a file"),
 }
 
@@ -108,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run all verification suites")
-    _add_common(p_verify, "nmax", "omega", "tol", "format", "strict")
+    _add_common(p_verify, "nmax", "omega", "format")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_op = sub.add_parser("op-check", help="check an operator identity LHS == RHS",
@@ -119,8 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       f"{MAX_NESTING} deep; deeper is a parse error.")
     p_op.add_argument("expression", type=str)
     _add_common(p_op, "nmax", "omega", "tol", "format")
-    # the report's config records strict, which no operator check reads
-    p_op.set_defaults(handler=cmd_op_check, strict=False)
+    p_op.set_defaults(handler=cmd_op_check)
 
     p_dump = sub.add_parser("dump", help="emit plot-ready data")
     dump_sub = p_dump.add_subparsers(dest="what", required=True)
@@ -142,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh = dump_sub.add_parser("coherent")
     p_coh.add_argument("--alpha-re", type=float, default=1.0)
     p_coh.add_argument("--alpha-im", type=float, default=0.0)
-    _add_common(p_coh, "nmax", "strict")
+    _add_common(p_coh, "nmax")
     p_coh.set_defaults(handler=cmd_dump_coherent)
 
     p_evolve = dump_sub.add_parser("evolve")
@@ -174,8 +170,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed = -1
     if seed < 0:
         raise ValueError(f"IWQM_SEED must be a non-negative integer, got {text!r}")
-    return RunConfig(nmax=args.nmax, omega=args.omega, tol=args.tol, strict=args.strict,
-                     seed=seed)
+    return RunConfig(nmax=args.nmax, omega=args.omega, seed=seed)
 
 
 def _render_report(args: argparse.Namespace, cfg: RunConfig, suites: list[SuiteReport]) -> int:
@@ -193,9 +188,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_op_check(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {args.tol!r}")
     residual = equation_residual(args.expression, cfg.nmax, omega=cfg.omega)
     report = SuiteReport("op-check")
-    report.add("expression", args.expression, residual, cfg.tol)
+    report.add("expression", args.expression, residual, args.tol)
     return _render_report(args, cfg, [report])
 
 
@@ -242,8 +239,8 @@ def cmd_dump_gram(args: argparse.Namespace) -> int:
 
 def cmd_dump_coherent(args: argparse.Namespace) -> int:
     alpha = complex(args.alpha_re, args.alpha_im)
-    ket = build_coherent(KET, alpha, args.nmax, strict=args.strict)
-    bra = build_coherent(BRA, alpha, args.nmax, strict=args.strict)
+    ket = build_coherent(KET, alpha, args.nmax, strict=False)
+    bra = build_coherent(BRA, alpha, args.nmax, strict=False)
     m = moments(bra, ket)
     unc = Uncertainty.from_moments(m)
     tail = tail_bound(alpha, args.nmax)
@@ -318,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     except ExpressionParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except TruncationError as err:
-        print(f"truncation error: {err}", file=sys.stderr)
-        return 1
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

@@ -250,17 +250,16 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) 
     width = 1/sqrt(omega); ``t_final`` defaults to 1.5/omega.  Under the
     inverted well the spreads grow in closed form,
 
-        sigma_x(t)^2 = sigma_x0^2 cosh^2 + sigma_p0^2 sinh^2 / omega^2,
-        sigma_p(t)^2 = sigma_p0^2 cosh^2 + omega^2 sigma_x0^2 sinh^2,
+        sigma_x(t) = spread width,   sigma_p(t) = spread / width,
+        spread^2 = (cosh^2 + sinh^2) / 2,
 
     and the means are (v/omega) sinh and v cosh.  The half-width and the
     largest wave number each hold the mean plus the distance at which the
     amplitude falls to ``EDGE_FRACTION`` of its peak, at t_final.  A
     horizon needing more than ``MAX_GRID_POINTS`` points raises ValueError.
     """
-    # the spreads divide by omega^2, which underflows to 0 below omega ~ 1e-162
-    if not (omega > 0 and omega * omega > 0):
-        raise ValueError(f"omega must be positive with a nonzero square, got {omega!r}")
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega!r}")
     t_final = 1.5 / omega if t_final is None else t_final
     # an infinite omega leaves the width 0
     if not (t_final > 0 and omega < math.inf):
@@ -269,9 +268,8 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) 
     # cosh and sinh overflow past EXP_GUARD; the cap still gives an infinite need
     growth = min(omega * t_final, EXP_GUARD)
     cosh, sinh = math.cosh(growth), math.sinh(growth)
-    var_x0, var_p0 = 0.5 * width * width, 0.5 / (width * width)
-    sigma_x = math.sqrt(var_x0 * cosh * cosh + var_p0 * sinh * sinh / (omega * omega))
-    sigma_p = math.sqrt(var_p0 * cosh * cosh + omega * omega * var_x0 * sinh * sinh)
+    spread = math.sqrt(0.5 * cosh * cosh + 0.5 * sinh * sinh)
+    sigma_x, sigma_p = spread * width, spread / width
     # |psi| ~ exp(-d^2 / (4 sigma^2)) falls to EDGE_FRACTION at d = reach * sigma
     reach = 2.0 * math.sqrt(-math.log(EDGE_FRACTION))
     half_width = abs(v) * sinh / omega + reach * sigma_x
@@ -312,17 +310,17 @@ def grid_split_step(initial: GridState, dt: float, steps: int,
     middle potential Vt = V - (dt^2/48) V'^2.  The weights cancel the
     [T,[T,V]] part of the dt^3 error and the gradient term its [V,[T,V]]
     part; without the term the step is second order.  For this well
-    V'^2 = omega^4 x^2 is quadratic too, so the middle kick is the single
-    phase exp(i (dt/3) (omega^2 + (omega^2 dt)^2/24) x^2), and a step
-    costs two FFT pairs, both with the kinetic array T(dt/2).  The term
-    is formed as (omega^2 dt)^2, not omega^4 dt^2: omega^4 overflows from
-    omega ~ 1e77, where omega^2 dt at the default dt = 1e-3/omega is
-    still of order omega.  The outer kicks V(dt/6) of consecutive steps
-    are fused: the loop evolves phi = conj(V(dt/6)) psi, starting
-    each step with V(dt/3), and |phi| = |psi| pointwise, so every
-    observable is read from phi.  The observables are taken for a block
-    of up to ``BLOCK_BYTES`` of states at a time, and both guards are
-    checked for every step of a block before the next block starts.
+    V'^2 = omega^4 x^2 is quadratic too, so with tau = omega dt and the
+    reduced coordinate u = sqrt(omega) x the middle kick is the single
+    phase exp(i (tau/3) (1 + tau^2/24) u^2), and a step costs two FFT
+    pairs, both with the kinetic array T(dt/2).  No power of omega is
+    formed, so the kicks hold wherever the grid does.  The outer kicks
+    V(dt/6) of consecutive steps are fused: the loop evolves
+    phi = conj(V(dt/6)) psi, starting each step with V(dt/3), and
+    |phi| = |psi| pointwise, so every observable is read from phi.  The
+    observables are taken for a block of up to ``BLOCK_BYTES`` of states
+    at a time, and both guards are checked for every step of a block
+    before the next block starts.
     """
     if dt <= 0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
@@ -332,11 +330,11 @@ def grid_split_step(initial: GridState, dt: float, steps: int,
     x = initial.x
     dx = initial.dx
     k = 2.0 * np.pi * np.fft.fftfreq(initial.points, dx)
-    w2 = initial.omega ** 2
-    x2 = x * x
-    sixth_kick = np.exp((1j * dt * w2 / 12.0) * x2)
+    tau = initial.omega * dt
+    u2 = (x * math.sqrt(initial.omega)) ** 2
+    sixth_kick = np.exp((1j * tau / 12.0) * u2)
     outer_kick = sixth_kick * sixth_kick
-    middle_kick = np.exp((1j * dt / 3.0) * (w2 + (w2 * dt) ** 2 / 24.0) * x2)
+    middle_kick = np.exp((1j * tau / 3.0) * (1.0 + tau ** 2 / 24.0) * u2)
     kinetic = np.exp(-0.25j * dt * k * k)
     phi = np.conj(sixth_kick) * initial.psi
     xs = np.empty(steps + 1)

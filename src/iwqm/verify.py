@@ -2,10 +2,9 @@
 
 Each suite bundles named checks; a check records the mathematical
 identity it probes (``anchor``), the measured residual, the tolerance it
-was held to, and the verdict.  Tolerances are fixed here, but for the six
-truncation-sensitive coherent-state checks: ``RunConfig.tol`` (``--tol``)
-is their floor, widened to 3 dim tail when the Fock cutoff is too small
-for the sampled labels (the tolerance in force is reported).
+was held to, and the verdict.  Every tolerance is fixed here; no
+setting of :class:`RunConfig` widens one.  The coherent-state checks
+build every label at one truncation, ``_PROBE_DIM``, whatever nmax is.
 
 The operator identities (the algebra suite and the Heisenberg equations
 of the correspondence suite) are tables of pairs of normal-ordered forms
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +41,11 @@ from .expressions import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs of the suites, as ``verify`` and ``op-check`` take them; ``tol`` is
-    op-check's tolerance and the floor of the six coherent-state tolerances."""
+    """Knobs of the suites, as ``verify`` and ``op-check`` take them: nmax is
+    the size of the operator-identity block, and the seed draws the labels."""
 
     nmax: int = 64
     omega: float = 1.0
-    tol: float = 1e-10
-    strict: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +53,6 @@ class RunConfig:
             raise ValueError(f"nmax must be at least 4, got {self.nmax}")
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
@@ -248,6 +242,13 @@ def nonlocalization_suite(cfg: RunConfig) -> SuiteReport:
     return report
 
 
+#: Label at which the bra phases are determined.
+_PROBE_LABEL = 1.0 + 0.5j
+#: Truncation of every coherent state the suites build: every label has
+#: |alpha| <= 2, so the first dropped coefficient is below 1e-24.
+_PROBE_DIM = 64
+
+
 def _alpha_grid(cfg: RunConfig, count: int = 25, radius: float = 2.0) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
@@ -256,7 +257,8 @@ def _alpha_grid(cfg: RunConfig, count: int = 25, radius: float = 2.0) -> np.ndar
 
 
 def coherent_suite(cfg: RunConfig) -> SuiteReport:
-    """Mutual normalization, eigenvalue equations, variances, minimum uncertainty.
+    """Mutual normalization, eigenvalue equations, variances, minimum uncertainty,
+    for each sampled label at the truncation ``_PROBE_DIM``.
 
     Also determines which bra coefficient phase (+i or -i) is consistent:
     exactly one must satisfy the eigenvalue equation and the mutual
@@ -264,42 +266,26 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
     parity image of the bra state), and the suite records it as a check.
     """
     report = SuiteReport("coherent")
-    dim = max(cfg.nmax, 8)
-    alphas = _alpha_grid(cfg)
-    # truncation widens the residuals; the quadratic observables reach two
-    # levels into the dropped tail with matrix elements of order dim, so the
-    # widened tolerance follows the shifted tail bound |alpha|^(dim-2)/sqrt((dim-2)!)
-    max_tail = max(coherent.tail_bound(a, dim - 2) for a in alphas)
-    res_tol = max(cfg.tol, 3.0 * dim * max_tail)
-
     pairing_res = eig_res_ket = eig_res_bra = var_res = cross_res = product_res = 0.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", coherent.TruncationWarning)
-            for a in alphas:
-                ket = coherent.build_coherent(KET, a, dim, strict=cfg.strict)
-                bra = coherent.build_coherent(BRA, a, dim, strict=cfg.strict)
-                pairing_res = max(pairing_res, abs(coherent.mutual_pairing(bra, ket) - 1.0))
-                eig_res_ket = max(eig_res_ket, coherent.eigen_residual(ket))
-                eig_res_bra = max(eig_res_bra, coherent.eigen_residual(bra))
-                moments = coherent.moments(bra, ket)
-                for name, value in moments.items():
-                    cross_res = max(cross_res,
-                                    abs(value - coherent.expectation_closed_form(name, a)))
-                unc = coherent.Uncertainty.from_moments(moments)
-                var_res = max(var_res, abs(unc.dx2 + 0.5j), abs(unc.dp2 - 0.5j))
-                product_res = max(product_res, abs(unc.dx * unc.dp - 0.5))
-    except coherent.TruncationError:
-        # strict mode refuses a label whose tail exceeds the budget: every
-        # label check fails rather than the run
-        pairing_res = eig_res_ket = eig_res_bra = var_res = cross_res = product_res = float("inf")
+    for a in _alpha_grid(cfg):
+        ket = coherent.build_coherent(KET, a, _PROBE_DIM)
+        bra = coherent.build_coherent(BRA, a, _PROBE_DIM)
+        pairing_res = max(pairing_res, abs(coherent.mutual_pairing(bra, ket) - 1.0))
+        eig_res_ket = max(eig_res_ket, coherent.eigen_residual(ket))
+        eig_res_bra = max(eig_res_bra, coherent.eigen_residual(bra))
+        moments = coherent.moments(bra, ket)
+        for name, value in moments.items():
+            cross_res = max(cross_res, abs(value - coherent.expectation_closed_form(name, a)))
+        unc = coherent.Uncertainty.from_moments(moments)
+        var_res = max(var_res, abs(unc.dx2 + 0.5j), abs(unc.dp2 - 0.5j))
+        product_res = max(product_res, abs(unc.dx * unc.dp - 0.5))
 
-    report.add("mutual_normalization", "<alpha|alpha> = 1", pairing_res, res_tol)
-    report.add("eigen_residual_ket", "a- |alpha>_r = alpha |alpha>_r", eig_res_ket, res_tol)
-    report.add("eigen_residual_bra", "a+ |alpha>_l = alpha |alpha>_l", eig_res_bra, res_tol)
-    report.add("closed_form_crosscheck", "Fock contraction = closed form", cross_res, res_tol)
-    report.add("variances", "var(x) = -i/2, var(p) = +i/2", var_res, res_tol)
-    report.add("uncertainty_product", "dx dp = 1/2", product_res, res_tol)
+    report.add("mutual_normalization", "<alpha|alpha> = 1", pairing_res, 1e-10)
+    report.add("eigen_residual_ket", "a- |alpha>_r = alpha |alpha>_r", eig_res_ket, 1e-10)
+    report.add("eigen_residual_bra", "a+ |alpha>_l = alpha |alpha>_l", eig_res_bra, 1e-10)
+    report.add("closed_form_crosscheck", "Fock contraction = closed form", cross_res, 1e-10)
+    report.add("variances", "var(x) = -i/2, var(p) = +i/2", var_res, 1e-10)
+    report.add("uncertainty_product", "dx dp = 1/2", product_res, 1e-10)
 
     report.add("bra_phase_unique", "exactly one bra phase satisfies both conditions",
                0.0 if len(_bra_coherent_phases()) == 1 else 1.0, 0.0)
@@ -385,8 +371,8 @@ def correspondence_suite(cfg: RunConfig) -> SuiteReport:
                                        / np.abs(classical[window]))))
             drift = max(drift, diagnostics["norm_drift"])
     except (ValueError, dynamics.GridLeakError, dynamics.NormDriftError):
-        # a packet whose spreads cannot be formed (omega below about 1e-162 or
-        # above about 1e154) or a run stopped by either guard fails every grid check
+        # a packet refused for its grid (below omega about 8e-309 the horizon
+        # 1.5/omega is inf) or a run stopped by either guard fails every grid check
         errors = [math.inf, math.inf]
         drift = math.inf
     report.add("grid_expectation", "<x>(t) = (v/omega) sinh(omega t)", errors[0], 1e-4)
@@ -408,11 +394,6 @@ _SUITES = (
     decay_suite,
     correspondence_suite,
 )
-
-
-#: Label, and a truncation that holds it well, at which the bra phases are determined.
-_PROBE_LABEL = 1.0 + 0.5j
-_PROBE_DIM = 64
 
 
 def _passing_phases(phase: complex, test, value) -> list[str]:
@@ -500,8 +481,7 @@ def environment(cfg: RunConfig) -> dict:
 
 def report_dict(cfg: RunConfig, suites: list[SuiteReport]) -> dict:
     return {
-        "config": {"nmax": cfg.nmax, "omega": cfg.omega, "tol": cfg.tol,
-                   "strict": cfg.strict, "seed": cfg.seed},
+        "config": {"nmax": cfg.nmax, "omega": cfg.omega, "seed": cfg.seed},
         "conventions": conventions(),
         "environment": environment(cfg),
         "suites": [
