@@ -16,8 +16,6 @@ from .algebra import (
 )
 from .coherent import (
     CoherentState,
-    TruncationError,
-    TruncationWarning,
     Uncertainty,
     build_coherent,
     eigen_residual,

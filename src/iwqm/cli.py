@@ -239,8 +239,8 @@ def cmd_dump_gram(args: argparse.Namespace) -> int:
 
 def cmd_dump_coherent(args: argparse.Namespace) -> int:
     alpha = complex(args.alpha_re, args.alpha_im)
-    ket = build_coherent(KET, alpha, args.nmax, strict=False)
-    bra = build_coherent(BRA, alpha, args.nmax, strict=False)
+    ket = build_coherent(KET, alpha, args.nmax)
+    bra = build_coherent(BRA, alpha, args.nmax)
     m = moments(bra, ket)
     unc = Uncertainty.from_moments(m)
     tail = tail_bound(alpha, args.nmax)

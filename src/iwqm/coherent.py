@@ -22,10 +22,11 @@ p = (a- - a+)/sqrt(2i) act on the ket coefficients as O(dim) ladder
 bands, and x^2 is x applied twice to the truncated vector, which equals
 the truncated matrix product (X @ X) @ c.  No dense matrix is formed.
 :func:`expectation` and :func:`uncertainty_product` build the pair
-themselves, in strict mode;
-:func:`expectation` applies only the observable it is asked for (two
-ladder actions for x or p, four for x^2 or p^2) with the same
-operations, so it equals the :func:`moments` entry bit for bit.  The
+themselves; :func:`expectation` applies only the observable it is asked
+for (two ladder actions for x or p, four for x^2 or p^2) with the same
+operations, so it equals the :func:`moments` entry bit for bit.  Every
+truncation is built, short or not: how much a truncation drops is the
+number :func:`tail_bound`, which ``dump coherent`` reports.  The
 sqrt(n) band that the ladder actions and the coefficient recurrence use
 is computed once per truncation (:func:`iwqm.expressions.ladder_band`).
 The closed forms of the label algebra give the same values, and the two
@@ -37,7 +38,6 @@ multiply to the minimum uncertainty product 1/2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +45,9 @@ import numpy as np
 from .algebra import BRA, BRA_PHASE, KET, ladder_action
 from .expressions import ladder_band
 
-#: Largest admissible truncation-tail magnitude |alpha|^dim / sqrt(dim!).
+#: The bound ``dump coherent`` reports its :func:`tail_bound` against
+#: (``"passed"``); :func:`build_coherent` builds a label of any finite tail.
 TAIL_TOLERANCE = 1e-12
-
-
-class TruncationError(ValueError):
-    """Raised in strict mode when the coefficient tail exceeds the budget."""
-
-
-class TruncationWarning(UserWarning):
-    """Issued in permissive mode when the coefficient tail exceeds the budget."""
 
 
 def tail_bound(alpha: complex, dim: int) -> float:
@@ -82,32 +75,24 @@ class CoherentState:
         return self.coeffs.shape[0]
 
 
-def build_coherent(family: str, alpha: complex, dim: int = 64, *,
-                   strict: bool = True) -> CoherentState:
+def build_coherent(family: str, alpha: complex, dim: int = 64) -> CoherentState:
     """Coherent coefficient vector of one family at label alpha.
 
     Coefficients are produced by the stable ratio recurrence
     c_n = c_{n-1} * base / sqrt(n) with base = alpha (ket) or
-    ``BRA_PHASE`` * alpha (bra), taken as one cumulative product.  The
-    truncation tail must stay under ``TAIL_TOLERANCE``; violations raise
-    in strict mode and warn otherwise.  A label whose tail is not even
-    finite is refused with ``ValueError`` in either mode.
+    ``BRA_PHASE`` * alpha (bra), taken as one cumulative product.  Any
+    truncation is built; a caller that needs the dropped coefficients to
+    be small reads :func:`tail_bound`.  A label whose tail is not even
+    finite is refused with ``ValueError``: its coefficients overflow.
     """
     if family not in (KET, BRA):
         raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
     if dim < 8:
         raise ValueError(f"dim must be at least 8, got {dim}")
     alpha = complex(alpha)
-    tail = tail_bound(alpha, dim)
-    if not math.isfinite(tail):
+    if not math.isfinite(tail_bound(alpha, dim)):
         raise ValueError(f"label |alpha|={abs(alpha):.3g} has no finite truncation tail "
                          f"at dim={dim}; its coefficients overflow")
-    if tail > TAIL_TOLERANCE:
-        message = (f"truncation tail {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} "
-                   f"for |alpha|={abs(alpha):.3g}, dim={dim}")
-        if strict:
-            raise TruncationError(message)
-        warnings.warn(message, TruncationWarning, stacklevel=2)
     base = alpha if family == KET else BRA_PHASE * alpha
     ratios = np.empty(dim, dtype=complex)
     ratios[0] = np.exp(0.5j * abs(alpha) ** 2) if family == KET else np.exp(-0.5j * abs(alpha) ** 2)

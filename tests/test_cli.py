@@ -8,7 +8,6 @@ import pytest
 from iwqm import cli, dynamics
 from iwqm.algebra import BRA, KET
 from iwqm.cli import main
-from iwqm.coherent import TruncationWarning
 from iwqm.expressions import MAX_DEGREE, MAX_NESTING
 
 
@@ -242,9 +241,10 @@ def test_dump_coherent_json(capsys):
 
 
 def test_dump_coherent_large_label_fails(capsys):
-    with pytest.warns(TruncationWarning):
-        code, out, _ = run_cli(capsys, "dump", "coherent", "--alpha-re", "6")
-    assert code == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dump", "coherent", "--alpha-re", "6")
+    assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["tail_bound"] == pytest.approx(1.778e5, rel=1e-3)
     assert payload["passed"] is False
@@ -274,19 +274,32 @@ def test_dump_coherent_phase_probe_ignores_the_truncation(capsys, argv):
     payload = json.loads(out)
     assert payload["bra_phase"] == "+i" and payload["passed"] is True
     # the default label at nmax 8 fails on its own tail, not the probe's
-    with pytest.warns(TruncationWarning):
-        code, out, _ = run_cli(capsys, "dump", "coherent", "--nmax", "8")
-    assert code == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dump", "coherent", "--nmax", "8")
+    assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["bra_phase"] == "+i" and payload["passed"] is False
 
 
 def test_dump_coherent_short_truncation_fails(capsys):
-    with pytest.warns(TruncationWarning):
-        code, out, _ = run_cli(capsys, "dump", "coherent", "--alpha-re", "2", "--nmax", "8")
-    assert code == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dump", "coherent", "--alpha-re", "2", "--nmax", "8")
+    assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["tail_bound"] > 1e-12 and payload["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [["--nmax", "8"], ["--alpha-re", "5"],
+                                  ["--alpha-re", "5", "--alpha-im", "1"]])
+def test_dump_coherent_failing_tail_writes_no_stderr(run_capped, argv):
+    # a fresh process sees what a user sees: pytest's own warning capture is
+    # not in the way
+    done = run_capped("-m", "iwqm.cli", "dump", "coherent", *argv)
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["passed"] is False
+    assert done.stderr == ""
 
 
 def test_dump_evolve_label_route(capsys):
@@ -776,11 +789,13 @@ def test_dump_gram_takes_nmax_below_the_suites_floor(capsys):
 #: The child of ``test_random_argument_vectors_exit_cleanly``: draws argument
 #: vectors over every command from each command's options, the shared options
 #: it does not take and bogus flags, runs each through ``main`` in-process,
-#: and fails on any exception but ``SystemExit``.  Values are bounded so that
+#: and fails on any exception but ``SystemExit``, on any warning, and on more
+#: than one stderr line from a run that ``main`` returns from (argparse's
+#: ``SystemExit`` prints its usage line too).  Values are bounded so that
 #: no example does much work: nmax <= 300, samples <= 10^4, n <= 1000,
 #: nodes <= 400, and no run of more than 10^4 steps.
 CLI_PROPERTY_CHILD = r'''
-import contextlib, io, math, os, sys
+import contextlib, io, math, os, sys, warnings
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from iwqm.cli import main
 from iwqm.dynamics import MAX_STEPS
@@ -853,13 +868,20 @@ def check(data):
     if seed is not None:
         os.environ["IWQM_SEED"] = seed
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    returned = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
+            returned = True
         except SystemExit as exit_:
             code = exit_.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if returned:
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
 
 
 check()

@@ -7,9 +7,8 @@ import pytest
 from iwqm import coherent, verify
 from iwqm.algebra import BRA, BRA_PHASE, KET
 from iwqm.coherent import (
+    TAIL_TOLERANCE,
     CoherentState,
-    TruncationError,
-    TruncationWarning,
     Uncertainty,
     build_coherent,
     eigen_residual,
@@ -29,10 +28,10 @@ def _parity_image(state: CoherentState) -> CoherentState:
     return CoherentState(state.family, state.alpha, (-1.0) ** np.arange(state.dim) * state.coeffs)
 
 
-def bra_in(phase: complex, alpha: complex, dim: int, **kwargs) -> CoherentState:
+def bra_in(phase: complex, alpha: complex, dim: int) -> CoherentState:
     """The bra coherent state built with the bra phase ``phase``: the opposite
     of ``BRA_PHASE`` builds the parity image of the default state."""
-    state = build_coherent(BRA, alpha, dim, **kwargs)
+    state = build_coherent(BRA, alpha, dim)
     return state if phase == BRA_PHASE else _parity_image(state)
 
 
@@ -70,27 +69,28 @@ def test_tail_bound_matches_last_coefficient():
     assert abs(state.coeffs[-1]) == pytest.approx(tail_bound(alpha, 47), rel=1e-12)
 
 
-def test_strict_truncation_raises():
-    assert tail_bound(2.0, 8) > 1.0
-    with pytest.raises(TruncationError):
-        build_coherent(KET, 2.0, 8, strict=True)
-
-
-def test_permissive_truncation_warns():
-    with pytest.warns(TruncationWarning):
-        state = build_coherent(KET, 2.0, 8, strict=False)
+@pytest.mark.parametrize("family, base, sign", [(KET, 1, 1), (BRA, BRA_PHASE, -1)])
+def test_short_truncation_builds_the_closed_form(family, base, sign):
+    # a tail far above TAIL_TOLERANCE is a number to report, not a refusal:
+    # the built coefficients are still the leading closed-form ones
+    alpha = 2.0
+    assert tail_bound(alpha, 8) > 1.0 > TAIL_TOLERANCE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = build_coherent(family, alpha, 8)
+    expected = [np.exp(sign * 0.5j * abs(alpha) ** 2) * (base * alpha) ** n
+                / math.sqrt(math.factorial(n)) for n in range(8)]
+    np.testing.assert_allclose(state.coeffs, expected, rtol=1e-14, atol=0)
     assert eigen_residual(state) > 1e-3
 
 
-@pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("alpha", [1e200, 1e10j, float("nan")])
-def test_infinite_tail_is_refused_in_both_modes(alpha, strict):
+def test_infinite_tail_is_refused(alpha):
     assert tail_bound(alpha, 64) == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="no finite truncation tail") as err:
-            build_coherent(BRA, alpha, 64, strict=strict)
-    assert not isinstance(err.value, TruncationError)
+        with pytest.raises(ValueError, match="no finite truncation tail"):
+            build_coherent(BRA, alpha, 64)
 
 
 def test_coherent_state_coefficients_are_read_only():
@@ -187,10 +187,8 @@ def test_moments_match_dense_contraction(dim, phase, dense_ladder):
     pos, mom = (low + rai) / np.sqrt(2j), (low - rai) / np.sqrt(2j)
     dense = {"x": pos, "p": mom, "x2": pos @ pos, "p2": mom @ mom}
     for alpha in ALPHAS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            ket = build_coherent(KET, alpha, dim, strict=False)
-            bra = bra_in(phase, alpha, dim, strict=False)
+        ket = build_coherent(KET, alpha, dim)
+        bra = bra_in(phase, alpha, dim)
         measured = moments(bra, ket)
         assert list(measured) == ["x", "p", "x2", "p2"]
         for name, matrix in dense.items():
@@ -200,12 +198,15 @@ def test_moments_match_dense_contraction(dim, phase, dense_ladder):
 
 def test_expectation_is_bitwise_the_moments_entry():
     # expectation applies only its own observable, with the operations moments
-    # uses for it, so the two agree bit for bit
-    for dim, alphas in ((8, (0.0,)), (64, ALPHAS), (160, ALPHAS)):
+    # uses for it, so the two agree bit for bit, and uncertainty_product is
+    # read from the same pair; at dim 8 the labels 2 and 1.5 - 1.5i have
+    # tails far above TAIL_TOLERANCE and are built all the same
+    for dim, alphas in ((8, (0.0, 2.0, 1.5 - 1.5j)), (64, ALPHAS), (160, ALPHAS)):
         for alpha in alphas:
             measured = moments(build_coherent(BRA, alpha, dim), build_coherent(KET, alpha, dim))
             for name in ("x", "p", "x2", "p2"):
                 assert expectation(name, alpha, dim) == measured[name], (dim, alpha, name)
+            assert uncertainty_product(alpha, dim) == Uncertainty.from_moments(measured)
 
 
 def test_moments_arguments():
@@ -246,16 +247,6 @@ def test_expectation_applies_only_its_observable(monkeypatch, name, actions):
     assert len(calls) == 6
 
 
-def test_permissive_expectation_warns_on_every_call():
-    # a permissive pair is built by build_coherent and handed to moments
-    for _ in range(2):
-        with pytest.warns(TruncationWarning) as record:
-            ket = build_coherent(KET, 2.0, 8, strict=False)
-            bra = build_coherent(BRA, 2.0, 8, strict=False)
-        assert len(record) == 2  # one per built family
-        assert math.isfinite(abs(moments(bra, ket)["x2"]))
-
-
 def test_uncertainty_product_builds_one_pair(monkeypatch):
     calls = _count_builds(monkeypatch)
     uncertainty_product(1 + 0.5j, 64)
@@ -272,15 +263,3 @@ def test_coherent_suite_builds_one_pair_per_label(monkeypatch):
     labels = len(verify._alpha_grid(cfg))
     # one pair at the probe label: the rejected bra phase is its parity image
     assert len(calls) == 2 * labels + 2
-
-
-def test_single_pair_strict_raises_and_permissive_warns():
-    with pytest.raises(TruncationError):
-        uncertainty_product(2.0, 8)
-    with pytest.raises(TruncationError):
-        expectation("x", 2.0, 8)
-    with pytest.warns(TruncationWarning) as record:
-        ket = build_coherent(KET, 2.0, 8, strict=False)
-        bra = build_coherent(BRA, 2.0, 8, strict=False)
-    assert len(record) == 2
-    assert math.isfinite(Uncertainty.from_moments(moments(bra, ket)).product)
