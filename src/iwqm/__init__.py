@@ -65,7 +65,6 @@ from .expressions import (
 )
 from .quadrature import (
     ContourQuadrature,
-    PrecisionError,
     density_interval_integral,
     fresnel_gaussian,
     gram_matrix,

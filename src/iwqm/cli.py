@@ -32,6 +32,7 @@ import numpy as np
 
 from .algebra import BRA, KET
 from .coherent import (
+    STATE_TOLERANCE,
     TAIL_TOLERANCE,
     Uncertainty,
     build_coherent,
@@ -56,7 +57,7 @@ from .expressions import (
     ExpressionParseError,
     equation_residual,
 )
-from .quadrature import default_node_count, gram_matrix
+from .quadrature import GRAM_TOLERANCE, default_node_count, gram_matrix
 from .verify import RunConfig, SuiteReport, determine_bra_phase, report_csv_lines, report_dict, run_all
 
 
@@ -131,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.set_defaults(handler=cmd_dump_eigenfunction)
 
     p_gram = dump_sub.add_parser("gram")
-    p_gram.add_argument("--nodes", type=int, default=None, help="default max(64, nmax + 1)")
     _add_common(p_gram, "nmax")
     p_gram.set_defaults(handler=cmd_dump_gram)
 
@@ -220,20 +220,13 @@ def cmd_dump_eigenfunction(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_gram(args: argparse.Namespace) -> int:
-    nodes = args.nodes if args.nodes is not None else default_node_count(args.nmax)
-    gram = gram_matrix(args.nmax, node_count=nodes)
-    lines = []
-    for row in gram:
-        cells = []
-        for z in row:
-            cells.append(repr(float(z.real)))
-            cells.append(repr(float(z.imag)))
-        lines.append(",".join(cells))
+    gram = gram_matrix(args.nmax)
+    lines = [",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in gram]
     _emit("\n".join(lines), args.out)
     defect = float(np.max(np.abs(gram - np.eye(args.nmax + 1))))
-    passed = defect <= 1e-8
-    print(json.dumps({"nmax": args.nmax, "nodes": nodes, "max_defect": defect,
-                      "passed": passed}))
+    passed = defect <= GRAM_TOLERANCE
+    print(json.dumps({"nmax": args.nmax, "nodes": default_node_count(args.nmax),
+                      "max_defect": defect, "passed": passed}))
     return 0 if passed else 1
 
 
@@ -243,19 +236,23 @@ def cmd_dump_coherent(args: argparse.Namespace) -> int:
     bra = build_coherent(BRA, alpha, args.nmax)
     m = moments(bra, ket)
     unc = Uncertainty.from_moments(m)
+    pairing = mutual_pairing(bra, ket)
+    residual = max(eigen_residual(ket), eigen_residual(bra))
     tail = tail_bound(alpha, args.nmax)
+    finite = bool(np.all(np.isfinite([*m.values(), unc.dx2, unc.dp2, unc.product])))
     payload = {
         "alpha": _complex_pair(alpha),
         "nmax": args.nmax,
         "bra_phase": determine_bra_phase(),
-        "pairing": _complex_pair(mutual_pairing(bra, ket)),
-        "eigen_residual": max(eigen_residual(ket), eigen_residual(bra)),
+        "pairing": _complex_pair(pairing),
+        "eigen_residual": residual,
         **{name: _complex_pair(value) for name, value in m.items()},
         "dx2": _complex_pair(unc.dx2),
         "dp2": _complex_pair(unc.dp2),
         "product": unc.product,
         "tail_bound": tail,
-        "passed": tail <= TAIL_TOLERANCE,
+        "passed": (finite and tail <= TAIL_TOLERANCE and abs(pairing - 1.0) <= STATE_TOLERANCE
+                   and residual <= STATE_TOLERANCE),
     }
     _emit(json.dumps(payload, indent=2), args.out)
     return 0 if payload["passed"] else 1

@@ -17,8 +17,9 @@ So the rule path runs the eigenfunction recurrence on the real nodes and
 contracts the levels with ``einsum`` (a product this small is slower on
 threaded BLAS); the moment path contracts the exact integer Hermite
 coefficients with the Gaussian moments instead, one parity at a time,
-since H_m has only powers of m's parity and odd moments vanish.  The
-rotated rule (:class:`ContourQuadrature`) serves the Fresnel check.
+since H_m has only powers of m's parity and odd moments vanish.  The rule
+size follows from nmax alone (:func:`default_node_count`).  The rotated
+rule (:class:`ContourQuadrature`) serves the Fresnel check.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .eigenfunctions import Eigenfunction, evaluate, hermite_coefficients, hermi
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
 ROTATION = np.exp(-0.25j * np.pi)
 
-#: Largest Gauss-Hermite rule: numpy 2.4's hermgauss gives non-finite weights from 372 nodes.
-MAX_HERMITE_NODES = 371
+#: Largest Gauss-Hermite rule: numpy 2.4's hermgauss gives weights that are
+#: all 0.0 at 371 nodes and non-finite from 372; at 370 the least is 2.4e-308.
+MAX_HERMITE_NODES = 370
 
-
-class PrecisionError(ValueError):
-    """Raised when a rule cannot represent the requested integrand exactly."""
+#: The bound of max|G - I| under which the Gram identity passes.
+GRAM_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,18 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights, computed once per node count.
 
-    A refused count raises, so the cache never holds it.
+    The weights are positive in exact arithmetic, so a rule with a weight
+    that is not finite and positive is refused.  A refused count raises, so
+    the cache never holds it.
     """
     if not 1 <= node_count <= MAX_HERMITE_NODES:
         raise ValueError(f"node_count must be 1 to {MAX_HERMITE_NODES}, got {node_count}: "
-                         f"hermgauss gives non-finite weights from {MAX_HERMITE_NODES + 1}")
+                         f"hermgauss gives zero or non-finite weights from {MAX_HERMITE_NODES + 1}")
     with np.errstate(all="ignore"):
         h, w = np.polynomial.hermite.hermgauss(node_count)
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(w))):
-        raise ValueError(f"hermgauss gives non-finite nodes or weights at "
-                         f"{node_count} nodes; its recurrence overflows from a few hundred")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(w)) and np.all(w > 0)):
+        raise ValueError(f"hermgauss gives non-finite nodes or weights at {node_count} nodes, "
+                         f"or a weight that is not positive (it fails from a few hundred nodes)")
     return _read_only(h, w)
 
 
@@ -107,8 +110,8 @@ def _rule_pairings(node_count: int, top: int) -> np.ndarray:
     return np.einsum("in,jn->ij", levels * w, levels) / math.sqrt(math.pi)
 
 
-def _moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
-    """integral(psi_m psi_n) of ket levels m in rows, n in cols, from the integer table.
+def _moment_pairings(top: int) -> np.ndarray:
+    """integral(psi_m psi_n) of ket levels m, n <= top, from the integer table.
 
     integral(z^(2r) exp(-i x^2)) = sqrt(pi/i) (2r-1)!!/2^r, and sqrt(pi/i)
     cancels sqrt(i/pi); the sums are exact integers scaled by 2^top.  H_m
@@ -116,29 +119,23 @@ def _moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
     is contracted on its own powers and unlike parities pair to an exact
     0.  Each nonzero sum takes one division.
     """
-    top = max(rows + cols)
     padded = [c + [0] * (top + 1 - len(c)) for c in hermite_coefficients(top)]
     table = np.array(padded, dtype=object)
     # 2^top (2r-1)!!/2^r: the scaled moment of z^(2r)
     scaled = [math.prod(range(1, 2 * r, 2)) << (top - r) for r in range(top + 1)]
-    out = np.zeros((len(rows), len(cols)))
+    out = np.zeros((top + 1, top + 1))
     for parity in (0, 1):
-        row_at = [i for i, m in enumerate(rows) if m % 2 == parity]
-        col_at = [k for k, n in enumerate(cols) if n % 2 == parity]
-        if not (row_at and col_at):
-            continue
         # the powers z^(parity + 2a); z^(parity + 2a) z^(parity + 2b) = z^(2r),
         # r = parity + a + b
         width = (top - parity) // 2 + 1
         hankel = np.array([scaled[parity + a:parity + a + width] for a in range(width)],
                           dtype=object)
-        left = table[[rows[i] for i in row_at], parity::2]
-        right = table[[cols[k] for k in col_at], parity::2]
-        for (a, b), v in np.ndenumerate(left @ hankel @ right.T):
+        block = table[parity::2, parity::2]
+        for (a, b), v in np.ndenumerate(block @ hankel @ block.T):
             if v:
-                m, n = rows[row_at[a]], cols[col_at[b]]
+                m, n = parity + 2 * a, parity + 2 * b
                 denom = 4 ** top * 2 ** (m + n) * math.factorial(m) * math.factorial(n)
-                out[row_at[a], col_at[b]] = math.copysign(math.sqrt(v * v / denom), v)
+                out[m, n] = math.copysign(math.sqrt(v * v / denom), v)
     return out
 
 
@@ -147,26 +144,22 @@ def default_node_count(nmax: int) -> int:
     return max(64, nmax + 1)
 
 
-def gram_matrix(nmax: int, node_count: int | None = None,
-                use_moments: bool = False) -> np.ndarray:
+def gram_matrix(nmax: int, use_moments: bool = False) -> np.ndarray:
     """G[m, n] = integral(conj(psi_m^l) psi_n^r) for levels up to nmax; expected identity.
 
-    The rule has ``node_count`` nodes (default max(64, nmax + 1)).  With
-    ``use_moments`` the rule is bypassed and every entry comes from the
-    exact-integer moment oracle, which gives the cross-check path.
+    The rule has :func:`default_node_count` nodes, at least the nmax + 1 that
+    integrate the degree-2 nmax integrands exactly, so the rule refuses nmax
+    above ``MAX_HERMITE_NODES - 1``.  With ``use_moments`` every entry comes
+    from the exact-integer moment oracle instead: the cross-check path.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
-    if node_count is None:
-        node_count = default_node_count(nmax)
-    if not use_moments and node_count < nmax + 1:
-        raise PrecisionError(
-            f"{node_count} nodes cannot integrate degree {2 * nmax} exactly; "
-            f"need at least {nmax + 1}")
     if use_moments:
-        levels = list(range(nmax + 1))
-        return _moment_pairings(levels, levels).astype(complex)
-    return _rule_pairings(node_count, nmax).astype(complex)
+        return _moment_pairings(nmax).astype(complex)
+    if nmax > MAX_HERMITE_NODES - 1:
+        raise ValueError(f"nmax must be at most {MAX_HERMITE_NODES - 1} for the rule, got "
+                         f"{nmax}: hermgauss gives zero weights from {MAX_HERMITE_NODES + 1} nodes")
+    return _rule_pairings(default_node_count(nmax), nmax).astype(complex)
 
 
 #: Highest level :func:`density_interval_integral` takes.  Its (n+1)-node

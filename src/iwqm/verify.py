@@ -211,9 +211,9 @@ def normalization_suite(cfg: RunConfig) -> SuiteReport:
     report.add("fresnel_gaussian", "int e^{-i x^2} dx = sqrt(pi) e^{-i pi/4}",
                abs(measured - quadrature.fresnel_gaussian()), 1e-13)
 
-    gram = quadrature.gram_matrix(12, node_count=64)
+    gram = quadrature.gram_matrix(12)
     report.add("gram_identity", "G[m, n] = delta_mn",
-               _max_abs(gram - np.eye(13)), 1e-8)
+               _max_abs(gram - np.eye(13)), quadrature.GRAM_TOLERANCE)
     oracle = quadrature.gram_matrix(12, use_moments=True)
     report.add("gram_oracle_crosscheck", "rule G = moment-oracle G",
                _max_abs(gram - oracle), 1e-10)
@@ -280,9 +280,10 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
         var_res = max(var_res, abs(unc.dx2 + 0.5j), abs(unc.dp2 - 0.5j))
         product_res = max(product_res, abs(unc.dx * unc.dp - 0.5))
 
-    report.add("mutual_normalization", "<alpha|alpha> = 1", pairing_res, 1e-10)
-    report.add("eigen_residual_ket", "a- |alpha>_r = alpha |alpha>_r", eig_res_ket, 1e-10)
-    report.add("eigen_residual_bra", "a+ |alpha>_l = alpha |alpha>_l", eig_res_bra, 1e-10)
+    tol = coherent.STATE_TOLERANCE  # the bound of dump coherent's pairing and residual
+    report.add("mutual_normalization", "<alpha|alpha> = 1", pairing_res, tol)
+    report.add("eigen_residual_ket", "a- |alpha>_r = alpha |alpha>_r", eig_res_ket, tol)
+    report.add("eigen_residual_bra", "a+ |alpha>_l = alpha |alpha>_l", eig_res_bra, tol)
     report.add("closed_form_crosscheck", "Fock contraction = closed form", cross_res, 1e-10)
     report.add("variances", "var(x) = -i/2, var(p) = +i/2", var_res, 1e-10)
     report.add("uncertainty_product", "dx dp = 1/2", product_res, 1e-10)
@@ -413,8 +414,8 @@ def _bra_coherent_phases() -> list[str]:
 
     def test(coeffs: np.ndarray) -> bool:
         state = coherent.CoherentState(BRA, _PROBE_LABEL, coeffs)
-        return (abs(coherent.mutual_pairing(state, ket) - 1.0) <= 1e-10
-                and coherent.eigen_residual(state) <= 1e-10)
+        return (abs(coherent.mutual_pairing(state, ket) - 1.0) <= coherent.STATE_TOLERANCE
+                and coherent.eigen_residual(state) <= coherent.STATE_TOLERANCE)
     return _passing_phases(algebra.BRA_PHASE, test, bra.coeffs)
 
 
@@ -439,8 +440,9 @@ def conventions() -> dict:
                           _PROBE_DIM) <= 1e-12 for adj, a in pairs)]
     bra = coherent.build_coherent(BRA, _PROBE_LABEL, _PROBE_DIM)
     ladder = _passing_phases(algebra.BRA_LADDER_PHASE, lambda c: coherent.eigen_residual(
-        coherent.CoherentState(BRA, _PROBE_LABEL, c)) <= 1e-10, bra.coeffs)
-    dual = _passing_phases(algebra.BRA_PHASE, lambda gram: _max_abs(gram - np.eye(9)) <= 1e-8,
+        coherent.CoherentState(BRA, _PROBE_LABEL, c)) <= coherent.STATE_TOLERANCE, bra.coeffs)
+    dual = _passing_phases(algebra.BRA_PHASE,
+                           lambda gram: _max_abs(gram - np.eye(9)) <= quadrature.GRAM_TOLERANCE,
                            quadrature.gram_matrix(8))
     return {
         "adjoint_sigma": (signs or ["none"])[0],

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from iwqm import cli, dynamics
 from iwqm.algebra import BRA, KET
 from iwqm.cli import main
+from iwqm.coherent import MAX_COEFFICIENT
 from iwqm.expressions import MAX_DEGREE, MAX_NESTING
 
 
@@ -209,7 +211,7 @@ def test_dump_gram_nmax_30_passes(capsys):
 
 
 def test_dump_gram_failed_check_exits_1(capsys, monkeypatch):
-    def broken(nmax, node_count=None):
+    def broken(nmax):
         return 1.5 * np.eye(nmax + 1, dtype=complex)
 
     monkeypatch.setattr(cli, "gram_matrix", broken)
@@ -261,8 +263,65 @@ def test_dump_coherent_refuses_infinite_tail(capsys):
         code, out, err = run_cli(capsys, "dump", "coherent", "--alpha-re", "1e200")
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error:") and "no finite truncation tail" in err
+    assert err.startswith("usage error:") and "coefficients above 1e+75" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha, nmax, pairing", [("6", "300", [0.8125, 0.46875]),
+                                                 ("8", "300", [309237645312.0, 515396075520.0])])
+def test_dump_coherent_fails_a_label_its_fock_sums_cannot_hold(run_capped, alpha, nmax, pairing):
+    # the tails are far below 1e-12, but the Fock sums cancel terms of size
+    # e^{|alpha|^2}, so the pairing and the eigen residual miss 1e-10
+    done = run_capped("-m", "iwqm.cli", "dump", "coherent", "--alpha-re", alpha, "--nmax", nmax)
+    assert (done.returncode, done.stderr) == (1, "")
+    payload = json.loads(done.stdout)
+    assert payload["tail_bound"] <= 1e-12
+    assert payload["pairing"] == pairing and payload["eigen_residual"] > 1e-10
+    assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("nmax", ["300", "10000"])
+def test_dump_coherent_refuses_a_label_whose_moments_overflow(run_capped, nmax):
+    done = run_capped("-m", "iwqm.cli", "dump", "coherent", "--alpha-re", "40", "--nmax", nmax)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"usage error: label |alpha|=40 has coefficients above 1e+75 at "
+                           f"dim={nmax}; its moments overflow\n")
+
+
+def _edge_label(dim: int) -> float:
+    """The |alpha| at which max_{n < dim} |alpha|^n / sqrt(n!) is MAX_COEFFICIENT."""
+    n = np.arange(dim)
+    half_log_factorials = 0.5 * np.array([math.lgamma(k + 1) for k in range(dim)])
+    lo, hi = 1.0, 1e3
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.max(n * math.log(mid) - half_log_factorials) <= math.log(MAX_COEFFICIENT):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("dim", [64, 300, 1000, 10000])
+def test_dump_coherent_is_finite_up_to_the_coefficient_bound(capsys, dim):
+    # at the edge the Fock sums have lost every digit, so the label fails,
+    # but each number it prints is finite; just past it the label is refused
+    edge = _edge_label(dim)
+    for phase in (0.0, 0.25, 0.5, 0.75):
+        for scale, expected in ((1 - 1e-9, 1), (1 + 1e-9, 2)):
+            alpha = scale * edge * np.exp(1j * np.pi * phase)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, "dump", "coherent", "--nmax", str(dim),
+                                         f"--alpha-re={float(alpha.real)!r}",
+                                         f"--alpha-im={float(alpha.imag)!r}")
+            assert not caught, [str(w.message) for w in caught]
+            assert code == expected
+            if expected == 1:
+                assert err == "" and "nan" not in out.lower() and "inf" not in out.lower()
+                assert json.loads(out)["passed"] is False
+            else:
+                assert out == "" and "coefficients above 1e+75" in err
 
 
 @pytest.mark.parametrize("argv", [["--nmax", "25"], ["--nmax", "8", "--alpha-re", "0.01"]])
@@ -426,11 +485,26 @@ def test_dump_gram_refuses_non_finite_rule(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(2):  # the rule cache keeps no refusal
-            code, out, err = run_cli(capsys, "dump", "gram", "--nodes", "400")
+            code, out, err = run_cli(capsys, "dump", "gram", "--nmax", "400")
             assert code == 2
             assert out == ""
             assert err.startswith("usage error:")
     assert not caught
+
+
+def test_dump_gram_refuses_the_nmax_of_an_all_zero_rule(capsys):
+    # nmax 370 needs 371 nodes, where hermgauss's weights are all 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "dump", "gram", "--nmax", "370")
+        assert (code, out) == (2, "")
+        assert err == ("usage error: nmax must be at most 369 for the rule, got 370: "
+                       "hermgauss gives zero weights from 371 nodes\n")
+        code, out, err = run_cli(capsys, "dump", "gram", "--nmax", "369")
+    assert not caught
+    assert (code, err) == (0, "")
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["nodes"] == 370 and summary["passed"] is True
 
 
 def test_dump_decay(capsys):
@@ -718,9 +792,11 @@ def test_dump_evolve_at_extreme_settings_prints_finite_rows_or_refuses(capsys, r
 
 
 #: The shared options besides --out, each with a valid value (None for a flag),
-#: and --sigma, which no command takes: the adjoint sign is a constant.
+#: and --sigma, --strict and --nodes, which no command takes: the adjoint sign
+#: is a constant, every truncation is built and the Gram's rule size follows
+#: from nmax.
 SHARED_OPTIONS = {"--nmax": "8", "--omega": "1.0", "--tol": "1e-10", "--format": "json",
-                  "--sigma": "1", "--strict": None}
+                  "--sigma": "1", "--strict": None, "--nodes": "64"}
 #: The shared options each command takes besides --out: those its handler reads.
 COMMAND_OPTIONS = {
     ("verify",): {"--nmax", "--omega", "--format"},
@@ -793,7 +869,7 @@ def test_dump_gram_takes_nmax_below_the_suites_floor(capsys):
 #: than one stderr line from a run that ``main`` returns from (argparse's
 #: ``SystemExit`` prints its usage line too).  Values are bounded so that
 #: no example does much work: nmax <= 300, samples <= 10^4, n <= 1000,
-#: nodes <= 400, and no run of more than 10^4 steps.
+#: and no run of more than 10^4 steps.
 CLI_PROPERTY_CHILD = r'''
 import contextlib, io, math, os, sys, warnings
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -810,14 +886,14 @@ VALUES = {"--nmax": INTS + ["300"], "--omega": FLOATS, "--tol": FLOATS,
           "--samples": INTS + ["2", "101", "10000"], "--nodes": INTS + ["13", "350", "400"],
           "--alpha-re": FLOATS, "--alpha-im": FLOATS, "--v": FLOATS, "--tfinal": FLOATS,
           "--dt": FLOATS, "--grid": [None], "--bogus": ["1"], "-q": [None], "--": [None]}
-SHARED = ["--nmax", "--omega", "--tol", "--format", "--sigma", "--strict"]
+SHARED = ["--nmax", "--omega", "--tol", "--format", "--sigma", "--strict", "--nodes"]
 BOGUS = ["--bogus", "-q", "--"]
 COMMANDS = {
     "verify": (["verify"], ["--nmax", "--omega", "--format"]),
     "op-check": (["op-check"], ["--nmax", "--omega", "--tol", "--format"]),
     "eigenfunction": (["dump", "eigenfunction"], ["--set", "--n", "--xmin", "--xmax",
                                                   "--samples"]),
-    "gram": (["dump", "gram"], ["--nmax", "--nodes"]),
+    "gram": (["dump", "gram"], ["--nmax"]),
     "coherent": (["dump", "coherent"], ["--nmax", "--alpha-re", "--alpha-im"]),
     "evolve": (["dump", "evolve"], ["--omega", "--v", "--tfinal", "--dt", "--grid"]),
     "decay": (["dump", "decay"], ["--omega", "--n", "--set", "--tfinal", "--dt"]),

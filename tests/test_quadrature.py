@@ -9,11 +9,12 @@ from iwqm.algebra import KET
 from iwqm.eigenfunctions import eigenfunction, generating_function, hermite_coefficients
 from iwqm import quadrature
 from iwqm.quadrature import (
+    MAX_HERMITE_NODES,
     MAX_MASS_LEVEL,
     ROTATION,
     _moment_pairings,
+    _rule_pairings,
     ContourQuadrature,
-    PrecisionError,
     default_node_count,
     density_interval_integral,
     fresnel_gaussian,
@@ -59,6 +60,26 @@ def test_rule_refuses_non_finite_weights():
             with pytest.raises(ValueError, match="non-finite"):
                 ContourQuadrature.build(400)
     assert not caught
+
+
+def test_rule_refuses_all_zero_weights_above_the_cap():
+    # hermgauss gives 371 weights that are all exactly 0.0: finite, but no rule
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError, match="zero or non-finite weights from 371"):
+                ContourQuadrature.build(371)
+    assert not caught
+
+
+def test_rule_refuses_zero_weights_below_the_cap(monkeypatch):
+    # a numpy build whose hermgauss underflows below MAX_HERMITE_NODES
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                        lambda n: (np.linspace(-1.0, 1.0, n), np.zeros(n)))
+    quadrature._gauss_hermite.cache_clear()
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match="at 16 nodes, or a weight that is not positive"):
+            ContourQuadrature.build(16)
 
 
 def test_rule_refuses_non_finite_weights_below_the_cap(monkeypatch):
@@ -114,12 +135,11 @@ def _dense_moment_pairings(rows: list[int], cols: list[int]) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("rows, cols", [(list(range(65)), list(range(65))), ([3], [5]),
-                                        ([4], [4]), ([0, 1, 7], [2, 7, 64]),
-                                        ([9, 2, 2], [0]), ([1], [0, 2, 4])])
-def test_parity_blocked_moments_are_bitwise_the_dense_contraction(rows, cols):
-    expected = _dense_moment_pairings(rows, cols)
-    actual = _moment_pairings(rows, cols)
+@pytest.mark.parametrize("top", [1, 2, 7, 8, 12, 20, 64])
+def test_parity_blocked_moments_are_bitwise_the_dense_contraction(top):
+    levels = list(range(top + 1))
+    expected = _dense_moment_pairings(levels, levels)
+    actual = _moment_pairings(top)
     assert actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
 
@@ -136,7 +156,8 @@ def test_cross_level_pairing_vanishes():
 
 
 def test_gram_identity_and_oracle_crosscheck():
-    gram = gram_matrix(12, node_count=64)
+    gram = gram_matrix(12)
+    assert default_node_count(12) == 64
     assert np.max(np.abs(gram - np.eye(13))) <= 1e-8
     oracle = gram_matrix(12, use_moments=True)
     assert np.max(np.abs(gram - oracle)) <= 1e-10
@@ -146,7 +167,7 @@ def test_gram_identity_and_oracle_crosscheck():
 def test_rule_at_its_degree_bound_matches_the_moment_gram(nmax):
     # nmax + 1 nodes integrate degree 2 nmax + 1 exactly, and the Gram's
     # integrands reach degree 2 nmax
-    rule = gram_matrix(nmax, node_count=nmax + 1)
+    rule = _rule_pairings(nmax + 1, nmax)
     oracle = gram_matrix(nmax, use_moments=True)
     assert np.max(np.abs(rule - oracle)) <= 1e-10
 
@@ -171,16 +192,23 @@ def test_gram_alternative_phase_alternates_signs():
 
 def test_gram_defect_stays_at_floor_as_nodes_grow():
     counts = (13, 16, 24, 40, 64)
-    defects = [np.max(np.abs(gram_matrix(12, node_count=c) - np.eye(13))) for c in counts]
+    defects = [np.max(np.abs(_rule_pairings(c, 12) - np.eye(13))) for c in counts]
     assert defects[-1] <= 1e-8
     assert max(defects) <= 10 * min(defects) + 1e-12
 
 
 def test_gram_rejects_rule_below_exactness():
-    with pytest.raises(PrecisionError):
-        gram_matrix(12, node_count=12)
     with pytest.raises(ValueError):
         gram_matrix(0)
+
+
+def test_gram_refuses_nmax_above_the_rule_cap_before_any_rule(monkeypatch):
+    # nmax 370 needs 371 nodes, whose weights are all 0.0
+    monkeypatch.setattr(quadrature, "_gauss_hermite", None)  # a rule build would raise TypeError
+    for nmax in (MAX_HERMITE_NODES, 400):
+        with pytest.raises(ValueError, match=f"nmax must be at most {MAX_HERMITE_NODES - 1} "
+                                             f"for the rule, got {nmax}"):
+            gram_matrix(nmax)
 
 
 @pytest.mark.parametrize("length", [1.0, 2.0, 5.0, 10.0, 20.0])
