@@ -58,7 +58,8 @@ from .expressions import (
     equation_residual,
 )
 from .quadrature import GRAM_TOLERANCE, default_node_count, gram_matrix
-from .verify import RunConfig, SuiteReport, determine_bra_phase, report_csv_lines, report_dict, run_all
+from .verify import (REGION, RunConfig, SuiteReport, determine_bra_phase, report_csv_lines,
+                     report_dict, run_all)
 
 
 #: Largest level ``dump eigenfunction`` evaluates: each recurrence step costs
@@ -95,6 +96,10 @@ _COMMON = {
 }
 
 
+#: The help of the two commands that build a ``RunConfig``.
+_REGION = f"Outside the region {REGION}, where every check of verify holds, it exits 2."
+
+
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
     for name in (*names, "out"):
         parser.add_argument(f"--{name}", **_COMMON[name])
@@ -105,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="inverted-well quantum mechanics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run all verification suites")
+    p_verify = sub.add_parser("verify", help="run all verification suites",
+                              description=f"Run every suite and report each check.  {_REGION}")
     _add_common(p_verify, "nmax", "omega", "format")
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -114,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       f"block.  A product may reach degree {MAX_DEGREE} in a- "
                                       f"and a+; a larger one is a usage error.  Parentheses, "
                                       f"adj and comm arguments and unary signs may nest "
-                                      f"{MAX_NESTING} deep; deeper is a parse error.")
+                                      f"{MAX_NESTING} deep; deeper is a parse error.  H and the "
+                                      f"configuration are verify's.  {_REGION}")
     p_op.add_argument("expression", type=str)
     _add_common(p_op, "nmax", "omega", "tol", "format")
     p_op.set_defaults(handler=cmd_op_check)

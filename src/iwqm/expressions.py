@@ -176,7 +176,9 @@ def number_expression() -> OperatorExpression:
 
 
 def hamiltonian_expression(omega: float = 1.0) -> OperatorExpression:
-    """H = i omega (n + 1/2)."""
+    """H = i omega (n + 1/2), for a finite and positive omega."""
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega!r}")
     return scaled(1j * omega, _NUMBER_PLUS_HALF)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,20 @@ from .expressions import (
 )
 
 
+#: The region where every check holds correct physics to its tolerance.
+#: Below the smallest normal omega, 2/omega is inf.  ``eigenvalues`` misses
+#: i omega (n + 1/2) by ulps, at most 4.5e-13 up to omega 100 against its
+#: absolute 1e-12 (one ulp is 9.1e-13 from 128), and the Heisenberg rows
+#: leave 1.53e-16 omega sqrt(nmax), 4.6e-13 at the product bound.
+MIN_OMEGA, MAX_OMEGA, MAX_OMEGA_SQRT_NMAX = sys.float_info.min, 100.0, 3e3
+REGION = f"{MIN_OMEGA!r} <= omega <= {MAX_OMEGA:g}, omega * sqrt(nmax) <= {MAX_OMEGA_SQRT_NMAX:g}"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs of the suites, as ``verify`` and ``op-check`` take them: nmax is
-    the size of the operator-identity block, and the seed draws the labels."""
+    the size of the operator-identity block, and the seed draws the labels.
+    An (omega, nmax) outside ``REGION`` is refused."""
 
     nmax: int = 64
     omega: float = 1.0
@@ -51,8 +62,11 @@ class RunConfig:
     def __post_init__(self):
         if self.nmax < 4:
             raise ValueError(f"nmax must be at least 4, got {self.nmax}")
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
+        # the largest sqrt(nmax): 0 off the omega range, inf (no OverflowError) squared
+        root = MAX_OMEGA_SQRT_NMAX / self.omega if MIN_OMEGA <= self.omega <= MAX_OMEGA else 0.0
+        if self.nmax > root * root:
+            raise ValueError(f"omega={self.omega!r} at nmax={self.nmax} is outside the region "
+                             f"{REGION}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
@@ -88,15 +102,6 @@ class SuiteReport:
 
 def _max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix)))
-
-
-def _worst(residuals) -> float:
-    """The largest of the residuals a generator yields, or inf where computing
-    one overflows past an exp guard; np.max, unlike max, keeps a NaN."""
-    try:
-        return float(np.max(list(residuals)))
-    except OverflowError:
-        return math.inf
 
 
 def _observed_order_residual(coarse: float, fine: float, order: int) -> float:
@@ -168,10 +173,7 @@ def spectrum_suite(cfg: RunConfig) -> SuiteReport:
     """Eigen-decomposition of H: purely imaginary ladder spectrum."""
     report = SuiteReport("spectrum")
     dim = 32
-    try:
-        values = np.linalg.eigvals(algebra.build_hamiltonian(dim, cfg.omega))
-    except np.linalg.LinAlgError:  # omega (n + 1/2) overflows: H has no eigenvalues
-        values = np.full(dim, math.inf)
+    values = np.linalg.eigvals(algebra.build_hamiltonian(dim, cfg.omega))
     values = values[np.argsort(values.imag)]
     expected = 1j * cfg.omega * (np.arange(dim) + 0.5)
     report.add("eigenvalues", "eig(H) = i omega (n + 1/2)",
@@ -299,43 +301,36 @@ def decay_suite(cfg: RunConfig) -> SuiteReport:
     omega = cfg.omega
     times = np.linspace(0.0, 1.0 / omega, 11)
 
-    # where (n + 1/2) omega overflows, propagate_fock raises OverflowError past
-    # its exp guard, and every check on the factors fails
     factor_res = product_res = growth_res = 0.0
-    try:
-        for n in range(9):
-            for t in times:
-                ket = dynamics.propagate_fock(KET, n, omega, t)
-                bra = dynamics.propagate_fock(BRA, n, omega, t)
-                scale = np.exp((n + 0.5) * omega * t)
-                factor_res = max(factor_res, abs(ket - scale) / scale,
-                                 abs(bra - 1.0 / scale) * scale)
-                product_res = max(product_res, abs(ket * bra - 1.0))
-                growth_res = max(growth_res, abs(ket * ket - scale * scale) / (scale * scale))
-    except OverflowError:
-        factor_res = product_res = growth_res = math.inf
+    for n in range(9):
+        for t in times:
+            ket = dynamics.propagate_fock(KET, n, omega, t)
+            bra = dynamics.propagate_fock(BRA, n, omega, t)
+            scale = np.exp((n + 0.5) * omega * t)
+            factor_res = max(factor_res, abs(ket - scale) / scale,
+                             abs(bra - 1.0 / scale) * scale)
+            product_res = max(product_res, abs(ket * bra - 1.0))
+            growth_res = max(growth_res, abs(ket * ket - scale * scale) / (scale * scale))
     report.add("growth_factors", "factor = e^{+-(n+1/2) omega t}", factor_res, 1e-12)
     report.add("factor_product", "ket factor * bra factor = 1", product_res, 1e-12)
     report.add("same_family_growth", "<psi(t)|psi(t)>_r = e^{2(n+1/2) omega t}",
                growth_res, 1e-12)
 
-    # at t = 0 no exponent passes propagate_fock's guard: only rho(t > 0) can overflow
     rho0 = [dynamics.mixed_density(n, omega, 0.0, n + 2) for n in range(3)]
-    invariance_res = _worst(_max_abs(dynamics.mixed_density(n, omega, t, n + 2) - rho0[n])
-                            for n in range(3) for t in times)
+    invariance_res = float(np.max([_max_abs(dynamics.mixed_density(n, omega, t, n + 2) - rho0[n])
+                                   for n in range(3) for t in times]))
     report.add("mixed_density_invariant", "rho(t) = rho(0)", invariance_res, 1e-14)
 
     # both stencils step dt = 1e-3/omega, so every exponent (n+1/2) omega t
-    # they reach is at most 3e-3 whatever omega; a step below the normal
-    # range (omega above about 1e305) leaves difference quotients of inf - inf
-    equation_res = _worst(dynamics.density_invariant_residual(n, omega, 1e-3 / omega)
-                          for n in range(3))
+    # they reach is at most 3e-3 whatever omega
+    equation_res = float(np.max([dynamics.density_invariant_residual(n, omega, 1e-3 / omega)
+                                 for n in range(3)]))
     report.add("density_equation", "i d rho/dt + [rho, H] = 0", equation_res, 1e-6)
-    # the five-point stencil's truncation is ((n+1/2) omega)^5 dt^4 / 30 and
-    # its rounding ~ eps / dt, so this step keeps both far below the fixed
-    # 1e-6 budget for the lowest levels from omega = 0.05 to 40
-    schrodinger_res = _worst(dynamics.schrodinger_residual(family, n, omega, 1e-3 / omega)
-                             for family in (KET, BRA) for n in range(2))
+    # the five-point stencil's truncation ((n+1/2) omega)^5 dt^4 / 30 and its
+    # rounding eps / dt are each about 2e-13 omega at this step, so both stay
+    # below 1e-10 over the whole region, far below the fixed 1e-6 budget
+    schrodinger_res = float(np.max([dynamics.schrodinger_residual(family, n, omega, 1e-3 / omega)
+                                    for family in (KET, BRA) for n in range(2)]))
     report.add("schrodinger_factors", "i d psi/dt = E psi (centered difference)",
                schrodinger_res, 1e-6)
     return report
@@ -347,12 +342,9 @@ def correspondence_suite(cfg: RunConfig) -> SuiteReport:
     omega = cfg.omega
     v = 1.0
 
-    try:
-        label = dynamics.integrate_alpha(v, omega, 2.0 / omega, 1e-3 / omega, check_tol=None)
-        exact = dynamics.classical_orbit(v, omega, 1, label.times[1:])
-        label_res = float(np.max(np.abs(label.values[1:].real - exact) / np.abs(exact)))
-    except ValueError:  # a refused step count or a trajectory that is not finite
-        label_res = math.inf
+    label = dynamics.integrate_alpha(v, omega, 2.0 / omega, 1e-3 / omega, check_tol=None)
+    exact = dynamics.classical_orbit(v, omega, 1, label.times[1:])
+    label_res = float(np.max(np.abs(label.values[1:].real - exact) / np.abs(exact)))
     report.add("label_ode", "alpha(t) = (v/omega) sinh(omega t)", label_res, 1e-8)
 
     # the same horizon 1.5/omega at dt and dt/2: the coarse run is the
@@ -371,9 +363,8 @@ def correspondence_suite(cfg: RunConfig) -> SuiteReport:
             errors.append(float(np.max(np.abs(grid.values.real[window] - classical[window])
                                        / np.abs(classical[window]))))
             drift = max(drift, diagnostics["norm_drift"])
-    except (ValueError, dynamics.GridLeakError, dynamics.NormDriftError):
-        # a packet refused for its grid (below omega about 8e-309 the horizon
-        # 1.5/omega is inf) or a run stopped by either guard fails every grid check
+    except (dynamics.GridLeakError, dynamics.NormDriftError):
+        # a run stopped by either guard fails every grid check
         errors = [math.inf, math.inf]
         drift = math.inf
     report.add("grid_expectation", "<x>(t) = (v/omega) sinh(omega t)", errors[0], 1e-4)
@@ -453,14 +444,8 @@ def conventions() -> dict:
 
 
 def run_all(cfg: RunConfig) -> list[SuiteReport]:
-    """Run every suite in fixed order.
-
-    numpy's floating-point warnings are off: at an omega near either end of
-    the float range a computation overflows, underflows or leaves inf - inf,
-    and the check it feeds records inf and fails.
-    """
-    with np.errstate(all="ignore"):
-        return [suite(cfg) for suite in _SUITES]
+    """Run every suite in fixed order."""
+    return [suite(cfg) for suite in _SUITES]
 
 
 # ---------------------------------------------------------------------------

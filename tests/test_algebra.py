@@ -113,10 +113,12 @@ def test_hamiltonian_diagonal():
 
 
 def test_hamiltonian_rejects_bad_omega():
-    with pytest.raises(ValueError):
-        algebra.build_hamiltonian(4, 0.0)
-    with pytest.raises(ValueError):
-        algebra.build_hamiltonian(4, -1.0)
+    # a nan or inf omega gave a NaN matrix
+    for omega in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            algebra.build_hamiltonian(4, omega)
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            hamiltonian_expression(omega)
 
 
 def test_hamiltonian_pairing_expectation():

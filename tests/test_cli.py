@@ -695,47 +695,33 @@ def test_invalid_settings_are_refused_up_front(capsys, monkeypatch, seed, argv):
 
 
 def test_verify_at_extreme_omega_exits_without_traceback(capsys):
-    # the absolute tolerances of the operator and grid checks fail here, but
-    # the density equation steps 1e-3/omega and holds at any omega
-    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e100")
-    assert code == 1
-    assert err == ""
-    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
-    assert checks["density_equation"]["passed"]
+    # at 1e100, where the absolute 1e-12 of the spectrum and Heisenberg checks
+    # fails on correct physics, and at the subnormal 1e-310, where the packet's
+    # horizon 1.5/omega is inf, verify refuses the omega up front
+    for omega in ("1e100", "1e-310"):
+        code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", omega)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:") and err.count("\n") == 1
     # the packet and the split-step form no power of omega, so at 1e-170 the
     # grid checks run like every other check and all of them pass
     code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e-170")
     assert (code, err) == (0, "")
-    # at a subnormal omega the packet's horizon 1.5/omega is inf: the grid
-    # checks fail, and every check is still reported
-    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", "1e-310")
-    assert code == 1
-    assert err == ""
-    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
-    assert len(checks) == 45
-    for name in ("grid_expectation", "grid_norm", "grid_order"):
-        assert checks[name]["residual"] == float("inf") and not checks[name]["passed"]
 
 
 @pytest.mark.parametrize("omega", ["1e155", "1e300", "5e306", "1.7e308"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_verify_at_an_omega_it_accepts_reports_failed_checks(capsys, omega, fmt):
-    # each of these stopped the run at a refused grid packet, an eigensolver
-    # on non-finite entries or an overflowing decay exponent
+def test_verify_refuses_an_omega_outside_its_region(capsys, omega, fmt):
+    # each of these ran every suite and reported failed checks: inf from a
+    # refused grid packet, an eigensolver on non-finite entries or an
+    # overflowing decay exponent, or ulps of omega over an absolute 1e-12
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--omega", omega,
                                  "--format", fmt)
     assert not caught, [str(w.message) for w in caught]
-    assert code == 1
-    assert err == ""
-    assert "nan" not in out.lower()
-    if fmt == "json":
-        payload = json.loads(out)
-        assert payload["passed"] is False
-        assert sum(len(s["checks"]) for s in payload["suites"]) == 45
-    else:
-        assert len(out.strip().splitlines()) == 45 + 2
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "outside the region" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -879,7 +865,11 @@ from iwqm.dynamics import MAX_STEPS
 FLOATS = ["nan", "inf", "-inf", "0", "-1", "-1e300", "1e-300", "1e300", "1e-3", "0.05",
           "0.5", "1", "5", "40"]
 INTS = ["-5", "0", "1", "3", "4", "8", "64", "abc"]
-VALUES = {"--nmax": INTS + ["300"], "--omega": FLOATS, "--tol": FLOATS,
+#: The edges of verify's region: omega 100 and the smallest normal double are
+#: accepted, 100.5 and the subnormal 1e-308 refused.
+VALUES = {"--nmax": INTS + ["300"],
+          "--omega": FLOATS + ["100", "100.5", "2.2250738585072014e-308", "1e-308"],
+          "--tol": FLOATS,
           "--format": ["json", "csv", "yaml"], "--sigma": ["1", "-1", "0"], "--strict": [None],
           "--out": [os.path.join(sys.argv[1], "out.txt")], "--set": ["ket", "bra", "up"],
           "--n": INTS + ["1000"], "--xmin": FLOATS, "--xmax": FLOATS,

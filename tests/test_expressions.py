@@ -412,6 +412,16 @@ def test_walks_leave_no_reference_cycle():
         gc.enable()
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, float("nan"), float("inf")])
+def test_equation_residual_refuses_the_omega_of_h(omega):
+    # H == H read 0.0 at omega -1 and inf at nan; an equation without H
+    # does not read omega
+    for text in ("H == H", "adj(H) == H"):
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            equation_residual(text, 8, omega=omega)
+    assert equation_residual("a- == a-", 8, omega=omega) == 0.0
+
+
 @pytest.mark.parametrize("nmax", [0, -3, 2.5])
 def test_equation_residual_refuses_empty_block(nmax):
     with pytest.raises(ValueError, match="integer >= 1"):

@@ -10,6 +10,8 @@ import iwqm
 from iwqm import algebra, cli, coherent, expressions, verify
 from iwqm.algebra import BRA
 from iwqm.verify import (
+    MAX_OMEGA,
+    MIN_OMEGA,
     RunConfig,
     algebra_identities,
     conventions,
@@ -145,10 +147,8 @@ def test_coherent_rows_do_not_depend_on_nmax(nmax, default_suites):
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(nmax=2)
-    with pytest.raises(ValueError):
-        RunConfig(omega=-1.0)
-    for value in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="omega must be finite and positive"):
+    for value in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="outside the region"):
             RunConfig(omega=value)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         RunConfig(seed=-1)
@@ -180,11 +180,12 @@ def test_operator_identities_at_nmax_100000(run_capped):
     assert all(math.isfinite(float(residuals[name])) for name in names)
 
 
-#: Log-spaced from 1e-100 to 1e100, and 1e-300: the packet's momentum
-#: 0.5 sqrt(omega) makes every omega the same state in reduced units, on 512
-#: points, and neither the packet nor the split-step forms a power of omega.
-@pytest.mark.parametrize("omega", [0.05, 1.0, 10.0, 40.0, 1e-6, 1e-300]
-                         + [10.0 ** k for k in range(-100, 101, 25) if k])
+#: Log-spaced from 1e-100 to 1e-25, 1e-300 and round omegas up to the region's
+#: 100: the packet's momentum 0.5 sqrt(omega) makes every omega the same state
+#: in reduced units, on 512 points, and neither the packet nor the split-step
+#: forms a power of omega (``dump evolve --grid`` runs it up to 1e100).
+@pytest.mark.parametrize("omega", [0.05, 1.0, 10.0, 40.0, 100.0, 1e-6, 1e-300]
+                         + [10.0 ** k for k in range(-100, 0, 25)])
 def test_grid_checks_pass_across_omega(omega):
     report = verify.correspondence_suite(RunConfig(omega=omega))
     grid = {c.name: c for c in report.checks if c.name.startswith("grid_")}
@@ -194,31 +195,49 @@ def test_grid_checks_pass_across_omega(omega):
     assert grid["grid_expectation"].residual <= 2e-8
 
 
-#: Omegas that RunConfig accepts where a computation is refused or overflows:
-#: the density equation's step 1e-3/omega below the normal range from about
-#: 1e305, omega (n + 1/2) itself near the top of the float range, and, at a
-#: subnormal omega, 2/omega and 1.5/omega, so the label equation's step count
-#: and the grid packet are refused.
-EXTREME_OMEGAS = [5e-324, 1e155, 1e300, 5e306, 1.7e308]
+def _region_points() -> list[tuple[float, int]]:
+    """The region's corners, points on the product edge up to nmax 90000, and seeded
+    log-uniform points inside: omega over the whole range and over [0.01, 100],
+    where the product edge lies below nmax 1e5, then nmax from 4 to the
+    largest at that omega (capped at 1e5)."""
+    edges = [(MIN_OMEGA, 4), (MIN_OMEGA, 100_000), (MAX_OMEGA, 4), (MAX_OMEGA, 900),
+             (30.0, 10_000), (10.0, 90_000), (3e3 / math.sqrt(2_000), 2_000)]
+    rng = np.random.default_rng(2023)
+    inside = []
+    for low in (MIN_OMEGA, 0.01):
+        log_omegas = rng.uniform(math.log(low), math.log(MAX_OMEGA), 16)
+        for omega in np.exp(log_omegas):
+            root = min(verify.MAX_OMEGA_SQRT_NMAX / omega, math.sqrt(1e5))
+            nmax = int(math.exp(rng.uniform(math.log(4), 2 * math.log(root))))
+            inside.append((float(omega), nmax))
+    return edges + inside
 
 
-@pytest.mark.parametrize("omega", EXTREME_OMEGAS)
-def test_extreme_omega_fails_checks_with_finite_or_inf_residuals(omega, default_suites):
+def test_every_check_passes_across_the_region():
+    # no suite needs numpy's floating-point warnings off inside the region
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        suites = run_all(RunConfig(nmax=8, omega=omega))
-    checks = [c for s in suites for c in s.checks]
-    assert [c.name for c in checks] == [c.name for s in default_suites for c in s.checks]
-    assert len(checks) == 45
-    assert not any(math.isnan(c.residual) for c in checks)
-    refused = {c.name for c in checks if c.residual == math.inf}
-    assert all(not c.passed for c in checks if c.name in refused)
-    grid = [c for c in checks if c.name.startswith("grid_")]
-    assert len(grid) == 3
-    if omega < 1e-308:
-        assert {"label_ode", *(c.name for c in grid)} <= refused
-    else:
-        assert all(c.passed for c in grid)
-    if omega >= 1.7e308:  # omega (n + 1/2) and every decay exponent overflow
-        assert {"eigenvalues", "real_parts", "growth_factors", "mixed_density_invariant",
-                "density_equation", "schrodinger_factors"} <= refused
+        for omega, nmax in _region_points():
+            failing = [(c.name, c.residual) for s in run_all(RunConfig(nmax=nmax, omega=omega))
+                       for c in s.checks if not c.passed]
+            assert not failing, (omega, nmax, failing)
+
+
+#: The first points outside each edge of the region (below the smallest
+#: normal omega, above omega 100, and omega sqrt(nmax) just above 3e3 at
+#: nmax 900 and 10000), and the smallest subnormal omega; the overflowing
+#: omegas from 1e155 up are refused in ``tests/test_cli.py``.
+OUTSIDE = [(math.nextafter(MIN_OMEGA, 0.0), 4), (math.nextafter(MAX_OMEGA, math.inf), 4),
+           (MAX_OMEGA, 901), (math.nextafter(30.0, math.inf), 10_000), (5e-324, 8)]
+
+
+@pytest.mark.parametrize("omega, nmax", OUTSIDE)
+def test_a_point_outside_the_region_is_refused(capsys, omega, nmax):
+    with pytest.raises(ValueError, match="outside the region"):
+        RunConfig(nmax=nmax, omega=omega)
+    for argv in (["verify"], ["op-check", "comm(H, a+) == i*a+"]):
+        code = cli.main([*argv, "--nmax", str(nmax), "--omega", repr(omega)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "2.2250738585072014e-308 <= omega <= 100" in err
