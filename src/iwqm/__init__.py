@@ -11,7 +11,6 @@ verification suite with independent numerical oracles.
 from .algebra import (
     BRA,
     KET,
-    build_hamiltonian,
     ladder_action,
 )
 from .coherent import (
@@ -33,11 +32,9 @@ from .dynamics import (
     StepSizeError,
     Trajectory,
     classical_orbit,
-    density_invariant_residual,
     gaussian_packet,
     grid_split_step,
     integrate_alpha,
-    mixed_density,
     propagate_fock,
     schrodinger_residual,
     step_count,

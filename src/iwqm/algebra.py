@@ -1,4 +1,4 @@
-"""Truncated matrix representation of the imaginary-frequency boson algebra.
+"""Truncated coefficient vectors of the imaginary-frequency boson algebra.
 
 The ladder operators of the inverted potential well obey the usual
 commutation relation [a-, a+] = 1, but their physical adjoints are
@@ -11,32 +11,32 @@ Fock levels; the dual pairing of a bra vector with a ket vector is the
 sesquilinear form sum_n conj(bra_n) ket_n (``np.vdot``), which makes the
 biorthonormality condition Euclidean by construction.
 
-The module holds the family names, the one bra convention, the
-Hamiltonian as a dense complex matrix, which the eigensolver of the
-spectrum suite and the density equation need, and :func:`ladder_action`,
-the O(dim) sqrt(n) band of a ladder generator applied to one family's
-coefficient vector (on bra vectors the roles of the two generators swap
-and each step carries ``BRA_LADDER_PHASE``).  No function takes another
-bra phase: the opposite one obeys the same ladder algebra, but what it
-builds is the parity image P c = (-1)^n c of what ``BRA_PHASE`` builds,
-and :mod:`iwqm.verify` tests that image.  The sqrt(n) ladder band and
-every named operator (n, H, x, p and the SU(1,1) generators) are defined
-once, as normal-ordered forms, in :mod:`iwqm.expressions`; operator
-identities are checked there, word by word.
+The module holds the family names, the one bra convention, the sqrt(n)
+ladder band (:func:`ladder_band`) and :func:`ladder_action`, the O(dim)
+band of a ladder generator applied to one family's coefficient vector
+(on bra vectors the roles of the two generators swap and each step
+carries ``BRA_LADDER_PHASE``).  No function takes another bra phase: the
+opposite one obeys the same ladder algebra, but what it builds is the
+parity image P c = (-1)^n c of what ``BRA_PHASE`` builds, and
+:mod:`iwqm.verify` tests that image.  It imports no other module of the
+package.  Every named operator (n, H, x, p and the SU(1,1) generators)
+is defined once, as a normal-ordered form, in :mod:`iwqm.expressions`;
+operator identities are checked there, word by word, and
+:func:`iwqm.expressions.to_matrix` writes a form's leading block.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
-from .expressions import _check_dim, hamiltonian_expression, ladder_band, to_matrix
+import numpy as np
 
 KET = "ket"
 BRA = "bra"
 
 #: The bra-family phase under which the dual families are mutually
-#: orthonormal, carried by each bra coherent coefficient ratio and each step
-#: of the bra eigenfunction chain; -1j would multiply bra level n by (-1)^n.
+#: orthonormal, carried by each bra coherent coefficient ratio; -1j would
+#: multiply bra level n by (-1)^n.
 BRA_PHASE = 1j
 
 #: Phase of each bra ladder step on coefficient vectors: the dual pairing
@@ -47,9 +47,17 @@ _FAMILIES = (KET, BRA)
 _GENERATORS = ("a-", "a+")
 
 
-def build_hamiltonian(dim: int, omega: float) -> np.ndarray:
-    """H = i omega (n + 1/2): Hermitian, with purely imaginary spectrum."""
-    return to_matrix(hamiltonian_expression(omega), dim)
+# Bounded: truncations come from user input.
+@functools.lru_cache(maxsize=64)
+def ladder_band(dim: int) -> np.ndarray:
+    """sqrt(1..dim-1): the entries sqrt(n) of a- at (n-1, n) and of a+ at (n, n-1).
+
+    Computed once per truncation and shared by every caller, so the array
+    is read-only.
+    """
+    band = np.sqrt(np.arange(1, dim, dtype=float))
+    band.setflags(write=False)
+    return band
 
 
 def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray:
@@ -68,9 +76,8 @@ def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1:
-        raise ValueError("coefficients must be a one-dimensional vector")
-    _check_dim(c.shape[0])
+    if c.ndim != 1 or c.shape[0] < 2:
+        raise ValueError(f"coefficients must be a vector of length >= 2, got shape {c.shape}")
     root = ladder_band(c.shape[0])
     out = np.zeros_like(c)
     if (generator == "a-") == (family == KET):

@@ -204,8 +204,6 @@ def cmd_op_check(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_eigenfunction(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError(f"level must be nonnegative, got {args.n}")
     if not math.isfinite(args.xmax - args.xmin):
         raise ValueError(f"need finite xmin, xmax and xmax - xmin, "
                          f"got {args.xmin!r}, {args.xmax!r}")
@@ -291,8 +289,6 @@ def cmd_dump_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_decay(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError(f"level must be nonnegative, got {args.n}")
     steps = step_count(args.tfinal, args.dt)
     exponent = (args.n + 0.5) * args.omega * (steps * args.dt)
     if exponent > EXP_GUARD:

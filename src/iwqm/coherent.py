@@ -28,7 +28,7 @@ operations, so it equals the :func:`moments` entry bit for bit.  Every
 truncation is built, short or not: how much a truncation drops is the
 number :func:`tail_bound`, which ``dump coherent`` reports.  The
 sqrt(n) band that the ladder actions and the coefficient recurrence use
-is computed once per truncation (:func:`iwqm.expressions.ladder_band`).
+is computed once per truncation (:func:`iwqm.algebra.ladder_band`).
 The closed forms of the label algebra give the same values, and the two
 routes are cross-asserted by the tests.  The variances come out as the
 alpha-independent constants -i/2 and +i/2, whose principal square roots
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, BRA_PHASE, KET, ladder_action
-from .expressions import ladder_band
+from .algebra import BRA, BRA_PHASE, KET, ladder_action, ladder_band
 
 #: The bound ``dump coherent`` holds its :func:`tail_bound` to (``"passed"``).
 TAIL_TOLERANCE = 1e-12

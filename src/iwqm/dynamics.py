@@ -1,9 +1,10 @@
 """Time evolution, decay factors, and the quantum-classical correspondence.
 
 The stationary states of the inverted well evolve by real exponential
-factors: ket levels grow as e^{(n+1/2) omega t}, bra levels decay by the
-inverse, so same-family probability densities are not conserved while
-the mixed ket-bra density operator is exactly time-invariant.
+factors (``propagate_fock``): ket levels grow as e^{(n+1/2) omega t},
+bra levels decay by the inverse, so same-family probability densities
+are not conserved while the mixed ket-bra density of one level, whose
+one entry is the product of the two factors, is exactly time-invariant.
 
 The coherent-state label obeys the classical equation alpha'' =
 omega^2 alpha, whose solution (v/omega) sinh(omega t) is the orbit of a
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, KET, build_hamiltonian
+from .algebra import BRA, KET
 from .kernels import grid_observables, rk4_trajectory
 
 #: Largest exponent fed to exp(); beyond this double precision overflows.
@@ -141,30 +142,6 @@ def propagate_fock(family: str, n: int, omega: float, t: float) -> float:
     if abs(exponent) > EXP_GUARD:
         raise OverflowError(f"exponent {exponent:.3g} exceeds the overflow guard {EXP_GUARD}")
     return float(math.exp(exponent if family == KET else -exponent))
-
-
-def mixed_density(n: int, omega: float, t: float, dim: int) -> np.ndarray:
-    """Outer product of the propagated ket level n with the propagated bra level n.
-
-    The growth and decay factors cancel, so the matrix is time-invariant.
-    """
-    ket = np.zeros(dim, dtype=complex)
-    bra = np.zeros(dim, dtype=complex)
-    ket[n] = propagate_fock(KET, n, omega, t)
-    bra[n] = propagate_fock(BRA, n, omega, t)
-    return np.outer(ket, np.conj(bra))
-
-
-def density_invariant_residual(n: int, omega: float, dt: float) -> float:
-    """Max-entry residual of i d/dt rho + [rho, H] at t = 0 by centered
-    differencing, on the levels 0..n+1."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    dim = n + 2
-    h = build_hamiltonian(dim, omega)
-    rho = mixed_density(n, omega, 0.0, dim)
-    drho = (mixed_density(n, omega, dt, dim) - mixed_density(n, omega, -dt, dim)) / (2.0 * dt)
-    return float(np.max(np.abs(1j * drho + rho @ h - h @ rho)))
 
 
 def schrodinger_residual(family: str, n: int, omega: float, dt: float) -> float:

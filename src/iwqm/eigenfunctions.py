@@ -16,10 +16,12 @@ h_n = s_n q_n with the monic q_{n+1} = z q_n - (n/2) q_{n-1} on the arrays
 and the normalization s_{n+1} = sqrt(2/(n+1)) s_n carried as one scalar
 (:func:`hermite_levels`).
 
-The bra chain steps with the phase :data:`iwqm.algebra.BRA_PHASE` = +1j,
+For bras :func:`evaluate` conjugates the ket values; it reads no phase
+constant.  These are the bras of the phase +i (:data:`iwqm.algebra.BRA_PHASE`),
 under which the dual families are mutually orthonormal under the pairing
 integral(conj(psi_l) psi_r); the opposite phase would give the parity
-image (-1)^n conj(psi_n) of each bra function.
+image (-1)^n conj(psi_n) of each bra function.  :func:`iwqm.verify.conventions`
+reads the phase off the values.
 
 The independent oracle is the exact integer Hermite table.  In the family
 variable u = e^{+-i pi/4} x (ket/bra) each eigenfunction is a scale times

@@ -25,8 +25,9 @@ conj(c) (s i)^(j+k) a-^k a+^j and brings that back to normal order.
 The named operators n, H, x, p and the SU(1,1) generators are defined
 here once, as forms built at import (H per omega).  Every operator
 identity that :mod:`iwqm.verify` checks is a pair of forms compared by
-:func:`identity_residual`; :func:`iwqm.algebra.build_hamiltonian`
-densifies H for the eigensolver.
+:func:`identity_residual`; the spectrum suite's eigensolver takes the
+dense H from :func:`to_matrix`.  The module imports no other module of
+the package.
 """
 
 from __future__ import annotations
@@ -111,19 +112,6 @@ def adjoint(expr: OperatorExpression) -> OperatorExpression:
 def _check_dim(dim: int, minimum: int = 2) -> None:
     if not isinstance(dim, (int, np.integer)) or dim < minimum:
         raise ValueError(f"truncation dimension must be an integer >= {minimum}, got {dim!r}")
-
-
-# Bounded: truncations come from user input.
-@functools.lru_cache(maxsize=64)
-def ladder_band(dim: int) -> np.ndarray:
-    """sqrt(1..dim-1): the entries sqrt(n) of a- at (n-1, n) and of a+ at (n, n-1).
-
-    Computed once per truncation and shared by every caller, so the array
-    is read-only.
-    """
-    band = np.sqrt(np.arange(1, dim, dtype=float))
-    band.setflags(write=False)
-    return band
 
 
 def _diagonals(form: OperatorExpression, size: int):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import iwqm
+from iwqm.verify import MAX_NMAX, MAX_OMEGA, MAX_OMEGA_SQRT_NMAX, MIN_OMEGA
 
 #: Address-space cap for child processes that must stay in O(nmax) memory: a
 #: dense 100000 x 100000 matrix needs 74.5 GiB, so an attempt fails at once
@@ -93,3 +94,23 @@ def dense_ladder():
         root = np.sqrt(np.arange(1, dim).astype(dtype))
         return np.diag(root, 1), np.diag(root, -1)
     return ladder
+
+
+@pytest.fixture(scope="session")
+def region_points() -> list[tuple[float, int]]:
+    """The (omega, nmax) points of verify's region gate: the region's corners,
+    points on the product edge up to nmax 90000, and seeded log-uniform
+    points inside: omega over the whole range and over [0.01, 100], where
+    the product edge lies below the nmax cap, then nmax from 4 to the
+    largest at that omega (capped at the nmax cap)."""
+    edges = [(MIN_OMEGA, 4), (MIN_OMEGA, MAX_NMAX), (MAX_OMEGA, 4), (MAX_OMEGA, 900),
+             (30.0, 10_000), (10.0, 90_000), (3e3 / math.sqrt(2_000), 2_000)]
+    rng = np.random.default_rng(2023)
+    inside = []
+    for low in (MIN_OMEGA, 0.01):
+        log_omegas = rng.uniform(math.log(low), math.log(MAX_OMEGA), 16)
+        for omega in np.exp(log_omegas):
+            root = min(MAX_OMEGA_SQRT_NMAX / omega, math.sqrt(MAX_NMAX))
+            nmax = int(math.exp(rng.uniform(math.log(4), 2 * math.log(root))))
+            inside.append((float(omega), nmax))
+    return edges + inside

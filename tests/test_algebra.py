@@ -53,6 +53,16 @@ def test_raising_entries_dim3():
     np.testing.assert_array_equal(rai, expected)
 
 
+@pytest.mark.parametrize("dim", [2, 8, 160])
+def test_ladder_band_is_one_read_only_array_per_truncation(dim, dense_ladder):
+    band = algebra.ladder_band(dim)
+    assert algebra.ladder_band(dim) is band
+    np.testing.assert_array_equal(band, np.sqrt(np.arange(1, dim)))
+    with pytest.raises(ValueError):
+        band[0] = 2.0
+    np.testing.assert_array_equal(dense_ladder(dim)[0].diagonal(1), band)
+
+
 def test_lowering_action_dim2():
     np.testing.assert_array_equal(algebra.ladder_action("a-", KET, unit(1, 2)), unit(0, 2))
     np.testing.assert_array_equal(algebra.ladder_action("a-", KET, unit(0, 2)), np.zeros(2))
@@ -106,7 +116,7 @@ def test_number_is_diagonal_levels():
 
 
 def test_hamiltonian_diagonal():
-    ham = algebra.build_hamiltonian(3, 1.0)
+    ham = to_matrix(hamiltonian_expression(1.0), 3)
     np.testing.assert_allclose(ham, np.diag([0.5j, 1.5j, 2.5j]), atol=1e-15)
     ground = unit(0, 3)
     np.testing.assert_allclose(ham @ ground, 0.5j * ground, atol=1e-15)
@@ -116,13 +126,11 @@ def test_hamiltonian_rejects_bad_omega():
     # a nan or inf omega gave a NaN matrix
     for omega in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="omega must be finite and positive"):
-            algebra.build_hamiltonian(4, omega)
-        with pytest.raises(ValueError, match="omega must be finite and positive"):
             hamiltonian_expression(omega)
 
 
 def test_hamiltonian_pairing_expectation():
-    ham = algebra.build_hamiltonian(4, 2.0)
+    ham = to_matrix(hamiltonian_expression(2.0), 4)
     value = np.vdot(unit(2, 4), ham @ unit(2, 4))
     assert value == pytest.approx(5j)
 
@@ -142,7 +150,7 @@ def test_su11_hamiltonian_identity_exact():
     for omega in (1.0, 0.7, 3.25):
         residual = identity_residual(hamiltonian_expression(omega), scaled(2j * omega, sz), 8)
         assert residual == 0.0
-        np.testing.assert_array_equal(algebra.build_hamiltonian(8, omega),
+        np.testing.assert_array_equal(to_matrix(hamiltonian_expression(omega), 8),
                                       to_matrix(scaled(2j * omega, sz), 8))
 
 

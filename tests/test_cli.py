@@ -457,6 +457,26 @@ def test_op_check_at_nmax_100000(run_capped):
     assert json.loads(done.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["op-check", "a- == a-"]])
+@pytest.mark.parametrize("omega, nmax", [("1e-300", "10000000000000000000"),
+                                         ("0.0123456", "50000000")])
+def test_nmax_above_the_cap_is_refused(run_capped, argv, omega, nmax):
+    # without the cap these ran into the O(nmax) diagonals and stopped with
+    # numpy's "Maximum allowed size exceeded" and "Unable to allocate 381. MiB"
+    done = run_capped("-m", "iwqm.cli", *argv, "--omega", omega, "--nmax", nmax)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage error:") and done.stderr.count("\n") == 1
+    assert f"nmax={nmax}" in done.stderr and "nmax <= 100000" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["eigenfunction", "decay"])
+def test_dump_refuses_a_negative_level(capsys, command):
+    code, out, err = run_cli(capsys, "dump", command, "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: level must be nonnegative, got -1\n"
+
+
 def test_dump_evolve_grid_refuses_over_cap_horizon(capsys):
     code, out, err = run_cli(capsys, "dump", "evolve", "--grid", "--tfinal", "6")
     assert code == 2

@@ -14,15 +14,15 @@ from iwqm.dynamics import (
     StepSizeError,
     Trajectory,
     classical_orbit,
-    density_invariant_residual,
     gaussian_packet,
     grid_split_step,
     integrate_alpha,
-    mixed_density,
     propagate_fock,
     schrodinger_residual,
     step_count,
 )
+from iwqm.expressions import hamiltonian_expression, to_matrix
+from iwqm.verify import RunConfig, decay_suite
 
 
 def test_growth_factor_values():
@@ -51,12 +51,6 @@ def test_propagate_arguments():
         propagate_fock(KET, 0, 0.0, 1.0)
 
 
-def test_mixed_density_time_invariant():
-    rho0 = mixed_density(2, 1.0, 0.0, 4)
-    for t in (0.1, 0.5, 1.0):
-        assert np.max(np.abs(mixed_density(2, 1.0, t, 4) - rho0)) <= 1e-14
-
-
 def test_same_family_density_grows():
     n, omega = 1, 1.0
     base = np.zeros(4, dtype=complex)
@@ -67,13 +61,35 @@ def test_same_family_density_grows():
         assert ratio == pytest.approx(np.exp(2 * (n + 0.5) * omega * t), rel=1e-12)
 
 
-def test_density_equation_residual_small():
-    assert density_invariant_residual(0, 1.0, 1e-3) <= 1e-6
+def _dense_density(n: int, omega: float, t: float) -> np.ndarray:
+    """rho(t) on the levels 0..n+1: the outer product of the propagated ket
+    level n with the conjugate of the propagated bra level n."""
+    ket = np.zeros(n + 2, dtype=complex)
+    bra = np.zeros(n + 2, dtype=complex)
+    ket[n] = propagate_fock(KET, n, omega, t)
+    bra[n] = propagate_fock(BRA, n, omega, t)
+    return np.outer(ket, np.conj(bra))
 
 
-def test_density_equation_rejects_bad_step():
-    with pytest.raises(ValueError):
-        density_invariant_residual(0, 1.0, 0.0)
+def test_decay_rows_match_the_dense_density(region_points):
+    # the suite reads both rows off the factor product k b; the dense route
+    # forms rho and the commutator with H from its normal form
+    for omega, nmax in region_points:
+        times = np.linspace(0.0, 1.0 / omega, 11)
+        invariance = float(np.max([
+            np.max(np.abs(_dense_density(n, omega, t) - _dense_density(n, omega, 0.0)))
+            for n in range(3) for t in times]))
+        dt = 1e-3 / omega
+        equation = []
+        for n in range(3):
+            ham = to_matrix(hamiltonian_expression(omega), n + 2)
+            rho = _dense_density(n, omega, 0.0)
+            drho = (_dense_density(n, omega, dt) - _dense_density(n, omega, -dt)) / (2.0 * dt)
+            equation.append(np.max(np.abs(1j * drho + rho @ ham - ham @ rho)))
+        checks = {c.name: c.residual
+                  for c in decay_suite(RunConfig(nmax=nmax, omega=omega)).checks}
+        assert checks["mixed_density_invariant"] == invariance, omega
+        assert checks["density_equation"] == float(np.max(equation)), omega
 
 
 def test_schrodinger_residual_scales_quartically():

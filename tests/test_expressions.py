@@ -312,16 +312,6 @@ def test_verify_identity_sides_match_dense_reference(nmax, omega, sigma, monkeyp
                                        err_msg=name)
 
 
-@pytest.mark.parametrize("dim", [2, 8, 160])
-def test_ladder_band_is_one_read_only_array_per_truncation(dim, dense_ladder):
-    band = expressions.ladder_band(dim)
-    assert expressions.ladder_band(dim) is band
-    np.testing.assert_array_equal(band, np.sqrt(np.arange(1, dim)))
-    with pytest.raises(ValueError):
-        band[0] = 2.0
-    np.testing.assert_array_equal(dense_ladder(dim)[0].diagonal(1), band)
-
-
 def test_to_matrix_product_order(dense_ladder):
     ab = _mat(op_product(A_MINUS, A_PLUS))
     low, rai = dense_ladder(DIM)

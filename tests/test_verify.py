@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import iwqm
-from iwqm import algebra, cli, coherent, expressions, verify
+from iwqm import algebra, cli, coherent, eigenfunctions, expressions, quadrature, verify
 from iwqm.algebra import BRA
 from iwqm.verify import (
     MAX_OMEGA,
@@ -128,6 +128,31 @@ def test_bra_ladder_phase_is_determined(monkeypatch):
     assert conventions()["bra_ladder_phase"] == "+i"
 
 
+def test_dual_eigenfunction_phase_is_read_off_the_bras(monkeypatch):
+    signs = verify._dual_signs()
+    np.testing.assert_array_equal(signs, np.ones(9))
+    # the Gram of the bras as evaluated: the rule pairs kets with conj(ket)
+    gram = np.diag(signs) @ quadrature.gram_matrix(8)
+    assert np.max(np.abs(gram - np.eye(9))) <= quadrature.GRAM_TOLERANCE
+    assert conventions()["dual_eigenfunction_phase"] == "+i"
+    # evaluate reads no phase constant, so flipping it moves nothing measured
+    monkeypatch.setattr(algebra, "BRA_PHASE", -algebra.BRA_PHASE)
+    assert conventions()["dual_eigenfunction_phase"] == "+i"
+
+
+def test_parity_image_bras_are_measured_and_fail_the_gram(monkeypatch):
+    evaluate = eigenfunctions.evaluate
+
+    def parity_bras(f, x):
+        values = evaluate(f, x)
+        return values * (-1) ** f.n if f.family == BRA else values
+
+    monkeypatch.setattr(eigenfunctions, "evaluate", parity_bras)
+    np.testing.assert_array_equal(verify._dual_signs(), (-1.0) ** np.arange(9))
+    # their Gram with the kets is diag((-1)^n), so no phase is named
+    assert conventions()["dual_eigenfunction_phase"] == "none"
+
+
 COHERENT_ROWS = ["mutual_normalization", "eigen_residual_ket", "eigen_residual_bra",
                  "closed_form_crosscheck", "variances", "uncertainty_product"]
 
@@ -195,40 +220,24 @@ def test_grid_checks_pass_across_omega(omega):
     assert grid["grid_expectation"].residual <= 2e-8
 
 
-def _region_points() -> list[tuple[float, int]]:
-    """The region's corners, points on the product edge up to nmax 90000, and seeded
-    log-uniform points inside: omega over the whole range and over [0.01, 100],
-    where the product edge lies below nmax 1e5, then nmax from 4 to the
-    largest at that omega (capped at 1e5)."""
-    edges = [(MIN_OMEGA, 4), (MIN_OMEGA, 100_000), (MAX_OMEGA, 4), (MAX_OMEGA, 900),
-             (30.0, 10_000), (10.0, 90_000), (3e3 / math.sqrt(2_000), 2_000)]
-    rng = np.random.default_rng(2023)
-    inside = []
-    for low in (MIN_OMEGA, 0.01):
-        log_omegas = rng.uniform(math.log(low), math.log(MAX_OMEGA), 16)
-        for omega in np.exp(log_omegas):
-            root = min(verify.MAX_OMEGA_SQRT_NMAX / omega, math.sqrt(1e5))
-            nmax = int(math.exp(rng.uniform(math.log(4), 2 * math.log(root))))
-            inside.append((float(omega), nmax))
-    return edges + inside
-
-
-def test_every_check_passes_across_the_region():
+def test_every_check_passes_across_the_region(region_points):
     # no suite needs numpy's floating-point warnings off inside the region
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for omega, nmax in _region_points():
+        for omega, nmax in region_points:
             failing = [(c.name, c.residual) for s in run_all(RunConfig(nmax=nmax, omega=omega))
                        for c in s.checks if not c.passed]
             assert not failing, (omega, nmax, failing)
 
 
 #: The first points outside each edge of the region (below the smallest
-#: normal omega, above omega 100, and omega sqrt(nmax) just above 3e3 at
-#: nmax 900 and 10000), and the smallest subnormal omega; the overflowing
-#: omegas from 1e155 up are refused in ``tests/test_cli.py``.
+#: normal omega, above omega 100, omega sqrt(nmax) just above 3e3 at nmax
+#: 900 and 10000, and nmax above the cap at the smallest omega), and the
+#: smallest subnormal omega; the overflowing omegas from 1e155 up are
+#: refused in ``tests/test_cli.py``.
 OUTSIDE = [(math.nextafter(MIN_OMEGA, 0.0), 4), (math.nextafter(MAX_OMEGA, math.inf), 4),
-           (MAX_OMEGA, 901), (math.nextafter(30.0, math.inf), 10_000), (5e-324, 8)]
+           (MAX_OMEGA, 901), (math.nextafter(30.0, math.inf), 10_000),
+           (MIN_OMEGA, verify.MAX_NMAX + 1), (5e-324, 8)]
 
 
 @pytest.mark.parametrize("omega, nmax", OUTSIDE)
@@ -240,4 +249,5 @@ def test_a_point_outside_the_region_is_refused(capsys, omega, nmax):
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith("usage error:") and err.count("\n") == 1
-        assert "2.2250738585072014e-308 <= omega <= 100" in err
+        assert f"nmax={nmax} " in err
+        assert "2.2250738585072014e-308 <= omega <= 100" in err and "nmax <= 100000" in err
