@@ -8,14 +8,15 @@ Hamiltonian H = i omega (n + 1/2) is Hermitian with purely imaginary
 eigenvalues.  Two mutually orthonormal eigenstate families ("ket" and
 "bra") are represented by plain coefficient vectors over the truncated
 Fock levels; the dual pairing of a bra vector with a ket vector is the
-sesquilinear form sum_n conj(bra_n) ket_n (``np.vdot``), which makes the
+sesquilinear form sum_n conj(bra_n) ket_n (``np.vecdot``), which makes the
 biorthonormality condition Euclidean by construction.
 
 The module holds the family names, the one bra convention, the sqrt(n)
 ladder band (:func:`ladder_band`) and :func:`ladder_action`, the O(dim)
-band of a ladder generator applied to one family's coefficient vector
-(on bra vectors the roles of the two generators swap and each step
-carries ``BRA_LADDER_PHASE``).  No function takes another bra phase: the
+band of a ladder generator applied to one family's coefficient vectors,
+along the last axis of an array whose leading axes are labels (on bra
+vectors the roles of the two generators swap and each step carries
+``BRA_LADDER_PHASE``).  No function takes another bra phase: the
 opposite one obeys the same ladder algebra, but what it builds is the
 parity image P c = (-1)^n c of what ``BRA_PHASE`` builds, and
 :mod:`iwqm.verify` tests that image.  It imports no other module of the
@@ -61,7 +62,8 @@ def ladder_band(dim: int) -> np.ndarray:
 
 
 def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray:
-    """A ladder generator applied to one family's coefficient vector.
+    """A ladder generator applied to one family's coefficient vectors, which
+    lie along the last axis of ``coeffs``; leading axes are labels.
 
     On ket coefficients ``a-`` lowers and ``a+`` raises with the plain
     sqrt(n) band.  On bra coefficients the roles swap and each step is
@@ -76,12 +78,12 @@ def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.shape[0] < 2:
-        raise ValueError(f"coefficients must be a vector of length >= 2, got shape {c.shape}")
-    root = ladder_band(c.shape[0])
-    out = np.zeros_like(c)
+    if c.ndim < 1 or c.shape[-1] < 2:
+        raise ValueError(f"coefficients must be vectors of length >= 2, got shape {c.shape}")
+    root = ladder_band(c.shape[-1])
+    out = np.zeros(c.shape, dtype=complex)
     if (generator == "a-") == (family == KET):
-        out[:-1] = root * c[1:]
+        out[..., :-1] = root * c[..., 1:]
     else:
-        out[1:] = root * c[:-1]
+        out[..., 1:] = root * c[..., :-1]
     return out if family == KET else BRA_LADDER_PHASE * out

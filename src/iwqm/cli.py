@@ -15,7 +15,8 @@ dump decay [--omega]              growth factor and mixed pairing over time
 Each also takes ``--out FILE`` and its own options (see ``--help``); a
 shared option a command does not read is a usage error.
 Exit codes: 0 success, 1 failed checks or runtime failure, 2 usage error.
-Output is deterministic for a fixed configuration; the environment
+Output is deterministic for a fixed configuration, apart from the
+suites' wall times (``"seconds"``) in a JSON report; the environment
 variable ``IWQM_SEED`` (default 0), read by ``verify`` and ``op-check``
 only, seeds the sampled label grid.
 """
@@ -27,6 +28,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -197,8 +199,9 @@ def cmd_op_check(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
     if not 0 < args.tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {args.tol!r}")
+    start = time.perf_counter()
     residual = equation_residual(args.expression, cfg.nmax, omega=cfg.omega)
-    report = SuiteReport("op-check")
+    report = SuiteReport("op-check", seconds=time.perf_counter() - start)
     report.add("expression", args.expression, residual, args.tol)
     return _render_report(args, cfg, [report])
 

@@ -12,10 +12,16 @@ eigenvalue equation and the mutual normalization <alpha|alpha> = 1
 together; the opposite phase would build the parity image (-1)^n c_n,
 which fails both.
 
-A state is one coefficient vector with its family and label
-(:class:`CoherentState`).  The dual pairing of a bra with a ket is the
-plain sum_n conj(bra_n) ket_n, so :func:`mutual_pairing` is one
-``np.vdot`` behind the family and dimension check.  Expectation values
+A state is a coefficient vector with its family and label
+(:class:`CoherentState`), or a batch of them: an array of labels, with
+one vector per label along the last axis of the coefficients.
+:func:`build_coherent`, :func:`eigen_residual`, :func:`mutual_pairing`
+and :func:`moments` take the leading label axes as they come and return
+one value per label, a Python scalar for a single label; each row of a
+batch equals its label built alone bit for bit.  The dual pairing of a
+bra with a ket is the plain sum_n conj(bra_n) ket_n, so
+:func:`mutual_pairing` is ``np.vecdot`` over the last axis behind the
+family, dimension and label-shape check.  Expectation values
 of x, p, x^2, p^2 in the dual pairing are computed from one built
 (bra, ket) pair by :func:`moments`: x = (a- + a+)/sqrt(2i) and
 p = (a- - a+)/sqrt(2i) act on the ket coefficients as O(dim) ladder
@@ -37,6 +43,7 @@ multiply to the minimum uncertainty product 1/2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -67,48 +74,117 @@ def tail_bound(alpha: complex, dim: int) -> float:
 
 @dataclass(frozen=True)
 class CoherentState:
+    """Coefficient vectors of one family along the last axis of ``coeffs``, one
+    per label of ``alpha``: a complex for one label, else an array of labels."""
+
     family: str
-    alpha: complex
+    alpha: complex | np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
+        alpha = self.alpha
+        if type(alpha) is complex:  # the one-label states build_coherent makes
+            shape = ()
+        elif isinstance(alpha, (complex, float, int)):
+            alpha, shape = complex(alpha), ()
+        else:
+            alpha = np.array(alpha, dtype=complex)
+            alpha.setflags(write=False)
+            shape, alpha = alpha.shape, _per_label(alpha)
         arr = np.array(self.coeffs, dtype=complex)
+        if arr.shape[:-1] != shape or arr.ndim < 1:
+            raise ValueError(f"coefficients of shape {arr.shape} do not hold one vector "
+                             f"per label of shape {shape}")
         arr.setflags(write=False)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "coeffs", arr)
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-1]
 
 
-def build_coherent(family: str, alpha: complex, dim: int = 64) -> CoherentState:
-    """Coherent coefficient vector of one family at label alpha.
+def _per_label(value: np.ndarray):
+    """A per-label result: a Python scalar for one label, else the array."""
+    return value.item() if value.ndim == 0 else value
+
+
+def _index(flat: int, shape: tuple) -> int | tuple[int, ...]:
+    """The index of the flat position ``flat`` in an array of ``shape``."""
+    index = tuple(int(i) for i in np.unravel_index(flat, shape))
+    return index[0] if len(index) == 1 else index
+
+
+def _labels(alpha, dim: int) -> tuple[np.ndarray, list[complex]]:
+    """The labels as a complex array and as a flat list of complexes, after the
+    refusals that :func:`build_coherent` states."""
+    if dim < 8:
+        raise ValueError(f"dim must be at least 8, got {dim}")
+    alpha = np.asarray(alpha, dtype=complex)
+    labels = alpha.ravel().tolist()
+    for index, a in enumerate(labels):
+        r = abs(a)
+        if r < math.inf:
+            n = math.floor(r * r) if r * r < dim else dim - 1  # |c_n| = r^n / sqrt(n!) peaks at r^2
+            if not n or n * math.log(r) - 0.5 * math.lgamma(n + 1) <= math.log(MAX_COEFFICIENT):
+                continue
+        where = "" if alpha.ndim == 0 else f" at index {_index(index, alpha.shape)}"
+        if not r < math.inf:
+            raise ValueError(f"label alpha={a!r}{where} is not finite")
+        raise ValueError(f"label |alpha|={r:.3g}{where} has coefficients above "
+                         f"{MAX_COEFFICIENT:g} at dim={dim}; its moments overflow")
+    return alpha, labels
+
+
+def _coherent(family: str, alpha: np.ndarray, labels: list[complex], dim: int) -> CoherentState:
+    """The state of :func:`build_coherent` at labels that :func:`_labels` passed."""
+    ratios = np.empty(alpha.shape + (dim,), dtype=complex)
+    # per label: np.abs and np.exp on arrays round differently from these scalar
+    # forms; of an imaginary argument, cmath.exp and np.exp are both libm's cos
+    # and sin, bit for bit
+    sign = 0.5j if family == KET else -0.5j
+    phases = [cmath.exp(sign * abs(a) ** 2) for a in labels]
+    ratios[..., 0] = np.reshape(phases, alpha.shape) if alpha.ndim else phases[0]
+    # alpha[()] is a scalar for one label, whose product takes no ufunc call
+    base = alpha if family == KET else BRA_PHASE * alpha[()]
+    ratios[..., 1:] = base[..., None] / ladder_band(dim)
+    return CoherentState(family, alpha if alpha.ndim else labels[0], ratios.cumprod(axis=-1))
+
+
+def build_coherent(family: str, alpha, dim: int = 64) -> CoherentState:
+    """Coherent coefficient vectors of one family at the label alpha, or at each
+    label of an array of them (the vectors then lie along a last axis).
 
     Coefficients are produced by the stable ratio recurrence
     c_n = c_{n-1} * base / sqrt(n) with base = alpha (ket) or
     ``BRA_PHASE`` * alpha (bra), taken as one cumulative product.  Any
     truncation is built; a caller that needs the dropped coefficients to
-    be small reads :func:`tail_bound`.  A label with a coefficient above
-    ``MAX_COEFFICIENT`` is refused with ``ValueError``: its moments overflow.
+    be small reads :func:`tail_bound`.  A label that is not finite, or with
+    a coefficient above ``MAX_COEFFICIENT``, whose moments overflow, is
+    refused with ``ValueError``; in a batch the error names the first such
+    label's index.
     """
     if family not in (KET, BRA):
         raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
-    if dim < 8:
-        raise ValueError(f"dim must be at least 8, got {dim}")
-    alpha, r = complex(alpha), abs(alpha)
-    n = math.floor(r * r) if r * r < dim else dim - 1  # |c_n| = r^n / sqrt(n!) grows to n = r^2
-    if n and not n * math.log(r) - 0.5 * math.lgamma(n + 1) <= math.log(MAX_COEFFICIENT):
-        raise ValueError(f"label |alpha|={r:.3g} has coefficients above "
-                         f"{MAX_COEFFICIENT:g} at dim={dim}; its moments overflow")
-    base = alpha if family == KET else BRA_PHASE * alpha
-    ratios = np.empty(dim, dtype=complex)
-    ratios[0] = np.exp(0.5j * abs(alpha) ** 2) if family == KET else np.exp(-0.5j * abs(alpha) ** 2)
-    ratios[1:] = base / ladder_band(dim)
-    return CoherentState(family, alpha, np.cumprod(ratios))
+    return _coherent(family, *_labels(alpha, dim), dim)
 
 
-def eigen_residual(state: CoherentState) -> float:
-    """Norm of (generator - alpha I) applied to the coefficient vector.
+def _pair(alpha, dim: int) -> tuple[CoherentState, CoherentState]:
+    """The (bra, ket) pair of :func:`build_coherent`, its labels checked once."""
+    alpha, labels = _labels(alpha, dim)
+    return _coherent(BRA, alpha, labels, dim), _coherent(KET, alpha, labels, dim)
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, each equal bit for bit to
+    ``np.linalg.norm`` of its vector, whose formula this spells out (a
+    norm over ``axis=-1`` rounds differently)."""
+    return np.sqrt(np.vecdot(vectors.real, vectors.real) + np.vecdot(vectors.imag, vectors.imag))
+
+
+def eigen_residual(state: CoherentState):
+    """Norm of (generator - alpha I) applied to the coefficient vector, a float
+    for one label and an array of them for a batch.
 
     Ket states are tested against the lowering generator, bra states
     against the raising generator acting on the bra family (``a+``,
@@ -116,22 +192,26 @@ def eigen_residual(state: CoherentState) -> float:
     """
     gen = "a-" if state.family == KET else "a+"
     action = ladder_action(gen, state.family, state.coeffs)
-    return float(np.linalg.norm(action - state.alpha * state.coeffs))
+    alpha = np.asarray(state.alpha)[..., None]
+    return _per_label(_norms(action - alpha * state.coeffs))
 
 
 def _check_pair(bra: CoherentState, ket: CoherentState) -> None:
     if bra.family != BRA or ket.family != KET:
         raise ValueError(
             f"the dual pairing takes (bra, ket); got families ({bra.family!r}, {ket.family!r})")
-    if bra.dim != ket.dim:
-        raise ValueError(f"dimension mismatch: {bra.dim} vs {ket.dim}")
+    if bra.coeffs.shape != ket.coeffs.shape:
+        if bra.dim != ket.dim:
+            raise ValueError(f"dimension mismatch: {bra.dim} vs {ket.dim}")
+        raise ValueError(f"label shape mismatch: {bra.coeffs.shape[:-1]} vs "
+                         f"{ket.coeffs.shape[:-1]}")
 
 
-def mutual_pairing(bra: CoherentState, ket: CoherentState) -> complex:
-    """<alpha|alpha> = sum_n conj(bra_n) ket_n between the dual coherent states;
-    1 for the consistent phase."""
+def mutual_pairing(bra: CoherentState, ket: CoherentState):
+    """<alpha|alpha> = sum_n conj(bra_n) ket_n between the dual coherent states,
+    per label; 1 for the consistent phase."""
     _check_pair(bra, ket)
-    return complex(np.vdot(bra.coeffs, ket.coeffs))
+    return _per_label(np.vecdot(bra.coeffs, ket.coeffs))
 
 
 _OBSERVABLES = ("x", "p", "x2", "p2")
@@ -150,8 +230,9 @@ def _quadratures(c: np.ndarray, names: str) -> list[np.ndarray]:
     return [(low + rai) / _ROOT_2I if name == "x" else (low - rai) / _ROOT_2I for name in names]
 
 
-def moments(bra: CoherentState, ket: CoherentState) -> dict[str, complex]:
-    """<bra| O |ket> for O = x, p, x^2, p^2 on the truncated Fock space.
+def moments(bra: CoherentState, ket: CoherentState) -> dict:
+    """<bra| O |ket> for O = x, p, x^2, p^2 on the truncated Fock space, per
+    label: a complex for one label, else an array.
 
     x and p act on the ket coefficients as ladder bands, and x^2 (p^2)
     is x (p) applied twice, which equals the truncated matrix square
@@ -161,7 +242,7 @@ def moments(bra: CoherentState, ket: CoherentState) -> dict[str, complex]:
     x_ket, p_ket = _quadratures(ket.coeffs, "xp")
     vectors = {"x": x_ket, "p": p_ket,
                "x2": _quadratures(x_ket, "x")[0], "p2": _quadratures(p_ket, "p")[0]}
-    return {name: complex(np.vdot(bra.coeffs, v)) for name, v in vectors.items()}
+    return {name: _per_label(np.vecdot(bra.coeffs, v)) for name, v in vectors.items()}
 
 
 def expectation(observable: str, alpha: complex, dim: int = 64) -> complex:
@@ -173,13 +254,12 @@ def expectation(observable: str, alpha: complex, dim: int = 64) -> complex:
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
-    ket = build_coherent(KET, alpha, dim)
-    bra = build_coherent(BRA, alpha, dim)
+    bra, ket = _pair(alpha, dim)
     name = observable[0]
     (v,) = _quadratures(ket.coeffs, name)
     if observable.endswith("2"):
         (v,) = _quadratures(v, name)
-    return complex(np.vdot(bra.coeffs, v))
+    return _per_label(np.vecdot(bra.coeffs, v))
 
 
 def expectation_closed_form(observable: str, alpha: complex) -> complex:
@@ -209,7 +289,8 @@ class Uncertainty:
 
     @classmethod
     def from_moments(cls, m: dict[str, complex]) -> "Uncertainty":
-        """Variances x2 - x^2, p2 - p^2 and their roots from :func:`moments`."""
+        """Variances x2 - x^2, p2 - p^2 and their roots from the :func:`moments`
+        of one label."""
         dx2 = m["x2"] - m["x"] ** 2
         dp2 = m["p2"] - m["p"] ** 2
         dx = complex(np.sqrt(dx2))
@@ -224,6 +305,4 @@ def uncertainty_product(alpha: complex, dim: int = 64) -> Uncertainty:
     convention of the square root); the assertable physics is the pair
     of variances -i/2, +i/2 and the real product 1/2.
     """
-    ket = build_coherent(KET, alpha, dim)
-    bra = build_coherent(BRA, alpha, dim)
-    return Uncertainty.from_moments(moments(bra, ket))
+    return Uncertainty.from_moments(moments(*_pair(alpha, dim)))

@@ -29,7 +29,10 @@ the packet's closed-form spreads in position and momentum until then
 omega = 0.05 to 40), refusing horizons that need more than
 ``MAX_GRID_POINTS``.  The split-step fuses the outer half-kicks of
 consecutive steps and takes its guards' observables a block of steps at a
-time.
+time.  Runs of one packet at several step sizes are stacked as the rows of
+one array (``grid_split_step_runs``), so they share each FFT call while
+they last; each row equals its run made alone bit for bit, and
+``grid_split_step`` is the one-run case.
 """
 
 from __future__ import annotations
@@ -263,19 +266,88 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) 
     return GridState(-half_width, half_width, points, psi, omega)
 
 
-def grid_split_step(initial: GridState, dt: float, steps: int,
-                    diagnostics: dict | None = None) -> Trajectory:
-    """Fourth-order split-step spectral evolution under H = p^2/2 - omega^2 x^2/2.
+def _check_run(initial: GridState, dt: float, steps: int) -> None:
+    """Refuse a (dt, steps) run of ``initial`` before anything is allocated."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    tau = initial.omega * dt
+    reach = max(abs(initial.x_min), abs(initial.x_max))
+    u_edge, k_edge = reach * math.sqrt(initial.omega), math.pi / initial.dx
+    # the largest phases of the middle kick, (tau/3)(1 + tau^2/24) u^2, and
+    # of the kinetic factor, dt k^2 / 4: an infinite one leaves NaN in the
+    # factor, and tau ** 2 itself raises OverflowError from 1.3e154
+    if not (tau * tau < math.inf
+            and tau / 3.0 * (1.0 + tau * tau / 24.0) * u_edge * u_edge < math.inf
+            and 0.25 * dt * k_edge * k_edge < math.inf):
+        raise ValueError(f"omega * dt = {tau:.3g} overflows the phases of the kicks on a "
+                         f"grid reaching |x| = {reach:.3g}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"{steps} steps exceeds the cap of {MAX_STEPS}")
 
-    Returns the standard L2 expectation <x>(t) sampled after every step.
-    Raises :class:`GridLeakError` if the boundary amplitude exceeds
-    ``LEAK_TOL`` times the initial peak amplitude, or ``LEAK_TOL`` itself
-    for a peak below 1, and :class:`NormDriftError` if the L2 norm drifts
-    by more than ``DRIFT_TOL``, naming the first offending step.  The peak
-    grows like omega^(1/4) and the FFT's rounding at the edges with it
-    (about 1e-14 of the peak), so an absolute bound would stop correct
-    runs at large omega.  When a ``diagnostics`` dict is supplied it
-    receives the observed ``norm_drift`` and ``edge_max``.
+
+class _Observer:
+    """<x> of one run's states, taken for a block of up to ``BLOCK_BYTES`` of
+    states at a time; both guards are checked for every step of a block
+    before the run steps on."""
+
+    def __init__(self, steps: int, initial: GridState, leak_limit: float):
+        self.x, self.dx, self.leak_limit = initial.x, initial.dx, leak_limit
+        self.xs = np.empty(steps + 1)
+        rows = max(1, min(steps + 1, BLOCK_BYTES // initial.psi.nbytes))
+        self.block = np.empty((rows, initial.points), dtype=complex)
+        self.start = self.filled = 0
+        self.norm0 = None
+        self.edge_max = self.drift_max = 0.0
+
+    def record(self, state: np.ndarray) -> None:
+        self.block[self.filled] = state
+        self.filled += 1
+        if self.filled == self.block.shape[0] or self.start + self.filled == self.xs.size:
+            self._take_block()
+
+    def _take_block(self) -> None:
+        start, states = self.start, self.block[:self.filled]
+        norms, self.xs[start:start + self.filled], edges = grid_observables(states, self.x,
+                                                                           self.dx)
+        if self.norm0 is None:
+            self.norm0 = norms[0]
+        drifts = np.abs(norms - self.norm0)
+        self.edge_max = max(self.edge_max, float(edges.max()))
+        self.drift_max = max(self.drift_max, float(drifts.max()))
+        # written so that a NaN norm or edge fails them
+        edge_ok = edges <= self.leak_limit
+        bad = np.flatnonzero(~(edge_ok & (drifts <= DRIFT_TOL)))
+        if bad.size:
+            r = bad[0]
+            if not edge_ok[r]:
+                raise GridLeakError(f"boundary amplitude {edges[r]:.3e} exceeds "
+                                    f"{self.leak_limit:g} at step {start + r}")
+            raise NormDriftError(
+                f"norm drift {drifts[r]:.3e} exceeds {DRIFT_TOL:g} at step {start + r}")
+        self.start, self.filled = start + self.filled, 0
+
+
+def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = None
+                         ) -> list[Trajectory]:
+    """Fourth-order split-step spectral evolution under H = p^2/2 - omega^2 x^2/2
+    of one packet, for each (dt, steps) run of ``runs``.
+
+    Returns one :class:`Trajectory` per run, in the order of ``runs``: the
+    standard L2 expectation <x>(t) sampled after every step.  A dt that is
+    not finite and positive, or at which a phase of the kicks overflows
+    (omega dt near 1e154 or above), is refused with ValueError before
+    anything is allocated.  A run raises
+    :class:`GridLeakError` if its boundary amplitude exceeds ``LEAK_TOL``
+    times the initial peak amplitude, or ``LEAK_TOL`` itself for a peak
+    below 1, and :class:`NormDriftError` if its L2 norm drifts by more than
+    ``DRIFT_TOL`` (a NaN fails both), naming the first offending step.
+    The peak grows like omega^(1/4) and the FFT's rounding at the edges
+    with it (about 1e-14 of the peak), so an absolute bound would stop
+    correct runs at large omega.  When ``diagnostics`` is given, a list of
+    one dict per run, each receives its run's observed ``norm_drift`` and
+    ``edge_max``.
 
     A step is Chin's factorization 4A (Phys. Lett. A 226, 344 (1997);
     Chin and Chen, J. Chem. Phys. 114, 7338 (2001))
@@ -294,53 +366,67 @@ def grid_split_step(initial: GridState, dt: float, steps: int,
     formed, so the kicks hold wherever the grid does.  The outer kicks
     V(dt/6) of consecutive steps are fused: the loop evolves
     phi = conj(V(dt/6)) psi, starting each step with V(dt/3), and
-    |phi| = |psi| pointwise, so every observable is read from phi.  The
-    observables are taken for a block of up to ``BLOCK_BYTES`` of states
-    at a time, and both guards are checked for every step of a block
-    before the next block starts.
+    |phi| = |psi| pointwise, so every observable is read from phi.
+
+    The runs are stacked as rows of one array, longest first, each with
+    its own kick and kinetic rows, and every step applies each factor to
+    all the runs still stepping with one in-place call, FFTs included, so
+    the runs share each FFT call for as long as they last.  Each row holds
+    the values of a run made alone, bit for bit.  Each run takes its
+    observables and checks its guards a block at a time, as alone.
     """
-    if dt <= 0 or steps < 1:
-        raise ValueError("dt must be positive and steps >= 1")
-    if steps > MAX_STEPS:
-        raise ValueError(f"{steps} steps exceeds the cap of {MAX_STEPS}")
+    runs = list(runs)
+    if not runs:
+        raise ValueError("need at least one (dt, steps) run")
+    for dt, steps in runs:
+        _check_run(initial, dt, steps)
+    if diagnostics is not None and len(diagnostics) != len(runs):
+        raise ValueError(f"{len(runs)} runs but {len(diagnostics)} diagnostics dicts")
     leak_limit = LEAK_TOL * max(1.0, float(np.max(np.abs(initial.psi))))
-    x = initial.x
-    dx = initial.dx
-    k = 2.0 * np.pi * np.fft.fftfreq(initial.points, dx)
-    tau = initial.omega * dt
-    u2 = (x * math.sqrt(initial.omega)) ** 2
-    sixth_kick = np.exp((1j * tau / 12.0) * u2)
-    outer_kick = sixth_kick * sixth_kick
-    middle_kick = np.exp((1j * tau / 3.0) * (1.0 + tau ** 2 / 24.0) * u2)
-    kinetic = np.exp(-0.25j * dt * k * k)
-    phi = np.conj(sixth_kick) * initial.psi
-    xs = np.empty(steps + 1)
-    rows = max(1, min(steps + 1, BLOCK_BYTES // initial.psi.nbytes))
-    block = np.empty((rows, initial.points), dtype=complex)
-    norm0 = None
-    edge_max = drift_max = 0.0
-    for start in range(0, steps + 1, rows):
-        states = block[:min(rows, steps + 1 - start)]
-        for r in range(states.shape[0]):
-            if start + r:
-                phi = np.fft.ifft(kinetic * np.fft.fft(outer_kick * phi))
-                phi = np.fft.ifft(kinetic * np.fft.fft(middle_kick * phi))
-            states[r] = phi
-        norms, xs[start:start + states.shape[0]], edges = grid_observables(states, x, dx)
-        if norm0 is None:
-            norm0 = norms[0]
-        drifts = np.abs(norms - norm0)
-        edge_max = max(edge_max, float(edges.max()))
-        drift_max = max(drift_max, float(drifts.max()))
-        bad = np.flatnonzero((edges > leak_limit) | (drifts > DRIFT_TOL))
-        if bad.size:
-            r = bad[0]
-            if edges[r] > leak_limit:
-                raise GridLeakError(
-                    f"boundary amplitude {edges[r]:.3e} exceeds {leak_limit:g} at step {start + r}")
-            raise NormDriftError(
-                f"norm drift {drifts[r]:.3e} exceeds {DRIFT_TOL:g} at step {start + r}")
-    if diagnostics is not None:
-        diagnostics["norm_drift"] = drift_max
-        diagnostics["edge_max"] = edge_max
-    return Trajectory(dt * np.arange(steps + 1), xs.astype(complex))
+    k = 2.0 * np.pi * np.fft.fftfreq(initial.points, initial.dx)
+    u2 = (initial.x * math.sqrt(initial.omega)) ** 2
+    order = sorted(range(len(runs)), key=lambda i: -runs[i][1])
+    outer, middle, kinetic, phi = (np.empty((len(runs), initial.points), dtype=complex)
+                                   for _ in range(4))
+    for row, i in enumerate(order):
+        dt = runs[i][0]
+        tau = initial.omega * dt
+        sixth_kick = np.exp((1j * tau / 12.0) * u2)
+        outer[row] = sixth_kick * sixth_kick
+        middle[row] = np.exp((1j * tau / 3.0) * (1.0 + tau ** 2 / 24.0) * u2)
+        kinetic[row] = np.exp(-0.25j * dt * k * k)
+        phi[row] = np.conj(sixth_kick) * initial.psi
+    observers = [_Observer(runs[i][1], initial, leak_limit) for i in order]
+    live = len(runs)
+    for step in range(runs[order[0]][1] + 1):
+        while runs[order[live - 1]][1] < step:
+            live -= 1
+        states = phi[:live]
+        if step:
+            # operand order as in kick * phi: complex products are not commutative bitwise
+            for kick in (outer, middle):
+                np.multiply(kick[:live], states, out=states)
+                np.fft.fft(states, out=states)
+                np.multiply(kinetic[:live], states, out=states)
+                np.fft.ifft(states, out=states)
+        for observer, state in zip(observers, states):
+            observer.record(state)
+    trajectories = [None] * len(runs)
+    for observer, i in zip(observers, order):
+        dt, steps = runs[i]
+        trajectories[i] = Trajectory(dt * np.arange(steps + 1), observer.xs.astype(complex))
+        if diagnostics is not None:
+            diagnostics[i]["norm_drift"] = observer.drift_max
+            diagnostics[i]["edge_max"] = observer.edge_max
+    return trajectories
+
+
+def grid_split_step(initial: GridState, dt: float, steps: int,
+                    diagnostics: dict | None = None) -> Trajectory:
+    """The one-run case of :func:`grid_split_step_runs`: <x>(t) after each of
+    ``steps`` steps of size ``dt``, with the same refusals and guards.  When a
+    ``diagnostics`` dict is supplied it receives the observed ``norm_drift``
+    and ``edge_max``."""
+    (trajectory,) = grid_split_step_runs(initial, [(dt, steps)],
+                                         None if diagnostics is None else [diagnostics])
+    return trajectory

@@ -220,6 +220,19 @@ def test_ladder_action_arguments():
     with pytest.raises(ValueError):
         algebra.ladder_action("a-", "middle", np.ones(4))
     with pytest.raises(ValueError):
-        algebra.ladder_action("a-", KET, np.ones((2, 4)))
+        algebra.ladder_action("a-", KET, np.ones(()))
     with pytest.raises(ValueError):
         algebra.ladder_action("a-", KET, np.ones(1))
+    with pytest.raises(ValueError):
+        algebra.ladder_action("a-", KET, np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("family", [KET, BRA])
+@pytest.mark.parametrize("generator", ["a-", "a+"])
+def test_ladder_action_takes_leading_label_axes(generator, family):
+    coeffs = np.arange(24.0).reshape(2, 3, 4) * (1 + 2j)
+    batch = algebra.ladder_action(generator, family, coeffs)
+    assert batch.shape == coeffs.shape
+    for index in np.ndindex(2, 3):
+        np.testing.assert_array_equal(batch[index],
+                                      algebra.ladder_action(generator, family, coeffs[index]))

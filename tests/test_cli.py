@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -56,9 +57,18 @@ def test_verify_both_sigma_signs(capsys):
 
 
 def test_verify_output_is_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "verify", "--nmax", "16")
-    _, second, _ = run_cli(capsys, "verify", "--nmax", "16")
-    assert first == second
+    # every byte but the eight suites' wall times
+    timed = re.compile(r'"seconds": ([^,\n]+),')
+    texts = []
+    for _ in range(2):
+        _, out, _ = run_cli(capsys, "verify", "--nmax", "16")
+        seconds = [float(s) for s in timed.findall(out)]
+        assert len(seconds) == 8 and all(0.0 < s < math.inf for s in seconds)
+        texts.append(timed.sub('"seconds": S,', out))
+    assert texts[0] == texts[1]
+    _, first, _ = run_cli(capsys, "verify", "--nmax", "16", "--format", "csv")
+    _, second, _ = run_cli(capsys, "verify", "--nmax", "16", "--format", "csv")
+    assert first == second and "seconds" not in first
 
 
 @pytest.mark.parametrize("expression", [
@@ -78,6 +88,8 @@ def test_op_check_failing_identity(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["passed"] is False
+    assert [s["suite"] for s in payload["suites"]] == ["op-check"]
+    assert 0.0 < payload["suites"][0]["seconds"] < math.inf
 
 
 def test_op_check_parse_error_exit_code(capsys):
@@ -397,7 +409,7 @@ def leaking_split_step(*args, **kwargs):
 
 
 def test_verify_grid_failure_is_a_failed_check(capsys, monkeypatch):
-    monkeypatch.setattr(dynamics, "grid_split_step", leaking_split_step)
+    monkeypatch.setattr(dynamics, "grid_split_step_runs", leaking_split_step)
     code, out, err = run_cli(capsys, "verify", "--nmax", "16")
     assert code == 1
     assert err == ""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from iwqm import coherent, verify
-from iwqm.algebra import BRA, BRA_PHASE, KET
+from iwqm.algebra import BRA, BRA_PHASE, KET, ladder_action
 from iwqm.coherent import (
     TAIL_TOLERANCE,
     CoherentState,
@@ -84,7 +84,7 @@ def test_short_truncation_builds_the_closed_form(family, base, sign):
     assert eigen_residual(state) > 1e-3
 
 
-@pytest.mark.parametrize("alpha", [1e200, 1e10j, float("nan")])
+@pytest.mark.parametrize("alpha", [1e200, 1e10j])
 def test_infinite_tail_is_refused(alpha):
     assert tail_bound(alpha, 64) == math.inf
     with warnings.catch_warnings():
@@ -248,18 +248,102 @@ def test_expectation_applies_only_its_observable(monkeypatch, name, actions):
 
 
 def test_uncertainty_product_builds_one_pair(monkeypatch):
-    calls = _count_builds(monkeypatch)
+    # one check of the label and one coefficient pass per family
+    calls = []
+    for name in ("_labels", "_coherent"):
+        original = getattr(coherent, name)
+
+        def counting(*args, original=original, name=name):
+            calls.append(name if name == "_labels" else args[0])
+            return original(*args)
+
+        monkeypatch.setattr(coherent, name, counting)
     uncertainty_product(1 + 0.5j, 64)
-    assert len(calls) == 2
+    assert calls == ["_labels", BRA, KET]
     expectation("p2", 1 + 0.5j, 64)
-    assert len(calls) == 4
+    assert calls == ["_labels", BRA, KET] * 2
+    build_coherent(KET, 1 + 0.5j, 64)
+    assert calls[6:] == ["_labels", KET]
 
 
-def test_coherent_suite_builds_one_pair_per_label(monkeypatch):
+def test_coherent_suite_builds_one_batch_pair(monkeypatch):
     calls = _count_builds(monkeypatch)
     cfg = verify.RunConfig()
     report = verify.coherent_suite(cfg)
     assert report.passed
-    labels = len(verify._alpha_grid(cfg))
-    # one pair at the probe label: the rejected bra phase is its parity image
-    assert len(calls) == 2 * labels + 2
+    # one (labels, dim) pair for the grid and one pair at the probe label:
+    # the rejected bra phase is its parity image
+    assert [(family, np.shape(alpha), dim) for family, alpha, dim in calls] == [
+        (KET, (25,), 64), (BRA, (25,), 64), (KET, (), 64), (BRA, (), 64)]
+    np.testing.assert_array_equal(calls[0][1], verify._alpha_grid(cfg))
+
+
+@pytest.mark.parametrize("family", [KET, BRA])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), complex(0.5, float("inf")),
+                                   complex(float("nan"), 1.0)])
+def test_non_finite_label_is_refused(family, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^label alpha=\(.*\) is not finite$"):
+            build_coherent(family, alpha, 16)
+
+
+def test_a_refused_label_in_a_batch_is_named_by_its_index():
+    nan, big = float("nan"), 1e200
+    with pytest.raises(ValueError, match=r"alpha=\(nan\+0j\) at index 2 is not finite"):
+        build_coherent(KET, [0.5, 1j, nan, big], 16)
+    with pytest.raises(ValueError, match=r"\|alpha\|=1e\+200 at index 1 has coefficients"):
+        build_coherent(BRA, [0.5, big, nan], 16)
+    with pytest.raises(ValueError, match=r"at index \(1, 0\) is not finite"):
+        build_coherent(KET, [[0.5, 1.0], [nan, 0.0]], 16)
+
+
+def _batch_rows_match_alone(alphas, dim: int) -> None:
+    ket, bra = build_coherent(KET, alphas, dim), build_coherent(BRA, alphas, dim)
+    assert ket.coeffs.shape == bra.coeffs.shape == (*np.shape(alphas), dim)
+    pairing, batch_moments = mutual_pairing(bra, ket), moments(bra, ket)
+    residuals = {KET: eigen_residual(ket), BRA: eigen_residual(bra)}
+    for index in np.ndindex(np.shape(alphas)):
+        alpha = complex(np.asarray(alphas)[index])
+        ket_1, bra_1 = build_coherent(KET, alpha, dim), build_coherent(BRA, alpha, dim)
+        assert ket_1.alpha == ket.alpha[index] and isinstance(ket_1.alpha, complex)
+        assert ket.coeffs[index].tobytes() == ket_1.coeffs.tobytes()
+        assert bra.coeffs[index].tobytes() == bra_1.coeffs.tobytes()
+        pairing_1 = mutual_pairing(bra_1, ket_1)
+        assert type(pairing_1) is complex and pairing[index] == pairing_1
+        for family, state in ((KET, ket_1), (BRA, bra_1)):
+            residual = eigen_residual(state)
+            assert type(residual) is float and residuals[family][index] == residual
+        moments_1 = moments(bra_1, ket_1)
+        for name, value in moments_1.items():
+            assert type(value) is complex and batch_moments[name][index] == value
+
+
+@pytest.mark.parametrize("dim", [64, 160])
+def test_label_batch_rows_equal_the_labels_built_alone(dim):
+    # the 25-label grid of the coherent suite, and a 2-d batch with the vacuum
+    for seed in range(4):
+        _batch_rows_match_alone(verify._alpha_grid(verify.RunConfig(seed=seed)), dim)
+    _batch_rows_match_alone(np.array([ALPHAS[:3], ALPHAS[3:]]) * np.array([[1], [0]]), dim)
+
+
+def test_eigen_residual_is_the_norm_of_each_defect():
+    # the batched norm spells out np.linalg.norm's own formula for one vector
+    alphas = verify._alpha_grid(verify.RunConfig(seed=3))
+    for family, gen in ((KET, "a-"), (BRA, "a+")):
+        batch = build_coherent(family, alphas, 64)
+        for i, alpha in enumerate(alphas):
+            state = build_coherent(family, alpha, 64)
+            defect = ladder_action(gen, family, state.coeffs) - state.alpha * state.coeffs
+            assert eigen_residual(batch)[i] == float(np.linalg.norm(defect))
+
+
+def test_pairing_and_moments_refuse_unequal_label_shapes():
+    ket = build_coherent(KET, [0.5, 1.0], 16)
+    bra = build_coherent(BRA, [0.5, 1.0, 1.5], 16)
+    with pytest.raises(ValueError, match="label shape mismatch"):
+        mutual_pairing(bra, ket)
+    with pytest.raises(ValueError, match="label shape mismatch"):
+        moments(bra, ket)
+    with pytest.raises(ValueError, match="one vector per label"):
+        CoherentState(KET, [0.5, 1.0], np.ones(16))

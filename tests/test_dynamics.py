@@ -384,3 +384,95 @@ def test_step_count_is_capped_before_allocating():
         integrate_alpha(1.0, 1.0, 1.0, 1e-15)
     with pytest.raises(ValueError, match="cap"):
         grid_split_step(gaussian_packet(0.5), 1e-3, MAX_STEPS + 1)
+
+
+def unstacked_reference(packet, dt, steps):
+    """The fused loop of one run with allocating one-dimensional FFTs, each
+    block's observables taken at the end: the form the stacked loop replaced."""
+    x, dx = packet.x, packet.dx
+    k = 2.0 * np.pi * np.fft.fftfreq(packet.points, dx)
+    tau = packet.omega * dt
+    u2 = (x * np.sqrt(packet.omega)) ** 2
+    sixth_kick = np.exp((1j * tau / 12.0) * u2)
+    outer_kick = sixth_kick * sixth_kick
+    middle_kick = np.exp((1j * tau / 3.0) * (1.0 + tau ** 2 / 24.0) * u2)
+    kinetic = np.exp(-0.25j * dt * k * k)
+    states = [np.conj(sixth_kick) * packet.psi]
+    for _ in range(steps):
+        phi = np.fft.ifft(kinetic * np.fft.fft(outer_kick * states[-1]))
+        states.append(np.fft.ifft(kinetic * np.fft.fft(middle_kick * phi)))
+    rows = max(1, min(steps + 1, dynamics.BLOCK_BYTES // packet.psi.nbytes))
+    return np.concatenate([kernels.grid_observables(np.array(states[at:at + rows]), x, dx)[1]
+                           for at in range(0, steps + 1, rows)])
+
+
+@pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])
+def test_stacked_runs_equal_the_runs_made_alone(omega):
+    packet = gaussian_packet(0.5 * np.sqrt(omega), omega, t_final=1.5 / omega)
+    # the correspondence pair, a run longer than one block, and an equal-length pair
+    runs = [(5e-2 / omega, 30), (2.5e-2 / omega, 60), (1e-3 / omega, 1500),
+            (3e-2 / omega, 50), (2e-2 / omega, 50)]
+    diagnostics = [{} for _ in runs]
+    stacked = dynamics.grid_split_step_runs(packet, runs, diagnostics)
+    assert len(stacked) == len(runs)
+    for (dt, steps), trajectory, diagnostic in zip(runs, stacked, diagnostics):
+        alone_diagnostics = {}
+        alone = grid_split_step(packet, dt, steps, diagnostics=alone_diagnostics)
+        assert trajectory.times.tobytes() == alone.times.tobytes()
+        assert trajectory.values.tobytes() == alone.values.tobytes()
+        assert diagnostic == alone_diagnostics and set(diagnostic) == {"norm_drift", "edge_max"}
+        expected = unstacked_reference(packet, dt, steps)
+        assert trajectory.values.real.tobytes() == expected.tobytes()
+
+
+def test_a_guard_tripping_in_one_row_names_the_step_of_the_run_alone():
+    # a grid sized for t = 0.1: the short run stays inside it, the long one leaks
+    short = gaussian_packet(0.5, t_final=0.1)
+    runs = [(1e-3, 100), (5e-2, 60)]
+    with pytest.raises(GridLeakError) as alone:
+        grid_split_step(short, *runs[1])
+    grid_split_step(short, *runs[0])
+    for order in (runs, runs[::-1]):
+        with pytest.raises(GridLeakError) as stacked:
+            dynamics.grid_split_step_runs(short, order)
+        assert str(stacked.value) == str(alone.value)
+    assert 0 < int(str(alone.value).rsplit(" ", 1)[1]) < 60
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3, 1e300,
+                                1.2e154])
+def test_grid_split_step_refuses_a_bad_dt_before_stepping(monkeypatch, dt):
+    observed = []
+    monkeypatch.setattr(dynamics, "grid_observables",
+                        lambda *args: observed.append(args) or kernels.grid_observables(*args))
+    packet = gaussian_packet(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite and positive|overflows"):
+            grid_split_step(packet, dt, 3)
+        with pytest.raises(ValueError, match="finite and positive|overflows"):
+            dynamics.grid_split_step_runs(packet, [(1e-3, 3), (dt, 3)])
+    assert observed == []
+
+
+@pytest.mark.parametrize("column, error", [(0, NormDriftError), (2, GridLeakError)])
+def test_guards_fail_on_a_nan_observable(monkeypatch, column, error):
+    def nan_at_step_2(states, x, dx):
+        values = list(kernels.grid_observables(states, x, dx))
+        values[column] = values[column].copy()
+        values[column][2] = np.nan
+        return tuple(values)
+
+    monkeypatch.setattr(dynamics, "grid_observables", nan_at_step_2)
+    with pytest.raises(error, match=r"nan exceeds .* at step 2$"):
+        grid_split_step(gaussian_packet(0.5), 1e-3, 5)
+
+
+def test_grid_split_step_runs_arguments():
+    packet = gaussian_packet(0.5)
+    with pytest.raises(ValueError, match="at least one"):
+        dynamics.grid_split_step_runs(packet, [])
+    with pytest.raises(ValueError, match="diagnostics"):
+        dynamics.grid_split_step_runs(packet, [(1e-3, 3), (1e-3, 4)], [{}])
+    with pytest.raises(ValueError, match="steps"):
+        dynamics.grid_split_step_runs(packet, [(1e-3, 3), (1e-3, 0)])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import types
 import warnings
 
 import numpy as np
@@ -74,11 +75,24 @@ def test_report_dict_schema(default_suites):
                                         "MKL_NUM_THREADS"}
     assert env["seed"] == cfg.seed
     assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
-    for suite in payload["suites"]:
-        assert set(suite) == {"suite", "passed", "checks"}
+    for suite, report in zip(payload["suites"], default_suites, strict=True):
+        assert list(suite) == ["suite", "passed", "seconds", "checks"]
+        assert type(suite["seconds"]) is float and suite["seconds"] == report.seconds > 0.0
         for check in suite["checks"]:
             assert set(check) == {"name", "anchor", "residual", "tolerance", "passed"}
             assert check["residual"] <= check["tolerance"]
+
+
+def test_run_all_records_each_suite_wall_time(monkeypatch):
+    clock = iter([10.0, 10.25, 11.0, 13.5])
+    monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    monkeypatch.setattr(verify, "_SUITES", (verify.spectrum_suite, verify.decay_suite))
+    reports = run_all(RunConfig())
+    assert [(r.suite, r.seconds) for r in reports] == [("spectrum", 0.25), ("decay", 2.5)]
+    assert verify.SuiteReport("op-check").seconds == 0.0
+    assert [c["seconds"] for c in report_dict(RunConfig(), reports)["suites"]] == [0.25, 2.5]
+    assert report_csv_lines(reports) == report_csv_lines(
+        [dataclasses.replace(r, seconds=0.0) for r in reports])
 
 
 def test_report_environment_records_the_blas_variables_as_set(monkeypatch):
