@@ -34,7 +34,6 @@ from .dynamics import (
     classical_orbit,
     gaussian_packet,
     grid_split_step,
-    grid_split_step_runs,
     integrate_alpha,
     propagate_fock,
     schrodinger_residual,

@@ -83,9 +83,7 @@ class CoherentState:
 
     def __post_init__(self):
         alpha = self.alpha
-        if type(alpha) is complex:  # the one-label states build_coherent makes
-            shape = ()
-        elif isinstance(alpha, (complex, float, int)):
+        if isinstance(alpha, (complex, float, int)):
             alpha, shape = complex(alpha), ()
         else:
             alpha = np.array(alpha, dtype=complex)
@@ -145,8 +143,7 @@ def _coherent(family: str, alpha: np.ndarray, labels: list[complex], dim: int) -
     sign = 0.5j if family == KET else -0.5j
     phases = [cmath.exp(sign * abs(a) ** 2) for a in labels]
     ratios[..., 0] = np.reshape(phases, alpha.shape) if alpha.ndim else phases[0]
-    # alpha[()] is a scalar for one label, whose product takes no ufunc call
-    base = alpha if family == KET else BRA_PHASE * alpha[()]
+    base = alpha if family == KET else BRA_PHASE * alpha
     ratios[..., 1:] = base[..., None] / ladder_band(dim)
     return CoherentState(family, alpha if alpha.ndim else labels[0], ratios.cumprod(axis=-1))
 

@@ -282,6 +282,7 @@ def test_coherent_suite_builds_one_batch_pair(monkeypatch):
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), complex(0.5, float("inf")),
                                    complex(float("nan"), 1.0)])
 def test_non_finite_label_is_refused(family, alpha):
+    assert tail_bound(alpha, 16) == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^label alpha=\(.*\) is not finite$"):
