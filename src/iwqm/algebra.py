@@ -19,8 +19,8 @@ vectors the roles of the two generators swap and each step carries
 ``BRA_LADDER_PHASE``).  No function takes another bra phase: the
 opposite one obeys the same ladder algebra, but what it builds is the
 parity image P c = (-1)^n c of what ``BRA_PHASE`` builds, and
-:mod:`iwqm.verify` tests that image.  It imports no other module of the
-package.  Every named operator (n, H, x, p and the SU(1,1) generators)
+:func:`iwqm.coherent.determine_bra_phase` tests that image.  It imports
+no other module of the package.  Every named operator (n, H, x, p and the SU(1,1) generators)
 is defined once, as a normal-ordered form, in :mod:`iwqm.expressions`;
 operator identities are checked there, word by word, and
 :func:`iwqm.expressions.to_matrix` writes a form's leading block.

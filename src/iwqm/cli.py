@@ -19,6 +19,12 @@ Output is deterministic for a fixed configuration, apart from the
 suites' wall times (``"seconds"``) in a JSON report; the environment
 variable ``IWQM_SEED`` (default 0), read by ``verify`` and ``op-check``
 only, seeds the sampled label grid.
+
+Each handler imports the modules it runs when it runs, and looks their
+functions up then: ``dump eigenfunction`` loads ``algebra`` and
+``eigenfunctions`` of the package, and nothing of ``verify``.  The help
+of ``verify`` and ``op-check`` quotes limits of ``verify`` and
+``expressions``, so it is written when it is printed.
 """
 
 from __future__ import annotations
@@ -29,39 +35,14 @@ import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import BRA, KET
-from .coherent import (
-    STATE_TOLERANCE,
-    TAIL_TOLERANCE,
-    Uncertainty,
-    build_coherent,
-    eigen_residual,
-    moments,
-    mutual_pairing,
-    tail_bound,
-)
-from .dynamics import (
-    EXP_GUARD,
-    classical_orbit,
-    gaussian_packet,
-    grid_split_step,
-    integrate_alpha,
-    propagate_fock,
-    step_count,
-)
-from .eigenfunctions import eigenfunction, evaluate
-from .expressions import (
-    MAX_DEGREE,
-    MAX_NESTING,
-    ExpressionParseError,
-    equation_residual,
-)
-from .quadrature import GRAM_TOLERANCE, default_node_count, gram_matrix
-from .verify import (REGION, RunConfig, SuiteReport, determine_bra_phase, report_csv_lines,
-                     report_dict, run_all)
+
+if TYPE_CHECKING:
+    from .verify import RunConfig, SuiteReport
 
 
 #: Largest level ``dump eigenfunction`` evaluates: each recurrence step costs
@@ -98,8 +79,35 @@ _COMMON = {
 }
 
 
-#: The help of the two commands that build a ``RunConfig``.
-_REGION = f"Outside the region {REGION}, where every check of verify holds, it exits 2."
+class _Parser(argparse.ArgumentParser):
+    """A parser whose description may be a function, called when the help is
+    printed: parsing a command's arguments loads no module to describe another."""
+
+    def format_help(self) -> str:
+        if callable(self.description):
+            self.description = self.description()
+        return super().format_help()
+
+
+def _region() -> str:
+    """The help of the two commands that build a ``RunConfig``."""
+    from .verify import REGION
+
+    return f"Outside the region {REGION}, where every check of verify holds, it exits 2."
+
+
+def _verify_description() -> str:
+    return f"Run every suite and report each check.  {_region()}"
+
+
+def _op_check_description() -> str:
+    from .expressions import MAX_DEGREE, MAX_NESTING
+
+    return (f"Check LHS == RHS in normal order on the leading nmax block.  A product may "
+            f"reach degree {MAX_DEGREE} in a- and a+; a larger one is a usage error.  "
+            f"Parentheses, adj and comm arguments and unary signs may nest {MAX_NESTING} "
+            f"deep; deeper is a parse error.  H and the configuration are verify's.  "
+            f"{_region()}")
 
 
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -108,22 +116,16 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="iwqm",
-                                     description="inverted-well quantum mechanics toolkit")
+    parser = _Parser(prog="iwqm", description="inverted-well quantum mechanics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run all verification suites",
-                              description=f"Run every suite and report each check.  {_REGION}")
+                              description=_verify_description)
     _add_common(p_verify, "nmax", "omega", "format")
     p_verify.set_defaults(handler=cmd_verify)
 
     p_op = sub.add_parser("op-check", help="check an operator identity LHS == RHS",
-                          description=f"Check LHS == RHS in normal order on the leading nmax "
-                                      f"block.  A product may reach degree {MAX_DEGREE} in a- "
-                                      f"and a+; a larger one is a usage error.  Parentheses, "
-                                      f"adj and comm arguments and unary signs may nest "
-                                      f"{MAX_NESTING} deep; deeper is a parse error.  H and the "
-                                      f"configuration are verify's.  {_REGION}")
+                          description=_op_check_description)
     p_op.add_argument("expression", type=str)
     _add_common(p_op, "nmax", "omega", "tol", "format")
     p_op.set_defaults(handler=cmd_op_check)
@@ -172,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The suites' configuration: the report options and ``IWQM_SEED``."""
+    from .verify import RunConfig
+
     text = os.environ.get("IWQM_SEED", "0")
     try:
         seed = int(text)
@@ -183,6 +187,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _render_report(args: argparse.Namespace, cfg: RunConfig, suites: list[SuiteReport]) -> int:
+    from .verify import report_csv_lines, report_dict
+
     if args.fmt == "json":
         _emit(json.dumps(report_dict(cfg, suites), indent=2), args.out)
     else:
@@ -191,11 +197,16 @@ def _render_report(args: argparse.Namespace, cfg: RunConfig, suites: list[SuiteR
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_all
+
     cfg = config_from_args(args)
     return _render_report(args, cfg, run_all(cfg))
 
 
 def cmd_op_check(args: argparse.Namespace) -> int:
+    from .expressions import equation_residual
+    from .verify import SuiteReport
+
     cfg = config_from_args(args)
     if not 0 < args.tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {args.tol!r}")
@@ -207,6 +218,8 @@ def cmd_op_check(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_eigenfunction(args: argparse.Namespace) -> int:
+    from .eigenfunctions import eigenfunction, evaluate
+
     if not math.isfinite(args.xmax - args.xmin):
         raise ValueError(f"need finite xmin, xmax and xmax - xmin, "
                          f"got {args.xmin!r}, {args.xmax!r}")
@@ -228,6 +241,8 @@ def cmd_dump_eigenfunction(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_gram(args: argparse.Namespace) -> int:
+    from .quadrature import GRAM_TOLERANCE, default_node_count, gram_matrix
+
     gram = gram_matrix(args.nmax)
     lines = [",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in gram]
     _emit("\n".join(lines), args.out)
@@ -239,6 +254,10 @@ def cmd_dump_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_coherent(args: argparse.Namespace) -> int:
+    from .coherent import (STATE_TOLERANCE, TAIL_TOLERANCE, Uncertainty, build_coherent,
+                           determine_bra_phase, eigen_residual, moments, mutual_pairing,
+                           tail_bound)
+
     alpha = complex(args.alpha_re, args.alpha_im)
     ket = build_coherent(KET, alpha, args.nmax)
     bra = build_coherent(BRA, alpha, args.nmax)
@@ -267,6 +286,9 @@ def cmd_dump_coherent(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_evolve(args: argparse.Namespace) -> int:
+    from .dynamics import (classical_orbit, gaussian_packet, grid_split_step, integrate_alpha,
+                           step_count)
+
     if not 0 < args.omega < math.inf:  # before the default dt divides by it
         raise ValueError(f"omega must be finite and positive, got {args.omega!r}")
     if not math.isfinite(args.v):
@@ -292,6 +314,8 @@ def cmd_dump_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_decay(args: argparse.Namespace) -> int:
+    from .dynamics import EXP_GUARD, propagate_fock, step_count
+
     steps = step_count(args.tfinal, args.dt)
     exponent = (args.n + 0.5) * args.omega * (steps * args.dt)
     if exponent > EXP_GUARD:
@@ -315,11 +339,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ExpressionParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
+        # an ExpressionParseError exists only once its module is loaded
+        expressions = sys.modules.get(f"{__package__}.expressions")
+        parse = expressions is not None and isinstance(err, expressions.ExpressionParseError)
+        print(f"{'parse' if parse else 'usage'} error: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, OverflowError, MemoryError) as err:
         print(f"runtime error: {err}", file=sys.stderr)

@@ -10,15 +10,16 @@ generator acting on the bra family.  In the truncated Fock frame
 with the bra phase i = :data:`iwqm.algebra.BRA_PHASE`, which satisfies the
 eigenvalue equation and the mutual normalization <alpha|alpha> = 1
 together; the opposite phase would build the parity image (-1)^n c_n,
-which fails both.
+which fails both.  :func:`determine_bra_phase` tests both phases at
+``PROBE_LABEL`` and names the one that passes.
 
 A state is a coefficient vector with its family and label
 (:class:`CoherentState`), or a batch of them: an array of labels, with
 one vector per label along the last axis of the coefficients.
-:func:`build_coherent`, :func:`eigen_residual`, :func:`mutual_pairing`
-and :func:`moments` take the leading label axes as they come and return
-one value per label, a Python scalar for a single label; each row of a
-batch equals its label built alone bit for bit.  The dual pairing of a
+:func:`build_coherent`, :func:`eigen_residual`, :func:`mutual_pairing`,
+:func:`moments` and :func:`tail_bound` take the leading label axes as
+they come and return one value per label, a Python scalar for a single
+label; each row of a batch equals its label built alone bit for bit.  The dual pairing of a
 bra with a ket is the plain sum_n conj(bra_n) ket_n, so
 :func:`mutual_pairing` is ``np.vecdot`` over the last axis behind the
 family, dimension and label-shape check.  Expectation values
@@ -57,18 +58,34 @@ TAIL_TOLERANCE = 1e-12
 #: The bound of |<alpha|alpha> - 1| and the eigen residuals (verify, ``dump coherent``).
 STATE_TOLERANCE = 1e-10
 
+#: Label at which :func:`determine_bra_phase` tests the two bra phases.
+PROBE_LABEL = 1.0 + 0.5j
+
+#: Truncation of the bra-phase probe and of every coherent state that
+#: ``iwqm verify`` builds: each of its labels has |alpha| <= 2, so the first
+#: dropped coefficient is below 1e-24.
+PROBE_DIM = 64
+
 #: Largest coefficient :func:`build_coherent` builds.  The moments sum products of
 #: coefficients and the variances square moments: ``dump coherent`` overflows from a
 #: largest coefficient of 1e76.4 (dim 355) to 1e83.5 (dim 1000 up), over 32 phases.
 MAX_COEFFICIENT = 1e75
 
 
-def tail_bound(alpha: complex, dim: int) -> float:
+def tail_bound(alpha, dim: int):
     """|alpha|^dim / sqrt(dim!), the magnitude scale of the first dropped coefficient,
-    computed in logarithms so that no large dim overflows."""
-    if alpha == 0:
+    computed in logarithms so that no large dim overflows: a float for one label,
+    else an array with one bound per label of ``alpha``."""
+    alpha = np.asarray(alpha, dtype=complex)
+    bounds = [_tail(abs(a), dim) for a in alpha.ravel().tolist()]
+    return _per_label(np.reshape(bounds, alpha.shape))
+
+
+def _tail(r: float, dim: int) -> float:
+    """:func:`tail_bound` of one label of magnitude r: inf for a non-finite r."""
+    if r == 0:
         return 0.0 if dim > 0 else 1.0
-    log_tail = dim * math.log(abs(alpha)) - 0.5 * math.lgamma(dim + 1)
+    log_tail = dim * math.log(r) - 0.5 * math.lgamma(dim + 1)
     return math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
@@ -300,6 +317,38 @@ def uncertainty_product(alpha: complex, dim: int = 64) -> Uncertainty:
 
     The individual deviations are complex (and carry the branch
     convention of the square root); the assertable physics is the pair
-    of variances -i/2, +i/2 and the real product 1/2.
+    of variances -i/2, +i/2 and the real product 1/2.  It takes one label;
+    :func:`moments` of a built batch serves many.
     """
+    if np.ndim(alpha):
+        raise ValueError(f"uncertainty_product takes one label alpha, got an array of shape "
+                         f"{np.shape(alpha)}")
     return Uncertainty.from_moments(moments(*_pair(alpha, dim)))
+
+
+def _passing_phases(phase: complex, test, value) -> list[str]:
+    """The names of ``phase`` and of ``-phase``, in that order, for which ``test``
+    holds of ``value`` and of its parity image (-1)^n value[n], which the opposite
+    bra phase builds in its place (and a ladder step of opposite phase sees)."""
+    image = np.array(value)
+    image[1::2] *= -1
+    return ["+i" if p == 1j else "-i" for p, v in ((phase, value), (-phase, image)) if test(v)]
+
+
+def _bra_coherent_phases() -> list[str]:
+    """The bra coherent phases, ``BRA_PHASE`` and then its opposite, that give
+    <alpha|alpha> = 1 and solve the eigenvalue equation at the probe label."""
+    ket = build_coherent(KET, PROBE_LABEL, PROBE_DIM)
+    bra = build_coherent(BRA, PROBE_LABEL, PROBE_DIM)
+
+    def test(coeffs: np.ndarray) -> bool:
+        state = CoherentState(BRA, PROBE_LABEL, coeffs)
+        return (abs(mutual_pairing(state, ket) - 1.0) <= STATE_TOLERANCE
+                and eigen_residual(state) <= STATE_TOLERANCE)
+    return _passing_phases(BRA_PHASE, test, bra.coeffs)
+
+
+def determine_bra_phase() -> str:
+    """Name the bra coherent coefficient phase that passes both conditions;
+    the convention does not depend on a caller's truncation."""
+    return (_bra_coherent_phases() or ["none"])[0]

@@ -114,10 +114,13 @@ class GridState:
     def __post_init__(self):
         if self.points < 2 or self.points & (self.points - 1):
             raise ValueError(f"points must be a power of two, got {self.points}")
+        for name in ("x_min", "x_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
         arr = np.array(self.psi, dtype=complex)
         if arr.shape != (self.points,):
             raise ValueError(f"psi must have shape ({self.points},), got {arr.shape}")

@@ -4,7 +4,8 @@ Each suite bundles named checks; a check records the mathematical
 identity it probes (``anchor``), the measured residual, the tolerance it
 was held to, and the verdict.  Every tolerance is fixed here; no
 setting of :class:`RunConfig` widens one.  The coherent-state checks
-build every label at one truncation, ``_PROBE_DIM``, whatever nmax is.
+build every label at one truncation, :data:`iwqm.coherent.PROBE_DIM`,
+whatever nmax is.
 
 The operator identities (the algebra suite and the Heisenberg equations
 of the correspondence suite) are tables of pairs of normal-ordered forms
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import algebra, coherent, dynamics, eigenfunctions, expressions, quadrature
 from .algebra import BRA, KET
+from .coherent import determine_bra_phase
 from .expressions import (
     A_MINUS,
     A_PLUS,
@@ -254,13 +256,6 @@ def nonlocalization_suite(cfg: RunConfig) -> SuiteReport:
     return report
 
 
-#: Label at which the bra phases are determined.
-_PROBE_LABEL = 1.0 + 0.5j
-#: Truncation of every coherent state the suites build: every label has
-#: |alpha| <= 2, so the first dropped coefficient is below 1e-24.
-_PROBE_DIM = 64
-
-
 def _alpha_grid(cfg: RunConfig, count: int = 25, radius: float = 2.0) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
@@ -270,7 +265,7 @@ def _alpha_grid(cfg: RunConfig, count: int = 25, radius: float = 2.0) -> np.ndar
 
 def coherent_suite(cfg: RunConfig) -> SuiteReport:
     """Mutual normalization, eigenvalue equations, variances, minimum uncertainty,
-    for each sampled label at the truncation ``_PROBE_DIM``.
+    for each sampled label at the truncation ``PROBE_DIM``.
 
     Also determines which bra coefficient phase (+i or -i) is consistent:
     exactly one must satisfy the eigenvalue equation and the mutual
@@ -279,8 +274,8 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
     """
     report = SuiteReport("coherent")
     alphas = _alpha_grid(cfg)
-    ket = coherent.build_coherent(KET, alphas, _PROBE_DIM)
-    bra = coherent.build_coherent(BRA, alphas, _PROBE_DIM)
+    ket = coherent.build_coherent(KET, alphas, coherent.PROBE_DIM)
+    bra = coherent.build_coherent(BRA, alphas, coherent.PROBE_DIM)
     eig_res_ket = float(np.max(coherent.eigen_residual(ket)))
     eig_res_bra = float(np.max(coherent.eigen_residual(bra)))
     # the per-label reductions run on Python complexes, as for one label:
@@ -306,7 +301,7 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
     report.add("uncertainty_product", "dx dp = 1/2", product_res, 1e-10)
 
     report.add("bra_phase_unique", "exactly one bra phase satisfies both conditions",
-               0.0 if len(_bra_coherent_phases()) == 1 else 1.0, 0.0)
+               0.0 if len(coherent._bra_coherent_phases()) == 1 else 1.0, 0.0)
     return report
 
 
@@ -411,34 +406,6 @@ _SUITES = (
 )
 
 
-def _passing_phases(phase: complex, test, value) -> list[str]:
-    """The names of ``phase`` and of ``-phase``, in that order, for which ``test``
-    holds of ``value`` and of its parity image (-1)^n value[n], which the opposite
-    bra phase builds in its place (and a ladder step of opposite phase sees)."""
-    image = np.array(value)
-    image[1::2] *= -1
-    return ["+i" if p == 1j else "-i" for p, v in ((phase, value), (-phase, image)) if test(v)]
-
-
-def _bra_coherent_phases() -> list[str]:
-    """The bra coherent phases, ``BRA_PHASE`` and then its opposite, that give
-    <alpha|alpha> = 1 and solve the eigenvalue equation at the probe label."""
-    ket = coherent.build_coherent(KET, _PROBE_LABEL, _PROBE_DIM)
-    bra = coherent.build_coherent(BRA, _PROBE_LABEL, _PROBE_DIM)
-
-    def test(coeffs: np.ndarray) -> bool:
-        state = coherent.CoherentState(BRA, _PROBE_LABEL, coeffs)
-        return (abs(coherent.mutual_pairing(state, ket) - 1.0) <= coherent.STATE_TOLERANCE
-                and coherent.eigen_residual(state) <= coherent.STATE_TOLERANCE)
-    return _passing_phases(algebra.BRA_PHASE, test, bra.coeffs)
-
-
-def determine_bra_phase() -> str:
-    """Name the bra coherent coefficient phase that passes both conditions;
-    the convention does not depend on a caller's truncation."""
-    return (_bra_coherent_phases() or ["none"])[0]
-
-
 def _dual_signs() -> np.ndarray:
     """r_n with bra_n = r_n conj(ket_n) for the levels 0-8 that
     :func:`iwqm.eigenfunctions.evaluate` returns on [-4, 4], NaN where neither
@@ -469,13 +436,15 @@ def conventions() -> dict:
     pairs = [(adjoint(a), a) for a in (position_expression(), momentum_expression())]
     signs = [f"{s:+d}" for s, parity in ((sign, 1), (-sign, -1)) if all(
         identity_residual({(j, k): c * parity ** (j + k) for (j, k), c in adj.items()}, a,
-                          _PROBE_DIM) <= 1e-12 for adj, a in pairs)]
-    bra = coherent.build_coherent(BRA, _PROBE_LABEL, _PROBE_DIM)
-    ladder = _passing_phases(algebra.BRA_LADDER_PHASE, lambda c: coherent.eigen_residual(
-        coherent.CoherentState(BRA, _PROBE_LABEL, c)) <= coherent.STATE_TOLERANCE, bra.coeffs)
+                          coherent.PROBE_DIM) <= 1e-12 for adj, a in pairs)]
+    probe = coherent.PROBE_LABEL
+    bra = coherent.build_coherent(BRA, probe, coherent.PROBE_DIM)
+    ladder = coherent._passing_phases(
+        algebra.BRA_LADDER_PHASE, lambda c: coherent.eigen_residual(
+            coherent.CoherentState(BRA, probe, c)) <= coherent.STATE_TOLERANCE, bra.coeffs)
     r = _dual_signs()
     gram = r[:, None] * quadrature.gram_matrix(8)
-    dual = (_passing_phases(1j, lambda v: bool(np.all(v == 1.0)), r)
+    dual = (coherent._passing_phases(1j, lambda v: bool(np.all(v == 1.0)), r)
             if _max_abs(gram - np.eye(9)) <= quadrature.GRAM_TOLERANCE else [])
     return {
         "adjoint_sigma": (signs or ["none"])[0],

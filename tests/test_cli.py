@@ -7,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from iwqm import cli, dynamics
+from iwqm import cli, dynamics, quadrature
 from iwqm.algebra import BRA, KET
 from iwqm.cli import main
 from iwqm.coherent import MAX_COEFFICIENT
 from iwqm.expressions import MAX_DEGREE, MAX_NESTING
+from iwqm.verify import REGION
 
 
 def run_cli(capsys, *argv):
@@ -226,7 +227,7 @@ def test_dump_gram_failed_check_exits_1(capsys, monkeypatch):
     def broken(nmax):
         return 1.5 * np.eye(nmax + 1, dtype=complex)
 
-    monkeypatch.setattr(cli, "gram_matrix", broken)
+    monkeypatch.setattr(quadrature, "gram_matrix", broken)
     code, out, _ = run_cli(capsys, "dump", "gram", "--nmax", "8")
     assert code == 1
     assert json.loads(out.strip().splitlines()[-1])["passed"] is False
@@ -428,7 +429,7 @@ def overflowing_split_step(*args, **kwargs):
     (overflowing_split_step, "exponent inf exceeds the overflow guard 700.0")],
     ids=["leak", "overflow"])
 def test_runtime_error_exits_1_with_one_line(capsys, monkeypatch, step, message):
-    monkeypatch.setattr(cli, "grid_split_step", step)
+    monkeypatch.setattr(dynamics, "grid_split_step", step)
     code, _, err = run_cli(capsys, "dump", "evolve", "--grid", "--tfinal", "0.05")
     assert code == 1
     assert err == f"runtime error: {message}\n"
@@ -639,6 +640,13 @@ def test_op_check_refuses_a_product_over_the_degree_cap(capsys, degree):
         assert (code, out) == (2, "")
         assert err == (f"usage error: a product of degree {degree} exceeds the normal-order "
                        f"cap of {MAX_DEGREE}\n")
+
+
+def test_verify_help_states_the_region(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert f"region {REGION}," in " ".join(capsys.readouterr().out.split())
 
 
 def test_op_check_help_states_the_degree_cap(capsys):

@@ -163,6 +163,23 @@ def test_variances_and_minimum_uncertainty(alpha):
     assert abs((unc.dx * unc.dp).imag) <= 1e-10
 
 
+def test_tail_bound_takes_the_label_axis():
+    labels = np.array([[0.0, 1.5 + 0.5j, 1e200], [np.nan, -0.7 + 1.1j, 2.0]])
+    bounds = tail_bound(labels, 47)
+    assert bounds.shape == labels.shape
+    # each entry is the bound of its label alone, bit for bit
+    assert bounds.tolist() == [[tail_bound(complex(a), 47) for a in row] for row in labels]
+    assert bounds[0, 0] == 0.0 and bounds[0, 2] == bounds[1, 0] == math.inf
+    assert type(tail_bound(1.5 + 0.5j, 47)) is float
+    assert tail_bound(np.array(1.5 + 0.5j), 47) == tail_bound(1.5 + 0.5j, 47)
+
+
+def test_uncertainty_product_refuses_a_label_array():
+    with pytest.raises(ValueError, match=r"^uncertainty_product takes one label alpha, got an "
+                                         r"array of shape \(2,\)$"):
+        uncertainty_product(np.array([0.5, 1j]), 16)
+
+
 def test_uncertainty_roots_are_principal():
     unc = uncertainty_product(0.5 + 0.5j, 64)
     assert unc.dx == pytest.approx(np.sqrt(-0.5j), abs=1e-10)

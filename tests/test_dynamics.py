@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -225,6 +227,17 @@ def test_grid_state_validation():
         GridState(-1.0, 1.0, 128, np.zeros(64), 1.0)
     with pytest.raises(ValueError):
         GridState(-1.0, 1.0, 128, np.zeros(128), 0.0)
+
+
+@pytest.mark.parametrize("edges, omega, message", [
+    ((math.nan, 1.0), 1.0, "x_min must be finite, got nan"),
+    ((-math.inf, 1.0), 1.0, "x_min must be finite, got -inf"),
+    ((-1.0, math.inf), 1.0, "x_max must be finite, got inf"),
+    ((-1.0, 1.0), math.inf, "omega must be finite and positive, got inf"),
+])
+def test_grid_state_refuses_non_finite_edges_and_omega(edges, omega, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GridState(*edges, 8, np.ones(8), omega)
 
 
 def test_trajectory_validation():

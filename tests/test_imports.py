@@ -4,11 +4,14 @@ modules import each other in fixed layers.
 There is no linter in the toolchain, so this parses the sources with
 ``ast``: a name bound by an import and never read as a name anywhere in
 the module (an attribute read such as ``np.sqrt`` reads ``np``) is a
-leftover of a deletion.  ``__init__.py`` is left out, since its imports
-are the package's public names.
+leftover of a deletion.  ``__init__.py`` is left out: it imports no
+module of the package, and reads each public name from its module on
+first use.  A fresh process shows which modules each command loads.
 """
 
 import ast
+import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,75 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: The child of ``test_each_command_loads_only_its_modules``: runs each
+#: command through ``main`` after dropping every ``iwqm`` module, so each
+#: starts from a fresh ``import iwqm.cli``, and prints per command its exit
+#: code, the ``iwqm`` modules then loaded and the ``numpy`` modules loaded so
+#: far (``dump eigenfunction`` runs first, so its list is its own).
+IMPORT_SETS_CHILD = r'''
+import contextlib, io, json, sys
+COMMANDS = {
+    "eigenfunction": ["dump", "eigenfunction"],
+    "coherent": ["dump", "coherent"],
+    "gram": ["dump", "gram", "--nmax", "8"],
+    "evolve": ["dump", "evolve", "--tfinal", "0.01"],
+    "decay": ["dump", "decay", "--tfinal", "0.05"],
+    "verify": ["verify", "--nmax", "8"],
+    "op-check": ["op-check", "a- == a-", "--nmax", "4"],
+}
+report = {}
+for name, argv in COMMANDS.items():
+    for module in [m for m in sys.modules if m.split(".")[0] == "iwqm"]:
+        del sys.modules[module]
+    from iwqm.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    report[name] = {"code": code,
+                    "iwqm": sorted(m for m in sys.modules if m.split(".")[0] == "iwqm"),
+                    "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy")}
+print(json.dumps(report))
+'''
+
+_EVERY_MODULE = ["iwqm", *(f"iwqm.{p.stem}" for p in MODULES)]
+
+#: The package modules each command loads, from a fresh process.
+IMPORT_SETS = {
+    "eigenfunction": ["iwqm", "iwqm.algebra", "iwqm.cli", "iwqm.eigenfunctions"],
+    "coherent": ["iwqm", "iwqm.algebra", "iwqm.cli", "iwqm.coherent"],
+    "gram": ["iwqm", "iwqm.algebra", "iwqm.cli", "iwqm.eigenfunctions", "iwqm.quadrature"],
+    # dynamics binds its kernels at import
+    "evolve": ["iwqm", "iwqm.algebra", "iwqm.cli", "iwqm.dynamics", "iwqm.kernels"],
+    "decay": ["iwqm", "iwqm.algebra", "iwqm.cli", "iwqm.dynamics", "iwqm.kernels"],
+    "verify": sorted(_EVERY_MODULE),
+    "op-check": sorted(_EVERY_MODULE),
+}
+
+
+def test_each_command_loads_only_its_modules(run_capped):
+    done = run_capped("-c", IMPORT_SETS_CHILD)
+    assert done.returncode == 0, done.stderr[-4000:]
+    report = json.loads(done.stdout)
+    assert {name: r["code"] for name, r in report.items()} == dict.fromkeys(IMPORT_SETS, 0)
+    assert {name: r["iwqm"] for name, r in report.items()} == IMPORT_SETS
+    # numpy's lazy submodules stay unloaded: numpy.random costs about 13 ms
+    eigenfunction_numpy = report["eigenfunction"]["numpy"]
+    assert "numpy.linalg" in eigenfunction_numpy
+    assert not [m for m in eigenfunction_numpy
+                if m.startswith(("numpy.random", "numpy.polynomial"))]
+
+
+def test_public_names_resolve_to_their_modules_objects():
+    assert len(iwqm.__all__) == len(set(iwqm.__all__)) == 51
+    for name, module in iwqm._EXPORTS.items():
+        assert getattr(iwqm, name) is getattr(importlib.import_module(f"iwqm.{module}"), name)
+    namespace = {}
+    exec("from iwqm import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(iwqm.__all__)
+    assert set(dir(iwqm)) >= set(iwqm.__all__) | {"__version__"}
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'iwqm' has no attribute 'no_such_name'"):
+        iwqm.no_such_name

@@ -64,7 +64,7 @@ def test_unread_private_names_are_found():
 
 def test_the_package_has_private_names():
     assert "_product" in private_definitions(TREES["expressions"])
-    assert "_passing_phases" in private_definitions(TREES["verify"])
+    assert "_passing_phases" in private_definitions(TREES["coherent"])
 
 
 def test_every_private_name_is_read_in_the_package():

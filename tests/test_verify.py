@@ -125,8 +125,8 @@ def _bra_ladder_phases() -> list[str]:
     """The bra ladder step phases, the one in force and its opposite, under
     which the bra coherent state built at the probe label solves
     a+ |alpha>_l = alpha |alpha>_l; the opposite one acts on its parity image."""
-    bra = coherent.build_coherent(BRA, verify._PROBE_LABEL, 64)
-    return list(verify._passing_phases(
+    bra = coherent.build_coherent(BRA, coherent.PROBE_LABEL, 64)
+    return list(coherent._passing_phases(
         algebra.BRA_LADDER_PHASE,
         lambda c: coherent.eigen_residual(coherent.CoherentState(BRA, bra.alpha, c)) <= 1e-10,
         bra.coeffs))
