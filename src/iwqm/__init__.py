@@ -24,8 +24,8 @@ _EXPORTS = {
                      "Trajectory", "classical_orbit", "gaussian_packet", "grid_split_step",
                      "integrate_alpha", "propagate_fock", "schrodinger_residual",
                      "step_count"), "dynamics"),
-    **dict.fromkeys(("Eigenfunction", "eigenfunction", "evaluate", "generating_function"),
-                    "eigenfunctions"),
+    **dict.fromkeys(("Eigenfunction", "eigenfunction", "evaluate", "evaluate_levels",
+                     "generating_function"), "eigenfunctions"),
     **dict.fromkeys(("ExpressionParseError", "OperatorExpression", "adjoint",
                      "equation_residual", "hamiltonian_expression", "identity_residual",
                      "momentum_expression", "number_expression", "parse_equation",

@@ -85,8 +85,12 @@ def _tail(r: float, dim: int) -> float:
     """:func:`tail_bound` of one label of magnitude r: inf for a non-finite r."""
     if r == 0:
         return 0.0 if dim > 0 else 1.0
-    log_tail = dim * math.log(r) - 0.5 * math.lgamma(dim + 1)
+    log_tail = _log_coefficient(r, dim)
     return math.exp(log_tail) if log_tail < 709.0 else math.inf
+
+
+def _log_coefficient(r: float, n: int) -> float:
+    return n * math.log(r) - 0.5 * math.lgamma(n + 1)  # log |c_n| = log(r^n / sqrt(n!))
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ def _labels(alpha, dim: int) -> tuple[np.ndarray, list[complex]]:
         r = abs(a)
         if r < math.inf:
             n = math.floor(r * r) if r * r < dim else dim - 1  # |c_n| = r^n / sqrt(n!) peaks at r^2
-            if not n or n * math.log(r) - 0.5 * math.lgamma(n + 1) <= math.log(MAX_COEFFICIENT):
+            if not n or _log_coefficient(r, n) <= math.log(MAX_COEFFICIENT):
                 continue
         where = "" if alpha.ndim == 0 else f" at index {_index(index, alpha.shape)}"
         if not r < math.inf:

@@ -14,9 +14,11 @@ which is stable off the real z axis and on the real Gauss-Hermite nodes
 of the rotated pairing rule (see :mod:`iwqm.quadrature`).  It is run as
 h_n = s_n q_n with the monic q_{n+1} = z q_n - (n/2) q_{n-1} on the arrays
 and the normalization s_{n+1} = sqrt(2/(n+1)) s_n carried as one scalar
-(:func:`hermite_levels`).
+(:func:`hermite_levels`), which only the row writer :func:`_write_levels` runs: for the
+rule Gram and for the one block driver of :func:`evaluate` and :func:`evaluate_levels`,
+whose rows are :func:`evaluate`'s values bit for bit.
 
-For bras :func:`evaluate` conjugates the ket values; it reads no phase
+For bras the driver conjugates the ket values; it reads no phase
 constant.  These are the bras of the phase +i (:data:`iwqm.algebra.BRA_PHASE`),
 under which the dual families are mutually orthonormal under the pairing
 integral(conj(psi_l) psi_r); the opposite phase would give the parity
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 
 import numpy as np
 
@@ -53,14 +55,14 @@ _GROUND = (1j / np.pi) ** 0.25  # ket ground-state amplitude (i/pi)^(1/4)
 
 _FOLD = 2.0 ** -64  # moved from the scale into the arrays of hermite_levels
 
-#: Points per block of :func:`evaluate`; its per-thread workspace holds 3 * _BLOCK complex.
+#: Points per block of :func:`_evaluate`; its per-thread workspace holds 3 * _BLOCK complex.
 _BLOCK = 2 ** 15
 
 _local = threading.local()
 
 
 def _workspace() -> np.ndarray:
-    """This thread's (3, _BLOCK) complex workspace of :func:`evaluate`, made on first use."""
+    """This thread's (3, _BLOCK) complex workspace of :func:`_evaluate`, made on first use."""
     work = getattr(_local, "work", None)
     if work is None:
         work = _local.work = np.empty((3, _BLOCK), dtype=complex)
@@ -130,49 +132,65 @@ def hermite_levels(z: np.ndarray, start: np.ndarray, scratch=None):
         prev, cur = cur, prev
 
 
-def evaluate(f: Eigenfunction, x):
-    """Values of the eigenfunction at real x (scalar or array).
+def _write_levels(z: np.ndarray, start: np.ndarray, levels, out, scratch=None) -> None:
+    """Write scale * q of each wanted level (ascending) into its row of ``out``, from
+    one :func:`hermite_levels` pass that ends at the last: its row may be scratch[1]."""
+    rows = iter(out)
+    for n, (scale, q) in zip(range(levels[-1] + 1), hermite_levels(z, start, scratch)):
+        if n in levels:
+            np.multiply(q, scale, out=next(rows))
 
-    Raises ValueError where x^2/2 is not finite, since the phase
-    exp(-i x^2/2) has no value there, and where the level's values overflow.
 
-    The phase e^{-i x^2/2} is written into the result, and the recurrence
-    then runs over the flattened points in blocks of at most ``_BLOCK``,
-    with z and its two buffers in this thread's workspace.  A block starts
-    from its ground state (i/pi)^(1/4) e^{-i x^2/2} in a workspace buffer
-    (in place, numpy rounds a one-element complex product differently), and
-    its level is written back as scale * q.  The workspace is allocated once
-    per thread, so a call allocates only its result: fresh scratch would be
-    handed back to the OS at the end of every call and faulted in again by
-    the next.  The folds depend on the level alone, so a point's value is
-    that of one unblocked recurrence, bit for bit, alone or in an array.
+def _evaluate(family: str, levels, x) -> np.ndarray:
+    """Values of the wanted levels (ascending) at real x, shape (len(levels), *x.shape).
+
+    The phase e^{-i x^2/2} goes into the last row, and the recurrence runs over the
+    flattened points in blocks of at most ``_BLOCK``: z, its first buffer and the block's
+    ground state (i/pi)^(1/4) e^{-i x^2/2} (not in place: numpy rounds a one-element
+    complex product differently) sit in this thread's workspace, made once, so a call
+    allocates only its result; the second buffer is the block's slice of the last row.
+    The folds depend on the level alone, so a point's value is that of one unblocked
+    recurrence, bit for bit, alone or in an array.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty(xs.shape, dtype=complex)
-    phase = vals.imag  # -x^2/2, until the sine overwrites it
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    vals = np.empty((len(levels), xs.size), dtype=complex)
+    phase = vals[-1].imag  # -x^2/2, until the sine overwrites it
     np.multiply(xs, -0.5, out=phase)
     with np.errstate(over="ignore"):
         phase *= xs
     if not np.all(np.isfinite(phase)):
         raise ValueError("eigenfunctions need x with a finite x^2/2")
-    np.cos(phase, out=vals.real)
+    np.cos(phase, out=vals[-1].real)
     np.sin(phase, out=phase)
-    flat_x, flat_vals, work = xs.reshape(-1), vals.reshape(-1), _workspace()
-    for lo in range(0, flat_x.size, _BLOCK):
-        xb, out = flat_x[lo:lo + _BLOCK], flat_vals[lo:lo + _BLOCK]
-        z, prev, ground = work[:, :xb.size]
-        np.multiply(out, _GROUND, out=ground)
+    for lo in range(0, xs.size, _BLOCK):
+        xb, out = xs[lo:lo + _BLOCK], vals[:, lo:lo + _BLOCK]
+        z, prev, ground = _workspace()[:, :xb.size]
+        np.multiply(out[-1], _GROUND, out=ground)
         np.multiply(_Z_PHASE, xb, out=z)
         with np.errstate(over="ignore", invalid="ignore"):
-            scale, level = next(islice(hermite_levels(z, ground, (prev, out)), f.n, None))
-            np.multiply(level, scale, out=out)
+            _write_levels(z, ground, levels, out, (prev, out[-1]))
         if not np.all(np.isfinite(out)):
-            raise ValueError(f"level {f.n} overflows at |x| up to {np.max(np.abs(xs)):.3g}")
-    if f.family == BRA:
+            raise ValueError(f"level {levels[-1]} overflows at |x| up to {np.max(np.abs(xs)):.3g}")
+    if family == BRA:
         np.conjugate(vals, out=vals)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return complex(vals[0])
-    return vals
+    return vals.reshape(len(levels), *np.shape(x))
+
+
+def evaluate(f: Eigenfunction, x):
+    """Values of the eigenfunction at real x (scalar or array).
+
+    Raises ValueError where x^2/2 is not finite, since the phase exp(-i x^2/2) has no
+    value there, and where the level's values overflow.
+    """
+    values = _evaluate(f.family, (f.n,), x)[0]
+    return complex(values) if values.ndim == 0 else values
+
+
+def evaluate_levels(family: str, top: int, x) -> np.ndarray:
+    """Levels 0..top at real x from one recurrence pass, shape (top + 1, *x.shape):
+    row n is ``evaluate(eigenfunction(family, n), x)`` bit for bit."""
+    Eigenfunction(family, top)  # refuses an unknown family and a negative top
+    return _evaluate(family, range(top + 1), x)
 
 
 def hermite_coefficients(nmax: int) -> list[list[int]]:

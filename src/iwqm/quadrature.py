@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfunctions import Eigenfunction, evaluate, hermite_coefficients, hermite_levels
+from .eigenfunctions import Eigenfunction, _write_levels, evaluate, hermite_coefficients
 
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
 ROTATION = np.exp(-0.25j * np.pi)
@@ -103,8 +103,7 @@ def _rule_pairings(node_count: int, top: int) -> np.ndarray:
     """integral(psi_m psi_n) of ket levels m, n <= top by the real Gauss-Hermite rule."""
     s, w = _gauss_hermite(node_count)
     levels = np.empty((top + 1, node_count))
-    for row, (scale, level) in zip(levels, hermite_levels(s, np.ones(node_count))):
-        np.multiply(level, scale, out=row)  # a copy: the recurrence overwrites its buffers
+    _write_levels(s, np.ones(node_count), range(top + 1), levels)
     # einsum sums in its own loop; a matmul this small on threaded BLAS wakes a
     # worker that costs far more than the product
     return np.einsum("in,jn->ij", levels * w, levels) / math.sqrt(math.pi)

@@ -208,10 +208,10 @@ def eigenfunction_suite(cfg: RunConfig) -> SuiteReport:
     # ladder comparison samples the inner window where 1e-10 is meaningful
     x_inner = np.linspace(-5.0, 5.0, 1001)
     residual = 0.0
-    for n in range(1, 9):
+    for n, below in enumerate(eigenfunctions.evaluate_levels(KET, 7, x_inner), start=1):
         psi_n = eigenfunctions.exact_form(eigenfunctions.eigenfunction(KET, n))
         lhs = eigenfunctions.lowering(psi_n).values(x_inner)
-        rhs = np.sqrt(n) * eigenfunctions.evaluate(eigenfunctions.eigenfunction(KET, n - 1), x_inner)
+        rhs = np.sqrt(n) * below
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))
     report.add("ladder_ket", "lowering(psi_n) = sqrt(n) psi_{n-1}", residual, 1e-10)
     return report
@@ -407,18 +407,17 @@ _SUITES = (
 
 
 def _dual_signs() -> np.ndarray:
-    """r_n with bra_n = r_n conj(ket_n) for the levels 0-8 that
-    :func:`iwqm.eigenfunctions.evaluate` returns on [-4, 4], NaN where neither
-    sign holds.  The bras of the +i phase are conj(ket), those of -i its
-    parity image (-1)^n conj(ket)."""
+    """r_n with bra_n = r_n conj(ket_n) for levels 0-8 on [-4, 4], read from one
+    :func:`iwqm.eigenfunctions.evaluate_levels` pass per family, NaN where
+    neither sign holds.  The bras of the +i phase are conj(ket), those of -i
+    its parity image (-1)^n conj(ket)."""
     x = np.linspace(-4.0, 4.0, 81)
+    kets = eigenfunctions.evaluate_levels(KET, 8, x)
+    bras = eigenfunctions.evaluate_levels(BRA, 8, x)
     signs = np.full(9, math.nan)
-    for n in range(9):
-        ket = eigenfunctions.evaluate(eigenfunctions.eigenfunction(KET, n), x)
-        bra = eigenfunctions.evaluate(eigenfunctions.eigenfunction(BRA, n), x)
-        for sign in (1.0, -1.0):
-            if _max_abs(bra - sign * np.conj(ket)) <= 1e-12 * _max_abs(ket):
-                signs[n] = sign
+    for sign in (1.0, -1.0):
+        defect = np.max(np.abs(bras - sign * np.conj(kets)), axis=1)
+        signs[defect <= 1e-12 * np.max(np.abs(kets), axis=1)] = sign
     return signs
 
 

@@ -18,6 +18,7 @@ from iwqm.eigenfunctions import (
     Eigenfunction,
     eigenfunction,
     evaluate,
+    evaluate_levels,
     exact_form,
     generating_function,
     hermite_coefficients,
@@ -377,28 +378,85 @@ def test_evaluate_result_does_not_share_the_workspace():
         assert np.array_equal(first, kept)
 
 
-def test_threads_evaluate_concurrently_as_they_do_serially():
+@pytest.mark.parametrize("values", [lambda x: evaluate(eigenfunction(KET, 40), x),
+                                    lambda x: evaluate_levels(BRA, 8, x)],
+                         ids=["evaluate", "evaluate_levels"])
+def test_threads_evaluate_concurrently_as_they_do_serially(values):
     # four threads, switching often: a workspace shared between
     # threads would mix their grids
     grids = [np.linspace(-4.0, 4.0, BLOCK + 11), np.linspace(-2.0, 5.0, 20001),
              np.linspace(-1.0, 3.0, 2 * BLOCK + 1), np.linspace(-5.0, 5.0, 4001)]
-    f = eigenfunction(KET, 40)
-    serial = [evaluate(f, x) for x in grids]
+    serial = [values(x) for x in grids]
     barrier = threading.Barrier(len(grids))
 
-    def run(x):
+    def run(x, expected):
         barrier.wait(timeout=60)
-        return eigenfunctions._workspace(), [evaluate(f, x) for _ in range(4)]
+        return eigenfunctions._workspace(), [np.array_equal(values(x), expected)
+                                             for _ in range(4)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(len(grids)) as pool:
-            futures = [pool.submit(run, x) for x in grids]
+            futures = [pool.submit(run, x, expected) for x, expected in zip(grids, serial)]
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert len({id(work) for work, _ in results}) == len(grids)  # one workspace per thread
-    for expected, (_, values) in zip(serial, results):
-        for got in values:
-            assert np.array_equal(got, expected)
+    for _, equal in results:
+        assert all(equal)
+
+
+#: Tops whose last level ends in either recurrence buffer, low and high.
+TOPS = [0, 1, 2, 9]
+
+
+@pytest.mark.parametrize("family", [KET, BRA])
+@pytest.mark.parametrize("top", TOPS)
+def test_evaluate_levels_rows_are_evaluate_bit_for_bit(family, top):
+    x = np.linspace(-4.0, 4.0, BLOCK + 3)  # across a block boundary
+    rows = evaluate_levels(family, top, x)
+    assert rows.shape == (top + 1, x.size)
+    for n, row in enumerate(rows):
+        assert np.array_equal(row, evaluate(eigenfunction(family, n), x)), n
+
+
+def test_evaluate_levels_takes_scalars_and_grids():
+    for x in (1.25, np.float64(1.25), np.array(1.25)):
+        for family in (KET, BRA):
+            rows = evaluate_levels(family, 4, x)
+            assert rows.shape == (5,)
+            assert rows.tolist() == [evaluate(eigenfunction(family, n), 1.25) for n in range(5)]
+    grid = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    rows = evaluate_levels(KET, 3, grid)
+    assert rows.shape == (4, 3, 4)
+    assert np.array_equal(rows[2], evaluate(eigenfunction(KET, 2), grid))
+
+
+def test_evaluate_levels_refuses_what_evaluate_refuses():
+    with pytest.raises(ValueError, match="family must be"):
+        evaluate_levels("middle", 2, 0.0)
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        evaluate_levels(KET, -1, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.inf, np.nan, 1e200, [0.0, 2e154], _later_block(np.inf)):
+            with pytest.raises(ValueError, match="finite x\\^2/2"):
+                evaluate_levels(KET, 2, x)
+        # levels 5-7 overflow at 1e100, and the message names the top
+        for x in (np.array([0.0, 1e100]), _later_block(1e100)):
+            with pytest.raises(ValueError, match="level 7 overflows at \\|x\\| up to 1e\\+100"):
+                evaluate_levels(BRA, 7, x)
+
+
+def test_evaluate_levels_result_does_not_share_the_workspace():
+    x = np.linspace(-3.0, 3.0, BLOCK + 3)
+    work = eigenfunctions._workspace()
+    for top in TOPS:
+        first = evaluate_levels(KET, top, x)
+        kept = first.copy()
+        assert not np.shares_memory(first, work)
+        evaluate_levels(BRA, top + 1, x[::-1])
+        assert eigenfunctions._workspace() is work
+        assert work.shape == (3, BLOCK)
+        assert np.array_equal(first, kept)

@@ -146,7 +146,7 @@ def test_each_command_loads_only_its_modules(run_capped):
 
 
 def test_public_names_resolve_to_their_modules_objects():
-    assert len(iwqm.__all__) == len(set(iwqm.__all__)) == 51
+    assert len(iwqm.__all__) == len(set(iwqm.__all__)) == 52
     for name, module in iwqm._EXPORTS.items():
         assert getattr(iwqm, name) is getattr(importlib.import_module(f"iwqm.{module}"), name)
     namespace = {}

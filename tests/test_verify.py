@@ -155,13 +155,13 @@ def test_dual_eigenfunction_phase_is_read_off_the_bras(monkeypatch):
 
 
 def test_parity_image_bras_are_measured_and_fail_the_gram(monkeypatch):
-    evaluate = eigenfunctions.evaluate
+    evaluate_levels = eigenfunctions.evaluate_levels
 
-    def parity_bras(f, x):
-        values = evaluate(f, x)
-        return values * (-1) ** f.n if f.family == BRA else values
+    def parity_bras(family, top, x):
+        values = evaluate_levels(family, top, x)
+        return values * (-1) ** np.arange(top + 1)[:, None] if family == BRA else values
 
-    monkeypatch.setattr(eigenfunctions, "evaluate", parity_bras)
+    monkeypatch.setattr(eigenfunctions, "evaluate_levels", parity_bras)
     np.testing.assert_array_equal(verify._dual_signs(), (-1.0) ** np.arange(9))
     # their Gram with the kets is diag((-1)^n), so no phase is named
     assert conventions()["dual_eigenfunction_phase"] == "none"
