@@ -323,14 +323,13 @@ def cmd_dump_decay(args: argparse.Namespace) -> int:
                          f"{EXP_GUARD:g}")
     # level n alone is occupied, so the dual pairing of the propagated pair is
     # the product of their level-n factors: O(1) work per step
-    lines = ["t,factor,mixed_pairing"]
-    for k in range(steps + 1):
-        t = k * args.dt
-        grown = propagate_fock(KET, args.n, args.omega, t)
-        decayed = propagate_fock(BRA, args.n, args.omega, t)
-        factor = grown if args.family == KET else decayed
-        lines.append(f"{float(t)!r},{factor!r},{decayed * grown!r}")
-    _emit("\n".join(lines), args.out)
+    times = args.dt * np.arange(steps + 1)
+    grown = propagate_fock(KET, args.n, args.omega, times)
+    decayed = propagate_fock(BRA, args.n, args.omega, times)
+    factors = grown if args.family == KET else decayed
+    rows = zip(times.tolist(), factors.tolist(), (decayed * grown).tolist())
+    _emit("\n".join(["t,factor,mixed_pairing", *(f"{t!r},{f!r},{m!r}" for t, f, m in rows)]),
+          args.out)
     return 0
 
 

@@ -17,9 +17,10 @@ A state is a coefficient vector with its family and label
 (:class:`CoherentState`), or a batch of them: an array of labels, with
 one vector per label along the last axis of the coefficients.
 :func:`build_coherent`, :func:`eigen_residual`, :func:`mutual_pairing`,
-:func:`moments` and :func:`tail_bound` take the leading label axes as
-they come and return one value per label, a Python scalar for a single
-label; each row of a batch equals its label built alone bit for bit.  The dual pairing of a
+:func:`moments`, :func:`expectation_closed_form`, ``Uncertainty.from_moments``,
+:func:`uncertainty_product` and :func:`tail_bound` take the leading label
+axes as they come and return one value per label, a Python scalar for a
+single label; each row of a batch equals its label alone bit for bit.  The dual pairing of a
 bra with a ket is the plain sum_n conj(bra_n) ket_n, so
 :func:`mutual_pairing` is ``np.vecdot`` over the last axis behind the
 family, dimension and label-shape check.  Expectation values
@@ -75,7 +76,10 @@ MAX_COEFFICIENT = 1e75
 def tail_bound(alpha, dim: int):
     """|alpha|^dim / sqrt(dim!), the magnitude scale of the first dropped coefficient,
     computed in logarithms so that no large dim overflows: a float for one label,
-    else an array with one bound per label of ``alpha``."""
+    else an array with one bound per label of ``alpha``.  A dim that is not a
+    nonnegative integer is refused with ValueError."""
+    if not isinstance(dim, (int, np.integer)) or dim < 0:
+        raise ValueError(f"dim must be a nonnegative integer, got {dim!r}")
     alpha = np.asarray(alpha, dtype=complex)
     bounds = [_tail(abs(a), dim) for a in alpha.ravel().tolist()]
     return _per_label(np.reshape(bounds, alpha.shape))
@@ -137,6 +141,8 @@ def _index(flat: int, shape: tuple) -> int | tuple[int, ...]:
 def _labels(alpha, dim: int) -> tuple[np.ndarray, list[complex]]:
     """The labels as a complex array and as a flat list of complexes, after the
     refusals that :func:`build_coherent` states."""
+    if not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if dim < 8:
         raise ValueError(f"dim must be at least 8, got {dim}")
     alpha = np.asarray(alpha, dtype=complex)
@@ -177,10 +183,10 @@ def build_coherent(family: str, alpha, dim: int = 64) -> CoherentState:
     c_n = c_{n-1} * base / sqrt(n) with base = alpha (ket) or
     ``BRA_PHASE`` * alpha (bra), taken as one cumulative product.  Any
     truncation is built; a caller that needs the dropped coefficients to
-    be small reads :func:`tail_bound`.  A label that is not finite, or with
-    a coefficient above ``MAX_COEFFICIENT``, whose moments overflow, is
-    refused with ``ValueError``; in a batch the error names the first such
-    label's index.
+    be small reads :func:`tail_bound`.  A dim that is not an integer of at
+    least 8 is refused with ``ValueError``, and so is a label that is not
+    finite or has a coefficient above ``MAX_COEFFICIENT``, whose moments
+    overflow; in a batch the error names the first such label's index.
     """
     if family not in (KET, BRA):
         raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
@@ -280,53 +286,50 @@ def expectation(observable: str, alpha: complex, dim: int = 64) -> complex:
     return _per_label(np.vecdot(bra.coeffs, v))
 
 
-def expectation_closed_form(observable: str, alpha: complex) -> complex:
-    """The same expectations from the closed-form algebra of the label alpha."""
-    alpha = complex(alpha)
-    ac = np.conj(alpha)
-    if observable == "x":
-        return complex((alpha - 1j * ac) / _ROOT_2I)
-    if observable == "p":
-        return complex((alpha + 1j * ac) / _ROOT_2I)
-    if observable == "x2":
-        return complex((alpha ** 2 - 2j * abs(alpha) ** 2 + 1 - ac ** 2) / 2j)
-    if observable == "p2":
-        return complex((alpha ** 2 - ac ** 2 + 2j * abs(alpha) ** 2 - 1) / 2j)
-    raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
+def expectation_closed_form(observable: str, alpha):
+    """The same expectations from the closed-form algebra of the label alpha, per
+    label: a complex for one label, else an array."""
+    if observable not in _OBSERVABLES:
+        raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
+    shape = np.shape(alpha)
+    # on a flat array: numpy's scalar arithmetic rounds differently from its array loops
+    a = np.asarray(alpha, dtype=complex).reshape(-1)
+    ac = np.conj(a)
+    forms = {"x": lambda: (a - 1j * ac) / _ROOT_2I, "p": lambda: (a + 1j * ac) / _ROOT_2I,
+             "x2": lambda: (a ** 2 - 2j * np.abs(a) ** 2 + 1 - ac ** 2) / 2j,
+             "p2": lambda: (a ** 2 - ac ** 2 + 2j * np.abs(a) ** 2 - 1) / 2j}
+    return _per_label(forms[observable]().reshape(shape))
 
 
 @dataclass(frozen=True)
 class Uncertainty:
-    """Complex variances, their principal roots, and the real product."""
+    """Complex variances, their principal roots, and the real product, per label."""
 
-    dx2: complex
-    dp2: complex
-    dx: complex
-    dp: complex
-    product: float
+    dx2: complex | np.ndarray
+    dp2: complex | np.ndarray
+    dx: complex | np.ndarray
+    dp: complex | np.ndarray
+    product: float | np.ndarray
 
     @classmethod
-    def from_moments(cls, m: dict[str, complex]) -> "Uncertainty":
+    def from_moments(cls, m: dict) -> "Uncertainty":
         """Variances x2 - x^2, p2 - p^2 and their roots from the :func:`moments`
-        of one label."""
-        dx2 = m["x2"] - m["x"] ** 2
-        dp2 = m["p2"] - m["p"] ** 2
-        dx = complex(np.sqrt(dx2))
-        dp = complex(np.sqrt(dp2))
-        return cls(complex(dx2), complex(dp2), dx, dp, float((dx * dp).real))
+        of one label or of a batch."""
+        shape = np.shape(m["x"])
+        # on flat arrays, as in expectation_closed_form
+        x, p, x2, p2 = (np.asarray(m[name]).reshape(-1) for name in _OBSERVABLES)
+        dx2, dp2 = x2 - x ** 2, p2 - p ** 2
+        dx, dp = np.sqrt(dx2), np.sqrt(dp2)
+        return cls(*(_per_label(v.reshape(shape)) for v in (dx2, dp2, dx, dp, (dx * dp).real)))
 
 
-def uncertainty_product(alpha: complex, dim: int = 64) -> Uncertainty:
-    """Variances of x and p and the product of their principal square roots.
+def uncertainty_product(alpha, dim: int = 64) -> Uncertainty:
+    """Variances of x and p and the product of their principal square roots, per label.
 
     The individual deviations are complex (and carry the branch
     convention of the square root); the assertable physics is the pair
-    of variances -i/2, +i/2 and the real product 1/2.  It takes one label;
-    :func:`moments` of a built batch serves many.
+    of variances -i/2, +i/2 and the real product 1/2.
     """
-    if np.ndim(alpha):
-        raise ValueError(f"uncertainty_product takes one label alpha, got an array of shape "
-                         f"{np.shape(alpha)}")
     return Uncertainty.from_moments(moments(*_pair(alpha, dim)))
 
 

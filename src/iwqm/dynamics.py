@@ -5,6 +5,8 @@ factors (``propagate_fock``): ket levels grow as e^{(n+1/2) omega t},
 bra levels decay by the inverse, so same-family probability densities
 are not conserved while the mixed ket-bra density of one level, whose
 one entry is the product of the two factors, is exactly time-invariant.
+A (level, time) grid of factors is one ``propagate_fock`` call, each
+entry equal to its scalar call bit for bit.
 
 The coherent-state label obeys the classical equation alpha'' =
 omega^2 alpha, whose solution (v/omega) sinh(omega t) is the orbit of a
@@ -136,41 +138,57 @@ class GridState:
         return self.x_min + self.dx * np.arange(self.points)
 
 
-def propagate_fock(family: str, n: int, omega: float, t: float) -> float:
-    """Growth factor of level n: e^{+(n+1/2) omega t} for ket, inverse for bra."""
+def propagate_fock(family: str, n, omega: float, t):
+    """Growth factor e^{+(n+1/2) omega t} of level n at time t for ket, inverse for bra:
+    n and t broadcast, a float for scalars, else an array of the scalar calls bit
+    for bit.  A level that is not a nonnegative integer, an omega that is not
+    finite and positive and a time that is not finite are refused with
+    ValueError; an exponent beyond ``EXP_GUARD`` raises OverflowError.
+    """
     if family not in (KET, BRA):
         raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    exponent = (n + 0.5) * omega * t
-    if abs(exponent) > EXP_GUARD:
-        raise OverflowError(f"exponent {exponent:.3g} exceeds the overflow guard {EXP_GUARD}")
-    return float(math.exp(exponent if family == KET else -exponent))
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega!r}")
+    if not (isinstance(n, (int, np.integer)) or np.asarray(n).dtype.kind in "iu"):
+        raise ValueError(f"level must be an integer, got {n!r}")
+    if np.any(np.asarray(n) < 0):
+        raise ValueError(f"level must be nonnegative, got {np.min(n)}")
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {float(t.flat[np.argmin(np.isfinite(t))])!r}")
+    exponent = (np.asarray(n, dtype=float) + 0.5) * omega * t
+    peak = np.max(np.abs(exponent), initial=0.0)
+    if peak > EXP_GUARD:
+        raise OverflowError(f"exponent {peak:.3g} exceeds the overflow guard {EXP_GUARD}")
+    factor = np.exp(exponent if family == KET else -exponent)
+    return float(factor) if factor.ndim == 0 else factor
 
 
-def schrodinger_residual(family: str, n: int, omega: float, dt: float) -> float:
-    """Centered-difference defect of i d/dt psi = E psi at t = 0 for one propagated level.
+def schrodinger_residual(family: str, n, omega: float, dt: float):
+    """Centered-difference defect of i d/dt psi = E psi at t = 0 for propagated
+    levels: a float for one level, else an array with one defect per level of n.
 
     The eigenvalue is i omega (n + 1/2) for ket levels and its conjugate
     for bra levels.  The derivative is the fourth-order five-point stencil
-    (f(-2dt) - 8 f(-dt) + 8 f(dt) - f(2dt)) / (12 dt), so the defect is
-    the truncation error ((n+1/2) omega)^5 dt^4 / 30 plus rounding.
+    (f(-2dt) - 8 f(-dt) + 8 f(dt) - f(2dt)) / (12 dt), its five factors
+    taken in one :func:`propagate_fock` call, so the defect is the
+    truncation error ((n+1/2) omega)^5 dt^4 / 30 plus rounding.  A dt that
+    is not finite and positive is refused with ValueError.
     """
-    energy = 1j * omega * (n + 0.5) * (1 if family == KET else -1)
-
-    def f(t):
-        return propagate_fock(family, n, omega, t)
-
-    derivative = (f(-2.0 * dt) - 8.0 * f(-dt) + 8.0 * f(dt) - f(2.0 * dt)) / (12.0 * dt)
-    return float(abs(1j * derivative - energy * f(0.0)))
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    energy = 1j * omega * (np.asarray(n, dtype=float) + 0.5) * (1 if family == KET else -1)
+    stencil = dt * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]).reshape((5,) + (1,) * np.ndim(n))
+    back2, back, now, ahead, ahead2 = propagate_fock(family, n, omega, stencil)
+    derivative = (back2 - 8.0 * back + 8.0 * ahead - ahead2) / (12.0 * dt)
+    residual = np.abs(1j * derivative - energy * now)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def classical_orbit(v: float, omega: float, sign: int, t):
     """x(t) = sign (v/omega) sinh(omega t), the runaway classical solution."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return sign * (v / omega) * np.sinh(omega * np.asarray(t, dtype=float))
@@ -284,6 +302,8 @@ def _check_run(initial: GridState, dt: float, steps: int) -> None:
             and 0.25 * dt * k_edge * k_edge < math.inf):
         raise ValueError(f"omega * dt = {tau:.3g} overflows the phases of the kicks on a "
                          f"grid reaching |x| = {reach:.3g}")
+    if not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if steps > MAX_STEPS:

@@ -71,7 +71,8 @@ def _workspace() -> np.ndarray:
 
 @dataclass(frozen=True)
 class Eigenfunction:
-    """The level-``n`` eigenfunction of one dual family."""
+    """The level-``n`` eigenfunction of one dual family; an unknown family and a
+    level that is not a nonnegative integer are refused with ValueError."""
 
     family: str
     n: int
@@ -79,6 +80,8 @@ class Eigenfunction:
     def __post_init__(self):
         if self.family not in (KET, BRA):
             raise ValueError(f"family must be 'ket' or 'bra', got {self.family!r}")
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"level must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"level must be nonnegative, got {self.n}")
 
@@ -189,7 +192,7 @@ def evaluate(f: Eigenfunction, x):
 def evaluate_levels(family: str, top: int, x) -> np.ndarray:
     """Levels 0..top at real x from one recurrence pass, shape (top + 1, *x.shape):
     row n is ``evaluate(eigenfunction(family, n), x)`` bit for bit."""
-    Eigenfunction(family, top)  # refuses an unknown family and a negative top
+    Eigenfunction(family, top)  # refuses an unknown family and a top that is no level
     return _evaluate(family, range(top + 1), x)
 
 

@@ -148,11 +148,12 @@ def gram_matrix(nmax: int, use_moments: bool = False) -> np.ndarray:
 
     The rule has :func:`default_node_count` nodes, at least the nmax + 1 that
     integrate the degree-2 nmax integrands exactly, so the rule refuses nmax
-    above ``MAX_HERMITE_NODES - 1``.  With ``use_moments`` every entry comes
+    above ``MAX_HERMITE_NODES - 1``; an nmax that is not an integer of at least
+    1 is refused on both paths.  With ``use_moments`` every entry comes
     from the exact-integer moment oracle instead: the cross-check path.
     """
-    if nmax < 1:
-        raise ValueError(f"nmax must be >= 1, got {nmax}")
+    if not isinstance(nmax, (int, np.integer)) or nmax < 1:
+        raise ValueError(f"nmax must be an integer >= 1, got {nmax!r}")
     if use_moments:
         return _moment_pairings(nmax).astype(complex)
     if nmax > MAX_HERMITE_NODES - 1:

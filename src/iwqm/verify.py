@@ -5,7 +5,9 @@ identity it probes (``anchor``), the measured residual, the tolerance it
 was held to, and the verdict.  Every tolerance is fixed here; no
 setting of :class:`RunConfig` widens one.  The coherent-state checks
 build every label at one truncation, :data:`iwqm.coherent.PROBE_DIM`,
-whatever nmax is.
+whatever nmax is.  They build the 25 labels as one batch pair, and each
+row is one array reduction over its label axis; the decay checks read
+theirs off one (level, time) grid of factors per family.
 
 The operator identities (the algebra suite and the Heisenberg equations
 of the correspondence suite) are tables of pairs of normal-ordered forms
@@ -62,13 +64,17 @@ REGION = (f"{MIN_OMEGA!r} <= omega <= {MAX_OMEGA:g}, omega * sqrt(nmax) <= "
 class RunConfig:
     """Knobs of the suites, as ``verify`` and ``op-check`` take them: nmax is
     the size of the operator-identity block, and the seed draws the labels.
-    An (omega, nmax) outside ``REGION`` is refused."""
+    An (omega, nmax) outside ``REGION``, an nmax or a seed that is not an
+    integer and a negative seed are refused with ValueError."""
 
     nmax: int = 64
     omega: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("nmax", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nmax < 4:
             raise ValueError(f"nmax must be at least 4, got {self.nmax}")
         # the largest sqrt(nmax): 0 off the omega range, inf (no OverflowError) squared
@@ -265,7 +271,8 @@ def _alpha_grid(cfg: RunConfig, count: int = 25, radius: float = 2.0) -> np.ndar
 
 def coherent_suite(cfg: RunConfig) -> SuiteReport:
     """Mutual normalization, eigenvalue equations, variances, minimum uncertainty,
-    for each sampled label at the truncation ``PROBE_DIM``.
+    for each sampled label at the truncation ``PROBE_DIM``, each row the worst
+    of one array over the label axis of one built batch pair.
 
     Also determines which bra coefficient phase (+i or -i) is consistent:
     exactly one must satisfy the eigenvalue equation and the mutual
@@ -276,29 +283,22 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
     alphas = _alpha_grid(cfg)
     ket = coherent.build_coherent(KET, alphas, coherent.PROBE_DIM)
     bra = coherent.build_coherent(BRA, alphas, coherent.PROBE_DIM)
-    eig_res_ket = float(np.max(coherent.eigen_residual(ket)))
-    eig_res_bra = float(np.max(coherent.eigen_residual(bra)))
-    # the per-label reductions run on Python complexes, as for one label:
-    # numpy's complex abs and powers round differently on arrays
-    pairings = coherent.mutual_pairing(bra, ket).tolist()
-    moments = {name: values.tolist() for name, values in coherent.moments(bra, ket).items()}
-    pairing_res = var_res = cross_res = product_res = 0.0
-    for i, a in enumerate(alphas.tolist()):
-        pairing_res = max(pairing_res, abs(pairings[i] - 1.0))
-        label_moments = {name: values[i] for name, values in moments.items()}
-        for name, value in label_moments.items():
-            cross_res = max(cross_res, abs(value - coherent.expectation_closed_form(name, a)))
-        unc = coherent.Uncertainty.from_moments(label_moments)
-        var_res = max(var_res, abs(unc.dx2 + 0.5j), abs(unc.dp2 - 0.5j))
-        product_res = max(product_res, abs(unc.dx * unc.dp - 0.5))
+    moments = coherent.moments(bra, ket)
+    unc = coherent.Uncertainty.from_moments(moments)
+    cross_res = max(_max_abs(values - coherent.expectation_closed_form(name, alphas))
+                    for name, values in moments.items())
 
     tol = coherent.STATE_TOLERANCE  # the bound of dump coherent's pairing and residual
-    report.add("mutual_normalization", "<alpha|alpha> = 1", pairing_res, tol)
-    report.add("eigen_residual_ket", "a- |alpha>_r = alpha |alpha>_r", eig_res_ket, tol)
-    report.add("eigen_residual_bra", "a+ |alpha>_l = alpha |alpha>_l", eig_res_bra, tol)
+    report.add("mutual_normalization", "<alpha|alpha> = 1",
+               _max_abs(coherent.mutual_pairing(bra, ket) - 1.0), tol)
+    report.add("eigen_residual_ket", "a- |alpha>_r = alpha |alpha>_r",
+               float(np.max(coherent.eigen_residual(ket))), tol)
+    report.add("eigen_residual_bra", "a+ |alpha>_l = alpha |alpha>_l",
+               float(np.max(coherent.eigen_residual(bra))), tol)
     report.add("closed_form_crosscheck", "Fock contraction = closed form", cross_res, 1e-10)
-    report.add("variances", "var(x) = -i/2, var(p) = +i/2", var_res, 1e-10)
-    report.add("uncertainty_product", "dx dp = 1/2", product_res, 1e-10)
+    report.add("variances", "var(x) = -i/2, var(p) = +i/2",
+               max(_max_abs(unc.dx2 + 0.5j), _max_abs(unc.dp2 - 0.5j)), 1e-10)
+    report.add("uncertainty_product", "dx dp = 1/2", _max_abs(unc.dx * unc.dp - 0.5), 1e-10)
 
     report.add("bra_phase_unique", "exactly one bra phase satisfies both conditions",
                0.0 if len(coherent._bra_coherent_phases()) == 1 else 1.0, 0.0)
@@ -307,46 +307,40 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
 
 def decay_suite(cfg: RunConfig) -> SuiteReport:
     """Exponential growth/decay factors and invariance of the mixed density,
-    all from the level factors of :func:`iwqm.dynamics.propagate_fock`."""
+    all from one (level, time) grid of :func:`iwqm.dynamics.propagate_fock`
+    factors per family."""
     report = SuiteReport("decay")
     omega = cfg.omega
     times = np.linspace(0.0, 1.0 / omega, 11)
-
-    factor_res = product_res = growth_res = 0.0
-    for n in range(9):
-        for t in times:
-            ket = dynamics.propagate_fock(KET, n, omega, t)
-            bra = dynamics.propagate_fock(BRA, n, omega, t)
-            scale = np.exp((n + 0.5) * omega * t)
-            factor_res = max(factor_res, abs(ket - scale) / scale,
-                             abs(bra - 1.0 / scale) * scale)
-            product_res = max(product_res, abs(ket * bra - 1.0))
-            growth_res = max(growth_res, abs(ket * ket - scale * scale) / (scale * scale))
-    report.add("growth_factors", "factor = e^{+-(n+1/2) omega t}", factor_res, 1e-12)
-    report.add("factor_product", "ket factor * bra factor = 1", product_res, 1e-12)
+    # both stencils step dt = 1e-3/omega, so every exponent (n+1/2) omega t
+    # they reach is at most 3e-3 whatever omega
+    dt = 1e-3 / omega
+    # levels 0-8 at the 11 times, then at -dt and dt for the density equation
+    levels = np.arange(9)[:, None]
+    ket, bra = (dynamics.propagate_fock(family, levels, omega, np.append(times, (-dt, dt)))
+                for family in (KET, BRA))
+    density = ket[:3, -2:] * bra[:3, -2:]
+    ket, bra = ket[:, :-2], bra[:, :-2]
+    scale = np.exp((levels + 0.5) * omega * times)
+    report.add("growth_factors", "factor = e^{+-(n+1/2) omega t}",
+               max(_max_abs((ket - scale) / scale), _max_abs((bra - 1.0 / scale) * scale)), 1e-12)
+    report.add("factor_product", "ket factor * bra factor = 1", _max_abs(ket * bra - 1.0), 1e-12)
     report.add("same_family_growth", "<psi(t)|psi(t)>_r = e^{2(n+1/2) omega t}",
-               growth_res, 1e-12)
+               _max_abs((ket * ket - scale * scale) / (scale * scale)), 1e-12)
 
     # the one-level mixed density rho = |n>_r <n|_l has one entry, k(t) b(t),
     # the product of the two factors.  It is diagonal, so [rho, H] vanishes
     # whatever diagonal H is, and neither row below can tell a wrong H: a
     # known weak check (ROADMAP item 7) until a superposition reads H (item 5)
-    def density(n: int, t: float) -> float:
-        return dynamics.propagate_fock(KET, n, omega, t) * dynamics.propagate_fock(BRA, n, omega, t)
-
-    invariance_res = max(abs(density(n, t) - 1.0) for n in range(3) for t in times)
-    report.add("mixed_density_invariant", "rho(t) = rho(0)", invariance_res, 1e-14)
-
-    # both stencils step dt = 1e-3/omega, so every exponent (n+1/2) omega t
-    # they reach is at most 3e-3 whatever omega
-    dt = 1e-3 / omega
-    equation_res = max(abs(density(n, dt) - density(n, -dt)) / (2.0 * dt) for n in range(3))
-    report.add("density_equation", "i d rho/dt + [rho, H] = 0", equation_res, 1e-6)
+    report.add("mixed_density_invariant", "rho(t) = rho(0)", _max_abs(ket[:3] * bra[:3] - 1.0),
+               1e-14)
+    report.add("density_equation", "i d rho/dt + [rho, H] = 0",
+               _max_abs((density[:, 1] - density[:, 0]) / (2.0 * dt)), 1e-6)
     # the five-point stencil's truncation ((n+1/2) omega)^5 dt^4 / 30 and its
     # rounding eps / dt are each about 2e-13 omega at this step, so both stay
     # below 1e-10 over the whole region, far below the fixed 1e-6 budget
-    schrodinger_res = float(np.max([dynamics.schrodinger_residual(family, n, omega, dt)
-                                    for family in (KET, BRA) for n in range(2)]))
+    schrodinger_res = float(np.max([dynamics.schrodinger_residual(family, np.arange(2), omega, dt)
+                                    for family in (KET, BRA)]))
     report.add("schrodinger_factors", "i d psi/dt = E psi (centered difference)",
                schrodinger_res, 1e-6)
     return report

@@ -174,10 +174,17 @@ def test_tail_bound_takes_the_label_axis():
     assert tail_bound(np.array(1.5 + 0.5j), 47) == tail_bound(1.5 + 0.5j, 47)
 
 
-def test_uncertainty_product_refuses_a_label_array():
-    with pytest.raises(ValueError, match=r"^uncertainty_product takes one label alpha, got an "
-                                         r"array of shape \(2,\)$"):
-        uncertainty_product(np.array([0.5, 1j]), 16)
+def test_uncertainty_product_takes_a_label_array():
+    # the label axis that moments takes: each entry is its label's product alone
+    labels = np.array([[0.5, 1j, 0.0], [1 + 0.5j, -0.7 + 1.1j, -1.99]])
+    batch = uncertainty_product(labels, 16)
+    for name in ("dx2", "dp2", "dx", "dp", "product"):
+        values = getattr(batch, name)
+        assert values.shape == labels.shape
+        for index in np.ndindex(labels.shape):
+            alone = getattr(uncertainty_product(complex(labels[index]), 16), name)
+            assert type(alone) is (float if name == "product" else complex)
+            assert values[index] == alone, (name, index)
 
 
 def test_uncertainty_roots_are_principal():
@@ -335,6 +342,26 @@ def _batch_rows_match_alone(alphas, dim: int) -> None:
         moments_1 = moments(bra_1, ket_1)
         for name, value in moments_1.items():
             assert type(value) is complex and batch_moments[name][index] == value
+
+
+def test_closed_forms_and_variances_take_the_label_axis():
+    # row by row the values of one label, bit for bit: numpy's scalar arithmetic
+    # rounds differently from its array loops, so one label runs the loops too
+    alphas = np.concatenate([verify._alpha_grid(verify.RunConfig(seed=seed)) for seed in range(8)])
+    batch_moments = moments(build_coherent(BRA, alphas, 64), build_coherent(KET, alphas, 64))
+    batch = Uncertainty.from_moments(batch_moments)
+    for name in ("x", "p", "x2", "p2"):
+        closed = expectation_closed_form(name, alphas)
+        assert closed.shape == alphas.shape
+        assert closed.tolist() == [expectation_closed_form(name, a) for a in alphas.tolist()]
+        assert np.array_equal(expectation_closed_form(name, alphas.reshape(4, 50)),
+                              closed.reshape(4, 50))
+    for i, alpha in enumerate(alphas.tolist()):
+        alone = Uncertainty.from_moments(moments(build_coherent(BRA, alpha, 64),
+                                                 build_coherent(KET, alpha, 64)))
+        assert alone == uncertainty_product(alpha, 64)
+        assert [getattr(batch, name)[i] for name in ("dx2", "dp2", "dx", "dp", "product")] == [
+            alone.dx2, alone.dp2, alone.dx, alone.dp, alone.product]
 
 
 @pytest.mark.parametrize("dim", [64, 160])

@@ -44,6 +44,23 @@ def test_overflow_guard():
         propagate_fock(KET, 1000, 1.0, 1.0)
 
 
+def test_factor_grid_is_its_scalar_calls_bit_for_bit():
+    # levels along one axis and times along another, as the decay suite and
+    # dump decay take them, against one call per (level, time)
+    levels, times = np.arange(12)[:, None], np.linspace(-2.0, 3.0, 41)
+    for family in (KET, BRA):
+        for omega in (0.05, 1.0, 37.3):
+            grid = propagate_fock(family, levels, omega, times / omega)
+            assert grid.shape == (12, 41)
+            alone = [[propagate_fock(family, n, omega, t) for t in (times / omega).tolist()]
+                     for n in range(12)]
+            assert grid.tolist() == alone
+            assert type(alone[0][0]) is float
+            residuals = schrodinger_residual(family, np.arange(4), omega, 1e-3 / omega)
+            assert residuals.tolist() == [schrodinger_residual(family, n, omega, 1e-3 / omega)
+                                          for n in range(4)]
+
+
 def test_propagate_arguments():
     with pytest.raises(ValueError):
         propagate_fock("middle", 0, 1.0, 1.0)
