@@ -46,7 +46,8 @@ if TYPE_CHECKING:
 
 
 #: Largest level ``dump eigenfunction`` evaluates: each recurrence step costs
-#: about 4 us even at two samples, so the cap is about 0.4 s.
+#: about 4 us even at two samples, so the cap is about 0.4 s.  It is also the
+#: largest ``--nmax`` of ``dump coherent``, which builds its pair in O(nmax).
 MAX_DUMP_LEVEL = 100_000
 
 #: Largest level * samples ``dump eigenfunction`` evaluates, with level 0
@@ -258,6 +259,8 @@ def cmd_dump_coherent(args: argparse.Namespace) -> int:
                            determine_bra_phase, eigen_residual, moments, mutual_pairing,
                            tail_bound)
 
+    if args.nmax > MAX_DUMP_LEVEL:
+        raise ValueError(f"--nmax must be at most {MAX_DUMP_LEVEL}, got {args.nmax}")
     alpha = complex(args.alpha_re, args.alpha_im)
     ket = build_coherent(KET, alpha, args.nmax)
     bra = build_coherent(BRA, alpha, args.nmax)
@@ -316,6 +319,9 @@ def cmd_dump_evolve(args: argparse.Namespace) -> int:
 def cmd_dump_decay(args: argparse.Namespace) -> int:
     from .dynamics import EXP_GUARD, propagate_fock, step_count
 
+    if abs(args.n) > sys.float_info.max:  # before (n + 1/2) is taken as a float
+        raise ValueError(f"--n must be at most {sys.float_info.max:.4g} in magnitude, "
+                         f"got an integer of {len(str(abs(args.n)))} digits")
     steps = step_count(args.tfinal, args.dt)
     exponent = (args.n + 0.5) * args.omega * (steps * args.dt)
     if exponent > EXP_GUARD:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from iwqm import cli, dynamics, quadrature
+from iwqm import cli, coherent, dynamics, quadrature
 from iwqm.algebra import BRA, KET
 from iwqm.cli import main
 from iwqm.coherent import MAX_COEFFICIENT
@@ -447,11 +447,30 @@ def test_dump_evolve_grid_at_huge_omega_runs_to_its_horizon(capsys, omega):
     assert rows.shape == (1501, 5) and np.all(np.isfinite(rows))
 
 
-def test_memory_error_exits_1_with_one_line(run_capped):
-    done = run_capped("-m", "iwqm.cli", "dump", "coherent", "--nmax", "1000000000")
-    assert done.returncode == 1
-    assert done.stdout == ""
-    assert done.stderr.startswith("runtime error:") and done.stderr.count("\n") == 1
+def test_memory_error_exits_1_with_one_line(capsys, monkeypatch):
+    # no accepted argument vector is known to run out of memory any more
+    def allocate(*args):
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setattr(coherent, "build_coherent", allocate)
+    code, out, err = run_cli(capsys, "dump", "coherent")
+    assert (code, out, err) == (1, "", "runtime error: Unable to allocate 14.9 GiB\n")
+
+
+@pytest.mark.parametrize("nmax", ["100001", "1000000000", "9" * 401],
+                         ids=["cap+1", "1e9", "401-digits"])
+def test_dump_coherent_refuses_nmax_above_the_cap(run_capped, nmax):
+    # uncapped, 10^9 stopped on "Unable to allocate 14.9 GiB" with exit 1, and
+    # 401 digits on numpy's "Maximum allowed dimension exceeded", naming no option
+    done = run_capped("-m", "iwqm.cli", "dump", "coherent", "--nmax", nmax)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"usage error: --nmax must be at most 100000, got {nmax}\n"
+
+
+def test_dump_coherent_at_the_nmax_cap(capsys):
+    code, out, err = run_cli(capsys, "dump", "coherent", "--nmax", "100000")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["nmax"] == 100000
 
 
 def test_dump_eigenfunction_caps_samples_at_level_0(run_capped):
@@ -488,6 +507,16 @@ def test_dump_refuses_a_negative_level(capsys, command):
     code, out, err = run_cli(capsys, "dump", command, "--n", "-1")
     assert (code, out) == (2, "")
     assert err == "usage error: level must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_dump_decay_refuses_a_level_no_float_holds(capsys, sign):
+    # (n + 1/2) of a level beyond the largest float ended in "runtime error:
+    # int too large to convert to float" with exit 1
+    code, out, err = run_cli(capsys, "dump", "decay", "--n", sign + "9" * 401)
+    assert (code, out) == (2, "")
+    assert err == ("usage error: --n must be at most 1.798e+308 in magnitude, "
+                   "got an integer of 401 digits\n")
 
 
 def test_dump_evolve_grid_refuses_over_cap_horizon(capsys):

@@ -143,6 +143,9 @@ def test_each_command_loads_only_its_modules(run_capped):
     assert "numpy.linalg" in eigenfunction_numpy
     assert not [m for m in eigenfunction_numpy
                 if m.startswith(("numpy.random", "numpy.polynomial"))]
+    # each numpy list holds the modules of the commands run before it too
+    for name in ("verify", "op-check"):
+        assert not [m for m in report[name]["numpy"] if m.startswith("numpy.random")]
 
 
 def test_public_names_resolve_to_their_modules_objects():

@@ -194,6 +194,11 @@ def test_run_config_validation():
 
 
 def test_seed_changes_sampled_labels_but_not_the_verdict():
+    labels = verify._alpha_grid(RunConfig(seed=7))
+    assert labels.shape == (25,) and np.all(np.abs(labels) <= 2.0)
+    np.testing.assert_array_equal(verify._alpha_grid(RunConfig(seed=7)), labels)
+    np.testing.assert_array_equal(verify._alpha_grid(RunConfig(seed=np.int64(7))), labels)
+    assert not np.any(verify._alpha_grid(RunConfig(seed=12345)) == labels)
     assert all(s.passed for s in run_all(RunConfig(seed=12345)))
 
 
