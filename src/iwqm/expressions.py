@@ -193,9 +193,8 @@ def su11_expressions() -> dict[str, OperatorExpression]:
 
 
 # ---------------------------------------------------------------------------
-# grammar:  expr (== expr)?  with  * binding tighter than binary +/-
-# atoms: a-  a+  I  Sz  S+  S-  Sx  Sy  n  H, scalar literals (2, 0.5, 2i, i),
-# functions adj(e), comm(a, b)
+# grammar:  expr (== expr)?  with  * binding tighter than binary +/-; atoms and
+# functions are the names of _NAMES, besides scalar literals (2, 0.5, 2i)
 # ---------------------------------------------------------------------------
 
 class ExpressionParseError(ValueError):
@@ -206,47 +205,34 @@ class ExpressionParseError(ValueError):
         self.position = position
 
 
-_KEYWORDS = ("adj", "comm", "a-", "a+", "Sz", "S+", "S-", "Sx", "Sy", "n", "H", "I", "i")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
+#: The grammar's one name table: an atom to its form, a function to the name of
+#: the module function that applies it and its arity.  H, the one atom that reads
+#: omega, is the function of arity 0, applied to omega.  The parser looks each
+#: function up in the module globals when it calls it, so a wrapper bound over
+#: one (as the benchmark's tracer binds) sees the call.
+_NAMES = {"n": _NUMBER, "I": IDENTITY, "i": scaled(1j, IDENTITY), "a-": A_MINUS,
+          "a+": A_PLUS, **_SU11, "H": ("hamiltonian_expression", 0),
+          "adj": ("adjoint", 1), "comm": ("commutator", 2)}
+
+#: One token per match, the empty END last.  An alphanumeric name may not run
+#: on into a letter or digit ([^\W_] is exactly str.isalnum), so "np" is
+#: refused, not read as n p.
+_TOKEN = re.compile(
+    r"(?P<SPACE>\s+)|(?P<EQ>==)|(?P<NUM>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)(?P<IMAG>i)?|(?P<NAME>"
+    + "|".join(re.escape(name) + (r"(?![^\W_])" if name.isalnum() else "") for name in _NAMES)
+    + r")|(?P<OP>[*+\-(),])|(?P<END>\Z)|(?P<BAD>.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, an operator's kind being its text; a
+    scalar's text leaves out the i of an imaginary one."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if text.startswith("==", pos):
-            tokens.append(("EQ", "==", pos))
-            pos += 2
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            end = m.end()
-            if end < len(text) and text[end] == "i":
-                tokens.append(("IMAG", m.group(), pos))
-                pos = end + 1
-            else:
-                tokens.append(("NUM", m.group(), pos))
-                pos = end
-            continue
-        for kw in _KEYWORDS:
-            if text.startswith(kw, pos):
-                following = text[pos + len(kw):pos + len(kw) + 1]
-                if kw.isalnum() and following.isalnum():
-                    continue  # e.g. "np" must not match atom "n"
-                tokens.append(("NAME", kw, pos))
-                pos += len(kw)
-                break
-        else:
-            if ch in "*+-(),":
-                tokens.append((ch, ch, pos))
-                pos += 1
-            else:
-                raise ExpressionParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("END", "", len(text)))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ExpressionParseError(f"unexpected character {m[0]!r}", m.start())
+        if kind != "SPACE":
+            tokens.append((m[0] if kind == "OP" else kind, m["NUM"] or m[0], m.start()))
     return tokens
 
 
@@ -255,29 +241,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 #: frames, so a parse stays well inside the default recursion limit of 1000.
 MAX_NESTING = 100
 
-_NAMED = {"n": _NUMBER, "I": IDENTITY, "a-": A_MINUS, "a+": A_PLUS, **_SU11}
-
 
 class _Parser:
     def __init__(self, text: str, omega: float):
         self.tokens = _tokenize(text)
-        self.idx = 0
-        self.depth = 0
+        self.idx = self.depth = 0
         self.omega = omega
 
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
+    def take(self, *kinds: str, required: bool = False):
+        """The next token, consumed, if no ``kinds`` are given or it is of one of
+        them; otherwise None, or with ``required`` a parse error at it."""
         tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExpressionParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+        if not kinds or tok[0] in kinds:
+            self.idx += 1
+            return tok
+        if required:
+            raise ExpressionParseError(f"expected {kinds[0]!r}, found {tok[1]!r}", tok[2])
+        return None
 
     def nested(self, parse, pos: int) -> OperatorExpression:
         """``parse()`` one nesting level deeper, the level the token at ``pos`` opens."""
@@ -290,29 +270,25 @@ class _Parser:
 
     def parse_expr(self) -> OperatorExpression:
         node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+        while op := self.take("+", "-"):
             rhs = self.parse_term()
-            node = op_sum(node, scaled(-1.0, rhs) if op == "-" else rhs)
+            node = op_sum(node, scaled(-1.0, rhs) if op[0] == "-" else rhs)
         return node
 
     def parse_term(self) -> OperatorExpression:
         node = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.advance()
+        while self.take("*"):
             node = op_product(node, self.parse_factor())
         return node
 
     def parse_factor(self) -> OperatorExpression:
-        kind, _, pos = self.peek()
-        if kind in ("+", "-"):
-            self.advance()
-            child = self.nested(self.parse_factor, pos)
-            return scaled(-1.0, child) if kind == "-" else child
+        if sign := self.take("+", "-"):
+            child = self.nested(self.parse_factor, sign[2])
+            return scaled(-1.0, child) if sign[0] == "-" else child
         return self.parse_primary()
 
     def parse_primary(self) -> OperatorExpression:
-        kind, value, pos = self.advance()
+        kind, value, pos = self.take()
         if kind in ("NUM", "IMAG"):
             number = float(value)
             if not np.isfinite(number):
@@ -320,46 +296,46 @@ class _Parser:
             return scaled(1j * number if kind == "IMAG" else number, IDENTITY)
         if kind == "(":
             node = self.nested(self.parse_expr, pos)
-            self.expect(")")
+            self.take(")", required=True)
             return node
-        if kind == "NAME":
-            if value == "i":
-                return scaled(1j, IDENTITY)
-            if value == "H":
-                return hamiltonian_expression(self.omega)
-            if value in ("adj", "comm"):
-                self.expect("(")
-                args = [self.nested(self.parse_expr, pos)]
-                if value == "comm":
-                    self.expect(",")
-                    args.append(self.nested(self.parse_expr, pos))
-                self.expect(")")
-                return adjoint(*args) if value == "adj" else commutator(*args)
-            return _NAMED[value]
-        raise ExpressionParseError(f"unexpected token {value!r}", pos)
+        if kind != "NAME":
+            raise ExpressionParseError(f"unexpected token {value!r}", pos)
+        entry = _NAMES[value]
+        if not isinstance(entry, tuple):
+            return entry
+        function, arity = entry
+        if not arity:
+            return globals()[function](self.omega)
+        args = []
+        for separator in "(,"[:arity]:  # "(" before the first argument, "," before the next
+            self.take(separator, required=True)
+            args.append(self.nested(self.parse_expr, pos))
+        self.take(")", required=True)
+        return globals()[function](*args)
+
+
+def _parse(text: str, omega: float, equation: bool) -> list[OperatorExpression]:
+    """The forms of ``text``: one expression, or the two sides of an equation."""
+    parser = _Parser(text, omega)
+    forms = [parser.parse_expr()]
+    if equation:
+        parser.take("EQ", required=True)
+        forms.append(parser.parse_expr())
+    kind, value, pos = parser.take()
+    if kind != "END":
+        raise ExpressionParseError(f"trailing input {value!r}", pos)
+    return forms
 
 
 def parse_expression(text: str, *, omega: float = 1.0) -> OperatorExpression:
     """Parse a single operator expression."""
-    parser = _Parser(text, omega)
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "END":
-        raise ExpressionParseError(f"trailing input {tok[1]!r}", tok[2])
-    return node
+    return _parse(text, omega, equation=False)[0]
 
 
 def parse_equation(text: str, *,
                    omega: float = 1.0) -> tuple[OperatorExpression, OperatorExpression]:
     """Parse ``LHS == RHS`` into a pair of forms."""
-    parser = _Parser(text, omega)
-    lhs = parser.parse_expr()
-    parser.expect("EQ")
-    rhs = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "END":
-        raise ExpressionParseError(f"trailing input {tok[1]!r}", tok[2])
-    return lhs, rhs
+    return tuple(_parse(text, omega, equation=True))
 
 
 def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression, nmax: int) -> float:

@@ -66,7 +66,8 @@ class RunConfig:
     """Knobs of the suites, as ``verify`` and ``op-check`` take them: nmax is
     the size of the operator-identity block, and the seed draws the labels.
     An (omega, nmax) outside ``REGION``, an nmax or a seed that is not an
-    integer and a negative seed are refused with ValueError."""
+    integer and a negative seed are refused with ValueError; an accepted nmax
+    or seed is stored as a Python int, so a report of it serializes."""
 
     nmax: int = 64
     omega: float = 1.0
@@ -74,8 +75,10 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("nmax", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.nmax < 4:
             raise ValueError(f"nmax must be at least 4, got {self.nmax}")
         # the largest sqrt(nmax): 0 off the omega range, inf (no OverflowError) squared
@@ -267,9 +270,8 @@ def _alpha_grid(cfg: RunConfig, count: int = 25, radius: float = 2.0) -> np.ndar
     """``count`` labels drawn uniformly from the disk ``|alpha| <= radius``.
 
     Python's generator draws the uniforms: importing ``numpy.random`` for 50 of
-    them would cost a cold process about 13 ms.  It takes no ``np.integer``
-    seed, hence the ``int``."""
-    rng = random.Random(int(cfg.seed))
+    them would cost a cold process about 13 ms."""
+    rng = random.Random(cfg.seed)
     u, v = np.array([rng.random() for _ in range(2 * count)]).reshape(2, count)
     return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
 

@@ -1,6 +1,9 @@
 import gc
+import math
+import re
 import time
 import warnings
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -442,13 +445,68 @@ def test_parse_equation_splits_sides():
     ("comm(a-)", 7),
     ("adj(a-", 6),
     ("a- ==", 5),
-    ("a- == a+ extra", None),
+    ("a- == a+ extra", 9),
+    # an alphanumeric name may not run on into a letter or digit
+    ("np == n", 0),
+    ("Szx == Sz", 0),
+    ("I == ii", 5),
+    ("adjx(a-) == a-", 0),
+    ("a- + Hn == a-", 5),
 ])
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(ExpressionParseError) as err:
         parse_equation(text)
-    if position is not None:
-        assert err.value.position == position
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("name", list(expressions._NAMES))
+def test_each_table_name_is_one_token(name):
+    assert expressions._tokenize(f" {name} ") == [("NAME", name, 1), ("END", "", len(name) + 2)]
+
+
+def test_readme_names_the_grammar_of_the_table():
+    readme = (Path(expressions.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"`expressions\._NAMES`: the atoms(.*?)Besides", readme, re.DOTALL)[1]
+    assert sorted(re.findall(r"`(.+?)(?:\(.*?\))?`", listed)) == sorted(expressions._NAMES)
+
+
+#: Pieces of text from the grammar's alphabet, with run-on names, bad
+#: characters and non-ASCII letters and digits
+_PIECES = [*expressions._NAMES, "*", "+", "-", "(", ")", ",", "==", "=", "2", "0.5", "2i", "1e3",
+           "1e400", "7.", "x", "_", "$", "ä", "٣", "Ⅻ", "²", "\t"]
+_ATOMS = [name for name, entry in expressions._NAMES.items()
+          if not isinstance(entry, tuple) or entry[1] == 0] + ["2", "0.5i", "1e200"]
+_SIDES = st.recursive(st.sampled_from(_ATOMS), lambda side: st.one_of(
+    st.tuples(side, st.sampled_from([" + ", " - ", "*"]), side).map("".join),
+    side.map("-{}".format), side.map("adj({})".format),
+    st.tuples(side, side).map(lambda ab: "comm({}, {})".format(*ab))), max_leaves=3)
+_EQUATIONS = st.tuples(_SIDES, _SIDES).map(" == ".join)
+_TEXTS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from(["", " "])), max_size=12)
+    .map(lambda pieces: "".join(piece + gap for piece, gap in pieces)),
+    _EQUATIONS,
+    # an equation with one piece put in at a drawn place
+    st.tuples(_EQUATIONS, st.integers(0, 40), st.sampled_from(_PIECES))
+    .map(lambda e: e[0][:e[1]] + e[2] + e[0][e[1]:]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_TEXTS)
+def test_parse_equation_returns_forms_or_refuses_at_a_position(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sides = parse_equation(text)
+        except ExpressionParseError as err:
+            assert 0 <= err.position <= len(text), text
+            return
+        except ValueError as err:
+            assert "normal-order cap" in str(err), text
+            return
+        assert len(sides) == 2 and all(isinstance(f, MappingProxyType) for f in sides)
+        residual = equation_residual(text, 8)
+    assert type(residual) is float and not math.isnan(residual), text
 
 
 @pytest.mark.parametrize("text,position", [

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import types
@@ -191,6 +192,16 @@ def test_run_config_validation():
             RunConfig(omega=value)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         RunConfig(seed=-1)
+
+
+@pytest.mark.parametrize("value", [np.int64(7), np.uint8(7), True])
+def test_run_config_stores_integer_knobs_as_python_ints(value):
+    # a report copies nmax and seed as stored, and json refuses numpy integers
+    cfg = RunConfig(nmax=np.int64(16), seed=value)
+    assert (type(cfg.nmax), type(cfg.seed)) == (int, int)
+    payload = json.loads(json.dumps(report_dict(cfg, [])))
+    assert payload["config"] == {"nmax": 16, "omega": 1.0, "seed": int(value)}
+    assert payload["environment"]["seed"] == int(value)
 
 
 def test_seed_changes_sampled_labels_but_not_the_verdict():
