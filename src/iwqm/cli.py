@@ -267,7 +267,7 @@ def cmd_dump_coherent(args: argparse.Namespace) -> int:
     m = moments(bra, ket)
     unc = Uncertainty.from_moments(m)
     pairing = mutual_pairing(bra, ket)
-    residual = max(eigen_residual(ket), eigen_residual(bra))
+    residual = float(np.max([eigen_residual(ket), eigen_residual(bra)]))  # NaN if either is NaN
     tail = tail_bound(alpha, args.nmax)
     finite = bool(np.all(np.isfinite([*m.values(), unc.dx2, unc.dp2, unc.product])))
     payload = {

@@ -9,8 +9,9 @@ own level skip, copies and buffer rules.  ``dynamics.propagate_fock`` is
 called once per family by the decay suite, ``schrodinger_residual`` and
 ``dump decay``, each on its whole (level, time) grid, and neither the
 coherent nor the decay suite has a ``for`` statement or a ``.tolist()``:
-a loop over the batch would be a second, scalar path.  Like
-``test_imports.py`` this parses the sources with ``ast``.
+a loop over the batch would be a second, scalar path.  Every verify row's
+residual is reduced in ``SuiteReport.add``, and nowhere else in ``verify``.
+Like ``test_imports.py`` this parses the sources with ``ast``.
 """
 
 import ast
@@ -71,3 +72,10 @@ def test_the_coherent_and_decay_suites_loop_over_no_batch():
         nodes = list(ast.walk(suite))
         assert not any(isinstance(node, ast.For) for node in nodes), name
         assert not any(getattr(node, "attr", None) == "tolist" for node in nodes), name
+
+
+def test_verify_reduces_residuals_only_in_suite_report_add():
+    # Python's max and np.max (a call of the attribute max) are one name to the
+    # helper; the two other sites reduce conventions, not a row's residual
+    assert sorted(set(call_sites({"verify": SOURCES["verify"]}, "max"))) == [
+        "verify._dual_signs", "verify.add", "verify.conventions"]

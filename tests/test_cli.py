@@ -255,6 +255,20 @@ def test_dump_coherent_json(capsys):
     assert payload["tail_bound"] <= 1e-12 and payload["passed"] is True
 
 
+def test_dump_coherent_fails_a_nan_bra_residual(capsys, monkeypatch):
+    # Python's max(finite, nan) keeps the finite ket residual and passed
+    eigen_residual = coherent.eigen_residual
+
+    def nan_for_the_bra(state):
+        return math.nan if state.family == BRA else eigen_residual(state)
+
+    monkeypatch.setattr(coherent, "eigen_residual", nan_for_the_bra)
+    code, out, err = run_cli(capsys, "dump", "coherent")
+    assert (code, err) == (1, "")
+    assert '"eigen_residual": NaN,' in out
+    assert json.loads(out)["passed"] is False
+
+
 def test_dump_coherent_large_label_fails(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

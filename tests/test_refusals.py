@@ -34,6 +34,9 @@ REFUSALS = [
         eigenfunctions.eigenfunction(KET, 1.5), 0.0, 1.0), "level"),
     ("run_config_nmax", lambda: RunConfig(nmax=4.5), "nmax"),
     ("run_config_seed", lambda: RunConfig(seed=1.5), "seed"),
+    ("run_config_omega_text", lambda: RunConfig(omega="1"), "omega"),
+    ("run_config_omega_none", lambda: RunConfig(omega=None), "omega"),
+    ("run_config_omega_complex", lambda: RunConfig(omega=1 + 0j), "omega"),
     ("propagate_level", lambda: dynamics.propagate_fock(KET, 1.5, 1.0, 0.1), "level"),
     ("propagate_level_array",
      lambda: dynamics.propagate_fock(KET, np.array([0.0, 1.0]), 1.0, 0.1), "level"),

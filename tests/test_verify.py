@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import iwqm
-from iwqm import algebra, cli, coherent, eigenfunctions, expressions, quadrature, verify
+from iwqm import algebra, cli, coherent, dynamics, eigenfunctions, expressions, quadrature, verify
 from iwqm.algebra import BRA
 from iwqm.verify import (
     MAX_OMEGA,
@@ -168,6 +168,107 @@ def test_parity_image_bras_are_measured_and_fail_the_gram(monkeypatch):
     assert conventions()["dual_eigenfunction_phase"] == "none"
 
 
+@pytest.mark.parametrize("residual, recorded", [
+    (0.5, 0.5), (-2, 2.0), (3 - 4j, 5.0), (np.float64(-0.25), 0.25),
+    (np.array([[1.0, -3.0]]), 3.0), ([0.25, np.array([1j, -2.0])], 2.0),
+    ((np.zeros(3), 4.0), 4.0), ([], 0.0),
+    (math.nan, math.inf), ([1.0, math.nan], math.inf), ((np.array([math.nan]), 1.0), math.inf),
+    ([np.ones(2), np.array([0.5, complex(0.0, math.nan)]), 3.0], math.inf),
+])
+def test_add_records_the_largest_entry_over_the_parts(residual, recorded):
+    check = verify.SuiteReport("unit").add("row", "anchor", residual, 1.0)
+    assert type(check.residual) is float and check.residual == recorded
+    assert check.passed is (recorded <= 1.0)
+
+
+def _nan_at(values, index):
+    """A copy of ``values`` with a NaN at ``index``."""
+    values = np.array(values)
+    values[index] = math.nan
+    return values
+
+
+def _nan_dp2(monkeypatch):
+    from_moments = coherent.Uncertainty.from_moments
+    monkeypatch.setattr(coherent.Uncertainty, "from_moments", lambda m: dataclasses.replace(
+        from_moments(m), dp2=_nan_at(from_moments(m).dp2, 3)))
+
+
+def _nan_bra_factors(monkeypatch):
+    propagate_fock = dynamics.propagate_fock
+    monkeypatch.setattr(dynamics, "propagate_fock", lambda family, n, omega, t: (
+        _nan_at(propagate_fock(family, n, omega, t), (-1, 0)) if family == BRA
+        else propagate_fock(family, n, omega, t)))
+
+
+def _nan_level_3(monkeypatch):
+    evaluate_levels = eigenfunctions.evaluate_levels
+    monkeypatch.setattr(eigenfunctions, "evaluate_levels", lambda family, top, x: _nan_at(
+        evaluate_levels(family, top, x), (3, 500)))
+
+
+def _nan_bra_ground(monkeypatch):
+    evaluate = eigenfunctions.evaluate
+    monkeypatch.setattr(eigenfunctions, "evaluate", lambda f, x: (
+        _nan_at(evaluate(f, x), 500) if f.family == BRA else evaluate(f, x)))
+
+
+def _nan_mass_at_5(monkeypatch):
+    integral = quadrature.density_interval_integral
+    monkeypatch.setattr(quadrature, "density_interval_integral", lambda f, lo, hi: (
+        math.nan if hi == 5.0 else integral(f, lo, hi)))
+
+
+def _nan_closed_form_p2(monkeypatch):
+    closed_form = coherent.expectation_closed_form
+    monkeypatch.setattr(coherent, "expectation_closed_form", lambda name, alpha: (
+        _nan_at(closed_form(name, alpha), 3) if name == "p2" else closed_form(name, alpha)))
+
+
+def _nan_bra_schrodinger(monkeypatch):
+    residual = dynamics.schrodinger_residual
+    monkeypatch.setattr(dynamics, "schrodinger_residual", lambda family, n, omega, dt: (
+        _nan_at(residual(family, n, omega, dt), 1) if family == BRA
+        else residual(family, n, omega, dt)))
+
+
+def _nan_second_drift(monkeypatch):
+    runs = dynamics.grid_split_step_runs
+
+    def nan_drift(initial, steps, diagnostics):
+        grids = runs(initial, steps, diagnostics)
+        diagnostics[1]["norm_drift"] = math.nan
+        return grids
+    monkeypatch.setattr(dynamics, "grid_split_step_runs", nan_drift)
+
+
+#: Each multi-part row, the suite that reports it and a patch that makes one
+#: of its later parts NaN; Python's max(a, nan) returns a, so a row reduced
+#: by it kept the earlier parts' residual and passed.
+NAN_INJECTIONS = [
+    ("variances", verify.coherent_suite, _nan_dp2),
+    ("closed_form_crosscheck", verify.coherent_suite, _nan_closed_form_p2),
+    ("growth_factors", verify.decay_suite, _nan_bra_factors),
+    ("schrodinger_factors", verify.decay_suite, _nan_bra_schrodinger),
+    ("ladder_ket", verify.eigenfunction_suite, _nan_level_3),
+    ("ground_density_constant", verify.nonlocalization_suite, _nan_bra_ground),
+    ("interval_norm", verify.nonlocalization_suite, _nan_mass_at_5),
+    ("linear_divergence", verify.nonlocalization_suite, _nan_mass_at_5),
+    ("grid_norm", verify.correspondence_suite, _nan_second_drift),
+]
+
+
+@pytest.mark.parametrize("row, suite, inject", NAN_INJECTIONS,
+                         ids=[row for row, _, _ in NAN_INJECTIONS])
+def test_a_nan_in_a_later_part_fails_the_row(monkeypatch, row, suite, inject):
+    inject(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NaN comparisons in the patched parts
+        checks = {c.name: c for c in suite(RunConfig()).checks}
+    assert checks[row].residual == math.inf
+    assert not checks[row].passed
+
+
 COHERENT_ROWS = ["mutual_normalization", "eigen_residual_ket", "eigen_residual_bra",
                  "closed_form_crosscheck", "variances", "uncertainty_product"]
 
@@ -196,12 +297,14 @@ def test_run_config_validation():
 
 @pytest.mark.parametrize("value", [np.int64(7), np.uint8(7), True])
 def test_run_config_stores_integer_knobs_as_python_ints(value):
-    # a report copies nmax and seed as stored, and json refuses numpy integers
-    cfg = RunConfig(nmax=np.int64(16), seed=value)
-    assert (type(cfg.nmax), type(cfg.seed)) == (int, int)
-    payload = json.loads(json.dumps(report_dict(cfg, [])))
-    assert payload["config"] == {"nmax": 16, "omega": 1.0, "seed": int(value)}
-    assert payload["environment"]["seed"] == int(value)
+    # a report copies nmax, omega and seed as stored, and json refuses numpy
+    # integers and numpy's float32; omega is stored as a Python float
+    for omega in (np.float32(0.5), np.float64(0.5), 2):
+        cfg = RunConfig(nmax=np.int64(16), omega=omega, seed=value)
+        assert (type(cfg.nmax), type(cfg.omega), type(cfg.seed)) == (int, float, int)
+        payload = json.loads(json.dumps(report_dict(cfg, [])))
+        assert payload["config"] == {"nmax": 16, "omega": float(omega), "seed": int(value)}
+        assert payload["environment"]["seed"] == int(value)
 
 
 def test_seed_changes_sampled_labels_but_not_the_verdict():
