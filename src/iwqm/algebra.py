@@ -19,8 +19,14 @@ vectors the roles of the two generators swap and each step carries
 ``BRA_LADDER_PHASE``).  No function takes another bra phase: the
 opposite one obeys the same ladder algebra, but what it builds is the
 parity image P c = (-1)^n c of what ``BRA_PHASE`` builds, and
-:func:`iwqm.coherent.determine_bra_phase` tests that image.  It imports
-no other module of the package.  Every named operator (n, H, x, p and the SU(1,1) generators)
+:func:`iwqm.coherent.determine_bra_phase` tests that image.
+
+It also holds the one argument contract of the package: five private
+checks that refuse a family other than ket or bra, a level, dimension or
+count that is not an integer at its minimum, a number that is not real, a
+rate that is not a finite positive real and a value that is not finite,
+each with a ValueError whose message starts with the argument's name.  It imports no other module of
+the package.  Every named operator (n, H, x, p and the SU(1,1) generators)
 is defined once, as a normal-ordered form, in :mod:`iwqm.expressions`;
 operator identities are checked there, word by word, and
 :func:`iwqm.expressions.to_matrix` writes a form's leading block.
@@ -29,6 +35,7 @@ operator identities are checked there, word by word, and
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -46,6 +53,50 @@ BRA_LADDER_PHASE = BRA_PHASE.conjugate()
 
 _FAMILIES = (KET, BRA)
 _GENERATORS = ("a-", "a+")
+
+
+def _require_family(family) -> None:
+    """Refuse a family other than ``KET`` and ``BRA``."""
+    if family not in _FAMILIES:
+        raise ValueError(f"family must be {KET!r} or {BRA!r}, got {family!r}")
+
+
+def _require_integer(name: str, value, minimum: int = 0, *, arrays: bool = False) -> None:
+    """Refuse ``value`` unless it is a Python or numpy integer of at least
+    ``minimum``, or, with ``arrays``, an integer array whose entries all are."""
+    scalar = isinstance(value, (int, np.integer))  # no numpy call on the common path
+    if not (scalar or arrays and np.asarray(value).dtype.kind in "iu"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    least = value if scalar else np.min(value, initial=minimum)
+    if least < minimum:
+        bound = f"at least {minimum}" if minimum else "nonnegative"
+        raise ValueError(f"{name} must be {bound}, got {least}")
+
+
+def _require_real(name: str, value) -> None:
+    """Refuse ``value`` unless it is a real number: a Python or numpy scalar,
+    or a 0-d array, of a bool, integer or floating type."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            or np.ndim(value) == 0 and np.asarray(value).dtype.kind in "biuf"):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _require_positive(name: str, value) -> None:
+    """Refuse ``value`` unless it is a finite positive real number."""
+    _require_real(name, value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_finite(name: str, value) -> None:
+    """Refuse ``value`` unless it is a real number or an array of them, all
+    finite; the message names the first entry that is not."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real, got {value!r}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {float(arr.flat[np.argmin(finite)])!r}")
 
 
 # Bounded: truncations come from user input.
@@ -75,8 +126,7 @@ def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray
     """
     if generator not in _GENERATORS:
         raise ValueError(f"generator must be one of {_GENERATORS}, got {generator!r}")
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
+    _require_family(family)
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim < 1 or c.shape[-1] < 2:
         raise ValueError(f"coefficients must be vectors of length >= 2, got shape {c.shape}")

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import BRA, KET
+from .algebra import BRA, KET, _require_finite, _require_positive
 
 if TYPE_CHECKING:
     from .verify import RunConfig, SuiteReport
@@ -209,8 +209,7 @@ def cmd_op_check(args: argparse.Namespace) -> int:
     from .verify import SuiteReport
 
     cfg = config_from_args(args)
-    if not 0 < args.tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {args.tol!r}")
+    _require_positive("tol", args.tol)
     start = time.perf_counter()
     residual = equation_residual(args.expression, cfg.nmax, omega=cfg.omega)
     report = SuiteReport("op-check", seconds=time.perf_counter() - start)
@@ -292,10 +291,8 @@ def cmd_dump_evolve(args: argparse.Namespace) -> int:
     from .dynamics import (classical_orbit, gaussian_packet, grid_split_step, integrate_alpha,
                            step_count)
 
-    if not 0 < args.omega < math.inf:  # before the default dt divides by it
-        raise ValueError(f"omega must be finite and positive, got {args.omega!r}")
-    if not math.isfinite(args.v):
-        raise ValueError(f"v must be finite, got {args.v!r}")
+    _require_positive("omega", args.omega)  # before the default dt divides by it
+    _require_finite("v", args.v)
     dt = args.dt if args.dt is not None else 1e-3 / args.omega
     if args.grid:
         steps = step_count(args.tfinal, dt)

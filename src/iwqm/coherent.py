@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, BRA_PHASE, KET, ladder_action, ladder_band
+from .algebra import (BRA, BRA_PHASE, KET, _require_family, _require_integer, ladder_action,
+                      ladder_band)
 
 #: The bound ``dump coherent`` holds its :func:`tail_bound` to (``"passed"``).
 TAIL_TOLERANCE = 1e-12
@@ -78,8 +79,7 @@ def tail_bound(alpha, dim: int):
     computed in logarithms so that no large dim overflows: a float for one label,
     else an array with one bound per label of ``alpha``.  A dim that is not a
     nonnegative integer is refused with ValueError."""
-    if not isinstance(dim, (int, np.integer)) or dim < 0:
-        raise ValueError(f"dim must be a nonnegative integer, got {dim!r}")
+    _require_integer("dim", dim)
     alpha = np.asarray(alpha, dtype=complex)
     bounds = [_tail(abs(a), dim) for a in alpha.ravel().tolist()]
     return _per_label(np.reshape(bounds, alpha.shape))
@@ -141,10 +141,7 @@ def _index(flat: int, shape: tuple) -> int | tuple[int, ...]:
 def _labels(alpha, dim: int) -> tuple[np.ndarray, list[complex]]:
     """The labels as a complex array and as a flat list of complexes, after the
     refusals that :func:`build_coherent` states."""
-    if not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    if dim < 8:
-        raise ValueError(f"dim must be at least 8, got {dim}")
+    _require_integer("dim", dim, minimum=8)
     alpha = np.asarray(alpha, dtype=complex)
     labels = alpha.ravel().tolist()
     for index, a in enumerate(labels):
@@ -188,8 +185,7 @@ def build_coherent(family: str, alpha, dim: int = 64) -> CoherentState:
     finite or has a coefficient above ``MAX_COEFFICIENT``, whose moments
     overflow; in a batch the error names the first such label's index.
     """
-    if family not in (KET, BRA):
-        raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
+    _require_family(family)
     return _coherent(family, *_labels(alpha, dim), dim)
 
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BRA, KET
+from .algebra import (KET, _require_family, _require_finite, _require_integer, _require_positive,
+                      _require_real)
 from .kernels import grid_observables, rk4_trajectory
 
 #: Largest exponent fed to exp(); beyond this double precision overflows.
@@ -114,15 +115,14 @@ class GridState:
     omega: float
 
     def __post_init__(self):
-        if self.points < 2 or self.points & (self.points - 1):
+        _require_integer("points", self.points, minimum=2)
+        if self.points & (self.points - 1):
             raise ValueError(f"points must be a power of two, got {self.points}")
-        for name in ("x_min", "x_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _require_finite("x_min", self.x_min)
+        _require_finite("x_max", self.x_max)
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"omega must be finite and positive, got {self.omega!r}")
+        _require_positive("omega", self.omega)
         arr = np.array(self.psi, dtype=complex)
         if arr.shape != (self.points,):
             raise ValueError(f"psi must have shape ({self.points},), got {arr.shape}")
@@ -145,18 +145,11 @@ def propagate_fock(family: str, n, omega: float, t):
     finite and positive and a time that is not finite are refused with
     ValueError; an exponent beyond ``EXP_GUARD`` raises OverflowError.
     """
-    if family not in (KET, BRA):
-        raise ValueError(f"family must be 'ket' or 'bra', got {family!r}")
-    if not 0 < omega < math.inf:
-        raise ValueError(f"omega must be finite and positive, got {omega!r}")
-    if not (isinstance(n, (int, np.integer)) or np.asarray(n).dtype.kind in "iu"):
-        raise ValueError(f"level must be an integer, got {n!r}")
-    if np.any(np.asarray(n) < 0):
-        raise ValueError(f"level must be nonnegative, got {np.min(n)}")
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"t must be finite, got {float(t.flat[np.argmin(np.isfinite(t))])!r}")
-    exponent = (np.asarray(n, dtype=float) + 0.5) * omega * t
+    _require_family(family)
+    _require_positive("omega", omega)
+    _require_integer("level", n, arrays=True)
+    _require_finite("t", t)
+    exponent = (np.asarray(n, dtype=float) + 0.5) * omega * np.asarray(t, dtype=float)
     peak = np.max(np.abs(exponent), initial=0.0)
     if peak > EXP_GUARD:
         raise OverflowError(f"exponent {peak:.3g} exceeds the overflow guard {EXP_GUARD}")
@@ -175,11 +168,11 @@ def schrodinger_residual(family: str, n, omega: float, dt: float):
     truncation error ((n+1/2) omega)^5 dt^4 / 30 plus rounding.  A dt that
     is not finite and positive is refused with ValueError.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    energy = 1j * omega * (np.asarray(n, dtype=float) + 0.5) * (1 if family == KET else -1)
+    _require_positive("dt", dt)
     stencil = dt * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]).reshape((5,) + (1,) * np.ndim(n))
+    # propagate_fock refuses a family, a level or an omega it cannot take
     back2, back, now, ahead, ahead2 = propagate_fock(family, n, omega, stencil)
+    energy = 1j * omega * (np.asarray(n, dtype=float) + 0.5) * (1 if family == KET else -1)
     derivative = (back2 - 8.0 * back + 8.0 * ahead - ahead2) / (12.0 * dt)
     residual = np.abs(1j * derivative - energy * now)
     return float(residual) if residual.ndim == 0 else residual
@@ -187,8 +180,7 @@ def schrodinger_residual(family: str, n, omega: float, dt: float):
 
 def classical_orbit(v: float, omega: float, sign: int, t):
     """x(t) = sign (v/omega) sinh(omega t), the runaway classical solution."""
-    if not 0 < omega < math.inf:
-        raise ValueError(f"omega must be finite and positive, got {omega!r}")
+    _require_positive("omega", omega)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return sign * (v / omega) * np.sinh(omega * np.asarray(t, dtype=float))
@@ -198,6 +190,8 @@ def step_count(t_final: float, dt: float) -> int:
     """round(t_final / dt) for positive t_final and dt, refused with ValueError
     when it is 0 (dt of 2 t_final or more) or above ``MAX_STEPS``, before
     anything is allocated."""
+    _require_real("t_final", t_final)
+    _require_real("dt", dt)
     if not (t_final > 0 and dt > 0):
         raise ValueError(f"t_final and dt must be positive, got {t_final!r}, {dt!r}")
     ratio = t_final / dt
@@ -220,8 +214,8 @@ def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
     closed-form orbit that overflows or underflows to 0, so that no
     deviation can be measured, raises ValueError.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    _require_finite("v", v)
+    _require_positive("omega", omega)
     steps = step_count(t_final, dt)
     with np.errstate(all="ignore"):  # overflow leaves inf or nan, refused below
         values = rk4_trajectory(float(v), float(omega), float(dt), steps)[:, 0]
@@ -259,12 +253,12 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) 
     amplitude falls to ``EDGE_FRACTION`` of its peak, at t_final.  A
     horizon needing more than ``MAX_GRID_POINTS`` points raises ValueError.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    _require_finite("v", v)
+    _require_positive("omega", omega)
     t_final = 1.5 / omega if t_final is None else t_final
-    # an infinite omega leaves the width 0
-    if not (t_final > 0 and omega < math.inf):
-        raise ValueError(f"t_final must be positive and omega finite, got {t_final!r}, {omega!r}")
+    _require_real("t_final", t_final)
+    if not t_final > 0:
+        raise ValueError(f"t_final must be positive, got {t_final!r}")
     width = 1.0 / math.sqrt(omega)
     # cosh and sinh overflow past EXP_GUARD; the cap still gives an infinite need
     growth = min(omega * t_final, EXP_GUARD)
@@ -289,8 +283,7 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) 
 
 def _check_run(initial: GridState, dt: float, steps: int) -> None:
     """Refuse a (dt, steps) run of ``initial`` before anything is allocated."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    _require_positive("dt", dt)
     tau = initial.omega * dt
     reach = max(abs(initial.x_min), abs(initial.x_max))
     u_edge, k_edge = reach * math.sqrt(initial.omega), math.pi / initial.dx
@@ -302,10 +295,7 @@ def _check_run(initial: GridState, dt: float, steps: int) -> None:
             and 0.25 * dt * k_edge * k_edge < math.inf):
         raise ValueError(f"omega * dt = {tau:.3g} overflows the phases of the kicks on a "
                          f"grid reaching |x| = {reach:.3g}")
-    if not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    _require_integer("steps", steps, minimum=1)
     if steps > MAX_STEPS:
         raise ValueError(f"{steps} steps exceeds the cap of {MAX_STEPS}")
 

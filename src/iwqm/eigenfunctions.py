@@ -47,7 +47,7 @@ from itertools import count
 
 import numpy as np
 
-from .algebra import BRA, KET
+from .algebra import BRA, KET, _require_family, _require_integer
 
 _Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into exp(-z^2/2)
 
@@ -78,12 +78,8 @@ class Eigenfunction:
     n: int
 
     def __post_init__(self):
-        if self.family not in (KET, BRA):
-            raise ValueError(f"family must be 'ket' or 'bra', got {self.family!r}")
-        if not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"level must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"level must be nonnegative, got {self.n}")
+        _require_family(self.family)
+        _require_integer("level", self.n)
 
 
 def generating_function(family: str) -> Eigenfunction:

@@ -26,8 +26,8 @@ The named operators n, H, x, p and the SU(1,1) generators are defined
 here once, as forms built at import (H per omega).  Every operator
 identity that :mod:`iwqm.verify` checks is a pair of forms compared by
 :func:`identity_residual`; the spectrum suite's eigensolver takes the
-dense H from :func:`to_matrix`.  The module imports no other module of
-the package.
+dense H from :func:`to_matrix`.  Of the package, the module imports only
+the argument checks of :mod:`iwqm.algebra`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ import re
 from types import MappingProxyType
 
 import numpy as np
+
+from .algebra import _require_integer, _require_positive
 
 #: The sign s of the physical adjoint a^dag = s i a: the one sign under which
 #: x and p are self-adjoint.
@@ -109,11 +111,6 @@ def adjoint(expr: OperatorExpression) -> OperatorExpression:
                     for word, d in _product({(0, k): 1}, {(j, 0): 1}).items())
 
 
-def _check_dim(dim: int, minimum: int = 2) -> None:
-    if not isinstance(dim, (int, np.integer)) or dim < minimum:
-        raise ValueError(f"truncation dimension must be an integer >= {minimum}, got {dim!r}")
-
-
 def _diagonals(form: OperatorExpression, size: int):
     """Yield (p, d) for the diagonals of a normal form's leading size x size
     block: d[s] is the entry at (s, s + p) for p >= 0, at (s - p, s) for p < 0.
@@ -132,7 +129,7 @@ def _diagonals(form: OperatorExpression, size: int):
 def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
     """The leading dim x dim block of an expression's untruncated operator, on
     ket-family coefficients."""
-    _check_dim(dim)
+    _require_integer("dim", dim, minimum=2)
     out = np.zeros((dim, dim), dtype=complex)
     for p, d in _diagonals(expr, dim):
         out += np.diag(d, p)
@@ -165,8 +162,7 @@ def number_expression() -> OperatorExpression:
 
 def hamiltonian_expression(omega: float = 1.0) -> OperatorExpression:
     """H = i omega (n + 1/2), for a finite and positive omega."""
-    if not 0 < omega < math.inf:
-        raise ValueError(f"omega must be finite and positive, got {omega!r}")
+    _require_positive("omega", omega)
     return scaled(1j * omega, _NUMBER_PLUS_HALF)
 
 
@@ -346,7 +342,7 @@ def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression, nmax: in
     scalar coefficients can remain.  Finite scalars whose products overflow
     leave no finite difference: the residual is then inf, never NaN.
     """
-    _check_dim(nmax, minimum=1)
+    _require_integer("nmax", nmax, minimum=1)
     diff = op_sum(lhs, scaled(-1.0, rhs))
     with np.errstate(over="ignore", invalid="ignore"):
         worst = [np.max(np.abs(d)) for _, d in _diagonals(diff, nmax)]

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _require_integer
 from .eigenfunctions import Eigenfunction, _write_levels, evaluate, hermite_coefficients
 
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
@@ -152,8 +153,7 @@ def gram_matrix(nmax: int, use_moments: bool = False) -> np.ndarray:
     1 is refused on both paths.  With ``use_moments`` every entry comes
     from the exact-integer moment oracle instead: the cross-check path.
     """
-    if not isinstance(nmax, (int, np.integer)) or nmax < 1:
-        raise ValueError(f"nmax must be an integer >= 1, got {nmax!r}")
+    _require_integer("nmax", nmax, minimum=1)
     if use_moments:
         return _moment_pairings(nmax).astype(complex)
     if nmax > MAX_HERMITE_NODES - 1:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, coherent, dynamics, eigenfunctions, expressions, quadrature
-from .algebra import BRA, KET
+from .algebra import BRA, KET, _require_integer, _require_real
 from .coherent import determine_bra_phase
 from .expressions import (
     A_MINUS,
@@ -78,23 +78,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("nmax", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not isinstance(self.omega, (int, float, np.integer, np.floating)):
-            raise ValueError(f"omega must be a real number, got {self.omega!r}")
-        object.__setattr__(self, "omega", float(self.omega))
-        if self.nmax < 4:
-            raise ValueError(f"nmax must be at least 4, got {self.nmax}")
+        _require_integer("nmax", self.nmax, minimum=4)
+        _require_integer("seed", self.seed)
+        _require_real("omega", self.omega)
+        for name, kind in (("nmax", int), ("seed", int), ("omega", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         # the largest sqrt(nmax): 0 off the omega range, inf (no OverflowError) squared
         root = MAX_OMEGA_SQRT_NMAX / self.omega if MIN_OMEGA <= self.omega <= MAX_OMEGA else 0.0
         if self.nmax > min(root * root, MAX_NMAX):
             raise ValueError(f"omega={self.omega!r} at nmax={self.nmax} is outside the region "
                              f"{REGION}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass
@@ -269,14 +262,19 @@ def nonlocalization_suite(cfg: RunConfig) -> SuiteReport:
     return report
 
 
-def _alpha_grid(cfg: RunConfig, count: int = 25, radius: float = 2.0) -> np.ndarray:
-    """``count`` labels drawn uniformly from the disk ``|alpha| <= radius``.
+#: The number of labels the coherent suite draws, and the radius of the disk
+#: they are drawn from, within which :data:`iwqm.coherent.PROBE_DIM` holds them.
+_LABEL_COUNT, _LABEL_RADIUS = 25, 2.0
+
+
+def _alpha_grid(cfg: RunConfig) -> np.ndarray:
+    """``_LABEL_COUNT`` labels drawn uniformly from the disk ``|alpha| <= _LABEL_RADIUS``.
 
     Python's generator draws the uniforms: importing ``numpy.random`` for 50 of
     them would cost a cold process about 13 ms."""
     rng = random.Random(cfg.seed)
-    u, v = np.array([rng.random() for _ in range(2 * count)]).reshape(2, count)
-    return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
+    u, v = np.array([rng.random() for _ in range(2 * _LABEL_COUNT)]).reshape(2, _LABEL_COUNT)
+    return _LABEL_RADIUS * np.sqrt(u) * np.exp(2j * np.pi * v)
 
 
 def coherent_suite(cfg: RunConfig) -> SuiteReport:

@@ -11,6 +11,8 @@ called once per family by the decay suite, ``schrodinger_residual`` and
 coherent nor the decay suite has a ``for`` statement or a ``.tolist()``:
 a loop over the batch would be a second, scalar path.  Every verify row's
 residual is reduced in ``SuiteReport.add``, and nowhere else in ``verify``.
+What a valid family, integer, rate or real number is, the argument checks
+of ``algebra`` say, and no other module raises their refusals itself.
 Like ``test_imports.py`` this parses the sources with ``ast``.
 """
 
@@ -79,3 +81,33 @@ def test_verify_reduces_residuals_only_in_suite_report_add():
     # helper; the two other sites reduce conventions, not a row's residual
     assert sorted(set(call_sites({"verify": SOURCES["verify"]}, "max"))) == [
         "verify._dual_signs", "verify.add", "verify.conventions"]
+
+
+#: Wording of the refusals that only ``algebra``'s argument checks raise.
+ARGUMENT_RULES = ("must be an integer", "must be finite and positive", "must be a real number",
+                  "family must be")
+
+
+def value_error_texts(source: str) -> list[str]:
+    """The literal text of each ``raise ValueError(...)`` message in ``source``,
+    with each replacement field of an f-string read as ``{}``."""
+    texts = []
+    for node in ast.walk(ast.parse(source)):
+        call = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ValueError":
+            parts = call.args[0].values if isinstance(call.args[0], ast.JoinedStr) else call.args
+            texts.append("".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts))
+    return texts
+
+
+def test_value_error_texts_are_found():
+    source = ('def f(x):\n    if x:\n        raise ValueError(f"x must be an integer, got {x!r}")\n'
+              '    raise ValueError("plain")\nraise KeyError("x must be an integer")\n')
+    assert sorted(value_error_texts(source)) == ["plain", "x must be an integer, got {}"]
+
+
+def test_argument_rules_are_raised_only_in_algebra():
+    raised = {module: value_error_texts(source) for module, source in SOURCES.items()}
+    assert any(rule in text for text in raised["algebra"] for rule in ARGUMENT_RULES)
+    assert [f"{module}: {text}" for module, texts in raised.items() if module != "algebra"
+            for text in texts if any(rule in text for rule in ARGUMENT_RULES)] == []

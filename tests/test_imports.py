@@ -43,9 +43,10 @@ def package_imports(source: str) -> set[str]:
     return modules
 
 
-#: The package modules each layered module may import: ``algebra`` and
-#: ``expressions`` are leaves, and coherent states need only the ladder bands.
-LAYERS = {"algebra": set(), "expressions": set(), "coherent": {"algebra"}}
+#: The package modules each layered module may import: ``algebra`` is a leaf,
+#: ``expressions`` needs only its argument checks, and coherent states need
+#: only those and the ladder bands.
+LAYERS = {"algebra": set(), "expressions": {"algebra"}, "coherent": {"algebra"}}
 
 
 def test_unused_imports_are_found():

@@ -1,16 +1,16 @@
 """Arguments that are not integers where a level, a dimension, an nmax, a seed
-or a step count is meant, and non-finite rates, times and steps, are refused
-with a ValueError whose message starts with the argument's name.  None of
-them may first surface as a numpy TypeError, a ZeroDivisionError, a bare
-math domain error or a RuntimeWarning, so the table runs with warnings as
-errors."""
+or a step count is meant, rates that are not finite positive reals, values
+that are not finite and unknown families are refused with a ValueError whose
+message starts with the argument's name.  None of them may first surface as
+a TypeError, a ZeroDivisionError, a bare math domain error or a
+RuntimeWarning, so the table runs with warnings as errors."""
 
 import math
 
 import numpy as np
 import pytest
 
-from iwqm import coherent, dynamics, eigenfunctions, quadrature
+from iwqm import algebra, coherent, dynamics, eigenfunctions, expressions, quadrature
 from iwqm.algebra import KET
 from iwqm.verify import RunConfig
 
@@ -50,6 +50,25 @@ REFUSALS = [
     ("classical_orbit_omega", lambda: dynamics.classical_orbit(1.0, math.inf, 1, 1.0), "omega"),
     ("grid_split_step_steps",
      lambda: dynamics.grid_split_step(dynamics.gaussian_packet(0.5), 0.01, 2.5), "steps"),
+    ("to_matrix_dim", lambda: expressions.to_matrix(expressions.A_MINUS, 1.5), "dim"),
+    ("identity_residual_nmax",
+     lambda: expressions.identity_residual(expressions.A_MINUS, expressions.A_MINUS, 0), "nmax"),
+    ("equation_residual_nmax", lambda: expressions.equation_residual("n == n", 2.5), "nmax"),
+    ("hamiltonian_omega_text", lambda: expressions.hamiltonian_expression("1"), "omega"),
+    ("propagate_omega_none", lambda: dynamics.propagate_fock(KET, 1, None, 0.1), "omega"),
+    ("classical_orbit_omega_none", lambda: dynamics.classical_orbit(1.0, None, 1, 0.5), "omega"),
+    ("grid_state_omega_text",
+     lambda: dynamics.GridState(-1.0, 1.0, 4, np.zeros(4), "1"), "omega"),
+    ("integrate_alpha_omega", lambda: dynamics.integrate_alpha(1.0, math.inf, 1.0, 0.1), "omega"),
+    ("gaussian_packet_omega", lambda: dynamics.gaussian_packet(0.5, math.inf), "omega"),
+    ("gaussian_packet_v", lambda: dynamics.gaussian_packet(math.nan), "v"),
+    ("integrate_alpha_v", lambda: dynamics.integrate_alpha(math.nan, 1.0, 1.0, 0.1), "v"),
+    ("schrodinger_dt_text", lambda: dynamics.schrodinger_residual(KET, 1, 1.0, "1"), "dt"),
+    ("grid_split_step_dt_text",
+     lambda: dynamics.grid_split_step(dynamics.gaussian_packet(0.5), "0.1", 3), "dt"),
+    ("step_count_t_final_text", lambda: dynamics.step_count("1", 0.1), "t_final"),
+    ("ladder_action_family", lambda: algebra.ladder_action("a-", "x", np.ones(3)), "family"),
+    ("build_coherent_family", lambda: coherent.build_coherent("x", 1.0), "family"),
 ]
 
 

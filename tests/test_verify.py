@@ -291,7 +291,7 @@ def test_run_config_validation():
     for value in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="outside the region"):
             RunConfig(omega=value)
-    with pytest.raises(ValueError, match="seed must be non-negative"):
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
         RunConfig(seed=-1)
 
 
