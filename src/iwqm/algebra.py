@@ -25,11 +25,13 @@ It also holds the one argument contract of the package: five private
 checks that refuse a family other than ket or bra, a level, dimension or
 count that is not an integer at its minimum, a number that is not real, a
 rate that is not a finite positive real and a value that is not finite,
-each with a ValueError whose message starts with the argument's name.  It imports no other module of
-the package.  Every named operator (n, H, x, p and the SU(1,1) generators)
-is defined once, as a normal-ordered form, in :mod:`iwqm.expressions`;
-operator identities are checked there, word by word, and
-:func:`iwqm.expressions.to_matrix` writes a form's leading block.
+each with a ValueError whose message starts with the argument's name, and
+its one output rule, :func:`_per_label`: a 0-d result leaves as a Python
+scalar.  It imports no other module of the package.  Every named operator
+(n, H, x, p and the SU(1,1) generators) is defined once, as a normal-ordered
+form, in :mod:`iwqm.expressions`; operator identities are checked there,
+word by word, and :func:`iwqm.expressions.to_matrix` writes a form's
+leading block.
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ def _require_finite(name: str, value) -> None:
     finite = np.isfinite(arr)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {float(arr.flat[np.argmin(finite)])!r}")
+
+
+def _per_label(value):
+    """A result per label or point: a Python scalar for a 0-d value, else the array."""
+    return value.item() if np.ndim(value) == 0 else value
 
 
 # Bounded: truncations come from user input.

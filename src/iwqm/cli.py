@@ -69,6 +69,13 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
+def _emit_rows(header: str | None, rows, out_path: str | None) -> None:
+    """A CSV table: the header line, if any, then one line per row of Python
+    floats, each written as its shortest round-trip ``repr``."""
+    lines = [",".join(map(repr, row)) for row in rows]
+    _emit("\n".join(lines if header is None else [header, *lines]), out_path)
+
+
 #: The options several commands share, by name: each command takes the ones
 #: its handler reads, and ``--out``.
 _COMMON = {
@@ -232,11 +239,11 @@ def cmd_dump_eigenfunction(args: argparse.Namespace) -> int:
         raise ValueError(f"{size} exceeds the cap of {MAX_DUMP_LEVEL_SAMPLES}")
     f = eigenfunction(args.family, args.n)
     x = np.linspace(args.xmin, args.xmax, args.samples)
-    values = evaluate(f, x)
-    lines = ["x,re_psi,im_psi,abs2_psi"]
-    for xi, vi in zip(x, values):
-        lines.append(f"{float(xi)!r},{float(vi.real)!r},{float(vi.imag)!r},{float(abs(vi) ** 2)!r}")
-    _emit("\n".join(lines), args.out)
+    # Python's complex abs is libm hypot, as numpy's scalar abs is; its array abs
+    # differs in the last bit at some points
+    _emit_rows("x,re_psi,im_psi,abs2_psi",
+               ((xi, v.real, v.imag, abs(v) ** 2)
+                for xi, v in zip(x.tolist(), evaluate(f, x).tolist())), args.out)
     return 0
 
 
@@ -244,8 +251,7 @@ def cmd_dump_gram(args: argparse.Namespace) -> int:
     from .quadrature import GRAM_TOLERANCE, default_node_count, gram_matrix
 
     gram = gram_matrix(args.nmax)
-    lines = [",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in gram]
-    _emit("\n".join(lines), args.out)
+    _emit_rows(None, gram.view(float).tolist(), args.out)  # re, im of each entry in turn
     defect = float(np.max(np.abs(gram - np.eye(args.nmax + 1))))
     passed = defect <= GRAM_TOLERANCE
     print(json.dumps({"nmax": args.nmax, "nodes": default_node_count(args.nmax),
@@ -305,11 +311,9 @@ def cmd_dump_evolve(args: argparse.Namespace) -> int:
     if not np.all(np.isfinite(classical)):
         raise ValueError(f"the classical orbit of v={args.v!r} at omega={args.omega!r} is not "
                          f"finite up to tfinal={args.tfinal!r}")
-    lines = ["t,re_x,im_x,classical_x,abs_error"]
-    for t, z, c in zip(trajectory.times, trajectory.values, classical):
-        lines.append(f"{float(t)!r},{float(z.real)!r},{float(z.imag)!r},"
-                     f"{float(c)!r},{float(abs(z - c))!r}")
-    _emit("\n".join(lines), args.out)
+    rows = zip(trajectory.times.tolist(), trajectory.values.tolist(), classical.tolist())
+    _emit_rows("t,re_x,im_x,classical_x,abs_error",
+               ((t, z.real, z.imag, c, abs(z - c)) for t, z, c in rows), args.out)
     return 0
 
 
@@ -330,9 +334,8 @@ def cmd_dump_decay(args: argparse.Namespace) -> int:
     grown = propagate_fock(KET, args.n, args.omega, times)
     decayed = propagate_fock(BRA, args.n, args.omega, times)
     factors = grown if args.family == KET else decayed
-    rows = zip(times.tolist(), factors.tolist(), (decayed * grown).tolist())
-    _emit("\n".join(["t,factor,mixed_pairing", *(f"{t!r},{f!r},{m!r}" for t, f, m in rows)]),
-          args.out)
+    _emit_rows("t,factor,mixed_pairing",
+               zip(times.tolist(), factors.tolist(), (decayed * grown).tolist()), args.out)
     return 0
 
 

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (BRA, BRA_PHASE, KET, _require_family, _require_integer, ladder_action,
-                      ladder_band)
+from .algebra import (BRA, BRA_PHASE, KET, _per_label, _require_family, _require_integer,
+                      ladder_action, ladder_band)
 
 #: The bound ``dump coherent`` holds its :func:`tail_bound` to (``"passed"``).
 TAIL_TOLERANCE = 1e-12
@@ -125,11 +125,6 @@ class CoherentState:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[-1]
-
-
-def _per_label(value: np.ndarray):
-    """A per-label result: a Python scalar for one label, else the array."""
-    return value.item() if value.ndim == 0 else value
 
 
 def _index(flat: int, shape: tuple) -> int | tuple[int, ...]:

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (KET, _require_family, _require_finite, _require_integer, _require_positive,
-                      _require_real)
+from .algebra import (KET, _per_label, _require_family, _require_finite, _require_integer,
+                      _require_positive, _require_real)
 from .kernels import grid_observables, rk4_trajectory
 
 #: Largest exponent fed to exp(); beyond this double precision overflows.
@@ -154,7 +154,7 @@ def propagate_fock(family: str, n, omega: float, t):
     if peak > EXP_GUARD:
         raise OverflowError(f"exponent {peak:.3g} exceeds the overflow guard {EXP_GUARD}")
     factor = np.exp(exponent if family == KET else -exponent)
-    return float(factor) if factor.ndim == 0 else factor
+    return _per_label(factor)
 
 
 def schrodinger_residual(family: str, n, omega: float, dt: float):
@@ -175,15 +175,18 @@ def schrodinger_residual(family: str, n, omega: float, dt: float):
     energy = 1j * omega * (np.asarray(n, dtype=float) + 0.5) * (1 if family == KET else -1)
     derivative = (back2 - 8.0 * back + 8.0 * ahead - ahead2) / (12.0 * dt)
     residual = np.abs(1j * derivative - energy * now)
-    return float(residual) if residual.ndim == 0 else residual
+    return _per_label(residual)
 
 
 def classical_orbit(v: float, omega: float, sign: int, t):
-    """x(t) = sign (v/omega) sinh(omega t), the runaway classical solution."""
+    """x(t) = sign (v/omega) sinh(omega t), the runaway classical solution: a float
+    for scalars, else an array.  A v that is not finite and an omega that is not
+    finite and positive are refused with ValueError."""
+    _require_finite("v", v)
     _require_positive("omega", omega)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return sign * (v / omega) * np.sinh(omega * np.asarray(t, dtype=float))
+    return _per_label(sign * (v / omega) * np.sinh(omega * np.asarray(t, dtype=float)))
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -212,10 +215,13 @@ def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
     ``check_tol`` is set the result is compared against the closed form:
     a relative deviation above it raises :class:`StepSizeError`, and a
     closed-form orbit that overflows or underflows to 0, so that no
-    deviation can be measured, raises ValueError.
+    deviation can be measured, raises ValueError.  A ``check_tol`` that is
+    neither None nor a finite positive real is refused with ValueError.
     """
     _require_finite("v", v)
     _require_positive("omega", omega)
+    if check_tol is not None:
+        _require_positive("check_tol", check_tol)
     steps = step_count(t_final, dt)
     with np.errstate(all="ignore"):  # overflow leaves inf or nan, refused below
         values = rk4_trajectory(float(v), float(omega), float(dt), steps)[:, 0]

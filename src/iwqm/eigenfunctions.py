@@ -47,7 +47,7 @@ from itertools import count
 
 import numpy as np
 
-from .algebra import BRA, KET, _require_family, _require_integer
+from .algebra import BRA, KET, _per_label, _require_family, _require_integer
 
 _Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into exp(-z^2/2)
 
@@ -176,13 +176,12 @@ def _evaluate(family: str, levels, x) -> np.ndarray:
 
 
 def evaluate(f: Eigenfunction, x):
-    """Values of the eigenfunction at real x (scalar or array).
+    """Values of the eigenfunction at real x: a complex for scalar x, else an array.
 
     Raises ValueError where x^2/2 is not finite, since the phase exp(-i x^2/2) has no
     value there, and where the level's values overflow.
     """
-    values = _evaluate(f.family, (f.n,), x)[0]
-    return complex(values) if values.ndim == 0 else values
+    return _per_label(_evaluate(f.family, (f.n,), x)[0])
 
 
 def evaluate_levels(family: str, top: int, x) -> np.ndarray:

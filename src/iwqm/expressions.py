@@ -311,7 +311,10 @@ class _Parser:
 
 
 def _parse(text: str, omega: float, equation: bool) -> list[OperatorExpression]:
-    """The forms of ``text``: one expression, or the two sides of an equation."""
+    """The forms of ``text``: one expression, or the two sides of an equation.
+    A ``text`` that is not a string is refused with ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a string, got {text!r}")
     parser = _Parser(text, omega)
     forms = [parser.parse_expr()]
     if equation:

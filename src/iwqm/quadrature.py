@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _require_integer
+from .algebra import _require_integer, _require_real
 from .eigenfunctions import Eigenfunction, _write_levels, evaluate, hermite_coefficients
 
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
@@ -180,9 +180,12 @@ def density_interval_integral(f: Eigenfunction, lo: float, hi: float) -> float:
     exactly, from one vectorized evaluation.
 
     Raises ValueError, before any rule is built, for bounds that are not
-    finite, for hi < lo, for a width hi - lo that overflows and for levels
-    above ``MAX_MASS_LEVEL``; and where the mass overflows.
+    real numbers or not finite, for hi < lo, for a width hi - lo that
+    overflows and for levels above ``MAX_MASS_LEVEL``; and where the mass
+    overflows.
     """
+    _require_real("lo", lo)
+    _require_real("hi", hi)
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)) or hi < lo:
         raise ValueError(f"the interval needs finite bounds lo <= hi and a finite width, "

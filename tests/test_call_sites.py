@@ -12,7 +12,9 @@ coherent nor the decay suite has a ``for`` statement or a ``.tolist()``:
 a loop over the batch would be a second, scalar path.  Every verify row's
 residual is reduced in ``SuiteReport.add``, and nowhere else in ``verify``.
 What a valid family, integer, rate or real number is, the argument checks
-of ``algebra`` say, and no other module raises their refusals itself.
+of ``algebra`` say, and no other module raises their refusals itself.  That
+a 0-d result leaves as a Python scalar, ``algebra._per_label`` says, and no
+other module returns a conditional on ``ndim`` itself.
 Like ``test_imports.py`` this parses the sources with ``ast``.
 """
 
@@ -111,3 +113,25 @@ def test_argument_rules_are_raised_only_in_algebra():
     assert any(rule in text for text in raised["algebra"] for rule in ARGUMENT_RULES)
     assert [f"{module}: {text}" for module, texts in raised.items() if module != "algebra"
             for text in texts if any(rule in text for rule in ARGUMENT_RULES)] == []
+
+
+def ndim_conditional_returns(source: str) -> list[str]:
+    """Each ``return A if TEST else B`` in ``source`` whose TEST reads an
+    ``ndim`` (``x.ndim`` or ``np.ndim(x)``), as source text."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.IfExp)
+            and any(getattr(n, "attr", None) == "ndim" for n in ast.walk(node.value.test))]
+
+
+def test_ndim_conditional_returns_are_found():
+    source = ("def f(x):\n    return x.item() if x.ndim == 0 else x\n"
+              "def g(x):\n    y = x[0] if x.ndim else x\n    return y if y else x\n"
+              "def h(x):\n    return float(x) if np.ndim(x) == 0 else x\n")
+    assert ndim_conditional_returns(source) == [
+        "return x.item() if x.ndim == 0 else x", "return float(x) if np.ndim(x) == 0 else x"]
+
+
+def test_zero_d_results_leave_only_through_algebra():
+    assert len(ndim_conditional_returns(SOURCES["algebra"])) == 1
+    assert [f"{module}: {line}" for module, source in SOURCES.items() if module != "algebra"
+            for line in ndim_conditional_returns(source)] == []

@@ -1,7 +1,8 @@
 """Arguments that are not integers where a level, a dimension, an nmax, a seed
 or a step count is meant, rates that are not finite positive reals, values
-that are not finite and unknown families are refused with a ValueError whose
-message starts with the argument's name.  None of them may first surface as
+that are not finite, bounds that are not real, operator texts that are not
+strings and unknown families are refused with a ValueError whose message
+starts with the argument's name.  None of them may first surface as
 a TypeError, a ZeroDivisionError, a bare math domain error or a
 RuntimeWarning, so the table runs with warnings as errors."""
 
@@ -69,6 +70,19 @@ REFUSALS = [
     ("step_count_t_final_text", lambda: dynamics.step_count("1", 0.1), "t_final"),
     ("ladder_action_family", lambda: algebra.ladder_action("a-", "x", np.ones(3)), "family"),
     ("build_coherent_family", lambda: coherent.build_coherent("x", 1.0), "family"),
+    ("classical_orbit_v_none", lambda: dynamics.classical_orbit(None, 1.0, 1, 0.5), "v"),
+    ("classical_orbit_v_nan", lambda: dynamics.classical_orbit(math.nan, 1.0, 1, 0.5), "v"),
+    ("integrate_alpha_check_tol_text",
+     lambda: dynamics.integrate_alpha(1.0, 1.0, 1.0, 0.1, check_tol="x"), "check_tol"),
+    ("integrate_alpha_check_tol_negative",
+     lambda: dynamics.integrate_alpha(1.0, 1.0, 1.0, 0.1, check_tol=-1.0), "check_tol"),
+    ("density_interval_lo_text", lambda: quadrature.density_interval_integral(
+        eigenfunctions.eigenfunction(KET, 1), "0", 1.0), "lo"),
+    ("density_interval_hi_none", lambda: quadrature.density_interval_integral(
+        eigenfunctions.eigenfunction(KET, 1), 0.0, None), "hi"),
+    ("parse_expression_text", lambda: expressions.parse_expression(5), "text"),
+    ("parse_equation_text", lambda: expressions.parse_equation(None), "text"),
+    ("equation_residual_text", lambda: expressions.equation_residual(b"n == n", 4), "text"),
 ]
 
 
