@@ -25,13 +25,17 @@ It also holds the one argument contract of the package: five private
 checks that refuse a family other than ket or bra, a level, dimension or
 count that is not an integer at its minimum, a number that is not real, a
 rate that is not a finite positive real and a value that is not finite,
-each with a ValueError whose message starts with the argument's name, and
-its one output rule, :func:`_per_label`: a 0-d result leaves as a Python
-scalar.  It imports no other module of the package.  Every named operator
-(n, H, x, p and the SU(1,1) generators) is defined once, as a normal-ordered
-form, in :mod:`iwqm.expressions`; operator identities are checked there,
-word by word, and :func:`iwqm.expressions.to_matrix` writes a form's
-leading block.
+each with a ValueError whose message starts with the argument's name.
+Each check returns what it accepted as the one type the package computes
+with: a Python int or float (a real array as float64), so a numpy float32
+argument is computed in double precision.  Frozen types store only those
+values and, through :func:`_stored`, read-only float64 or complex128
+copies of their array fields.  Its one output rule is :func:`_per_label`:
+a 0-d result leaves as a Python scalar.  It imports no other module of the
+package.  Every named operator (n, H, x, p and the SU(1,1) generators) is
+defined once, as a normal-ordered form, in :mod:`iwqm.expressions`;
+operator identities are checked there, word by word, and
+:func:`iwqm.expressions.to_matrix` writes a form's leading block.
 """
 
 from __future__ import annotations
@@ -63,9 +67,10 @@ def _require_family(family) -> None:
         raise ValueError(f"family must be {KET!r} or {BRA!r}, got {family!r}")
 
 
-def _require_integer(name: str, value, minimum: int = 0, *, arrays: bool = False) -> None:
+def _require_integer(name: str, value, minimum: int = 0, *, arrays: bool = False):
     """Refuse ``value`` unless it is a Python or numpy integer of at least
-    ``minimum``, or, with ``arrays``, an integer array whose entries all are."""
+    ``minimum``, or, with ``arrays``, an integer array whose entries all are.
+    Returns a Python int, or the integer array as given."""
     scalar = isinstance(value, (int, np.integer))  # no numpy call on the common path
     if not (scalar or arrays and np.asarray(value).dtype.kind in "iu"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -73,37 +78,75 @@ def _require_integer(name: str, value, minimum: int = 0, *, arrays: bool = False
     if least < minimum:
         bound = f"at least {minimum}" if minimum else "nonnegative"
         raise ValueError(f"{name} must be {bound}, got {least}")
+    return int(value) if scalar else value
 
 
-def _require_real(name: str, value) -> None:
-    """Refuse ``value`` unless it is a real number: a Python or numpy scalar,
-    or a 0-d array, of a bool, integer or floating type."""
-    if not (isinstance(value, (int, float, np.integer, np.floating))
-            or np.ndim(value) == 0 and np.asarray(value).dtype.kind in "biuf"):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def _require_real(name: str, value, *, arrays: bool = False):
+    """Refuse ``value`` unless it is a real number: a Python or numpy scalar, or
+    a 0-d array, of a bool, integer or floating type; with ``arrays``, also an
+    array of such a type, told by its dtype alone.  Returns a Python float,
+    which is +-inf for an int beyond the float range, or a float64 array."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "biuf" or arr.ndim and not arrays:
+            kind = "a real number or an array of them" if arrays else "a real number"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+        if arr.ndim:
+            return arr.astype(float, copy=False)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
 
 
-def _require_positive(name: str, value) -> None:
-    """Refuse ``value`` unless it is a finite positive real number."""
-    _require_real(name, value)
-    if not 0 < value < math.inf:
+def _require_positive(name: str, value) -> float:
+    """Refuse ``value`` unless it is a finite positive real number; returns it
+    as a Python float."""
+    number = _require_real(name, value)
+    if not 0 < number < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return number
 
 
-def _require_finite(name: str, value) -> None:
-    """Refuse ``value`` unless it is a real number or an array of them, all
-    finite; the message names the first entry that is not."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be real, got {value!r}")
-    finite = np.isfinite(arr)
+def _require_finite(name: str, value, *, arrays: bool = False):
+    """Refuse ``value`` unless it is a finite real number, or, with ``arrays``,
+    an array of them, all finite; the message names the first entry that is
+    not.  Returns what :func:`_require_real` returns."""
+    number = _require_real(name, value, arrays=arrays)
+    finite = np.isfinite(number)
     if not finite.all():
-        raise ValueError(f"{name} must be finite, got {float(arr.flat[np.argmin(finite)])!r}")
+        bad = value if isinstance(number, float) else number.flat[np.argmin(finite)].item()
+        raise ValueError(f"{name} must be finite, got {bad!r}")
+    return number
 
 
 def _per_label(value):
-    """A result per label or point: a Python scalar for a 0-d value, else the array."""
-    return value.item() if np.ndim(value) == 0 else value
+    """A result per label or point, a numpy array or scalar: a Python scalar for
+    a 0-d value, else the array."""
+    return value.item() if value.ndim == 0 else value
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, no longer writable: it is shared or stored."""
+    arr.setflags(False)  # write=False; numpy parses the keyword at twice the cost
+    return arr
+
+
+def _stored(name: str, value, dtype: type) -> np.ndarray:
+    """A new read-only float64 (``dtype`` float) or complex128 (complex) copy of
+    the array field ``name``; entries of another kind, complex ones in a real
+    field, objects or text, are refused with ValueError."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in ("biuf" if dtype is float else "biufc"):
+        raise ValueError(f"{name} must be numeric{' and real' if dtype is float else ''}, "
+                         f"got {arr.dtype} entries")
+    return _read_only(arr.astype(dtype))
+
+
+def _freeze(instance, **fields) -> None:
+    """Store checked ``fields`` on a frozen dataclass ``instance``, past the
+    ``__setattr__`` that refuses assignments."""
+    vars(instance).update(fields)
 
 
 # Bounded: truncations come from user input.
@@ -114,9 +157,7 @@ def ladder_band(dim: int) -> np.ndarray:
     Computed once per truncation and shared by every caller, so the array
     is read-only.
     """
-    band = np.sqrt(np.arange(1, dim, dtype=float))
-    band.setflags(write=False)
-    return band
+    return _read_only(np.sqrt(np.arange(1, dim, dtype=float)))
 
 
 def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray:

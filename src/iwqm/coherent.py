@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (BRA, BRA_PHASE, KET, _per_label, _require_family, _require_integer,
-                      ladder_action, ladder_band)
+from .algebra import (BRA, BRA_PHASE, KET, _freeze, _per_label, _require_family,
+                      _require_integer, _stored, ladder_action, ladder_band)
 
 #: The bound ``dump coherent`` holds its :func:`tail_bound` to (``"passed"``).
 TAIL_TOLERANCE = 1e-12
@@ -79,7 +79,7 @@ def tail_bound(alpha, dim: int):
     computed in logarithms so that no large dim overflows: a float for one label,
     else an array with one bound per label of ``alpha``.  A dim that is not a
     nonnegative integer is refused with ValueError."""
-    _require_integer("dim", dim)
+    dim = _require_integer("dim", dim)
     alpha = np.asarray(alpha, dtype=complex)
     bounds = [_tail(abs(a), dim) for a in alpha.ravel().tolist()]
     return _per_label(np.reshape(bounds, alpha.shape))
@@ -100,27 +100,22 @@ def _log_coefficient(r: float, n: int) -> float:
 @dataclass(frozen=True)
 class CoherentState:
     """Coefficient vectors of one family along the last axis of ``coeffs``, one
-    per label of ``alpha``: a complex for one label, else an array of labels."""
+    per label of ``alpha``: a complex for one label, else an array of labels.
+    An unknown family, entries that are not numbers and a label shape that does
+    not match are refused with ValueError."""
 
     family: str
     alpha: complex | np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
-        alpha = self.alpha
-        if isinstance(alpha, (complex, float, int)):
-            alpha, shape = complex(alpha), ()
-        else:
-            alpha = np.array(alpha, dtype=complex)
-            alpha.setflags(write=False)
-            shape, alpha = alpha.shape, _per_label(alpha)
-        arr = np.array(self.coeffs, dtype=complex)
-        if arr.shape[:-1] != shape or arr.ndim < 1:
-            raise ValueError(f"coefficients of shape {arr.shape} do not hold one vector "
-                             f"per label of shape {shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "coeffs", arr)
+        _require_family(self.family)
+        alpha = _stored("alpha", self.alpha, complex)
+        coeffs = _stored("coeffs", self.coeffs, complex)
+        if coeffs.shape[:-1] != alpha.shape or coeffs.ndim < 1:
+            raise ValueError(f"coefficients of shape {coeffs.shape} do not hold one vector "
+                             f"per label of shape {alpha.shape}")
+        _freeze(self, alpha=_per_label(alpha), coeffs=coeffs)
 
     @property
     def dim(self) -> int:
@@ -133,10 +128,10 @@ def _index(flat: int, shape: tuple) -> int | tuple[int, ...]:
     return index[0] if len(index) == 1 else index
 
 
-def _labels(alpha, dim: int) -> tuple[np.ndarray, list[complex]]:
-    """The labels as a complex array and as a flat list of complexes, after the
-    refusals that :func:`build_coherent` states."""
-    _require_integer("dim", dim, minimum=8)
+def _labels(alpha, dim: int) -> tuple[np.ndarray, list[complex], int]:
+    """The labels as a complex array and as a flat list of complexes, and the
+    dim, after the refusals that :func:`build_coherent` states."""
+    dim = _require_integer("dim", dim, minimum=8)
     alpha = np.asarray(alpha, dtype=complex)
     labels = alpha.ravel().tolist()
     for index, a in enumerate(labels):
@@ -150,7 +145,7 @@ def _labels(alpha, dim: int) -> tuple[np.ndarray, list[complex]]:
             raise ValueError(f"label alpha={a!r}{where} is not finite")
         raise ValueError(f"label |alpha|={r:.3g}{where} has coefficients above "
                          f"{MAX_COEFFICIENT:g} at dim={dim}; its moments overflow")
-    return alpha, labels
+    return alpha, labels, dim
 
 
 def _coherent(family: str, alpha: np.ndarray, labels: list[complex], dim: int) -> CoherentState:
@@ -164,7 +159,7 @@ def _coherent(family: str, alpha: np.ndarray, labels: list[complex], dim: int) -
     ratios[..., 0] = np.reshape(phases, alpha.shape) if alpha.ndim else phases[0]
     base = alpha if family == KET else BRA_PHASE * alpha
     ratios[..., 1:] = base[..., None] / ladder_band(dim)
-    return CoherentState(family, alpha if alpha.ndim else labels[0], ratios.cumprod(axis=-1))
+    return CoherentState(family, alpha, ratios.cumprod(axis=-1))
 
 
 def build_coherent(family: str, alpha, dim: int = 64) -> CoherentState:
@@ -181,13 +176,13 @@ def build_coherent(family: str, alpha, dim: int = 64) -> CoherentState:
     overflow; in a batch the error names the first such label's index.
     """
     _require_family(family)
-    return _coherent(family, *_labels(alpha, dim), dim)
+    return _coherent(family, *_labels(alpha, dim))
 
 
 def _pair(alpha, dim: int) -> tuple[CoherentState, CoherentState]:
     """The (bra, ket) pair of :func:`build_coherent`, its labels checked once."""
-    alpha, labels = _labels(alpha, dim)
-    return _coherent(BRA, alpha, labels, dim), _coherent(KET, alpha, labels, dim)
+    checked = _labels(alpha, dim)
+    return _coherent(BRA, *checked), _coherent(KET, *checked)
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -279,7 +274,9 @@ def expectation(observable: str, alpha: complex, dim: int = 64) -> complex:
 
 def expectation_closed_form(observable: str, alpha):
     """The same expectations from the closed-form algebra of the label alpha, per
-    label: a complex for one label, else an array."""
+    label: a complex for one label, else an array.  A label that is not finite,
+    or whose expectation overflows, is refused with ValueError naming it, in a
+    batch by its index."""
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
     shape = np.shape(alpha)
@@ -289,7 +286,15 @@ def expectation_closed_form(observable: str, alpha):
     forms = {"x": lambda: (a - 1j * ac) / _ROOT_2I, "p": lambda: (a + 1j * ac) / _ROOT_2I,
              "x2": lambda: (a ** 2 - 2j * np.abs(a) ** 2 + 1 - ac ** 2) / 2j,
              "p2": lambda: (a ** 2 - ac ** 2 + 2j * np.abs(a) ** 2 - 1) / 2j}
-    return _per_label(forms[observable]().reshape(shape))
+    with np.errstate(all="ignore"):  # a label that is not finite or overflows: refused below
+        values = forms[observable]()
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        where = f" at index {_index(bad, shape)}" if shape else ""
+        raise ValueError(f"alpha must be a label with a finite <{observable}>, got "
+                         f"{a[bad].item()!r}{where}")
+    return _per_label(values.reshape(shape))
 
 
 @dataclass(frozen=True)

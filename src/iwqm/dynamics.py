@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (KET, _per_label, _require_family, _require_finite, _require_integer,
-                      _require_positive, _require_real)
+from .algebra import (KET, _freeze, _per_label, _require_family, _require_finite,
+                      _require_integer, _require_positive, _require_real, _stored)
 from .kernels import grid_observables, rk4_trajectory
 
 #: Largest exponent fed to exp(); beyond this double precision overflows.
@@ -92,16 +92,12 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        v = np.array(self.values, dtype=complex)
+        t, v = _stored("times", self.times, float), _stored("values", self.values, complex)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("times and values must be equal-length vectors")
         if t.shape[0] > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        t.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        _freeze(self, times=t, values=v)
 
 
 @dataclass(frozen=True)
@@ -115,19 +111,17 @@ class GridState:
     omega: float
 
     def __post_init__(self):
-        _require_integer("points", self.points, minimum=2)
-        if self.points & (self.points - 1):
-            raise ValueError(f"points must be a power of two, got {self.points}")
-        _require_finite("x_min", self.x_min)
-        _require_finite("x_max", self.x_max)
-        if self.x_max <= self.x_min:
+        points = _require_integer("points", self.points, minimum=2)
+        if points & (points - 1):
+            raise ValueError(f"points must be a power of two, got {points}")
+        x_min, x_max = _require_finite("x_min", self.x_min), _require_finite("x_max", self.x_max)
+        if x_max <= x_min:
             raise ValueError("x_max must exceed x_min")
-        _require_positive("omega", self.omega)
-        arr = np.array(self.psi, dtype=complex)
-        if arr.shape != (self.points,):
-            raise ValueError(f"psi must have shape ({self.points},), got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "psi", arr)
+        omega = _require_positive("omega", self.omega)
+        psi = _stored("psi", self.psi, complex)
+        if psi.shape != (points,):
+            raise ValueError(f"psi must have shape ({points},), got {psi.shape}")
+        _freeze(self, x_min=x_min, x_max=x_max, points=points, psi=psi, omega=omega)
 
     @property
     def dx(self) -> float:
@@ -146,12 +140,13 @@ def propagate_fock(family: str, n, omega: float, t):
     ValueError; an exponent beyond ``EXP_GUARD`` raises OverflowError.
     """
     _require_family(family)
-    _require_positive("omega", omega)
-    _require_integer("level", n, arrays=True)
-    _require_finite("t", t)
-    exponent = (np.asarray(n, dtype=float) + 0.5) * omega * np.asarray(t, dtype=float)
+    omega = _require_positive("omega", omega)
+    n = _require_integer("level", n, arrays=True)
+    t = _require_finite("t", t, arrays=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 at t = 0: refused below
+        exponent = (np.asarray(n, dtype=float) + 0.5) * omega * t
     peak = np.max(np.abs(exponent), initial=0.0)
-    if peak > EXP_GUARD:
+    if not peak <= EXP_GUARD:
         raise OverflowError(f"exponent {peak:.3g} exceeds the overflow guard {EXP_GUARD}")
     factor = np.exp(exponent if family == KET else -exponent)
     return _per_label(factor)
@@ -166,9 +161,12 @@ def schrodinger_residual(family: str, n, omega: float, dt: float):
     (f(-2dt) - 8 f(-dt) + 8 f(dt) - f(2dt)) / (12 dt), its five factors
     taken in one :func:`propagate_fock` call, so the defect is the
     truncation error ((n+1/2) omega)^5 dt^4 / 30 plus rounding.  A dt that
-    is not finite and positive is refused with ValueError.
+    is not finite and positive, or whose 2 dt overflows, is refused with
+    ValueError.
     """
-    _require_positive("dt", dt)
+    dt = _require_positive("dt", dt)
+    if 2.0 * dt == math.inf:
+        raise ValueError(f"dt must be at most half the largest float, got {dt!r}")
     stencil = dt * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]).reshape((5,) + (1,) * np.ndim(n))
     # propagate_fock refuses a family, a level or an omega it cannot take
     back2, back, now, ahead, ahead2 = propagate_fock(family, n, omega, stencil)
@@ -180,21 +178,28 @@ def schrodinger_residual(family: str, n, omega: float, dt: float):
 
 def classical_orbit(v: float, omega: float, sign: int, t):
     """x(t) = sign (v/omega) sinh(omega t), the runaway classical solution: a float
-    for scalars, else an array.  A v that is not finite and an omega that is not
-    finite and positive are refused with ValueError."""
-    _require_finite("v", v)
-    _require_positive("omega", omega)
+    for scalars, else an array.  A v that is not finite, an omega that is not
+    finite and positive, and a t that is not real or at which the orbit leaves
+    the float range (at v = 0 too, where sinh overflows) are refused with
+    ValueError."""
+    v = _require_finite("v", v, arrays=True)
+    omega = _require_positive("omega", omega)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return _per_label(sign * (v / omega) * np.sinh(omega * np.asarray(t, dtype=float)))
+    t = _require_real("t", t, arrays=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf at v = 0: refused below
+        orbit = sign * (v / omega) * np.sinh(omega * t)
+    if not np.isfinite(orbit).all():
+        raise ValueError(f"t must be a time at which the classical orbit of v={v!r} at "
+                         f"omega={omega!r} is finite, got |t| up to {float(np.max(np.abs(t)))!r}")
+    return _per_label(orbit)
 
 
 def step_count(t_final: float, dt: float) -> int:
     """round(t_final / dt) for positive t_final and dt, refused with ValueError
     when it is 0 (dt of 2 t_final or more) or above ``MAX_STEPS``, before
     anything is allocated."""
-    _require_real("t_final", t_final)
-    _require_real("dt", dt)
+    t_final, dt = _require_real("t_final", t_final), _require_real("dt", dt)
     if not (t_final > 0 and dt > 0):
         raise ValueError(f"t_final and dt must be positive, got {t_final!r}, {dt!r}")
     ratio = t_final / dt
@@ -218,13 +223,13 @@ def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
     deviation can be measured, raises ValueError.  A ``check_tol`` that is
     neither None nor a finite positive real is refused with ValueError.
     """
-    _require_finite("v", v)
-    _require_positive("omega", omega)
+    v = _require_finite("v", v)
+    omega = _require_positive("omega", omega)
     if check_tol is not None:
-        _require_positive("check_tol", check_tol)
-    steps = step_count(t_final, dt)
+        check_tol = _require_positive("check_tol", check_tol)
+    steps, dt = step_count(t_final, dt), _require_real("dt", dt)
     with np.errstate(all="ignore"):  # overflow leaves inf or nan, refused below
-        values = rk4_trajectory(float(v), float(omega), float(dt), steps)[:, 0]
+        values = rk4_trajectory(v, omega, dt, steps)[:, 0]
     if not np.all(np.isfinite(values)):
         raise ValueError(f"the label trajectory of v={v!r} at omega={omega!r} is not finite "
                          f"up to t_final={t_final!r}")
@@ -240,7 +245,7 @@ def integrate_alpha(v: float, omega: float, t_final: float, dt: float,
             raise StepSizeError(
                 f"step dt={dt:g} leaves relative error {rel:.3e} > {check_tol:g} "
                 f"against the closed-form orbit")
-    return Trajectory(times, values.astype(complex))
+    return Trajectory(times, values)
 
 
 def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) -> GridState:
@@ -259,10 +264,9 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) 
     amplitude falls to ``EDGE_FRACTION`` of its peak, at t_final.  A
     horizon needing more than ``MAX_GRID_POINTS`` points raises ValueError.
     """
-    _require_finite("v", v)
-    _require_positive("omega", omega)
-    t_final = 1.5 / omega if t_final is None else t_final
-    _require_real("t_final", t_final)
+    v = _require_finite("v", v)
+    omega = _require_positive("omega", omega)
+    t_final = _require_real("t_final", 1.5 / omega if t_final is None else t_final)
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
     width = 1.0 / math.sqrt(omega)
@@ -287,9 +291,10 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) 
     return GridState(-half_width, half_width, points, psi, omega)
 
 
-def _check_run(initial: GridState, dt: float, steps: int) -> None:
-    """Refuse a (dt, steps) run of ``initial`` before anything is allocated."""
-    _require_positive("dt", dt)
+def _check_run(initial: GridState, dt: float, steps: int) -> tuple[float, int]:
+    """Refuse a (dt, steps) run of ``initial`` before anything is allocated, or
+    return it as checked."""
+    dt = _require_positive("dt", dt)
     tau = initial.omega * dt
     reach = max(abs(initial.x_min), abs(initial.x_max))
     u_edge, k_edge = reach * math.sqrt(initial.omega), math.pi / initial.dx
@@ -301,9 +306,10 @@ def _check_run(initial: GridState, dt: float, steps: int) -> None:
             and 0.25 * dt * k_edge * k_edge < math.inf):
         raise ValueError(f"omega * dt = {tau:.3g} overflows the phases of the kicks on a "
                          f"grid reaching |x| = {reach:.3g}")
-    _require_integer("steps", steps, minimum=1)
+    steps = _require_integer("steps", steps, minimum=1)
     if steps > MAX_STEPS:
         raise ValueError(f"{steps} steps exceeds the cap of {MAX_STEPS}")
+    return dt, steps
 
 
 class _Observer:
@@ -394,11 +400,9 @@ def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = No
     the values of a run made alone, bit for bit.  Each run takes its
     observables and checks its guards a block at a time, as alone.
     """
-    runs = list(runs)
+    runs = [_check_run(initial, dt, steps) for dt, steps in runs]
     if not runs:
         raise ValueError("need at least one (dt, steps) run")
-    for dt, steps in runs:
-        _check_run(initial, dt, steps)
     if diagnostics is not None and len(diagnostics) != len(runs):
         raise ValueError(f"{len(runs)} runs but {len(diagnostics)} diagnostics dicts")
     leak_limit = LEAK_TOL * max(1.0, float(np.max(np.abs(initial.psi))))
@@ -433,7 +437,7 @@ def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = No
     trajectories = [None] * len(runs)
     for observer, i in zip(observers, order):
         dt, steps = runs[i]
-        trajectories[i] = Trajectory(dt * np.arange(steps + 1), observer.xs.astype(complex))
+        trajectories[i] = Trajectory(dt * np.arange(steps + 1), observer.xs)
         if diagnostics is not None:
             diagnostics[i]["norm_drift"] = observer.drift_max
             diagnostics[i]["edge_max"] = observer.edge_max

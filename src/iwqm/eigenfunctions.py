@@ -47,7 +47,8 @@ from itertools import count
 
 import numpy as np
 
-from .algebra import BRA, KET, _per_label, _require_family, _require_integer
+from .algebra import (BRA, KET, _freeze, _per_label, _require_family, _require_integer,
+                      _require_real)
 
 _Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into exp(-z^2/2)
 
@@ -79,7 +80,7 @@ class Eigenfunction:
 
     def __post_init__(self):
         _require_family(self.family)
-        _require_integer("level", self.n)
+        _freeze(self, n=_require_integer("level", self.n))
 
 
 def generating_function(family: str) -> Eigenfunction:
@@ -151,7 +152,8 @@ def _evaluate(family: str, levels, x) -> np.ndarray:
     The folds depend on the level alone, so a point's value is that of one unblocked
     recurrence, bit for bit, alone or in an array.
     """
-    xs = np.asarray(x, dtype=float).reshape(-1)
+    x = _require_real("x", x, arrays=True)
+    xs = np.reshape(x, -1)
     vals = np.empty((len(levels), xs.size), dtype=complex)
     phase = vals[-1].imag  # -x^2/2, until the sine overwrites it
     np.multiply(xs, -0.5, out=phase)
@@ -178,8 +180,9 @@ def _evaluate(family: str, levels, x) -> np.ndarray:
 def evaluate(f: Eigenfunction, x):
     """Values of the eigenfunction at real x: a complex for scalar x, else an array.
 
-    Raises ValueError where x^2/2 is not finite, since the phase exp(-i x^2/2) has no
-    value there, and where the level's values overflow.
+    Raises ValueError for an x that is not real (told by its dtype alone), where
+    x^2/2 is not finite, since the phase exp(-i x^2/2) has no value there, and
+    where the level's values overflow.
     """
     return _per_label(_evaluate(f.family, (f.n,), x)[0])
 
@@ -187,8 +190,8 @@ def evaluate(f: Eigenfunction, x):
 def evaluate_levels(family: str, top: int, x) -> np.ndarray:
     """Levels 0..top at real x from one recurrence pass, shape (top + 1, *x.shape):
     row n is ``evaluate(eigenfunction(family, n), x)`` bit for bit."""
-    Eigenfunction(family, top)  # refuses an unknown family and a top that is no level
-    return _evaluate(family, range(top + 1), x)
+    # Eigenfunction refuses an unknown family and a top that is no level
+    return _evaluate(family, range(Eigenfunction(family, top).n + 1), x)
 
 
 def hermite_coefficients(nmax: int) -> list[list[int]]:

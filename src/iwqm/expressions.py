@@ -129,7 +129,7 @@ def _diagonals(form: OperatorExpression, size: int):
 def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
     """The leading dim x dim block of an expression's untruncated operator, on
     ket-family coefficients."""
-    _require_integer("dim", dim, minimum=2)
+    dim = _require_integer("dim", dim, minimum=2)
     out = np.zeros((dim, dim), dtype=complex)
     for p, d in _diagonals(expr, dim):
         out += np.diag(d, p)
@@ -162,8 +162,7 @@ def number_expression() -> OperatorExpression:
 
 def hamiltonian_expression(omega: float = 1.0) -> OperatorExpression:
     """H = i omega (n + 1/2), for a finite and positive omega."""
-    _require_positive("omega", omega)
-    return scaled(1j * omega, _NUMBER_PLUS_HALF)
+    return scaled(1j * _require_positive("omega", omega), _NUMBER_PLUS_HALF)
 
 
 def position_expression() -> OperatorExpression:
@@ -345,7 +344,7 @@ def identity_residual(lhs: OperatorExpression, rhs: OperatorExpression, nmax: in
     scalar coefficients can remain.  Finite scalars whose products overflow
     leave no finite difference: the residual is then inf, never NaN.
     """
-    _require_integer("nmax", nmax, minimum=1)
+    nmax = _require_integer("nmax", nmax, minimum=1)
     diff = op_sum(lhs, scaled(-1.0, rhs))
     with np.errstate(over="ignore", invalid="ignore"):
         worst = [np.max(np.abs(d)) for _, d in _diagonals(diff, nmax)]

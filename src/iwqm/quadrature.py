@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _require_integer, _require_real
+from .algebra import _freeze, _read_only, _require_integer, _require_real, _stored
 from .eigenfunctions import Eigenfunction, _write_levels, evaluate, hermite_coefficients
 
 #: Contour rotation mapping exp(-i x^2) to exp(-s^2).
@@ -46,27 +46,24 @@ GRAM_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class ContourQuadrature:
-    """Gauss-Hermite rule rotated onto the stationary-phase contour."""
+    """Gauss-Hermite rule rotated onto the stationary-phase contour: nodes and
+    weights of one shape, stored as read-only complex arrays.  :meth:`build`
+    refuses a node count that is not an integer of at least 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        for name in ("nodes", "weights"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        nodes = _stored("nodes", self.nodes, complex)
+        weights = _stored("weights", self.weights, complex)
+        if weights.shape != nodes.shape:
+            raise ValueError(f"weights must be shaped as nodes {nodes.shape}, got {weights.shape}")
+        _freeze(self, nodes=nodes, weights=weights)
 
     @classmethod
     def build(cls, node_count: int) -> "ContourQuadrature":
-        h, w = _gauss_hermite(node_count)
+        h, w = _gauss_hermite(_require_integer("node_count", node_count, minimum=1))
         return cls(ROTATION * h, ROTATION * w)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
 
 
 # Both rule caches are bounded: their node counts come from user input.
@@ -86,13 +83,13 @@ def _gauss_hermite(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(w)) and np.all(w > 0)):
         raise ValueError(f"hermgauss gives non-finite nodes or weights at {node_count} nodes, "
                          f"or a weight that is not positive (it fails from a few hundred nodes)")
-    return _read_only(h, w)
+    return _read_only(h), _read_only(w)
 
 
 @functools.lru_cache(maxsize=64)
 def _gauss_legendre(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count."""
-    return _read_only(*np.polynomial.legendre.leggauss(node_count))
+    return tuple(map(_read_only, np.polynomial.legendre.leggauss(node_count)))
 
 
 def fresnel_gaussian() -> complex:
@@ -153,7 +150,7 @@ def gram_matrix(nmax: int, use_moments: bool = False) -> np.ndarray:
     1 is refused on both paths.  With ``use_moments`` every entry comes
     from the exact-integer moment oracle instead: the cross-check path.
     """
-    _require_integer("nmax", nmax, minimum=1)
+    nmax = _require_integer("nmax", nmax, minimum=1)
     if use_moments:
         return _moment_pairings(nmax).astype(complex)
     if nmax > MAX_HERMITE_NODES - 1:
@@ -184,9 +181,7 @@ def density_interval_integral(f: Eigenfunction, lo: float, hi: float) -> float:
     overflows and for levels above ``MAX_MASS_LEVEL``; and where the mass
     overflows.
     """
-    _require_real("lo", lo)
-    _require_real("hi", hi)
-    lo, hi = float(lo), float(hi)
+    lo, hi = _require_real("lo", lo), _require_real("hi", hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)) or hi < lo:
         raise ValueError(f"the interval needs finite bounds lo <= hi and a finite width, "
                          f"got [{lo!r}, {hi!r}]")

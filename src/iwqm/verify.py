@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, coherent, dynamics, eigenfunctions, expressions, quadrature
-from .algebra import BRA, KET, _require_integer, _require_real
+from .algebra import BRA, KET, _freeze, _require_integer, _require_real
 from .coherent import determine_bra_phase
 from .expressions import (
     A_MINUS,
@@ -78,11 +78,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integer("nmax", self.nmax, minimum=4)
-        _require_integer("seed", self.seed)
-        _require_real("omega", self.omega)
-        for name, kind in (("nmax", int), ("seed", int), ("omega", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        _freeze(self, nmax=_require_integer("nmax", self.nmax, minimum=4),
+                seed=_require_integer("seed", self.seed), omega=_require_real("omega", self.omega))
         # the largest sqrt(nmax): 0 off the omega range, inf (no OverflowError) squared
         root = MAX_OMEGA_SQRT_NMAX / self.omega if MIN_OMEGA <= self.omega <= MAX_OMEGA else 0.0
         if self.nmax > min(root * root, MAX_NMAX):

@@ -14,7 +14,9 @@ residual is reduced in ``SuiteReport.add``, and nowhere else in ``verify``.
 What a valid family, integer, rate or real number is, the argument checks
 of ``algebra`` say, and no other module raises their refusals itself.  That
 a 0-d result leaves as a Python scalar, ``algebra._per_label`` says, and no
-other module returns a conditional on ``ndim`` itself.
+other module returns a conditional on ``ndim`` itself.  That an array is
+stored or shared read-only, ``algebra._read_only`` says, and no other
+module calls ``setflags``.
 Like ``test_imports.py`` this parses the sources with ``ast``.
 """
 
@@ -135,3 +137,7 @@ def test_zero_d_results_leave_only_through_algebra():
     assert len(ndim_conditional_returns(SOURCES["algebra"])) == 1
     assert [f"{module}: {line}" for module, source in SOURCES.items() if module != "algebra"
             for line in ndim_conditional_returns(source)] == []
+
+
+def test_only_algebra_makes_arrays_read_only():
+    assert call_sites(SOURCES, "setflags") == ["algebra._read_only"]

@@ -44,6 +44,15 @@ def test_overflow_guard():
         propagate_fock(KET, 1000, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n, omega, t", [(2, 1.0, 1e308), (3, 1e300, -1e300)])
+def test_overflow_guard_takes_an_overflowing_exponent_without_a_warning(n, omega, t):
+    # (n + 1/2) omega t overflows to +-inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="overflow guard"):
+            propagate_fock(KET, n, omega, t)
+
+
 def test_factor_grid_is_its_scalar_calls_bit_for_bit():
     # levels along one axis and times along another, as the decay suite and
     # dump decay take them, against one call per (level, time)

@@ -1,8 +1,11 @@
-"""Arguments that are not integers where a level, a dimension, an nmax, a seed
-or a step count is meant, rates that are not finite positive reals, values
-that are not finite, bounds that are not real, operator texts that are not
-strings and unknown families are refused with a ValueError whose message
-starts with the argument's name.  None of them may first surface as
+"""Arguments that are not integers where a level, a dimension, an nmax, a seed,
+a step count or a node count is meant, rates that are not finite positive
+reals (an int beyond the float range among them), values that are not
+finite, bounds, points and times that are not real, array fields with
+entries of another kind, operator texts that are not strings and unknown
+families are refused with a ValueError whose message starts with the
+argument's name; so are times, steps and labels whose results would leave
+the float range.  None of them may first surface as
 a TypeError, a ZeroDivisionError, a bare math domain error or a
 RuntimeWarning, so the table runs with warnings as errors."""
 
@@ -83,6 +86,51 @@ REFUSALS = [
     ("parse_expression_text", lambda: expressions.parse_expression(5), "text"),
     ("parse_equation_text", lambda: expressions.parse_equation(None), "text"),
     ("equation_residual_text", lambda: expressions.equation_residual(b"n == n", 4), "text"),
+    ("propagate_omega_huge_int", lambda: dynamics.propagate_fock(KET, 1, 10 ** 400, 0.1), "omega"),
+    ("gaussian_packet_omega_huge_int", lambda: dynamics.gaussian_packet(0.5, 10 ** 400), "omega"),
+    ("hamiltonian_omega_huge_int",
+     lambda: expressions.hamiltonian_expression(10 ** 400), "omega"),
+    ("gaussian_packet_v_array", lambda: dynamics.gaussian_packet([1, 2]), "v"),
+    ("grid_state_x_min_array",
+     lambda: dynamics.GridState([1, 2], 1.0, 4, np.zeros(4), 1.0), "x_min"),
+    ("grid_state_psi_text",
+     lambda: dynamics.GridState(-1.0, 1.0, 4, ["x"] * 4, 1.0), "psi"),
+    ("trajectory_complex_times", lambda: dynamics.Trajectory(1j, 1j), "times"),
+    ("trajectory_object_values", lambda: dynamics.Trajectory([0, 1], [None, 1]), "values"),
+    ("coherent_state_object_coeffs",
+     lambda: coherent.CoherentState(KET, 0.5, [None] * 4), "coeffs"),
+    ("coherent_state_text_coeffs", lambda: coherent.CoherentState(KET, 0.5, ["x"] * 4), "coeffs"),
+    ("coherent_state_family", lambda: coherent.CoherentState("x", 0.5, np.zeros(4)), "family"),
+    ("contour_quadrature_object_nodes",
+     lambda: quadrature.ContourQuadrature([None], [1.0]), "nodes"),
+    ("contour_quadrature_weights_shape",
+     lambda: quadrature.ContourQuadrature([1], [1, 2]), "weights"),
+    ("contour_build_float", lambda: quadrature.ContourQuadrature.build(2.5), "node_count"),
+    ("contour_build_float32",
+     lambda: quadrature.ContourQuadrature.build(np.float32(2.0)), "node_count"),
+    ("contour_build_none", lambda: quadrature.ContourQuadrature.build(None), "node_count"),
+    ("contour_build_text", lambda: quadrature.ContourQuadrature.build("1"), "node_count"),
+    ("contour_build_complex", lambda: quadrature.ContourQuadrature.build(1j), "node_count"),
+    ("contour_build_0d_array",
+     lambda: quadrature.ContourQuadrature.build(np.array(4)), "node_count"),
+    ("evaluate_x_complex",
+     lambda: eigenfunctions.evaluate(eigenfunctions.eigenfunction(KET, 1), 1j), "x"),
+    ("evaluate_x_text",
+     lambda: eigenfunctions.evaluate(eigenfunctions.eigenfunction(KET, 1), "0.5"), "x"),
+    ("evaluate_levels_x_complex", lambda: eigenfunctions.evaluate_levels(KET, 2, [0, 1j]), "x"),
+    ("classical_orbit_t_complex", lambda: dynamics.classical_orbit(1.0, 1.0, 1, 1j), "t"),
+    ("classical_orbit_t_text", lambda: dynamics.classical_orbit(1.0, 1.0, 1, "0.5"), "t"),
+    ("classical_orbit_t_overflow", lambda: dynamics.classical_orbit(1.0, 1.0, 1, 800.0), "t"),
+    ("classical_orbit_t_overflow_at_rest",
+     lambda: dynamics.classical_orbit(0.0, 1.0, 1, [0.0, 800.0]), "t"),
+    ("schrodinger_dt_overflow",
+     lambda: dynamics.schrodinger_residual(KET, 1, 1.0, 1e308), "dt"),
+    ("expectation_closed_form_alpha_overflow",
+     lambda: coherent.expectation_closed_form("x2", 1e200), "alpha"),
+    ("expectation_closed_form_alpha_nan",
+     lambda: coherent.expectation_closed_form("x", complex("nan")), "alpha"),
+    ("expectation_closed_form_alpha_batch",
+     lambda: coherent.expectation_closed_form("p2", [0.5, 1e200j]), "alpha"),
 ]
 
 
