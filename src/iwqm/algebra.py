@@ -85,14 +85,16 @@ def _require_real(name: str, value, *, arrays: bool = False):
     """Refuse ``value`` unless it is a real number: a Python or numpy scalar, or
     a 0-d array, of a bool, integer or floating type; with ``arrays``, also an
     array of such a type, told by its dtype alone.  Returns a Python float,
-    which is +-inf for an int beyond the float range, or a float64 array."""
+    which is +-inf for an int beyond the float range, or a float64 array,
+    +-inf where a wider float is beyond it."""
     if not isinstance(value, (int, float, np.integer, np.floating)):
         arr = np.asarray(value)
         if arr.dtype.kind not in "biuf" or arr.ndim and not arrays:
             kind = "a real number or an array of them" if arrays else "a real number"
             raise ValueError(f"{name} must be {kind}, got {value!r}")
         if arr.ndim:
-            return arr.astype(float, copy=False)
+            with np.errstate(over="ignore"):  # a longdouble beyond the float range: +-inf
+                return arr.astype(float, copy=False)
     try:
         return float(value)
     except OverflowError:  # an int beyond the float range

@@ -30,11 +30,11 @@ the packet's closed-form spreads in position and momentum until then
 (512 points for the default packet at omega = 1, 1024 at most from
 omega = 0.05 to 40), refusing horizons that need more than
 ``MAX_GRID_POINTS``.  The split-step fuses the outer half-kicks of
-consecutive steps and takes its guards' observables a block of steps at a
-time.  Runs of one packet at several step sizes are stacked as the rows of
-one array (``grid_split_step_runs``), so they share each FFT call while
-they last; each row equals its run made alone bit for bit, and
-``grid_split_step`` is the one-run case.
+consecutive steps, and after every step takes each run's observables and
+checks its guards.  Runs of one packet at several step sizes are stacked
+as the rows of one array (``grid_split_step_runs``), so they share each
+FFT call while they last; each row equals its run made alone bit for bit,
+and ``grid_split_step`` is the one-run case.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ MAX_GRID_POINTS = 1 << 16
 
 #: Largest number of time steps a trajectory takes.
 MAX_STEPS = 10 ** 7
-
-#: Size of the block of grid states whose observables are taken at once.
-BLOCK_BYTES = 1 << 19
 
 #: Largest boundary amplitude of a grid state, relative to the initial peak
 #: amplitude when that is above 1.
@@ -178,17 +175,21 @@ def schrodinger_residual(family: str, n, omega: float, dt: float):
 
 def classical_orbit(v: float, omega: float, sign: int, t):
     """x(t) = sign (v/omega) sinh(omega t), the runaway classical solution: a float
-    for scalars, else an array.  A v that is not finite, an omega that is not
-    finite and positive, and a t that is not real or at which the orbit leaves
-    the float range (at v = 0 too, where sinh overflows) are refused with
-    ValueError."""
+    for scalars, else an array.  A v that is not finite or whose v/omega is not,
+    an omega that is not finite and positive, and a t that is not real or at
+    which the orbit leaves the float range (at v = 0 too, where sinh
+    overflows) are refused with ValueError."""
     v = _require_finite("v", v, arrays=True)
     omega = _require_positive("omega", omega)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     t = _require_real("t", t, arrays=True)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf at v = 0: refused below
-        orbit = sign * (v / omega) * np.sinh(omega * t)
+        amplitude = v / omega
+        if not np.isfinite(amplitude).all():
+            raise ValueError(f"v must be at most the largest float times omega={omega!r}, "
+                             f"got |v| up to {float(np.max(np.abs(v)))!r}")
+        orbit = sign * amplitude * np.sinh(omega * t)
     if not np.isfinite(orbit).all():
         raise ValueError(f"t must be a time at which the classical orbit of v={v!r} at "
                          f"omega={omega!r} is finite, got |t| up to {float(np.max(np.abs(t)))!r}")
@@ -312,48 +313,6 @@ def _check_run(initial: GridState, dt: float, steps: int) -> tuple[float, int]:
     return dt, steps
 
 
-class _Observer:
-    """<x> of one run's states, taken for a block of up to ``BLOCK_BYTES`` of
-    states at a time; both guards are checked for every step of a block
-    before the run steps on."""
-
-    def __init__(self, steps: int, initial: GridState, leak_limit: float):
-        self.x, self.dx, self.leak_limit = initial.x, initial.dx, leak_limit
-        self.xs = np.empty(steps + 1)
-        rows = max(1, min(steps + 1, BLOCK_BYTES // initial.psi.nbytes))
-        self.block = np.empty((rows, initial.points), dtype=complex)
-        self.start = self.filled = 0
-        self.norm0 = None
-        self.edge_max = self.drift_max = 0.0
-
-    def record(self, state: np.ndarray) -> None:
-        self.block[self.filled] = state
-        self.filled += 1
-        if self.filled == self.block.shape[0] or self.start + self.filled == self.xs.size:
-            self._take_block()
-
-    def _take_block(self) -> None:
-        start, states = self.start, self.block[:self.filled]
-        norms, self.xs[start:start + self.filled], edges = grid_observables(states, self.x,
-                                                                           self.dx)
-        if self.norm0 is None:
-            self.norm0 = norms[0]
-        drifts = np.abs(norms - self.norm0)
-        self.edge_max = max(self.edge_max, float(edges.max()))
-        self.drift_max = max(self.drift_max, float(drifts.max()))
-        # written so that a NaN norm or edge fails them
-        edge_ok = edges <= self.leak_limit
-        bad = np.flatnonzero(~(edge_ok & (drifts <= DRIFT_TOL)))
-        if bad.size:
-            r = bad[0]
-            if not edge_ok[r]:
-                raise GridLeakError(f"boundary amplitude {edges[r]:.3e} exceeds "
-                                    f"{self.leak_limit:g} at step {start + r}")
-            raise NormDriftError(
-                f"norm drift {drifts[r]:.3e} exceeds {DRIFT_TOL:g} at step {start + r}")
-        self.start, self.filled = start + self.filled, 0
-
-
 def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = None
                          ) -> list[Trajectory]:
     """Fourth-order split-step spectral evolution under H = p^2/2 - omega^2 x^2/2
@@ -371,8 +330,8 @@ def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = No
     The peak grows like omega^(1/4) and the FFT's rounding at the edges
     with it (about 1e-14 of the peak), so an absolute bound would stop
     correct runs at large omega.  When ``diagnostics`` is given, a list of
-    one dict per run, each receives its run's observed ``norm_drift`` and
-    ``edge_max``.
+    one dict per run, each receives its run's largest ``norm_drift`` and
+    ``edge_max`` over its steps, as Python floats.
 
     A step is Chin's factorization 4A (Phys. Lett. A 226, 344 (1997);
     Chin and Chen, J. Chem. Phys. 114, 7338 (2001))
@@ -397,8 +356,10 @@ def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = No
     its own kick and kinetic rows, and every step applies each factor to
     all the runs still stepping with one in-place call, FFTs included, so
     the runs share each FFT call for as long as they last.  Each row holds
-    the values of a run made alone, bit for bit.  Each run takes its
-    observables and checks its guards a block at a time, as alone.
+    the values of a run made alone, bit for bit.  After every step each
+    live run's norm, <x> and boundary amplitude are read from its row, one
+    state at a time, and both guards checked there, so a run that trips one
+    stops the call at that step.
     """
     runs = [_check_run(initial, dt, steps) for dt, steps in runs]
     if not runs:
@@ -406,8 +367,9 @@ def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = No
     if diagnostics is not None and len(diagnostics) != len(runs):
         raise ValueError(f"{len(runs)} runs but {len(diagnostics)} diagnostics dicts")
     leak_limit = LEAK_TOL * max(1.0, float(np.max(np.abs(initial.psi))))
-    k = 2.0 * np.pi * np.fft.fftfreq(initial.points, initial.dx)
-    u2 = (initial.x * math.sqrt(initial.omega)) ** 2
+    x, dx = initial.x, initial.dx
+    k = 2.0 * np.pi * np.fft.fftfreq(initial.points, dx)
+    u2 = (x * math.sqrt(initial.omega)) ** 2
     order = sorted(range(len(runs)), key=lambda i: -runs[i][1])
     outer, middle, kinetic, phi = (np.empty((len(runs), initial.points), dtype=complex)
                                    for _ in range(4))
@@ -419,37 +381,43 @@ def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = No
         middle[row] = np.exp((1j * tau / 3.0) * (1.0 + tau ** 2 / 24.0) * u2)
         kinetic[row] = np.exp(-0.25j * dt * k * k)
         phi[row] = np.conj(sixth_kick) * initial.psi
-    observers = [_Observer(runs[i][1], initial, leak_limit) for i in order]
+    xs = [np.empty(runs[i][1] + 1) for i in order]
+    norms0, drift_max, edge_max = ([0.0] * len(runs) for _ in range(3))
     live = len(runs)
     for step in range(runs[order[0]][1] + 1):
         while runs[order[live - 1]][1] < step:
             live -= 1
-        states = phi[:live]
+            outer, middle, kinetic, phi = (rows[:live] for rows in (outer, middle, kinetic, phi))
         if step:
             # operand order as in kick * phi: complex products are not commutative bitwise
             for kick in (outer, middle):
-                np.multiply(kick[:live], states, out=states)
-                np.fft.fft(states, out=states)
-                np.multiply(kinetic[:live], states, out=states)
-                np.fft.ifft(states, out=states)
-        for observer, state in zip(observers, states):
-            observer.record(state)
+                np.multiply(kick, phi, out=phi)
+                np.fft.fft(phi, out=phi)
+                np.multiply(kinetic, phi, out=phi)
+                np.fft.ifft(phi, out=phi)
+        for row, state in enumerate(phi):
+            norm, xs[row][step], edge = grid_observables(state, x, dx)
+            if not step:
+                norms0[row] = norm
+            drift = abs(norm - norms0[row])
+            # written so that a NaN norm or edge fails them
+            if not edge <= leak_limit:
+                raise GridLeakError(f"boundary amplitude {edge:.3e} exceeds {leak_limit:g} "
+                                    f"at step {step}")
+            if not drift <= DRIFT_TOL:
+                raise NormDriftError(f"norm drift {drift:.3e} exceeds {DRIFT_TOL:g} at step {step}")
+            drift_max[row], edge_max[row] = max(drift_max[row], drift), max(edge_max[row], edge)
     trajectories = [None] * len(runs)
-    for observer, i in zip(observers, order):
+    for row, i in enumerate(order):
         dt, steps = runs[i]
-        trajectories[i] = Trajectory(dt * np.arange(steps + 1), observer.xs)
+        trajectories[i] = Trajectory(dt * np.arange(steps + 1), xs[row])
         if diagnostics is not None:
-            diagnostics[i]["norm_drift"] = observer.drift_max
-            diagnostics[i]["edge_max"] = observer.edge_max
+            diagnostics[i].update(norm_drift=drift_max[row], edge_max=edge_max[row])
     return trajectories
 
 
-def grid_split_step(initial: GridState, dt: float, steps: int,
-                    diagnostics: dict | None = None) -> Trajectory:
+def grid_split_step(initial: GridState, dt: float, steps: int) -> Trajectory:
     """The one-run case of :func:`grid_split_step_runs`: <x>(t) after each of
-    ``steps`` steps of size ``dt``, with the same refusals and guards.  When a
-    ``diagnostics`` dict is supplied it receives the observed ``norm_drift``
-    and ``edge_max``."""
-    (trajectory,) = grid_split_step_runs(initial, [(dt, steps)],
-                                         None if diagnostics is None else [diagnostics])
+    ``steps`` steps of size ``dt``, with the same refusals and guards."""
+    (trajectory,) = grid_split_step_runs(initial, [(dt, steps)])
     return trajectory

@@ -160,7 +160,8 @@ def _evaluate(family: str, levels, x) -> np.ndarray:
     with np.errstate(over="ignore"):
         phase *= xs
     if not np.all(np.isfinite(phase)):
-        raise ValueError("eigenfunctions need x with a finite x^2/2")
+        raise ValueError(f"x must be a point with a finite x^2/2, got |x| up to "
+                         f"{float(np.max(np.abs(xs)))!r}")
     np.cos(phase, out=vals[-1].real)
     np.sin(phase, out=phase)
     for lo in range(0, xs.size, _BLOCK):

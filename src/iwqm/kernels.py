@@ -1,6 +1,6 @@
 """Hot numeric kernels of the dynamics: the RK4 label trajectory in closed
-form and the observables of the grid split-step, taken for a block of
-steps per call."""
+form and the observables of the grid split-step, taken for one state per
+call after every step."""
 
 from __future__ import annotations
 
@@ -39,11 +39,14 @@ def rk4_trajectory(v, omega, dt, steps):
     return out
 
 
-def grid_observables(states, x, dx):
-    """L2 norms, position expectations and largest boundary amplitudes of grid
-    states, one per row of ``states`` (shape (m, N)); returns three (m,) arrays."""
-    dens = np.abs(states) ** 2
-    norms = dens.sum(axis=-1) * dx
-    xmeans = dens @ x * dx / norms
-    edges = np.maximum(np.abs(states[..., 0]), np.abs(states[..., -1]))
-    return norms, xmeans, edges
+def grid_observables(state, x, dx):
+    """L2 norm, position expectation and larger boundary amplitude of one grid
+    state (shape (N,)); returns three Python floats, the amplitude NaN if
+    either boundary entry is."""
+    amplitude = np.abs(state)
+    first, last = amplitude[0], amplitude[-1]
+    dens = np.square(amplitude, out=amplitude)
+    norm = float(dens.sum() * dx)
+    # the larger of the two, NaN if either is: a NaN compares false
+    edge = first if first > last or first != first else last
+    return norm, float(np.dot(dens, x) * dx / norm), float(edge)

@@ -280,7 +280,8 @@ def test_grid_split_step_symmetric_packet_stays_centered():
 
 def test_grid_split_step_tracks_classical_orbit():
     diagnostics = {}
-    trajectory = grid_split_step(gaussian_packet(0.5), 1e-3, 1000, diagnostics=diagnostics)
+    (trajectory,) = dynamics.grid_split_step_runs(gaussian_packet(0.5), [(1e-3, 1000)],
+                                                  [diagnostics])
     classical = classical_orbit(0.5, 1.0, 1, trajectory.times)
     mask = trajectory.times >= 0.1
     rel = np.abs(trajectory.values.real[mask] - classical[mask]) / np.abs(classical[mask])
@@ -349,7 +350,7 @@ def test_leak_guard_is_relative_to_the_initial_peak():
     omega = 1e20
     packet = gaussian_packet(0.5, omega)
     diagnostics = {}
-    grid_split_step(packet, 1e-3 / omega, 1500, diagnostics=diagnostics)
+    dynamics.grid_split_step_runs(packet, [(1e-3 / omega, 1500)], [diagnostics])
     assert 1e-10 < diagnostics["edge_max"] <= 1e-13 * np.max(np.abs(packet.psi))
     # a grid too small for the horizon still stops the run
     with pytest.raises(GridLeakError, match="exceeds 7.5"):
@@ -426,8 +427,8 @@ def test_step_count_is_capped_before_allocating():
 
 
 def unstacked_reference(packet, dt, steps):
-    """The fused loop of one run with allocating one-dimensional FFTs, each
-    block's observables taken at the end: the form the stacked loop replaced."""
+    """The fused loop of one run with allocating one-dimensional FFTs and the
+    observables taken after every step: the form the stacked loop replaced."""
     x, dx = packet.x, packet.dx
     k = 2.0 * np.pi * np.fft.fftfreq(packet.points, dx)
     tau = packet.omega * dt
@@ -436,13 +437,13 @@ def unstacked_reference(packet, dt, steps):
     outer_kick = sixth_kick * sixth_kick
     middle_kick = np.exp((1j * tau / 3.0) * (1.0 + tau ** 2 / 24.0) * u2)
     kinetic = np.exp(-0.25j * dt * k * k)
-    states = [np.conj(sixth_kick) * packet.psi]
+    psi = np.conj(sixth_kick) * packet.psi
+    xs = [kernels.grid_observables(psi, x, dx)[1]]
     for _ in range(steps):
-        phi = np.fft.ifft(kinetic * np.fft.fft(outer_kick * states[-1]))
-        states.append(np.fft.ifft(kinetic * np.fft.fft(middle_kick * phi)))
-    rows = max(1, min(steps + 1, dynamics.BLOCK_BYTES // packet.psi.nbytes))
-    return np.concatenate([kernels.grid_observables(np.array(states[at:at + rows]), x, dx)[1]
-                           for at in range(0, steps + 1, rows)])
+        phi = np.fft.ifft(kinetic * np.fft.fft(outer_kick * psi))
+        psi = np.fft.ifft(kinetic * np.fft.fft(middle_kick * phi))
+        xs.append(kernels.grid_observables(psi, x, dx)[1])
+    return np.array(xs)
 
 
 @pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])
@@ -456,10 +457,11 @@ def test_stacked_runs_equal_the_runs_made_alone(omega):
     assert len(stacked) == len(runs)
     for (dt, steps), trajectory, diagnostic in zip(runs, stacked, diagnostics):
         alone_diagnostics = {}
-        alone = grid_split_step(packet, dt, steps, diagnostics=alone_diagnostics)
+        (alone,) = dynamics.grid_split_step_runs(packet, [(dt, steps)], [alone_diagnostics])
         assert trajectory.times.tobytes() == alone.times.tobytes()
         assert trajectory.values.tobytes() == alone.values.tobytes()
         assert diagnostic == alone_diagnostics and set(diagnostic) == {"norm_drift", "edge_max"}
+        assert all(type(value) is float for value in diagnostic.values())
         expected = unstacked_reference(packet, dt, steps)
         assert trajectory.values.real.tobytes() == expected.tobytes()
 
@@ -496,15 +498,39 @@ def test_grid_split_step_refuses_a_bad_dt_before_stepping(monkeypatch, dt):
 
 @pytest.mark.parametrize("column, error", [(0, NormDriftError), (2, GridLeakError)])
 def test_guards_fail_on_a_nan_observable(monkeypatch, column, error):
-    def nan_at_step_2(states, x, dx):
-        values = list(kernels.grid_observables(states, x, dx))
-        values[column] = values[column].copy()
-        values[column][2] = np.nan
+    calls = []
+
+    def nan_at_step_2(state, x, dx):
+        values = list(kernels.grid_observables(state, x, dx))
+        calls.append(state)
+        if len(calls) == 3:
+            values[column] = math.nan
         return tuple(values)
 
     monkeypatch.setattr(dynamics, "grid_observables", nan_at_step_2)
     with pytest.raises(error, match=r"nan exceeds .* at step 2$"):
         grid_split_step(gaussian_packet(0.5), 1e-3, 5)
+
+
+@pytest.mark.parametrize("runs", [[(5e-2, 60)], [(1e-3, 100), (5e-2, 60)]])
+def test_a_tripped_guard_stops_the_call_at_its_step(monkeypatch, runs):
+    # a grid sized for t = 0.1 leaks within the 60 steps of dt = 5e-2
+    short = gaussian_packet(0.5, t_final=0.1)
+    with pytest.raises(GridLeakError) as alone:
+        grid_split_step(short, 5e-2, 60)
+    leak_step = int(str(alone.value).rsplit(" ", 1)[1])
+    assert 0 < leak_step < 60
+    ffts, observed = [], []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kw: ffts.append(args) or fft(*args, **kw))
+    monkeypatch.setattr(dynamics, "grid_observables",
+                        lambda *args: observed.append(args) or kernels.grid_observables(*args))
+    with pytest.raises(GridLeakError, match=f"at step {leak_step}$"):
+        dynamics.grid_split_step_runs(short, runs)
+    # two FFT calls a step, each over every live row, and one observation a row
+    # at each of the steps 0 to leak_step
+    assert len(ffts) == 2 * leak_step
+    assert len(observed) == len(runs) * (leak_step + 1)
 
 
 def test_grid_split_step_runs_arguments():

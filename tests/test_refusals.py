@@ -75,6 +75,8 @@ REFUSALS = [
     ("build_coherent_family", lambda: coherent.build_coherent("x", 1.0), "family"),
     ("classical_orbit_v_none", lambda: dynamics.classical_orbit(None, 1.0, 1, 0.5), "v"),
     ("classical_orbit_v_nan", lambda: dynamics.classical_orbit(math.nan, 1.0, 1, 0.5), "v"),
+    ("classical_orbit_v_over_omega_overflow",
+     lambda: dynamics.classical_orbit(1e300, 1e-10, 1, 0.0), "v"),
     ("integrate_alpha_check_tol_text",
      lambda: dynamics.integrate_alpha(1.0, 1.0, 1.0, 0.1, check_tol="x"), "check_tol"),
     ("integrate_alpha_check_tol_negative",
@@ -123,6 +125,11 @@ REFUSALS = [
     ("classical_orbit_t_overflow", lambda: dynamics.classical_orbit(1.0, 1.0, 1, 800.0), "t"),
     ("classical_orbit_t_overflow_at_rest",
      lambda: dynamics.classical_orbit(0.0, 1.0, 1, [0.0, 800.0]), "t"),
+    # an x86-64 longdouble beyond the float64 range casts to inf, refused as such
+    ("evaluate_x_longdouble_overflow", lambda: eigenfunctions.evaluate(
+        eigenfunctions.eigenfunction(KET, 1), np.array([np.longdouble("1e4000")])), "x"),
+    ("classical_orbit_t_longdouble_overflow",
+     lambda: dynamics.classical_orbit(1.0, 1.0, 1, np.array([np.longdouble("1e4000")])), "t"),
     ("schrodinger_dt_overflow",
      lambda: dynamics.schrodinger_residual(KET, 1, 1.0, 1e308), "dt"),
     ("expectation_closed_form_alpha_overflow",
