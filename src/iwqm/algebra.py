@@ -16,10 +16,13 @@ ladder band (:func:`ladder_band`) and :func:`ladder_action`, the O(dim)
 band of a ladder generator applied to one family's coefficient vectors,
 along the last axis of an array whose leading axes are labels (on bra
 vectors the roles of the two generators swap and each step carries
-``BRA_LADDER_PHASE``).  No function takes another bra phase: the
-opposite one obeys the same ladder algebra, but what it builds is the
-parity image P c = (-1)^n c of what ``BRA_PHASE`` builds, and
-:func:`iwqm.coherent.determine_bra_phase` tests that image.
+``BRA_LADDER_PHASE``).  :func:`ladder_action` checks its arguments and
+calls :func:`_ladder`, the one band kernel, which takes checked complex128
+arrays and writes into a preallocated output; :mod:`iwqm.coherent` calls
+the same kernel on the arrays it has already checked.  No function takes
+another bra phase: the opposite one obeys the same ladder algebra, but
+what it builds is the parity image P c = (-1)^n c of what ``BRA_PHASE``
+builds, and :func:`iwqm.coherent.determine_bra_phase` tests that image.
 
 It also holds the one argument contract of the package: five private
 checks that refuse a family other than ket or bra, a level, dimension or
@@ -162,6 +165,25 @@ def ladder_band(dim: int) -> np.ndarray:
     return _read_only(np.sqrt(np.arange(1, dim, dtype=float)))
 
 
+@functools.lru_cache(maxsize=64)
+def _complex_band(dim: int) -> np.ndarray:
+    """:func:`ladder_band` as complex128, the type numpy casts it to in every
+    product and quotient with coefficients: cast once per truncation."""
+    return _read_only(ladder_band(dim).astype(complex))
+
+
+def _ladder(generator: str, family: str, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`ladder_action` of checked complex128 vectors ``c`` (length >= 2 along
+    the last axis), written into ``out`` of the same shape, which it returns.
+    The one band kernel: :func:`ladder_action` and the coherent layer call it."""
+    root = _complex_band(c.shape[-1])
+    lowers = (generator == "a-") == (family == KET)
+    np.multiply(root, c[..., 1:] if lowers else c[..., :-1],
+                out=out[..., :-1] if lowers else out[..., 1:])
+    out[..., -1 if lowers else 0] = 0
+    return out if family == KET else np.multiply(BRA_LADDER_PHASE, out, out=out)
+
+
 def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray:
     """A ladder generator applied to one family's coefficient vectors, which
     lie along the last axis of ``coeffs``; leading axes are labels.
@@ -172,7 +194,9 @@ def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray
     and a+ lowers with -i sqrt(n).  A lowering step moves sqrt(n) c_n
     to level n-1, a raising step moves sqrt(n) c_{n-1} to level n and
     drops the image of the top level, exactly as the truncated matrix
-    does.
+    does.  The arguments are checked here, once, and the band is applied
+    by the one kernel that the coherent layer calls on its own checked
+    arrays.
     """
     if generator not in _GENERATORS:
         raise ValueError(f"generator must be one of {_GENERATORS}, got {generator!r}")
@@ -180,10 +204,4 @@ def ladder_action(generator: str, family: str, coeffs: np.ndarray) -> np.ndarray
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim < 1 or c.shape[-1] < 2:
         raise ValueError(f"coefficients must be vectors of length >= 2, got shape {c.shape}")
-    root = ladder_band(c.shape[-1])
-    out = np.zeros(c.shape, dtype=complex)
-    if (generator == "a-") == (family == KET):
-        out[..., :-1] = root * c[..., 1:]
-    else:
-        out[..., 1:] = root * c[..., :-1]
-    return out if family == KET else BRA_LADDER_PHASE * out
+    return _ladder(generator, family, c, np.empty(c.shape, dtype=complex))

@@ -195,13 +195,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _render_report(args: argparse.Namespace, cfg: RunConfig, suites: list[SuiteReport]) -> int:
-    from .verify import report_csv_lines, report_dict
+    from .verify import conventions, report_csv_lines, report_dict, run_passed
 
+    conv = conventions()  # a convention that reads "none" fails the run in either format
     if args.fmt == "json":
-        _emit(json.dumps(report_dict(cfg, suites), indent=2), args.out)
+        _emit(json.dumps(report_dict(cfg, suites, conv), indent=2), args.out)
     else:
-        _emit("\n".join(report_csv_lines(suites)), args.out)
-    return 0 if all(s.passed for s in suites) else 1
+        _emit("\n".join(report_csv_lines(suites, conv)), args.out)
+    return 0 if run_passed(suites, conv) else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -320,6 +321,8 @@ def cmd_dump_decay(args: argparse.Namespace) -> int:
                          f"got an integer of {len(str(abs(args.n)))} digits")
     steps = step_count(args.tfinal, args.dt)
     exponent = (args.n + 0.5) * args.omega * (steps * args.dt)
+    if not math.isfinite(exponent):  # as propagate_fock: (n + 1/2) omega alone overflowed
+        exponent = (args.n + 0.5) * (args.omega * (steps * args.dt))
     if exponent > EXP_GUARD:
         raise ValueError(f"(n+1/2) omega tfinal = {exponent:.3g} exceeds the overflow guard "
                          f"{EXP_GUARD:g}")

@@ -29,14 +29,25 @@ of x, p, x^2, p^2 in the dual pairing are computed from one built
 p = (a- - a+)/sqrt(2i) act on the ket coefficients as O(dim) ladder
 bands, and x^2 is x applied twice to the truncated vector, which equals
 the truncated matrix product (X @ X) @ c.  No dense matrix is formed.
-:func:`expectation` and :func:`uncertainty_product` build the pair
-themselves; :func:`expectation` applies only the observable it is asked
-for (two ladder actions for x or p, four for x^2 or p^2) with the same
-operations, so it equals the :func:`moments` entry bit for bit.  Every
-truncation is built, short or not: how much a truncation drops is the
-number :func:`tail_bound`, which ``dump coherent`` reports.  The
-sqrt(n) band that the ladder actions and the coefficient recurrence use
-is computed once per truncation (:func:`iwqm.algebra.ladder_band`).
+Each public function checks its arguments once, at the boundary, and
+then works on bare complex128 arrays: :func:`_labels` checks the labels
+and the dim, :func:`_coefficients` builds one family's coefficients from
+them, :func:`_pair` the (bra, ket) coefficients from one check, and
+:func:`_moments` contracts x, p, x^2 and p^2 from those arrays.  The ladder
+bands are applied by :func:`iwqm.algebra._ladder`, the one band kernel,
+which :func:`iwqm.algebra.ladder_action` also calls after its own checks.
+:func:`build_coherent` wraps its coefficients in a :class:`CoherentState`;
+:func:`expectation` and :func:`uncertainty_product` build no state and
+copy nothing: they take :func:`_pair`'s arrays to :func:`_moments`, and
+:func:`moments` takes its checked pair's arrays there, so
+:func:`expectation`, which applies only the observable it is asked for
+(two band applications for x or p, four for x^2 or p^2), equals the
+:func:`moments` entry bit for bit.  Every truncation is built, short or
+not: how much a truncation drops is the number :func:`tail_bound`, which
+``dump coherent`` reports.  The sqrt(n) band that the ladder kernel and
+the coefficient recurrence use is computed once per truncation
+(:func:`iwqm.algebra.ladder_band`), and cast to complex128 once
+(``_complex_band``), the type numpy would cast it to in every product.
 The closed forms of the label algebra give the same values, and the two
 routes are cross-asserted by the tests.  The variances come out as the
 alpha-independent constants -i/2 and +i/2, whose principal square roots
@@ -51,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (BRA, BRA_PHASE, KET, _freeze, _per_label, _require_family,
-                      _require_integer, _stored, ladder_action, ladder_band)
+from .algebra import (BRA, BRA_PHASE, KET, _complex_band, _freeze, _ladder, _per_label,
+                      _require_family, _require_integer, _stored)
 
 #: The bound ``dump coherent`` holds its :func:`tail_bound` to (``"passed"``).
 TAIL_TOLERANCE = 1e-12
@@ -148,18 +159,18 @@ def _labels(alpha, dim: int) -> tuple[np.ndarray, list[complex], int]:
     return alpha, labels, dim
 
 
-def _coherent(family: str, alpha: np.ndarray, labels: list[complex], dim: int) -> CoherentState:
-    """The state of :func:`build_coherent` at labels that :func:`_labels` passed."""
+def _coefficients(family: str, alpha: np.ndarray, labels: list[complex], dim: int) -> np.ndarray:
+    """The coefficients of :func:`build_coherent` at labels that :func:`_labels`
+    passed, as a new complex128 array."""
     ratios = np.empty(alpha.shape + (dim,), dtype=complex)
     # per label: np.abs and np.exp on arrays round differently from these scalar
     # forms; of an imaginary argument, cmath.exp and np.exp are both libm's cos
     # and sin, bit for bit
-    sign = 0.5j if family == KET else -0.5j
-    phases = [cmath.exp(sign * abs(a) ** 2) for a in labels]
+    phases = [cmath.exp((0.5j if family == KET else -0.5j) * abs(a) ** 2) for a in labels]
     ratios[..., 0] = np.reshape(phases, alpha.shape) if alpha.ndim else phases[0]
     base = alpha if family == KET else BRA_PHASE * alpha
-    ratios[..., 1:] = base[..., None] / ladder_band(dim)
-    return CoherentState(family, alpha, ratios.cumprod(axis=-1))
+    np.divide(base[..., None], _complex_band(dim), out=ratios[..., 1:])
+    return np.multiply.accumulate(ratios, axis=-1, out=ratios)
 
 
 def build_coherent(family: str, alpha, dim: int = 64) -> CoherentState:
@@ -176,13 +187,15 @@ def build_coherent(family: str, alpha, dim: int = 64) -> CoherentState:
     overflow; in a batch the error names the first such label's index.
     """
     _require_family(family)
-    return _coherent(family, *_labels(alpha, dim))
+    alpha, labels, dim = _labels(alpha, dim)
+    return CoherentState(family, alpha, _coefficients(family, alpha, labels, dim))
 
 
-def _pair(alpha, dim: int) -> tuple[CoherentState, CoherentState]:
-    """The (bra, ket) pair of :func:`build_coherent`, its labels checked once."""
+def _pair(alpha, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (bra, ket) coefficients of :func:`build_coherent`, its labels checked
+    once, as bare arrays: no state is built and nothing is copied."""
     checked = _labels(alpha, dim)
-    return _coherent(BRA, *checked), _coherent(KET, *checked)
+    return _coefficients(BRA, *checked), _coefficients(KET, *checked)
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -200,10 +213,10 @@ def eigen_residual(state: CoherentState):
     against the raising generator acting on the bra family (``a+``,
     which lowers bra levels with step phase ``BRA_LADDER_PHASE``).
     """
-    gen = "a-" if state.family == KET else "a+"
-    action = ladder_action(gen, state.family, state.coeffs)
-    alpha = np.asarray(state.alpha)[..., None]
-    return _per_label(_norms(action - alpha * state.coeffs))
+    c = state.coeffs
+    defect = _ladder("a-" if state.family == KET else "a+", state.family, c, np.empty_like(c))
+    defect -= np.asarray(state.alpha)[..., None] * c
+    return _per_label(_norms(defect))
 
 
 def _check_pair(bra: CoherentState, ket: CoherentState) -> None:
@@ -235,9 +248,20 @@ def _quadratures(c: np.ndarray, names: str) -> list[np.ndarray]:
     One lowering and one raising action serve both: x c = (a- c + a+ c) / sqrt(2i)
     and p c = (a- c - a+ c) / sqrt(2i).
     """
-    low = ladder_action("a-", KET, c)
-    rai = ladder_action("a+", KET, c)
+    low = _ladder("a-", KET, c, np.empty_like(c))
+    rai = _ladder("a+", KET, c, np.empty_like(c))
     return [(low + rai) / _ROOT_2I if name == "x" else (low - rai) / _ROOT_2I for name in names]
+
+
+def _moments(bra: np.ndarray, ket: np.ndarray, observables=_OBSERVABLES) -> dict:
+    """<bra| O |ket> per label for each O of ``observables``, from checked
+    coefficient arrays: x and p are applied to the ket once, x^2 (p^2) as x (p)
+    applied to that, each only if asked for, so that an entry has the same bits
+    whichever others are asked for."""
+    names = "".join(dict.fromkeys(o[0] for o in observables))  # "xp", "x" or "p"
+    vectors = dict(zip(names, _quadratures(ket, names)))
+    vectors.update({o: _quadratures(vectors[o[0]], o[0])[0] for o in observables if o[1:]})
+    return {o: _per_label(np.vecdot(bra, vectors[o])) for o in observables}
 
 
 def moments(bra: CoherentState, ket: CoherentState) -> dict:
@@ -249,10 +273,7 @@ def moments(bra: CoherentState, ket: CoherentState) -> dict:
     applied once.
     """
     _check_pair(bra, ket)
-    x_ket, p_ket = _quadratures(ket.coeffs, "xp")
-    vectors = {"x": x_ket, "p": p_ket,
-               "x2": _quadratures(x_ket, "x")[0], "p2": _quadratures(p_ket, "p")[0]}
-    return {name: _per_label(np.vecdot(bra.coeffs, v)) for name, v in vectors.items()}
+    return _moments(bra.coeffs, ket.coeffs)
 
 
 def expectation(observable: str, alpha: complex, dim: int = 64) -> complex:
@@ -264,12 +285,7 @@ def expectation(observable: str, alpha: complex, dim: int = 64) -> complex:
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
-    bra, ket = _pair(alpha, dim)
-    name = observable[0]
-    (v,) = _quadratures(ket.coeffs, name)
-    if observable.endswith("2"):
-        (v,) = _quadratures(v, name)
-    return _per_label(np.vecdot(bra.coeffs, v))
+    return _moments(*_pair(alpha, dim), (observable,))[observable]
 
 
 def expectation_closed_form(observable: str, alpha):
@@ -326,7 +342,7 @@ def uncertainty_product(alpha, dim: int = 64) -> Uncertainty:
     convention of the square root); the assertable physics is the pair
     of variances -i/2, +i/2 and the real product 1/2.
     """
-    return Uncertainty.from_moments(moments(*_pair(alpha, dim)))
+    return Uncertainty.from_moments(_moments(*_pair(alpha, dim)))
 
 
 def _passing_phases(phase: complex, test, value) -> list[str]:

@@ -134,15 +134,22 @@ def propagate_fock(family: str, n, omega: float, t):
     n and t broadcast, a float for scalars, else an array of the scalar calls bit
     for bit.  A level that is not a nonnegative integer, an omega that is not
     finite and positive and a time that is not finite are refused with
-    ValueError; an exponent beyond ``EXP_GUARD`` raises OverflowError.
+    ValueError; an exponent beyond ``EXP_GUARD`` raises OverflowError.  The
+    exponent is ((n + 1/2) omega) t, and (n + 1/2) (omega t) where that
+    product is not finite, so an overflow of (n + 1/2) omega alone is no
+    overflow of the exponent.
     """
     _require_family(family)
     omega = _require_positive("omega", omega)
     n = _require_integer("level", n, arrays=True)
     t = _require_finite("t", t, arrays=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 at t = 0: refused below
-        exponent = (np.asarray(n, dtype=float) + 0.5) * omega * t
-    peak = np.max(np.abs(exponent), initial=0.0)
+    level = np.asarray(n, dtype=float) + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):  # still not finite: refused below
+        exponent = level * omega * t
+        peak = np.max(np.abs(exponent), initial=0.0)
+        if not peak <= EXP_GUARD:  # where (n + 1/2) omega alone overflowed: (n + 1/2) (omega t)
+            exponent = np.where(np.isfinite(exponent), exponent, level * (omega * t))
+            peak = np.max(np.abs(exponent), initial=0.0)
     if not peak <= EXP_GUARD:
         raise OverflowError(f"exponent {peak:.3g} exceeds the overflow guard {EXP_GUARD}")
     factor = np.exp(exponent if family == KET else -exponent)

@@ -478,10 +478,17 @@ def environment(cfg: RunConfig) -> dict:
             "seed": cfg.seed, "cpu_count": cpus}
 
 
-def report_dict(cfg: RunConfig, suites: list[SuiteReport]) -> dict:
+def run_passed(suites: list[SuiteReport], conv: dict) -> bool:
+    """Whether a run passed: every check passed and every convention of
+    :func:`conventions` was determined; one that reads "none" fails the run."""
+    return all(s.passed for s in suites) and "none" not in conv.values()
+
+
+def report_dict(cfg: RunConfig, suites: list[SuiteReport], conv: dict) -> dict:
+    """The JSON report of ``suites`` with the :func:`conventions` ``conv``."""
     return {
         "config": {"nmax": cfg.nmax, "omega": cfg.omega, "seed": cfg.seed},
-        "conventions": conventions(),
+        "conventions": conv,
         "environment": environment(cfg),
         "suites": [
             {
@@ -496,15 +503,17 @@ def report_dict(cfg: RunConfig, suites: list[SuiteReport]) -> dict:
             }
             for s in suites
         ],
-        "passed": all(s.passed for s in suites),
+        "passed": run_passed(suites, conv),
     }
 
 
-def report_csv_lines(suites: list[SuiteReport]) -> list[str]:
+def report_csv_lines(suites: list[SuiteReport], conv: dict) -> list[str]:
+    """The CSV report of ``suites``: one row per check, then the overall verdict
+    of :func:`run_passed`, which reads the :func:`conventions` ``conv``."""
     lines = ["suite,check,anchor,residual,tolerance,passed"]
     for s in suites:
         for c in s.checks:
             anchor = c.anchor.replace('"', "'")
             lines.append(f'{s.suite},{c.name},"{anchor}",{c.residual!r},{c.tolerance!r},{c.passed}')
-    lines.append(f"overall,,,,,{all(s.passed for s in suites)}")
+    lines.append(f"overall,,,,,{run_passed(suites, conv)}")
     return lines

@@ -214,6 +214,21 @@ def test_ladder_action_matches_matrix(dim, generator, family, phase, dense_ladde
                                   matrix @ coeffs)
 
 
+def test_ladder_action_checks_once_and_calls_the_one_band_kernel(monkeypatch):
+    calls = []
+    kernel = algebra._ladder
+
+    def counting(generator, family, c, out):
+        calls.append((generator, family, c.dtype, out.shape))
+        return kernel(generator, family, c, out)
+
+    monkeypatch.setattr(algebra, "_ladder", counting)
+    coeffs = np.arange(6.0).reshape(2, 3)
+    expected = np.array([[1.0, 2 * np.sqrt(2.0), 0.0], [4.0, 5 * np.sqrt(2.0), 0.0]])
+    np.testing.assert_array_equal(algebra.ladder_action("a-", KET, coeffs), expected)
+    assert calls == [("a-", KET, np.dtype(complex), (2, 3))]
+
+
 def test_ladder_action_arguments():
     with pytest.raises(ValueError):
         algebra.ladder_action("a", KET, np.ones(4))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from iwqm import cli, coherent, dynamics, quadrature
+from iwqm import cli, coherent, dynamics, eigenfunctions, quadrature
 from iwqm.algebra import BRA, KET
 from iwqm.cli import main
 from iwqm.coherent import MAX_COEFFICIENT
@@ -27,6 +27,32 @@ def test_verify_json_passes(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["conventions"]["bra_coherent_phase"] == "+i"
+
+
+def test_verify_fails_when_a_determined_convention_reads_none(capsys, monkeypatch):
+    # the parity-image bras: bra level n times (-1)^n.  No check fails, but the
+    # dual eigenfunction phase reads "none", and that fails the run in both formats
+    evaluate = eigenfunctions._evaluate
+
+    def parity_image(family, levels, x):
+        values = evaluate(family, levels, x)
+        if family == BRA:
+            signs = (-1.0) ** np.array(levels)
+            values = values * signs.reshape(signs.shape + (1,) * (values.ndim - 1))
+        return values
+
+    monkeypatch.setattr(eigenfunctions, "_evaluate", parity_image)
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["conventions"]["dual_eigenfunction_phase"] == "none"
+    assert [c["name"] for s in payload["suites"] for c in s["checks"] if not c["passed"]] == []
+    assert payload["passed"] is False
+    code, out, err = run_cli(capsys, "verify", "--format", "csv")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-1] == "overall,,,,,False"
+    assert all(line.endswith(",True") for line in lines[1:-1])
 
 
 def test_verify_json_records_the_seed_in_its_environment(capsys, monkeypatch):
@@ -555,6 +581,21 @@ def test_dump_decay_refuses_overflowing_horizon(capsys):
     last = [float(v) for v in out.strip().splitlines()[-1].split(",")]
     assert last[1] == pytest.approx(np.exp(500.0))
     assert last[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dump_decay_takes_an_omega_whose_level_product_alone_overflows(capsys):
+    # (n + 1/2) omega = inf, but (n + 1/2) omega tfinal is about 1e-11, and
+    # the row at t = 0 reads 1.0
+    code, out, err = run_cli(capsys, "dump", "decay", "--n", "10", "--omega", "1e308",
+                             "--tfinal", "1e-320", "--dt", "1e-321")
+    assert (code, err) == (0, "")
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert rows[0] == [0.0, 1.0, 1.0] and len(rows) == 11
+    assert rows[-1][1] == dynamics.propagate_fock(KET, 10, 1e308, 10 * 1e-321)
+    code, out, err = run_cli(capsys, "dump", "decay", "--n", "10", "--omega", "1e308",
+                             "--tfinal", "1e-300", "--dt", "1e-301")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: (n+1/2) omega tfinal = 1.05e+09 exceeds")
 
 
 def test_dump_gram_refuses_non_finite_rule(capsys):

@@ -256,14 +256,16 @@ def _count_builds(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name, actions", [("x", 2), ("p", 2), ("x2", 4), ("p2", 4)])
 def test_expectation_applies_only_its_observable(monkeypatch, name, actions):
+    # the band kernel, called on the checked arrays: two band applications per
+    # quadrature, and moments applies x, p, x^2 and p^2 with six
     calls = []
-    action = coherent.ladder_action
+    kernel = coherent._ladder
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return action(*args, **kwargs)
+    def counting(generator, family, c, out):
+        calls.append(generator)
+        return kernel(generator, family, c, out)
 
-    monkeypatch.setattr(coherent, "ladder_action", counting)
+    monkeypatch.setattr(coherent, "_ladder", counting)
     expectation(name, 1 + 0.5j, 64)
     assert calls == ["a-", "a+"] * (actions // 2)
     calls.clear()
@@ -272,13 +274,14 @@ def test_expectation_applies_only_its_observable(monkeypatch, name, actions):
 
 
 def test_uncertainty_product_builds_one_pair(monkeypatch):
-    # one check of the label and one coefficient pass per family
+    # one check of the label and one coefficient pass per family, on bare
+    # arrays: the kernels build no CoherentState
     calls = []
-    for name in ("_labels", "_coherent"):
+    for name in ("_labels", "_coefficients", "CoherentState"):
         original = getattr(coherent, name)
 
         def counting(*args, original=original, name=name):
-            calls.append(name if name == "_labels" else args[0])
+            calls.append(args[0] if name == "_coefficients" else name)
             return original(*args)
 
         monkeypatch.setattr(coherent, name, counting)
@@ -287,7 +290,9 @@ def test_uncertainty_product_builds_one_pair(monkeypatch):
     expectation("p2", 1 + 0.5j, 64)
     assert calls == ["_labels", BRA, KET] * 2
     build_coherent(KET, 1 + 0.5j, 64)
-    assert calls[6:] == ["_labels", KET]
+    assert calls[6:] == ["_labels", KET, "CoherentState"]
+    bra, ket = coherent._pair(1 + 0.5j, 64)
+    assert type(bra) is type(ket) is np.ndarray and bra.shape == ket.shape == (64,)
 
 
 def test_coherent_suite_builds_one_batch_pair(monkeypatch):
@@ -370,6 +375,26 @@ def test_label_batch_rows_equal_the_labels_built_alone(dim):
     for seed in range(4):
         _batch_rows_match_alone(verify._alpha_grid(verify.RunConfig(seed=seed)), dim)
     _batch_rows_match_alone(np.array([ALPHAS[:3], ALPHAS[3:]]) * np.array([[1], [0]]), dim)
+
+
+@pytest.mark.parametrize("dim", [8, 64, 160, 400])
+def test_uncertainty_product_and_eigen_residual_rows_equal_their_labels_alone(dim):
+    # by repr, so a signed zero counts: a batch row runs the same kernels as its
+    # label alone
+    alphas = np.concatenate([verify._alpha_grid(verify.RunConfig(seed=seed))
+                             for seed in range(2)]).reshape(2, 25)
+    alphas[0, :4] = [0.0, -1.5, 0.5j, complex(-0.0, -0.75)]
+    batch = uncertainty_product(alphas, dim)
+    residuals = {family: eigen_residual(build_coherent(family, alphas, dim))
+                 for family in (KET, BRA)}
+    for index in np.ndindex(alphas.shape):
+        alpha = complex(alphas[index])
+        alone = uncertainty_product(alpha, dim)
+        for name in ("dx2", "dp2", "dx", "dp", "product"):
+            assert repr(getattr(batch, name)[index].item()) == repr(getattr(alone, name))
+        for family, values in residuals.items():
+            residual = eigen_residual(build_coherent(family, alpha, dim))
+            assert type(residual) is float and repr(values[index].item()) == repr(residual)
 
 
 def test_eigen_residual_is_the_norm_of_each_defect():

@@ -53,6 +53,22 @@ def test_overflow_guard_takes_an_overflowing_exponent_without_a_warning(n, omega
             propagate_fock(KET, n, omega, t)
 
 
+def test_an_overflow_of_the_level_times_omega_alone_is_no_overflow():
+    # (n + 1/2) omega = inf, but (n + 1/2) (omega t) = 1.05e-11 and, at t = 0, 0
+    # (both refused as "exponent inf" and "exponent nan" before)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert propagate_fock(KET, 10, 1e308, 1e-320) == math.exp(10.5 * (1e308 * 1e-320))
+        assert propagate_fock(BRA, 10, 1e308, 1e-320) == math.exp(-10.5 * (1e308 * 1e-320))
+        assert propagate_fock(KET, 10, 1e308, 0.0) == propagate_fock(BRA, 10, 1e308, 0.0) == 1.0
+        grid = propagate_fock(KET, np.array([[0], [10]]), 1e308, [0.0, 1e-320, -1e-320])
+        assert grid.tolist() == [[propagate_fock(KET, n, 1e308, t) for t in (0.0, 1e-320, -1e-320)]
+                                 for n in (0, 10)]
+        # an exponent that overflows either way is still refused
+        with pytest.raises(OverflowError, match="exponent inf exceeds"):
+            propagate_fock(KET, 10, 1e308, 1.0)
+
+
 def test_factor_grid_is_its_scalar_calls_bit_for_bit():
     # levels along one axis and times along another, as the decay suite and
     # dump decay take them, against one call per (level, time)

@@ -54,7 +54,7 @@ def test_opposite_adjoint_sign_fails_exactly_the_position_and_momentum_rows(monk
 
 def test_report_dict_schema(default_suites):
     cfg = RunConfig()
-    payload = report_dict(cfg, default_suites)
+    payload = report_dict(cfg, default_suites, conventions())
     assert payload["passed"] is True
     assert set(payload) == {"config", "conventions", "environment", "suites", "passed"}
     assert payload["config"] == {"nmax": 64, "omega": 1.0, "seed": 0}
@@ -91,9 +91,10 @@ def test_run_all_records_each_suite_wall_time(monkeypatch):
     reports = run_all(RunConfig())
     assert [(r.suite, r.seconds) for r in reports] == [("spectrum", 0.25), ("decay", 2.5)]
     assert verify.SuiteReport("op-check").seconds == 0.0
-    assert [c["seconds"] for c in report_dict(RunConfig(), reports)["suites"]] == [0.25, 2.5]
-    assert report_csv_lines(reports) == report_csv_lines(
-        [dataclasses.replace(r, seconds=0.0) for r in reports])
+    conv = conventions()
+    assert [c["seconds"] for c in report_dict(RunConfig(), reports, conv)["suites"]] == [0.25, 2.5]
+    assert report_csv_lines(reports, conv) == report_csv_lines(
+        [dataclasses.replace(r, seconds=0.0) for r in reports], conv)
 
 
 def test_report_environment_records_the_blas_variables_as_set(monkeypatch):
@@ -108,11 +109,20 @@ def test_report_environment_records_the_blas_variables_as_set(monkeypatch):
 
 
 def test_report_csv_shape(default_suites):
-    lines = report_csv_lines(default_suites)
+    lines = report_csv_lines(default_suites, conventions())
     assert lines[0] == "suite,check,anchor,residual,tolerance,passed"
-    assert lines[-1].startswith("overall")
+    assert lines[-1] == "overall,,,,,True"
     total_checks = sum(len(s.checks) for s in default_suites)
     assert len(lines) == total_checks + 2
+
+
+def test_a_convention_that_reads_none_fails_the_run(default_suites):
+    conv = dict(conventions(), dual_eigenfunction_phase="none")
+    assert all(s.passed for s in default_suites)
+    assert verify.run_passed(default_suites, conventions())
+    assert not verify.run_passed(default_suites, conv)
+    assert report_dict(RunConfig(), default_suites, conv)["passed"] is False
+    assert report_csv_lines(default_suites, conv)[-1] == "overall,,,,,False"
 
 
 def test_conventions_report_names_the_passing_phase():
@@ -302,7 +312,7 @@ def test_run_config_stores_integer_knobs_as_python_ints(value):
     for omega in (np.float32(0.5), np.float64(0.5), 2):
         cfg = RunConfig(nmax=np.int64(16), omega=omega, seed=value)
         assert (type(cfg.nmax), type(cfg.omega), type(cfg.seed)) == (int, float, int)
-        payload = json.loads(json.dumps(report_dict(cfg, [])))
+        payload = json.loads(json.dumps(report_dict(cfg, [], {})))
         assert payload["config"] == {"nmax": 16, "omega": float(omega), "seed": int(value)}
         assert payload["environment"]["seed"] == int(value)
 
