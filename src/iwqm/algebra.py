@@ -60,6 +60,9 @@ BRA_PHASE = 1j
 #: conjugates bra vectors, so it is the conjugate of ``BRA_PHASE``.
 BRA_LADDER_PHASE = BRA_PHASE.conjugate()
 
+#: sqrt(2i), principal branch: x = (a- + a+) / sqrt(2i) and p = (a- - a+) / sqrt(2i).
+_ROOT_2I = np.sqrt(2j)
+
 _FAMILIES = (KET, BRA)
 _GENERATORS = ("a-", "a+")
 

@@ -314,15 +314,14 @@ def cmd_dump_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_decay(args: argparse.Namespace) -> int:
-    from .dynamics import EXP_GUARD, propagate_fock, step_count
+    from .dynamics import EXP_GUARD, _growth_exponent, propagate_fock, step_count
 
     if abs(args.n) > sys.float_info.max:  # before (n + 1/2) is taken as a float
         raise ValueError(f"--n must be at most {sys.float_info.max:.4g} in magnitude, "
                          f"got an integer of {len(str(abs(args.n)))} digits")
     steps = step_count(args.tfinal, args.dt)
-    exponent = (args.n + 0.5) * args.omega * (steps * args.dt)
-    if not math.isfinite(exponent):  # as propagate_fock: (n + 1/2) omega alone overflowed
-        exponent = (args.n + 0.5) * (args.omega * (steps * args.dt))
+    # as propagate_fock's exponent; a NaN or a negative level is refused there
+    exponent, _ = _growth_exponent(args.n + 0.5, args.omega, steps * args.dt)
     if exponent > EXP_GUARD:
         raise ValueError(f"(n+1/2) omega tfinal = {exponent:.3g} exceeds the overflow guard "
                          f"{EXP_GUARD:g}")

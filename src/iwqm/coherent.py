@@ -62,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (BRA, BRA_PHASE, KET, _complex_band, _freeze, _ladder, _per_label,
-                      _require_family, _require_integer, _stored)
+from .algebra import (_ROOT_2I, BRA, BRA_PHASE, KET, _complex_band, _freeze, _ladder,
+                      _per_label, _require_family, _require_integer, _stored)
 
 #: The bound ``dump coherent`` holds its :func:`tail_bound` to (``"passed"``).
 TAIL_TOLERANCE = 1e-12
@@ -238,8 +238,6 @@ def mutual_pairing(bra: CoherentState, ket: CoherentState):
 
 
 _OBSERVABLES = ("x", "p", "x2", "p2")
-
-_ROOT_2I = np.sqrt(2j)
 
 
 def _quadratures(c: np.ndarray, names: str) -> list[np.ndarray]:

@@ -31,10 +31,12 @@ the packet's closed-form spreads in position and momentum until then
 omega = 0.05 to 40), refusing horizons that need more than
 ``MAX_GRID_POINTS``.  The split-step fuses the outer half-kicks of
 consecutive steps, and after every step takes each run's observables and
-checks its guards.  Runs of one packet at several step sizes are stacked
-as the rows of one array (``grid_split_step_runs``), so they share each
-FFT call while they last; each row equals its run made alone bit for bit,
-and ``grid_split_step`` is the one-run case.
+checks its guards.  ``grid_split_step_runs`` is the one stepping loop: a
+run is an initial state on a shared grid with its step size and step
+count, the runs are stacked as the rows of one array, so they share each
+FFT call while they last, and each returns one record of its trajectory,
+its final state and its guard maxima, equal to its run made alone bit for
+bit.  ``grid_split_step`` is the one-run case, returning the trajectory.
 """
 
 from __future__ import annotations
@@ -129,6 +131,21 @@ class GridState:
         return self.x_min + self.dx * np.arange(self.points)
 
 
+def _growth_exponent(level, omega, t):
+    """The exponent ((n + 1/2) omega) t of ``propagate_fock`` for level = n + 1/2,
+    and (n + 1/2) (omega t) where that product is not finite, so an overflow of
+    (n + 1/2) omega alone is no overflow of the exponent; returned with its
+    largest magnitude.  The second product is taken only when that magnitude
+    passes ``EXP_GUARD``, and what is still not finite is left to the caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = level * omega * t
+        peak = np.max(np.abs(exponent), initial=0.0)
+        if not peak <= EXP_GUARD:
+            exponent = np.where(np.isfinite(exponent), exponent, level * (omega * t))
+            peak = np.max(np.abs(exponent), initial=0.0)
+    return exponent, peak
+
+
 def propagate_fock(family: str, n, omega: float, t):
     """Growth factor e^{+(n+1/2) omega t} of level n at time t for ket, inverse for bra:
     n and t broadcast, a float for scalars, else an array of the scalar calls bit
@@ -143,13 +160,7 @@ def propagate_fock(family: str, n, omega: float, t):
     omega = _require_positive("omega", omega)
     n = _require_integer("level", n, arrays=True)
     t = _require_finite("t", t, arrays=True)
-    level = np.asarray(n, dtype=float) + 0.5
-    with np.errstate(over="ignore", invalid="ignore"):  # still not finite: refused below
-        exponent = level * omega * t
-        peak = np.max(np.abs(exponent), initial=0.0)
-        if not peak <= EXP_GUARD:  # where (n + 1/2) omega alone overflowed: (n + 1/2) (omega t)
-            exponent = np.where(np.isfinite(exponent), exponent, level * (omega * t))
-            peak = np.max(np.abs(exponent), initial=0.0)
+    exponent, peak = _growth_exponent(np.asarray(n, dtype=float) + 0.5, omega, t)
     if not peak <= EXP_GUARD:
         raise OverflowError(f"exponent {peak:.3g} exceeds the overflow guard {EXP_GUARD}")
     factor = np.exp(exponent if family == KET else -exponent)
@@ -299,13 +310,17 @@ def gaussian_packet(v: float, omega: float = 1.0, t_final: float | None = None) 
     return GridState(-half_width, half_width, points, psi, omega)
 
 
-def _check_run(initial: GridState, dt: float, steps: int) -> tuple[float, int]:
-    """Refuse a (dt, steps) run of ``initial`` before anything is allocated, or
-    return it as checked."""
+def _check_run(grid: GridState, state: GridState, dt: float, steps: int) -> tuple:
+    """Refuse a (state, dt, steps) run before anything is allocated, or return
+    it as checked; a state that is no GridState on the grid of ``grid`` is
+    refused too."""
+    if not (isinstance(state, GridState) and (state.x_min, state.x_max, state.points, state.omega)
+            == (grid.x_min, grid.x_max, grid.points, grid.omega)):
+        raise ValueError("state must be a GridState on the first run's grid")
     dt = _require_positive("dt", dt)
-    tau = initial.omega * dt
-    reach = max(abs(initial.x_min), abs(initial.x_max))
-    u_edge, k_edge = reach * math.sqrt(initial.omega), math.pi / initial.dx
+    tau = state.omega * dt
+    reach = max(abs(state.x_min), abs(state.x_max))
+    u_edge, k_edge = reach * math.sqrt(state.omega), math.pi / state.dx
     # the largest phases of the middle kick, (tau/3)(1 + tau^2/24) u^2, and
     # of the kinetic factor, dt k^2 / 4: an infinite one leaves NaN in the
     # factor, and tau ** 2 itself raises OverflowError from 1.3e154
@@ -317,28 +332,29 @@ def _check_run(initial: GridState, dt: float, steps: int) -> tuple[float, int]:
     steps = _require_integer("steps", steps, minimum=1)
     if steps > MAX_STEPS:
         raise ValueError(f"{steps} steps exceeds the cap of {MAX_STEPS}")
-    return dt, steps
+    return state, dt, steps
 
 
-def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = None
-                         ) -> list[Trajectory]:
+def grid_split_step_runs(runs) -> list[tuple[Trajectory, GridState, float, float]]:
     """Fourth-order split-step spectral evolution under H = p^2/2 - omega^2 x^2/2
-    of one packet, for each (dt, steps) run of ``runs``.
+    of each (state, dt, steps) run of ``runs``, every state on one grid.
 
-    Returns one :class:`Trajectory` per run, in the order of ``runs``: the
-    standard L2 expectation <x>(t) sampled after every step.  A dt that is
-    not finite and positive, or at which a phase of the kicks overflows
-    (omega dt near 1e154 or above), is refused with ValueError before
-    anything is allocated.  A run raises
+    Returns one record (trajectory, final, norm_drift, edge_max) per run, in
+    the order of ``runs``: the standard L2 expectation <x>(t) sampled after
+    every step as a :class:`Trajectory`, the read-only :class:`GridState`
+    after the last step, and the run's largest drift of the L2 norm and
+    largest boundary amplitude over its steps, as Python floats.  A state
+    that is no GridState with the x_min, x_max, points and omega of the
+    first run's state, and a dt that is not finite and positive, or at
+    which a phase of the kicks overflows (omega dt near 1e154 or above),
+    are refused with ValueError before anything is allocated.  A run raises
     :class:`GridLeakError` if its boundary amplitude exceeds ``LEAK_TOL``
-    times the initial peak amplitude, or ``LEAK_TOL`` itself for a peak
+    times its initial peak amplitude, or ``LEAK_TOL`` itself for a peak
     below 1, and :class:`NormDriftError` if its L2 norm drifts by more than
     ``DRIFT_TOL`` (a NaN fails both), naming the first offending step.
     The peak grows like omega^(1/4) and the FFT's rounding at the edges
     with it (about 1e-14 of the peak), so an absolute bound would stop
-    correct runs at large omega.  When ``diagnostics`` is given, a list of
-    one dict per run, each receives its run's largest ``norm_drift`` and
-    ``edge_max`` over its steps, as Python floats.
+    correct runs at large omega.
 
     A step is Chin's factorization 4A (Phys. Lett. A 226, 344 (1997);
     Chin and Chen, J. Chem. Phys. 114, 7338 (2001))
@@ -360,39 +376,43 @@ def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = No
     |phi| = |psi| pointwise, so every observable is read from phi.
 
     The runs are stacked as rows of one array, longest first, each with
-    its own kick and kinetic rows, and every step applies each factor to
-    all the runs still stepping with one in-place call, FFTs included, so
-    the runs share each FFT call for as long as they last.  Each row holds
-    the values of a run made alone, bit for bit.  After every step each
-    live run's norm, <x> and boundary amplitude are read from its row, one
-    state at a time, and both guards checked there, so a run that trips one
-    stops the call at that step.
+    its own initial state and its own kick and kinetic rows, and every step
+    applies each factor to all the runs still stepping with one in-place
+    call, FFTs included, so the runs share each FFT call for as long as
+    they last.  A finished run's row keeps its last step, and its final
+    state is that row times its closing V(dt/6).  Each row holds the values
+    of a run made alone, bit for bit.  After every step each live run's
+    norm, <x> and boundary amplitude are read from its row, one state at a
+    time, and both guards checked there, so a run that trips one stops the
+    call at that step.
     """
-    runs = [_check_run(initial, dt, steps) for dt, steps in runs]
+    runs = list(runs)
     if not runs:
-        raise ValueError("need at least one (dt, steps) run")
-    if diagnostics is not None and len(diagnostics) != len(runs):
-        raise ValueError(f"{len(runs)} runs but {len(diagnostics)} diagnostics dicts")
-    leak_limit = LEAK_TOL * max(1.0, float(np.max(np.abs(initial.psi))))
-    x, dx = initial.x, initial.dx
-    k = 2.0 * np.pi * np.fft.fftfreq(initial.points, dx)
-    u2 = (x * math.sqrt(initial.omega)) ** 2
-    order = sorted(range(len(runs)), key=lambda i: -runs[i][1])
-    outer, middle, kinetic, phi = (np.empty((len(runs), initial.points), dtype=complex)
-                                   for _ in range(4))
+        raise ValueError("need at least one (state, dt, steps) run")
+    runs = [_check_run(runs[0][0], state, dt, steps) for state, dt, steps in runs]
+    grid = runs[0][0]
+    x, dx, omega = grid.x, grid.dx, grid.omega
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points, dx)
+    u2 = (x * math.sqrt(omega)) ** 2
+    order = sorted(range(len(runs)), key=lambda i: -runs[i][2])
+    sixth, outer, middle, kinetic, phi = (np.empty((len(runs), grid.points), dtype=complex)
+                                          for _ in range(5))
+    # phi is cut to the live rows as runs end; stack keeps every row's last step
+    stack, leak_limits = phi, []
     for row, i in enumerate(order):
-        dt = runs[i][0]
-        tau = initial.omega * dt
-        sixth_kick = np.exp((1j * tau / 12.0) * u2)
-        outer[row] = sixth_kick * sixth_kick
+        state, dt, _ = runs[i]
+        tau = omega * dt
+        sixth[row] = np.exp((1j * tau / 12.0) * u2)
+        outer[row] = sixth[row] * sixth[row]
         middle[row] = np.exp((1j * tau / 3.0) * (1.0 + tau ** 2 / 24.0) * u2)
         kinetic[row] = np.exp(-0.25j * dt * k * k)
-        phi[row] = np.conj(sixth_kick) * initial.psi
-    xs = [np.empty(runs[i][1] + 1) for i in order]
+        phi[row] = np.conj(sixth[row]) * state.psi
+        leak_limits.append(LEAK_TOL * max(1.0, float(np.max(np.abs(state.psi)))))
+    xs = [np.empty(runs[i][2] + 1) for i in order]
     norms0, drift_max, edge_max = ([0.0] * len(runs) for _ in range(3))
     live = len(runs)
-    for step in range(runs[order[0]][1] + 1):
-        while runs[order[live - 1]][1] < step:
+    for step in range(runs[order[0]][2] + 1):
+        while runs[order[live - 1]][2] < step:
             live -= 1
             outer, middle, kinetic, phi = (rows[:live] for rows in (outer, middle, kinetic, phi))
         if step:
@@ -408,23 +428,19 @@ def grid_split_step_runs(initial: GridState, runs, diagnostics: list | None = No
                 norms0[row] = norm
             drift = abs(norm - norms0[row])
             # written so that a NaN norm or edge fails them
-            if not edge <= leak_limit:
-                raise GridLeakError(f"boundary amplitude {edge:.3e} exceeds {leak_limit:g} "
-                                    f"at step {step}")
+            if not edge <= leak_limits[row]:
+                raise GridLeakError(f"boundary amplitude {edge:.3e} exceeds "
+                                    f"{leak_limits[row]:g} at step {step}")
             if not drift <= DRIFT_TOL:
                 raise NormDriftError(f"norm drift {drift:.3e} exceeds {DRIFT_TOL:g} at step {step}")
             drift_max[row], edge_max[row] = max(drift_max[row], drift), max(edge_max[row], edge)
-    trajectories = [None] * len(runs)
-    for row, i in enumerate(order):
-        dt, steps = runs[i]
-        trajectories[i] = Trajectory(dt * np.arange(steps + 1), xs[row])
-        if diagnostics is not None:
-            diagnostics[i].update(norm_drift=drift_max[row], edge_max=edge_max[row])
-    return trajectories
+    records = [(Trajectory(runs[i][1] * np.arange(runs[i][2] + 1), xs[row]),
+                GridState(grid.x_min, grid.x_max, grid.points, sixth[row] * stack[row], omega),
+                drift_max[row], edge_max[row]) for row, i in enumerate(order)]
+    return [records[order.index(i)] for i in range(len(runs))]
 
 
 def grid_split_step(initial: GridState, dt: float, steps: int) -> Trajectory:
     """The one-run case of :func:`grid_split_step_runs`: <x>(t) after each of
     ``steps`` steps of size ``dt``, with the same refusals and guards."""
-    (trajectory,) = grid_split_step_runs(initial, [(dt, steps)])
-    return trajectory
+    return grid_split_step_runs([(initial, dt, steps)])[0][0]

@@ -51,6 +51,7 @@ from .algebra import (BRA, KET, _freeze, _per_label, _require_family, _require_i
                       _require_real)
 
 _Z_PHASE = np.exp(0.25j * np.pi)  # z = e^{i pi/4} x turns exp(-i x^2/2) into exp(-z^2/2)
+_BRA_Z_PHASE = np.conj(_Z_PHASE)  # e^{-i pi/4}, its bra twin for exp(+i x^2/2)
 
 _GROUND = (1j / np.pi) ** 0.25  # ket ground-state amplitude (i/pi)^(1/4)
 
@@ -224,7 +225,7 @@ class ExactForm:
         """Values at real x (low levels: the coefficients are converted to floats)."""
         xs = np.asarray(x, dtype=float)
         ket = self.family == KET
-        u = (_Z_PHASE if ket else np.conj(_Z_PHASE)) * xs
+        u = (_Z_PHASE if ket else _BRA_Z_PHASE) * xs
         poly = np.polynomial.polynomial.polyval(u, np.array(self.coeffs, dtype=float))
         return self.scale * poly * np.exp((-0.5j if ket else 0.5j) * xs * xs)
 

@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import _require_integer, _require_positive
+from .algebra import _ROOT_2I, _require_integer, _require_positive
 
 #: The sign s of the physical adjoint a^dag = s i a: the one sign under which
 #: x and p are self-adjoint.
@@ -142,8 +142,8 @@ def to_matrix(expr: OperatorExpression, dim: int) -> np.ndarray:
 
 _NUMBER = op_product(A_PLUS, A_MINUS)
 _NUMBER_PLUS_HALF = op_sum(_NUMBER, scaled(0.5, IDENTITY))
-_POSITION = scaled(1 / np.sqrt(2j), op_sum(A_MINUS, A_PLUS))
-_MOMENTUM = scaled(1 / np.sqrt(2j), op_sum(A_MINUS, scaled(-1.0, A_PLUS)))
+_POSITION = scaled(1 / _ROOT_2I, op_sum(A_MINUS, A_PLUS))
+_MOMENTUM = scaled(1 / _ROOT_2I, op_sum(A_MINUS, scaled(-1.0, A_PLUS)))
 _S_PLUS = scaled(0.5, op_product(A_PLUS, A_PLUS))
 _S_MINUS = scaled(0.5, op_product(A_MINUS, A_MINUS))
 _SU11 = {

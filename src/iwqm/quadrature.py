@@ -31,10 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _freeze, _read_only, _require_integer, _require_real, _stored
-from .eigenfunctions import Eigenfunction, _write_levels, evaluate, hermite_coefficients
+from .eigenfunctions import (_BRA_Z_PHASE, Eigenfunction, _write_levels, evaluate,
+                             hermite_coefficients)
 
-#: Contour rotation mapping exp(-i x^2) to exp(-s^2).
-ROTATION = np.exp(-0.25j * np.pi)
+#: Contour rotation mapping exp(-i x^2) to exp(-s^2): e^{-i pi/4}, the bra
+#: family's phase of its variable z.
+ROTATION = _BRA_Z_PHASE
 
 #: Largest Gauss-Hermite rule: numpy 2.4's hermgauss gives weights that are
 #: all 0.0 at 371 nodes and non-finite from 372; at 370 the least is 2.4e-308.

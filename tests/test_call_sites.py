@@ -1,15 +1,18 @@
-"""The eigenfunction recurrence has one driver, and the decay factors one
-call per family.
+"""The eigenfunction recurrence has one driver, the grid runs one stepping
+loop, and the decay factors one call per family.
 
 ``eigenfunctions.hermite_levels`` is called at exactly one place in the
 package, inside the row writer ``eigenfunctions._write_levels``, which
 ``evaluate``, ``evaluate_levels`` and the rule Gram all go through.  A
 second call site would be a second way of collecting the levels, with its
-own level skip, copies and buffer rules.  ``dynamics.propagate_fock`` is
-called once per family by the decay suite, ``schrodinger_residual`` and
-``dump decay``, each on its whole (level, time) grid, and neither the
-coherent nor the decay suite has a ``for`` statement or a ``.tolist()``:
-a loop over the batch would be a second, scalar path.  Every verify row's
+own level skip, copies and buffer rules.  ``np.fft`` is called only in
+``dynamics.grid_split_step_runs``: a second caller would be a second
+stepping loop, and a new kind of grid run is a new row of that one loop.
+``dynamics.propagate_fock`` is called once per family by the decay suite,
+``schrodinger_residual`` and ``dump decay``, each on its whole (level,
+time) grid, and neither the coherent nor the decay suite has a ``for``
+statement or a ``.tolist()``: a loop over the batch would be a second,
+scalar path.  Every verify row's
 residual is reduced in ``SuiteReport.add``, and nowhere else in ``verify``.
 What a valid family, integer, rate or real number is, the argument checks
 of ``algebra`` say, and no other module raises their refusals itself.  That
@@ -32,15 +35,26 @@ SOURCES = {p.stem: p.read_text(encoding="utf-8")
 def call_sites(sources: dict[str, str], name: str) -> list[str]:
     """``module.function`` for each call of ``name`` (as a name or an
     attribute), named after the innermost function around it."""
+    return sites_of(sources, lambda func: getattr(func, "id", None) == name
+                    or getattr(func, "attr", None) == name)
+
+
+def fft_call_sites(sources: dict[str, str]) -> list[str]:
+    """``module.function`` for each call of a function of an ``fft`` module,
+    such as ``np.fft.fft`` or ``np.fft.fftfreq``."""
+    return sites_of(sources, lambda func: "fft" in ast.unparse(func).split(".")[:-1])
+
+
+def sites_of(sources: dict[str, str], matches) -> list[str]:
+    """``module.function`` for each call whose callee ``matches``, named after
+    the innermost function around it."""
     sites = []
 
     def visit(node: ast.AST, module: str, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                sites.append(f"{module}.{where}")
+        if isinstance(node, ast.Call) and matches(node.func):
+            sites.append(f"{module}.{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
@@ -55,6 +69,16 @@ def test_call_sites_are_found():
         "b": "x = g(2)\ndef g(z):\n    return z\n",
     }
     assert call_sites(sources, "g") == ["a.f", "a.inner", "b.<module>"]
+
+
+def test_fft_call_sites_are_found():
+    sources = {"a": "import numpy as np\ndef f(z):\n    return np.fft.ifft(np.fft.fft(z))\n"
+                    "def g(n):\n    return numpy.fft.fftfreq(n), fft(n), fft.rfft(n)\n"}
+    assert fft_call_sites(sources) == ["a.f", "a.f", "a.g", "a.g"]
+
+
+def test_only_the_stepping_loop_calls_np_fft():
+    assert set(fft_call_sites(SOURCES)) == {"dynamics.grid_split_step_runs"}
 
 
 def test_the_recurrence_is_called_only_by_the_row_writer():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -295,23 +296,22 @@ def test_grid_split_step_symmetric_packet_stays_centered():
 
 
 def test_grid_split_step_tracks_classical_orbit():
-    diagnostics = {}
-    (trajectory,) = dynamics.grid_split_step_runs(gaussian_packet(0.5), [(1e-3, 1000)],
-                                                  [diagnostics])
+    ((trajectory, _, norm_drift, edge_max),) = dynamics.grid_split_step_runs(
+        [(gaussian_packet(0.5), 1e-3, 1000)])
     classical = classical_orbit(0.5, 1.0, 1, trajectory.times)
     mask = trajectory.times >= 0.1
     rel = np.abs(trajectory.values.real[mask] - classical[mask]) / np.abs(classical[mask])
     assert np.max(rel) <= 1e-4
-    assert diagnostics["norm_drift"] <= 1e-10
-    assert diagnostics["edge_max"] <= 1e-10
+    assert norm_drift <= 1e-10
+    assert edge_max <= 1e-10
 
 
 def chin_reference(packet, dt, steps, leak_tol=1e-10):
     """Unfused fourth-order steps V(dt/6) T(dt/2) Vt(2 dt/3) T(dt/2) V(dt/6),
     both outer kicks applied every step and the gradient term of
     Vt = V - (dt^2/48) V'^2 written out, with observables after every step:
-    <x>(t) and the first step whose boundary amplitude exceeds ``leak_tol``
-    (or None)."""
+    <x>(t), the first step whose boundary amplitude exceeds ``leak_tol``
+    (or None) and the state after the last step taken."""
     x, dx = packet.x, packet.dx
     k = 2.0 * np.pi * np.fft.fftfreq(packet.points, dx)
     potential = -0.5 * packet.omega ** 2 * x * x
@@ -336,8 +336,8 @@ def chin_reference(packet, dt, steps, leak_tol=1e-10):
         dens = np.abs(psi) ** 2
         xs.append(np.sum(x * dens) / np.sum(dens))
         if max(abs(psi[0]), abs(psi[-1])) > leak_tol:
-            return np.array(xs), s
-    return np.array(xs), None
+            return np.array(xs), s, psi
+    return np.array(xs), None, psi
 
 
 def test_grid_split_step_matches_unfused_reference():
@@ -345,16 +345,19 @@ def test_grid_split_step_matches_unfused_reference():
     # a fine step, and the coarse step of the correspondence suite, where a
     # step without the gradient term is 2e-5 away
     for dt, steps in ((1e-3, 1500), (5e-2, 30)):
-        expected, leak_step = chin_reference(packet, dt, steps)
+        expected, leak_step, psi = chin_reference(packet, dt, steps)
         assert leak_step is None
-        trajectory = grid_split_step(packet, dt, steps)
+        ((trajectory, final, _, _),) = dynamics.grid_split_step_runs([(packet, dt, steps)])
         assert np.max(np.abs(trajectory.values.real - expected)) <= 1e-12
+        # the fused loop's closing V(dt/6) gives back psi itself, not phi; the
+        # bound was set before measuring 2.2e-14 and 3.0e-15 of the peak
+        assert np.max(np.abs(final.psi - psi)) <= 1e-11 * np.max(np.abs(psi))
 
 
 def test_grid_split_step_detects_boundary_leak():
     # a grid sized for t_final = 0.1 cannot hold the packet for 3 time units
     short = gaussian_packet(0.5, t_final=0.1)
-    _, leak_step = chin_reference(short, 1e-3, 3000)
+    _, leak_step, _ = chin_reference(short, 1e-3, 3000)
     assert leak_step is not None and 100 < leak_step < 3000
     with pytest.raises(GridLeakError, match=f"at step {leak_step}$"):
         grid_split_step(short, 1e-3, 3000)
@@ -365,9 +368,8 @@ def test_leak_guard_is_relative_to_the_initial_peak():
     # FFT's rounding leaves edges above 1e-10 on a grid that holds the packet
     omega = 1e20
     packet = gaussian_packet(0.5, omega)
-    diagnostics = {}
-    dynamics.grid_split_step_runs(packet, [(1e-3 / omega, 1500)], [diagnostics])
-    assert 1e-10 < diagnostics["edge_max"] <= 1e-13 * np.max(np.abs(packet.psi))
+    ((_, _, _, edge_max),) = dynamics.grid_split_step_runs([(packet, 1e-3 / omega, 1500)])
+    assert 1e-10 < edge_max <= 1e-13 * np.max(np.abs(packet.psi))
     # a grid too small for the horizon still stops the run
     with pytest.raises(GridLeakError, match="exceeds 7.5"):
         grid_split_step(gaussian_packet(0.5, omega, t_final=0.1 / omega), 1e-3 / omega, 3000)
@@ -444,7 +446,8 @@ def test_step_count_is_capped_before_allocating():
 
 def unstacked_reference(packet, dt, steps):
     """The fused loop of one run with allocating one-dimensional FFTs and the
-    observables taken after every step: the form the stacked loop replaced."""
+    observables taken after every step, the form the stacked loop replaced:
+    <x>(t) and the final state."""
     x, dx = packet.x, packet.dx
     k = 2.0 * np.pi * np.fft.fftfreq(packet.points, dx)
     tau = packet.omega * dt
@@ -459,27 +462,48 @@ def unstacked_reference(packet, dt, steps):
         phi = np.fft.ifft(kinetic * np.fft.fft(outer_kick * psi))
         psi = np.fft.ifft(kinetic * np.fft.fft(middle_kick * phi))
         xs.append(kernels.grid_observables(psi, x, dx)[1])
-    return np.array(xs)
+    return np.array(xs), sixth_kick * psi
+
+
+def oscillator_levels(packet):
+    """phi_0 and phi_1, the two lowest levels of the upright oscillator of
+    frequency omega, sampled on the grid of ``packet``."""
+    u = packet.x * np.sqrt(packet.omega)
+    phi_0 = (packet.omega / np.pi) ** 0.25 * np.exp(-0.5 * u * u)
+    return [GridState(packet.x_min, packet.x_max, packet.points, phi, packet.omega)
+            for phi in (phi_0, np.sqrt(2.0) * u * phi_0)]
 
 
 @pytest.mark.parametrize("omega", [0.05, 1.0, 40.0])
 def test_stacked_runs_equal_the_runs_made_alone(omega):
     packet = gaussian_packet(0.5 * np.sqrt(omega), omega, t_final=1.5 / omega)
-    # the correspondence pair, a run longer than one block, and an equal-length pair
-    runs = [(5e-2 / omega, 30), (2.5e-2 / omega, 60), (1e-3 / omega, 1500),
-            (3e-2 / omega, 50), (2e-2 / omega, 50)]
-    diagnostics = [{} for _ in runs]
-    stacked = dynamics.grid_split_step_runs(packet, runs, diagnostics)
-    assert len(stacked) == len(runs)
-    for (dt, steps), trajectory, diagnostic in zip(runs, stacked, diagnostics):
-        alone_diagnostics = {}
-        (alone,) = dynamics.grid_split_step_runs(packet, [(dt, steps)], [alone_diagnostics])
-        assert trajectory.times.tobytes() == alone.times.tobytes()
-        assert trajectory.values.tobytes() == alone.values.tobytes()
-        assert diagnostic == alone_diagnostics and set(diagnostic) == {"norm_drift", "edge_max"}
-        assert all(type(value) is float for value in diagnostic.values())
-        expected = unstacked_reference(packet, dt, steps)
+    phi_0, phi_1 = oscillator_levels(packet)
+    # the correspondence pair, a run longer than one block, an equal-length
+    # pair, and the three states on the packet's grid
+    runs = [(packet, 5e-2 / omega, 30), (packet, 2.5e-2 / omega, 60),
+            (phi_1, 1e-3 / omega, 1500), (phi_0, 3e-2 / omega, 50), (packet, 2e-2 / omega, 50),
+            (phi_1, 5e-2 / omega, 30), (phi_0, 2.5e-2 / omega, 60)]
+    alone = [dynamics.grid_split_step_runs([run]) for run in runs]
+    for run, ((trajectory, final, _, _),) in zip(runs, alone):
+        expected, expected_final = unstacked_reference(*run)
         assert trajectory.values.real.tobytes() == expected.tobytes()
+        assert final.psi.tobytes() == expected_final.tobytes()
+    # stacking orders: as given, reversed, and each order of three runs of the
+    # three states
+    orders = [range(len(runs)), range(len(runs) - 1, -1, -1),
+              *itertools.permutations([0, 2, 3])]
+    for order in orders:
+        stacked = dynamics.grid_split_step_runs([runs[i] for i in order])
+        assert len(stacked) == len(order)
+        for i, (trajectory, final, *guards) in zip(order, stacked):
+            ((alone_trajectory, alone_final, *alone_guards),) = alone[i]
+            assert trajectory.times.tobytes() == alone_trajectory.times.tobytes()
+            assert trajectory.values.tobytes() == alone_trajectory.values.tobytes()
+            assert final.psi.tobytes() == alone_final.psi.tobytes()
+            assert not final.psi.flags.writeable
+            assert (final.x_min, final.x_max, final.points, final.omega) == (
+                packet.x_min, packet.x_max, packet.points, packet.omega)
+            assert guards == alone_guards and all(type(value) is float for value in guards)
 
 
 def test_a_guard_tripping_in_one_row_names_the_step_of_the_run_alone():
@@ -491,7 +515,7 @@ def test_a_guard_tripping_in_one_row_names_the_step_of_the_run_alone():
     grid_split_step(short, *runs[0])
     for order in (runs, runs[::-1]):
         with pytest.raises(GridLeakError) as stacked:
-            dynamics.grid_split_step_runs(short, order)
+            dynamics.grid_split_step_runs([(short, *run) for run in order])
         assert str(stacked.value) == str(alone.value)
     assert 0 < int(str(alone.value).rsplit(" ", 1)[1]) < 60
 
@@ -508,7 +532,7 @@ def test_grid_split_step_refuses_a_bad_dt_before_stepping(monkeypatch, dt):
         with pytest.raises(ValueError, match="finite and positive|overflows"):
             grid_split_step(packet, dt, 3)
         with pytest.raises(ValueError, match="finite and positive|overflows"):
-            dynamics.grid_split_step_runs(packet, [(1e-3, 3), (dt, 3)])
+            dynamics.grid_split_step_runs([(packet, 1e-3, 3), (packet, dt, 3)])
     assert observed == []
 
 
@@ -542,7 +566,7 @@ def test_a_tripped_guard_stops_the_call_at_its_step(monkeypatch, runs):
     monkeypatch.setattr(dynamics, "grid_observables",
                         lambda *args: observed.append(args) or kernels.grid_observables(*args))
     with pytest.raises(GridLeakError, match=f"at step {leak_step}$"):
-        dynamics.grid_split_step_runs(short, runs)
+        dynamics.grid_split_step_runs([(short, *run) for run in runs])
     # two FFT calls a step, each over every live row, and one observation a row
     # at each of the steps 0 to leak_step
     assert len(ffts) == 2 * leak_step
@@ -552,8 +576,16 @@ def test_a_tripped_guard_stops_the_call_at_its_step(monkeypatch, runs):
 def test_grid_split_step_runs_arguments():
     packet = gaussian_packet(0.5)
     with pytest.raises(ValueError, match="at least one"):
-        dynamics.grid_split_step_runs(packet, [])
-    with pytest.raises(ValueError, match="diagnostics"):
-        dynamics.grid_split_step_runs(packet, [(1e-3, 3), (1e-3, 4)], [{}])
+        dynamics.grid_split_step_runs([])
+    # a state off the first run's grid in omega, x_max, x_min or points, or no state
+    grid = packet.x_min, packet.x_max, packet.points
+    others = [GridState(*grid, packet.psi, 2.0),
+              GridState(packet.x_min, 2.0 * packet.x_max, packet.points, packet.psi, 1.0),
+              GridState(2.0 * packet.x_min, packet.x_max, packet.points, packet.psi, 1.0),
+              gaussian_packet(0.5, t_final=3.0), packet.psi]
+    for other in others:
+        for runs in ([(packet, 1e-3, 3), (other, 1e-3, 3)], [(other, 1e-3, 3), (packet, 1e-3, 3)]):
+            with pytest.raises(ValueError, match="^state must be a GridState on the first run's"):
+                dynamics.grid_split_step_runs(runs)
     with pytest.raises(ValueError, match="steps"):
-        dynamics.grid_split_step_runs(packet, [(1e-3, 3), (1e-3, 0)])
+        dynamics.grid_split_step_runs([(packet, 1e-3, 3), (packet, 1e-3, 0)])

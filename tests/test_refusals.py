@@ -70,6 +70,9 @@ REFUSALS = [
     ("schrodinger_dt_text", lambda: dynamics.schrodinger_residual(KET, 1, 1.0, "1"), "dt"),
     ("grid_split_step_dt_text",
      lambda: dynamics.grid_split_step(dynamics.gaussian_packet(0.5), "0.1", 3), "dt"),
+    ("grid_split_step_runs_state_off_grid", lambda: dynamics.grid_split_step_runs(
+        [(dynamics.gaussian_packet(0.5), 0.01, 3), (dynamics.gaussian_packet(0.5, 2.0), 0.01, 3)]),
+     "state"),
     ("step_count_t_final_text", lambda: dynamics.step_count("1", 0.1), "t_final"),
     ("ladder_action_family", lambda: algebra.ladder_action("a-", "x", np.ones(3)), "family"),
     ("build_coherent_family", lambda: coherent.build_coherent("x", 1.0), "family"),

@@ -245,10 +245,11 @@ def _nan_bra_schrodinger(monkeypatch):
 def _nan_second_drift(monkeypatch):
     runs = dynamics.grid_split_step_runs
 
-    def nan_drift(initial, steps, diagnostics):
-        grids = runs(initial, steps, diagnostics)
-        diagnostics[1]["norm_drift"] = math.nan
-        return grids
+    def nan_drift(grid_runs):
+        records = runs(grid_runs)
+        trajectory, final, _, edge_max = records[1]
+        records[1] = trajectory, final, math.nan, edge_max
+        return records
     monkeypatch.setattr(dynamics, "grid_split_step_runs", nan_drift)
 
 
