@@ -22,7 +22,10 @@ arrays and writes into a preallocated output; :mod:`iwqm.coherent` calls
 the same kernel on the arrays it has already checked.  No function takes
 another bra phase: the opposite one obeys the same ladder algebra, but
 what it builds is the parity image P c = (-1)^n c of what ``BRA_PHASE``
-builds, and :func:`iwqm.coherent.determine_bra_phase` tests that image.
+builds.  :func:`iwqm.coherent._bra_phase_probe` tests that image as the
+second row of one batch, whose eigen residuals also name the ladder step
+phase (``BRA_LADDER_PHASE`` or its opposite) in
+:func:`iwqm.verify.conventions`.
 
 It also holds the one argument contract of the package: five private
 checks that refuse a family other than ket or bra, a level, dimension or

@@ -10,8 +10,13 @@ generator acting on the bra family.  In the truncated Fock frame
 with the bra phase i = :data:`iwqm.algebra.BRA_PHASE`, which satisfies the
 eigenvalue equation and the mutual normalization <alpha|alpha> = 1
 together; the opposite phase would build the parity image (-1)^n c_n,
-which fails both.  :func:`determine_bra_phase` tests both phases at
-``PROBE_LABEL`` and names the one that passes.
+which fails both.  Both phases are tested in one two-row batch at
+``PROBE_LABEL`` (:func:`_bra_phase_probe`): row 0 is the bra that
+``BRA_PHASE`` builds, row 1 its parity image, and one pairing and one
+eigen residual give both rows' residuals.  :func:`determine_bra_phase`
+names the row that passes both tests (:func:`_phase_name`), and
+:func:`iwqm.verify.conventions` and the check ``bra_phase_unique`` read
+the same two rows.
 
 A state is a coefficient vector with its family and label
 (:class:`CoherentState`), or a batch of them: an array of labels, with
@@ -71,7 +76,7 @@ TAIL_TOLERANCE = 1e-12
 #: The bound of |<alpha|alpha> - 1| and the eigen residuals (verify, ``dump coherent``).
 STATE_TOLERANCE = 1e-10
 
-#: Label at which :func:`determine_bra_phase` tests the two bra phases.
+#: Label at which :func:`_bra_phase_probe` tests the two bra phases.
 PROBE_LABEL = 1.0 + 0.5j
 
 #: Truncation of the bra-phase probe and of every coherent state that
@@ -343,29 +348,31 @@ def uncertainty_product(alpha, dim: int = 64) -> Uncertainty:
     return Uncertainty.from_moments(_moments(*_pair(alpha, dim)))
 
 
-def _passing_phases(phase: complex, test, value) -> list[str]:
-    """The names of ``phase`` and of ``-phase``, in that order, for which ``test``
-    holds of ``value`` and of its parity image (-1)^n value[n], which the opposite
-    bra phase builds in its place (and a ladder step of opposite phase sees)."""
-    image = np.array(value)
-    image[1::2] *= -1
-    return ["+i" if p == 1j else "-i" for p, v in ((phase, value), (-phase, image)) if test(v)]
+def _bra_phase_probe() -> tuple[np.ndarray, np.ndarray]:
+    """|<alpha|alpha> - 1| and the eigen residual of two bra candidates at
+    ``PROBE_LABEL``, from one pairing and one eigen residual of a two-row batch:
+    row 0 is the bra that ``BRA_PHASE`` builds, row 1 its parity image
+    (-1)^n c_n, which the opposite phase builds (and a bra ladder step of the
+    opposite phase sees)."""
+    alpha = np.full(2, PROBE_LABEL)
+    bra, ket = _pair(alpha, PROBE_DIM)
+    bra[1, 1::2] *= -1
+    candidates = CoherentState(BRA, alpha, bra)
+    pairing = mutual_pairing(candidates, CoherentState(KET, alpha, ket))
+    return np.abs(pairing - 1.0), eigen_residual(candidates)
 
 
-def _bra_coherent_phases() -> list[str]:
-    """The bra coherent phases, ``BRA_PHASE`` and then its opposite, that give
-    <alpha|alpha> = 1 and solve the eigenvalue equation at the probe label."""
-    ket = build_coherent(KET, PROBE_LABEL, PROBE_DIM)
-    bra = build_coherent(BRA, PROBE_LABEL, PROBE_DIM)
-
-    def test(coeffs: np.ndarray) -> bool:
-        state = CoherentState(BRA, PROBE_LABEL, coeffs)
-        return (abs(mutual_pairing(state, ket) - 1.0) <= STATE_TOLERANCE
-                and eigen_residual(state) <= STATE_TOLERANCE)
-    return _passing_phases(BRA_PHASE, test, bra.coeffs)
+def _phase_name(phase, passes) -> str:
+    """The name of ``phase`` if ``passes[0]`` holds, else of ``-phase`` if
+    ``passes[1]`` does, else "none": "+i" or "-i" for a phase of +-1j, "+1" or
+    "-1" for a sign."""
+    return next((("+i" if p == 1j else "-i") if isinstance(p, complex) else f"{p:+d}"
+                 for p, passed in zip((phase, -phase), passes) if passed), "none")
 
 
 def determine_bra_phase() -> str:
-    """Name the bra coherent coefficient phase that passes both conditions;
-    the convention does not depend on a caller's truncation."""
-    return (_bra_coherent_phases() or ["none"])[0]
+    """Name the bra coherent coefficient phase, of ``BRA_PHASE`` and its
+    opposite, that gives <alpha|alpha> = 1 and solves the eigenvalue equation
+    at the probe label; the convention does not depend on a caller's truncation."""
+    pairing, eigen = _bra_phase_probe()
+    return _phase_name(BRA_PHASE, (pairing <= STATE_TOLERANCE) & (eigen <= STATE_TOLERANCE))

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import algebra, coherent, dynamics, eigenfunctions, expressions, quadrature
 from .algebra import BRA, KET, _freeze, _require_integer, _require_real
-from .coherent import determine_bra_phase
 from .expressions import (
     A_MINUS,
     A_PLUS,
@@ -279,10 +278,10 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
     for each sampled label at the truncation ``PROBE_DIM``, each row the worst
     of one array over the label axis of one built batch pair.
 
-    Also determines which bra coefficient phase (+i or -i) is consistent:
-    exactly one must satisfy the eigenvalue equation and the mutual
-    normalization at once (the opposite of ``BRA_PHASE`` is tested on the
-    parity image of the bra state), and the suite records it as a check.
+    Also checks that exactly one bra coefficient phase (+i or -i) satisfies
+    the eigenvalue equation and the mutual normalization at once, read off
+    the two rows of :func:`iwqm.coherent._bra_phase_probe` (the opposite of
+    ``BRA_PHASE`` is tested on the parity image of the bra state).
     """
     report = SuiteReport("coherent")
     alphas = _alpha_grid(cfg)
@@ -305,8 +304,9 @@ def coherent_suite(cfg: RunConfig) -> SuiteReport:
                (unc.dx2 + 0.5j, unc.dp2 - 0.5j), 1e-10)
     report.add("uncertainty_product", "dx dp = 1/2", unc.dx * unc.dp - 0.5, 1e-10)
 
+    pairing, eigen = coherent._bra_phase_probe()
     report.add("bra_phase_unique", "exactly one bra phase satisfies both conditions",
-               0.0 if len(coherent._bra_coherent_phases()) == 1 else 1.0, 0.0)
+               0.0 if np.count_nonzero((pairing <= tol) & (eigen <= tol)) == 1 else 1.0, 0.0)
     return report
 
 
@@ -417,34 +417,33 @@ def _dual_signs() -> np.ndarray:
 
 
 def conventions() -> dict:
-    """The sign/phase conventions in force, each determined: the adjoint sign,
-    of ``ADJOINT_SIGN`` and its opposite, under which adj(x) = x and
-    adj(p) = p (the opposite sign's adjoint is the parity image P adj(A) P,
-    the word (j, k) times (-1)^(j+k)), the bra ladder step phase under which
-    the bra coherent state at the probe label solves
-    a+ |alpha>_l = alpha |alpha>_l, the bra coherent phase, and the bra
-    eigenfunction phase read off the bras of levels 0-8 (``_dual_signs``),
-    named only when those bras pair with the kets to the identity: the
-    rule Gram pairs kets with conj(ket), so theirs is diag(r) G."""
-    sign = expressions.ADJOINT_SIGN
+    """The sign/phase conventions in force, each determined, of the one in
+    force and its opposite (:func:`iwqm.coherent._phase_name`): the adjoint
+    sign under which adj(x) = x and adj(p) = p (the opposite sign's adjoint
+    is the parity image P adj(A) P, the word (j, k) times (-1)^(j+k)); from
+    one two-row probe at the probe label (:func:`iwqm.coherent._bra_phase_probe`),
+    the bra ladder step phase under which the bra coherent state solves
+    a+ |alpha>_l = alpha |alpha>_l (eigen residuals only) and the bra
+    coherent phase that also gives <alpha|alpha> = 1; and the bra
+    eigenfunction phase, ``_dual_signs`` compared with ones (+i) and with
+    (-1)^n (-i), named only when those bras pair with the kets to the
+    identity: the rule Gram pairs kets with conj(ket), so theirs is diag(r) G."""
     pairs = [(adjoint(a), a) for a in (position_expression(), momentum_expression())]
-    signs = [f"{s:+d}" for s, parity in ((sign, 1), (-sign, -1)) if all(
-        identity_residual({(j, k): c * parity ** (j + k) for (j, k), c in adj.items()}, a,
-                          coherent.PROBE_DIM) <= 1e-12 for adj, a in pairs)]
-    probe = coherent.PROBE_LABEL
-    bra = coherent.build_coherent(BRA, probe, coherent.PROBE_DIM)
-    ladder = coherent._passing_phases(
-        algebra.BRA_LADDER_PHASE, lambda c: coherent.eigen_residual(
-            coherent.CoherentState(BRA, probe, c)) <= coherent.STATE_TOLERANCE, bra.coeffs)
+    self_adjoint = [all(identity_residual(
+        {(j, k): c * parity ** (j + k) for (j, k), c in adj.items()}, a, coherent.PROBE_DIM)
+        <= 1e-12 for adj, a in pairs) for parity in (1, -1)]
+    pairing, eigen = coherent._bra_phase_probe()
+    tol = coherent.STATE_TOLERANCE
     r = _dual_signs()
     gram = r[:, None] * quadrature.gram_matrix(8)
-    dual = (coherent._passing_phases(1j, lambda v: bool(np.all(v == 1.0)), r)
-            if np.max(np.abs(gram - np.eye(9))) <= quadrature.GRAM_TOLERANCE else [])
+    paired = np.max(np.abs(gram - np.eye(9))) <= quadrature.GRAM_TOLERANCE
+    name = coherent._phase_name
     return {
-        "adjoint_sigma": (signs or ["none"])[0],
-        "bra_ladder_phase": (ladder or ["none"])[0],
-        "bra_coherent_phase": determine_bra_phase(),
-        "dual_eigenfunction_phase": (dual or ["none"])[0],
+        "adjoint_sigma": name(expressions.ADJOINT_SIGN, self_adjoint),
+        "bra_ladder_phase": name(algebra.BRA_LADDER_PHASE, eigen <= tol),
+        "bra_coherent_phase": name(coherent.BRA_PHASE, (pairing <= tol) & (eigen <= tol)),
+        "dual_eigenfunction_phase": name(
+            1j, [paired and np.all(r == s) for s in (1.0, (-1.0) ** np.arange(9))]),
     }
 
 
@@ -507,12 +506,15 @@ def report_dict(cfg: RunConfig, suites: list[SuiteReport], conv: dict) -> dict:
 
 
 def report_csv_lines(suites: list[SuiteReport], conv: dict) -> list[str]:
-    """The CSV report of ``suites``: one row per check, then the overall verdict
-    of :func:`run_passed`, which reads the :func:`conventions` ``conv``."""
+    """The CSV report of ``suites``: one row per check, one row per convention
+    of the :func:`conventions` ``conv`` that reads "none", then the overall
+    verdict of :func:`run_passed`."""
     lines = ["suite,check,anchor,residual,tolerance,passed"]
     for s in suites:
         for c in s.checks:
             anchor = c.anchor.replace('"', "'")
             lines.append(f'{s.suite},{c.name},"{anchor}",{c.residual!r},{c.tolerance!r},{c.passed}')
+    lines += [f'conventions,{key},"the one in force or its opposite passes",,,False'
+              for key, value in conv.items() if value == "none"]
     lines.append(f"overall,,,,,{run_passed(suites, conv)}")
     return lines

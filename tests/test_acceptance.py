@@ -12,13 +12,13 @@ import numpy as np
 
 from iwqm import coherent, expressions
 from iwqm.algebra import BRA, KET
+from iwqm.coherent import determine_bra_phase
 from iwqm.verify import (
     RunConfig,
     algebra_suite,
     coherent_suite,
     correspondence_suite,
     decay_suite,
-    determine_bra_phase,
     eigenfunction_suite,
     nonlocalization_suite,
     normalization_suite,

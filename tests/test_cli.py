@@ -52,7 +52,9 @@ def test_verify_fails_when_a_determined_convention_reads_none(capsys, monkeypatc
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert lines[-1] == "overall,,,,,False"
-    assert all(line.endswith(",True") for line in lines[1:-1])
+    assert lines[-2] == ('conventions,dual_eigenfunction_phase,'
+                         '"the one in force or its opposite passes",,,False')
+    assert all(line.endswith(",True") for line in lines[1:-2])
 
 
 def test_verify_json_records_the_seed_in_its_environment(capsys, monkeypatch):

@@ -300,10 +300,11 @@ def test_coherent_suite_builds_one_batch_pair(monkeypatch):
     cfg = verify.RunConfig()
     report = verify.coherent_suite(cfg)
     assert report.passed
-    # one (labels, dim) pair for the grid and one pair at the probe label:
-    # the rejected bra phase is its parity image
+    # one (labels, dim) pair for the grid; the probe pair at the probe label is
+    # one two-row batch built apart from build_coherent (tests/test_verify.py,
+    # test_each_determination_builds_the_probe_once)
     assert [(family, np.shape(alpha), dim) for family, alpha, dim in calls] == [
-        (KET, (25,), 64), (BRA, (25,), 64), (KET, (), 64), (BRA, (), 64)]
+        (KET, (25,), 64), (BRA, (25,), 64)]
     np.testing.assert_array_equal(calls[0][1], verify._alpha_grid(cfg))
 
 

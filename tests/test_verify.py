@@ -10,14 +10,14 @@ import pytest
 
 import iwqm
 from iwqm import algebra, cli, coherent, dynamics, eigenfunctions, expressions, quadrature, verify
-from iwqm.algebra import BRA
+from iwqm.algebra import BRA, KET
+from iwqm.coherent import determine_bra_phase
 from iwqm.verify import (
     MAX_OMEGA,
     MIN_OMEGA,
     RunConfig,
     algebra_identities,
     conventions,
-    determine_bra_phase,
     heisenberg_identities,
     report_csv_lines,
     report_dict,
@@ -41,15 +41,6 @@ def test_all_suites_pass(default_suites):
 
 def test_suite_order_is_fixed(default_suites):
     assert [s.suite for s in default_suites] == SUITE_NAMES
-
-
-def test_opposite_adjoint_sign_fails_exactly_the_position_and_momentum_rows(monkeypatch):
-    # every other adjoint row has even degree and cannot tell the signs apart
-    monkeypatch.setattr(expressions, "ADJOINT_SIGN", -expressions.ADJOINT_SIGN)
-    failing = [c.name for s in run_all(RunConfig()) for c in s.checks if not c.passed]
-    assert failing == ["adjoint_position", "adjoint_momentum"]
-    # the report names the sign under which x and p are self-adjoint, not the constant
-    assert conventions()["adjoint_sigma"] == "-1"
 
 
 def test_report_dict_schema(default_suites):
@@ -122,7 +113,16 @@ def test_a_convention_that_reads_none_fails_the_run(default_suites):
     assert verify.run_passed(default_suites, conventions())
     assert not verify.run_passed(default_suites, conv)
     assert report_dict(RunConfig(), default_suites, conv)["passed"] is False
-    assert report_csv_lines(default_suites, conv)[-1] == "overall,,,,,False"
+    lines = report_csv_lines(default_suites, conv)
+    assert lines[-1] == "overall,,,,,False"
+    # the CSV report names the convention that reads "none", one row each, just
+    # before the verdict; a determined convention adds no row
+    assert lines[-2] == ('conventions,dual_eigenfunction_phase,'
+                         '"the one in force or its opposite passes",,,False')
+    assert lines[:-2] == report_csv_lines(default_suites, conventions())[:-1]
+    both = dict(conv, adjoint_sigma="none")
+    assert [line.split(",")[1] for line in report_csv_lines(default_suites, both)[-3:-1]] == [
+        "adjoint_sigma", "dual_eigenfunction_phase"]
 
 
 def test_conventions_report_names_the_passing_phase():
@@ -136,11 +136,10 @@ def _bra_ladder_phases() -> list[str]:
     """The bra ladder step phases, the one in force and its opposite, under
     which the bra coherent state built at the probe label solves
     a+ |alpha>_l = alpha |alpha>_l; the opposite one acts on its parity image."""
-    bra = coherent.build_coherent(BRA, coherent.PROBE_LABEL, 64)
-    return list(coherent._passing_phases(
-        algebra.BRA_LADDER_PHASE,
-        lambda c: coherent.eigen_residual(coherent.CoherentState(BRA, bra.alpha, c)) <= 1e-10,
-        bra.coeffs))
+    _, eigen = coherent._bra_phase_probe()
+    phase = algebra.BRA_LADDER_PHASE
+    return ["+i" if p == 1j else "-i"
+            for p, residual in zip((phase, -phase), eigen, strict=True) if residual <= 1e-10]
 
 
 def test_bra_ladder_phase_is_determined(monkeypatch):
@@ -151,6 +150,40 @@ def test_bra_ladder_phase_is_determined(monkeypatch):
     monkeypatch.setattr(coherent, "BRA_PHASE", -algebra.BRA_PHASE)
     assert _bra_ladder_phases() == ["+i"]
     assert conventions()["bra_ladder_phase"] == "+i"
+
+
+def _probe_builds(monkeypatch) -> tuple[list, list]:
+    """Record, for each coefficient build at the probe label, its family, and
+    for each state made at the probe label, its family and coefficient shape."""
+    builds, states = [], []
+    coefficients = coherent._coefficients
+
+    def counted(family, alpha, labels, dim):
+        if coherent.PROBE_LABEL in labels:
+            builds.append(family)
+        return coefficients(family, alpha, labels, dim)
+
+    class Counted(coherent.CoherentState):
+        def __post_init__(self):
+            super().__post_init__()
+            if np.any(np.asarray(self.alpha) == coherent.PROBE_LABEL):
+                states.append((self.family, self.coeffs.shape))
+
+    monkeypatch.setattr(coherent, "_coefficients", counted)
+    monkeypatch.setattr(coherent, "CoherentState", Counted)
+    return builds, states
+
+
+@pytest.mark.parametrize("determine", [
+    conventions, lambda: verify.coherent_suite(RunConfig()), determine_bra_phase],
+    ids=["conventions", "coherent_suite", "determine_bra_phase"])
+def test_each_determination_builds_the_probe_once(monkeypatch, determine):
+    builds, states = _probe_builds(monkeypatch)
+    determine()
+    # one build per family, and one two-row candidate batch: the bra of
+    # BRA_PHASE and its parity image, paired with a two-row ket
+    assert sorted(builds) == [BRA, KET]
+    assert sorted(states) == [(BRA, (2, coherent.PROBE_DIM)), (KET, (2, coherent.PROBE_DIM))]
 
 
 def test_dual_eigenfunction_phase_is_read_off_the_bras(monkeypatch):
@@ -176,6 +209,55 @@ def test_parity_image_bras_are_measured_and_fail_the_gram(monkeypatch):
     np.testing.assert_array_equal(verify._dual_signs(), (-1.0) ** np.arange(9))
     # their Gram with the kets is diag((-1)^n), so no phase is named
     assert conventions()["dual_eigenfunction_phase"] == "none"
+
+
+def _flip(module, name):
+    """A mutation that replaces the constant ``module.name`` by its opposite."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, -getattr(module, name))
+
+
+def _parity_image_bras(monkeypatch):
+    """Bra level n times (-1)^n wherever an eigenfunction is evaluated."""
+    evaluate = eigenfunctions._evaluate
+
+    def parity_image(family, levels, x):
+        values = evaluate(family, levels, x)
+        if family == BRA:
+            signs = (-1.0) ** np.array(levels)
+            values = values * signs.reshape(signs.shape + (1,) * (values.ndim - 1))
+        return values
+    monkeypatch.setattr(eigenfunctions, "_evaluate", parity_image)
+
+
+#: Named mutations, each applied by monkeypatching one package name, with the
+#: conventions it leaves (adjoint sign, bra ladder, bra coherent and dual
+#: eigenfunction phase) and the rows of run_all(RunConfig()) it fails.
+MUTATIONS = [
+    ("none", lambda monkeypatch: None, ("-1", "-i", "+i", "+i"), []),
+    ("bra_ladder_phase", _flip(algebra, "BRA_LADDER_PHASE"), ("-1", "-i", "none", "+i"),
+     ["eigen_residual_bra", "bra_phase_unique"]),
+    ("bra_phase", _flip(coherent, "BRA_PHASE"), ("-1", "+i", "+i", "+i"),
+     ["mutual_normalization", "eigen_residual_bra", "closed_form_crosscheck", "variances",
+      "uncertainty_product"]),
+    # every other adjoint row has even degree and cannot tell the signs apart,
+    # and the report names the sign under which x and p are self-adjoint, not
+    # the constant
+    ("adjoint_sign", _flip(expressions, "ADJOINT_SIGN"), ("-1", "-i", "+i", "+i"),
+     ["adjoint_position", "adjoint_momentum"]),
+    ("parity_image_bras", _parity_image_bras, ("-1", "-i", "+i", "none"), []),
+]
+
+
+@pytest.mark.parametrize("mutate, conv, failing", [row[1:] for row in MUTATIONS],
+                         ids=[row[0] for row in MUTATIONS])
+def test_mutation_table(monkeypatch, mutate, conv, failing):
+    mutate(monkeypatch)
+    measured = conventions()
+    assert measured == dict(zip(("adjoint_sigma", "bra_ladder_phase", "bra_coherent_phase",
+                                 "dual_eigenfunction_phase"), conv))
+    suites = run_all(RunConfig())
+    assert [c.name for s in suites for c in s.checks if not c.passed] == failing
+    assert verify.run_passed(suites, measured) is (not failing and "none" not in conv)
 
 
 @pytest.mark.parametrize("residual, recorded", [
